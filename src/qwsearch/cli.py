@@ -15,6 +15,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .evolve import (
     propagate,
     search_hamiltonian,
     uniform_state,
+    walk_matrix,
 )
-from .graph import BipartiteSpec, complete_bipartite, read_edge_list
+from .graph import BipartiteSpec, Graph, complete_bipartite, read_edge_list
 from .spin_network import CouplingConstants, certify_walk_equivalence, demo_graph
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -271,8 +273,22 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _edge_list_curve(cfg: RunConfig, gamma: float, times: np.ndarray) -> np.ndarray:
-    """Success-probability curve for a non-bipartite edge-list instance."""
+def _full_instance(
+    cfg: RunConfig,
+) -> tuple[Graph, frozenset[int], np.ndarray, list[range]]:
+    """Graph, marked set, start state and marked groups of a full-space run.
+
+    The groups split the sorted marked vertices into the classes a and b of
+    a bipartite layout, or keep them whole for an edge-list graph; each is a
+    range of positions in that sorted list. The success probability is the
+    sum of the groups' masses.
+    """
+    if cfg.spec is not None:
+        spec = cfg.spec
+        _check_full_cap(spec.n)
+        graph, marked = complete_bipartite(spec)
+        psi0 = reduced_to_full(spec, initial_state(spec, cfg.init))
+        return graph, marked, psi0, [range(spec.k1), range(spec.k1, spec.k1 + spec.k2)]
     if cfg.init is not InitialStateKind.UNIFORM:
         raise UsageError("edge-list instances support only --init s")
     if cfg.mode != "full":
@@ -280,19 +296,30 @@ def _edge_list_curve(cfg: RunConfig, gamma: float, times: np.ndarray) -> np.ndar
     graph = read_edge_list(cfg.graph_path)
     _check_full_cap(graph.n)
     marked = cfg.marked if cfg.marked is not None else frozenset({0})
-    inst = SearchInstance(walk=cfg.walk, graph=graph, marked=marked, gamma=gamma)
-    states = propagate(
-        eig_hermitian(search_hamiltonian(inst)), uniform_state(graph.n), times
-    )
-    probs = np.abs(states) ** 2
-    return probs[:, sorted(marked)].sum(axis=1)
+    return graph, marked, uniform_state(graph.n), [range(len(marked))]
 
 
-def _bipartite_curve(cfg: RunConfig, gamma: float, times: np.ndarray) -> np.ndarray:
-    if cfg.mode == "reduced":
-        return simulate_reduced(cfg.spec, cfg.walk, cfg.init, gamma, times)
-    _check_full_cap(cfg.spec.n)
-    return simulate_full(cfg.spec, cfg.walk, cfg.init, gamma, times)
+def _success_curves(
+    cfg: RunConfig, gammas: Sequence[float], times: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Success-probability curve over ``times`` for each gamma, in order.
+
+    Full-space runs build the graph and its walk matrix once and propagate
+    only the marked vertices' amplitudes.
+    """
+    if cfg.spec is not None and cfg.mode == "reduced":
+        for gamma in gammas:
+            probs = simulate_reduced(cfg.spec, cfg.walk, cfg.init, float(gamma), times)
+            yield probs[:, 0] + probs[:, 1]
+        return
+    graph, marked, psi0, groups = _full_instance(cfg)
+    w = walk_matrix(graph, cfg.walk)
+    for gamma in gammas:
+        inst = SearchInstance(cfg.walk, graph, marked, float(gamma))
+        decomp = eig_hermitian(search_hamiltonian(inst, w))
+        amps = propagate(decomp, psi0, times, rows=sorted(marked))
+        probs = np.abs(amps) ** 2
+        yield sum(probs[:, list(group)].sum(axis=1) for group in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +332,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.spec is None and cfg.graph_path is None:
         raise UsageError("simulate needs a bipartite layout or --graph")
     times = _time_grid(cfg)
+    gamma = float(cfg.gamma)
     lines: list[str] = []
     if cfg.spec is not None:
-        probs = _bipartite_curve(cfg, float(cfg.gamma), times)
+        if cfg.mode == "reduced":
+            probs = simulate_reduced(cfg.spec, cfg.walk, cfg.init, gamma, times)
+        else:
+            _check_full_cap(cfg.spec.n)
+            probs = simulate_full(cfg.spec, cfg.walk, cfg.init, gamma, times)
         lines.append("t,p_success,p_a,p_b,p_c,p_d")
         for t, row in zip(times, probs):
             p_success = row[0] + row[1]
             fields = [_fmt(t), _fmt(p_success)] + [_fmt(x) for x in row]
             lines.append(",".join(fields))
     else:
-        curve = _edge_list_curve(cfg, float(cfg.gamma), times)
+        (curve,) = _success_curves(cfg, [gamma], times)
         lines.append("t,p_success")
         for t, p in zip(times, curve):
             lines.append(f"{_fmt(t)},{_fmt(p)}")
@@ -328,13 +360,7 @@ def cmd_sweep_gamma(cfg: RunConfig) -> int:
     gammas = _gamma_grid(cfg)
     times = _time_grid(cfg)
     lines = ["gamma,t_peak,p_peak"]
-    # work items are independent per gamma; output stays sorted by gamma
-    for gamma in gammas:
-        if cfg.spec is not None:
-            probs = _bipartite_curve(cfg, float(gamma), times)
-            curve = probs[:, 0] + probs[:, 1]
-        else:
-            curve = _edge_list_curve(cfg, float(gamma), times)
+    for gamma, curve in zip(gammas, _success_curves(cfg, gammas, times)):
         t_peak, p_peak = first_peak(times, curve)
         lines.append(f"{_fmt(gamma)},{_fmt(t_peak)},{_fmt(p_peak)}")
     _emit(lines, cfg.out)
@@ -374,10 +400,11 @@ def cmd_overlaps(cfg: RunConfig) -> int:
     else:
         _check_full_cap(spec.n)
         graph, marked = complete_bipartite(spec)
+        w = walk_matrix(graph, cfg.walk)
 
         def build(g: float) -> np.ndarray:
             inst = SearchInstance(walk=cfg.walk, graph=graph, marked=marked, gamma=g)
-            return search_hamiltonian(inst)
+            return search_hamiltonian(inst, w)
 
         slices = class_slices(spec)
         rows = overlap_profile(

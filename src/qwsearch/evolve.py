@@ -70,15 +70,20 @@ def walk_matrix(g: Graph, kind: WalkKind) -> np.ndarray:
     return signless_laplacian(g)
 
 
-def search_hamiltonian(inst: SearchInstance) -> np.ndarray:
+def search_hamiltonian(inst: SearchInstance, w: np.ndarray | None = None) -> np.ndarray:
     """Search Hamiltonian ``-gamma * W - sum_marked |i><i|``.
 
-    ``W`` is the walk matrix of the instance's kind. The result is real
-    symmetric, hence exactly Hermitian.
+    ``W`` is the walk matrix of the instance's kind; pass it as ``w`` when
+    it was built already (a sweep over gamma builds it once per graph). The
+    result is real symmetric, hence exactly Hermitian.
     """
-    h = -inst.gamma * walk_matrix(inst.graph, inst.walk)
-    for i in inst.marked:
-        h[i, i] -= 1.0
+    if w is None:
+        w = walk_matrix(inst.graph, inst.walk)
+    elif w.shape != (inst.graph.n, inst.graph.n):
+        raise ValueError("walk matrix does not match the graph")
+    h = -inst.gamma * w
+    marked = sorted(inst.marked)
+    h[marked, marked] -= 1.0
     return h
 
 
@@ -97,32 +102,49 @@ class EigenDecomposition:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = np.array(vectors, dtype=complex)
-    for col in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, col])))
-        pivot = out[idx, col]
-        out[:, col] *= np.conj(pivot) / abs(pivot)
-        out[idx, col] = out[idx, col].real  # drop the residual imaginary dust
+    cols = np.arange(out.shape[1])
+    rows = np.argmax(np.abs(out), axis=0)
+    # each column's unit scale comes from NumPy's scalar complex division,
+    # which rounds differently from its array loop; the scaling is broadcast
+    out *= np.array([np.conj(p) / abs(p) for p in out[rows, cols]])
+    out[rows, cols] = out[rows, cols].real  # drop the residual imaginary dust
     return out
+
+
+def _lexicographic_order(block: np.ndarray) -> np.ndarray:
+    """Stable order of ``block``'s columns by their entries, top row first.
+
+    Sorts on the leading rows only, taking twice as many while neighbouring
+    columns still agree on all of them.
+    """
+    depth = 1
+    while True:
+        keys = block[:depth]
+        perm = np.lexsort(keys[::-1])
+        ordered = keys[:, perm]
+        still_tied = np.all(ordered[:, 1:] == ordered[:, :-1], axis=0)
+        if depth == len(block) or not still_tied.any():
+            return perm
+        depth = min(2 * depth, len(block))
 
 
 def _break_exact_ties(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Reorder columns within groups of exactly equal eigenvalues.
 
     Ties are resolved by the lexicographic order of the eigenvector entries'
-    real parts, so repeated runs produce identical output.
+    real parts (columns equal in every entry keep their order), so repeated
+    runs produce identical output.
     """
-    order = list(range(values.size))
-    start = 0
-    while start < values.size:
-        end = start
-        while end + 1 < values.size and values[end + 1] == values[start]:
-            end += 1
-        if end > start:
-            group = sorted(
-                range(start, end + 1), key=lambda c: tuple(vectors[:, c].real)
-            )
-            order[start : end + 1] = group
-        start = end + 1
+    order = np.arange(values.size)
+    tied = values[1:] == values[:-1]
+    if tied.any():
+        bounds = np.flatnonzero(np.concatenate(([True], ~tied, [True])))
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            if end - start > 1:
+                block = vectors[:, start:end].real
+                order[start:end] = start + _lexicographic_order(block)
+    # always a gathered copy: its memory layout feeds the BLAS products in
+    # propagate, whose rounding would otherwise change in the last bit
     return vectors[:, order]
 
 
@@ -178,8 +200,16 @@ def propagate(
     h: np.ndarray | EigenDecomposition,
     psi0: np.ndarray,
     times: Sequence[float] | np.ndarray,
+    rows: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
-    """States at each time in ``times``; returns shape ``(len(times), dim)``."""
+    """Amplitudes at each time in ``times``; shape ``(len(times), len(rows))``.
+
+    ``rows`` selects the basis states (vertices) whose amplitudes are
+    returned, in the given order; ``None`` returns all ``dim`` of them. The
+    selection is applied to the eigenvectors before the time-phase product,
+    so a success curve over a few marked vertices costs ``len(rows)`` rather
+    than ``dim`` columns per time step.
+    """
     decomp = _as_decomposition(h)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (decomp.dim,):
@@ -187,9 +217,15 @@ def propagate(
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0:
         raise ValueError("evolution times must be nonnegative")
+    basis = decomp.eigenvectors
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and (rows.min() < 0 or rows.max() >= decomp.dim):
+            raise ValueError("row index out of range")
+        basis = basis[rows]
     coeffs = decomp.eigenvectors.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
-    return (phases * coeffs) @ decomp.eigenvectors.T
+    return (phases * coeffs) @ basis.T
 
 
 def success_probability(psi: np.ndarray, marked: Iterable[int]) -> float:

@@ -83,7 +83,7 @@ def heisenberg_hamiltonian(g: Graph, j: CouplingConstants) -> np.ndarray:
         )
     dim = 2**g.n
     h = np.zeros((dim, dim), dtype=complex)
-    for u, v in sorted(g.edges):
+    for u, v in g.edges.tolist():  # sorted: Graph keeps its edges in order
         h += j.jx * _pair_operator(PAULI_X, g.n, u, v)
         h += j.jy * _pair_operator(PAULI_Y, g.n, u, v)
         h += j.jz * _pair_operator(PAULI_Z, g.n, u, v)
@@ -160,4 +160,4 @@ def demo_graph() -> Graph:
     The stock example for the walk-equivalence checks: small enough for the
     full spin space, irregular enough that A, L, and Q all differ.
     """
-    return Graph(5, frozenset({(0, 1), (1, 2), (1, 3), (2, 3)}))
+    return Graph(5, [(0, 1), (1, 2), (1, 3), (2, 3)])

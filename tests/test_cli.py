@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,6 +248,94 @@ def test_sweep_gamma_signless_eigenvector_reaches_one(capsys):
     assert code == 0
     _, data = parse_floats(out)
     assert np.max(data[:, 2]) >= 0.95
+
+
+SWEEP_LAYOUT = (48, 24, 3, 5)
+SWEEP_GRID = ["--tmax", "60", "--gamma-min", "0.01", "--gamma-max", "0.06",
+              "--gamma-count", "5"]
+
+
+def _layout_flags(layout):
+    n1, n2, k1, k2 = layout
+    return ["--n1", str(n1), "--n2", str(n2), "--k1", str(k1), "--k2", str(k2)]
+
+
+def _permuted_edge_list(tmp_path, layout, seed):
+    """K_{n1,n2} with relabelled vertices; returns the file and --marked list."""
+    n1, n2, k1, k2 = layout
+    perm = np.random.default_rng(seed).permutation(n1 + n2)
+    path = tmp_path / "k_bipartite.txt"
+    lines = [f"{n1 + n2} {n1 * n2}"]
+    lines += [f"{perm[i]} {perm[n1 + j]}" for i in range(n1) for j in range(n2)]
+    path.write_text("\n".join(lines) + "\n")
+    marked = sorted([int(perm[i]) for i in range(k1)]
+                    + [int(perm[n1 + j]) for j in range(k2)])
+    return path, ",".join(map(str, marked))
+
+
+def _sweep(capsys, argv):
+    code, out, err = run_cli(capsys, ["sweep-gamma", *argv])
+    assert code == 0, err
+    return parse_floats(out)[1]
+
+
+@pytest.mark.parametrize("walk", ["signless", "laplacian", "adjacency"])
+def test_full_and_edge_list_sweeps_match_reduced(capsys, tmp_path, walk):
+    layout = _layout_flags(SWEEP_LAYOUT)
+    common = ["--walk", walk, *SWEEP_GRID]
+    for init in ("s", "sq", "sa"):
+        argv = [*layout, *common, "--init", init]
+        reduced = _sweep(capsys, [*argv, "--mode", "reduced"])
+        full = _sweep(capsys, [*argv, "--mode", "full"])
+        assert reduced.shape == full.shape == (5, 3)
+        assert np.max(np.abs(full - reduced)) <= 1e-9
+        if init == "s":
+            uniform = reduced
+    path, marked = _permuted_edge_list(tmp_path, SWEEP_LAYOUT, seed=4)
+    edge = _sweep(capsys, ["--graph", str(path), "--marked", marked, *common])
+    assert edge.shape == (5, 3)
+    assert np.max(np.abs(edge - uniform)) <= 1e-9
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``qwsearch.<module>.<name>`` through every alias of it."""
+    original = getattr(importlib.import_module(f"qwsearch.{module}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        in_package = mod_name.split(".")[0] == "qwsearch"
+        if in_package and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_full_runs_build_graph_and_walk_matrix_once_per_command(
+    capsys, monkeypatch, tmp_path
+):
+    builds = _count_calls(monkeypatch, "graph", "complete_bipartite")
+    reads = _count_calls(monkeypatch, "graph", "read_edge_list")
+    walks = _count_calls(monkeypatch, "evolve", "walk_matrix")
+    layout = _layout_flags(SWEEP_LAYOUT)
+    gammas = SWEEP_GRID[2:]
+
+    rows = _sweep(capsys, [*layout, *SWEEP_GRID, "--mode", "full"])
+    assert len(rows) == 5
+    assert (len(builds), len(reads), len(walks)) == (1, 0, 1)
+
+    code, _, _ = run_cli(
+        capsys, ["overlaps", *layout, *gammas, "--mode", "full"]
+    )
+    assert code == 0
+    assert (len(builds), len(reads), len(walks)) == (2, 0, 2)
+
+    path, marked = _permuted_edge_list(tmp_path, SWEEP_LAYOUT, seed=4)
+    rows = _sweep(capsys, ["--graph", str(path), "--marked", marked, *SWEEP_GRID])
+    assert len(rows) == 5
+    assert (len(builds), len(reads), len(walks)) == (2, 1, 3)
 
 
 def test_sweep_gamma_single_point(capsys):

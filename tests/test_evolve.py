@@ -22,8 +22,9 @@ from qwsearch.evolve import (
     search_hamiltonian,
     success_probability,
     uniform_state,
+    walk_matrix,
 )
-from qwsearch.graph import BipartiteSpec, Graph
+from qwsearch.graph import BipartiteSpec, Graph, complete_bipartite
 
 
 def _random_hermitian(rng, n):
@@ -126,6 +127,68 @@ def test_eig_reconstruction_and_orthonormality(n, seed):
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
 
 
+def _loop_fix_phases(vectors):
+    # reference: the column-by-column phase convention
+    out = np.array(vectors, dtype=complex)
+    for col in range(out.shape[1]):
+        idx = int(np.argmax(np.abs(out[:, col])))
+        pivot = out[idx, col]
+        out[:, col] *= np.conj(pivot) / abs(pivot)
+        out[idx, col] = out[idx, col].real
+    return out
+
+
+def _loop_break_exact_ties(values, vectors):
+    # reference: sort each exact-tie group by the tuple of real parts
+    order = list(range(values.size))
+    start = 0
+    while start < values.size:
+        end = start
+        while end + 1 < values.size and values[end + 1] == values[start]:
+            end += 1
+        if end > start:
+            group = sorted(
+                range(start, end + 1), key=lambda c: tuple(vectors[:, c].real)
+            )
+            order[start : end + 1] = group
+        start = end + 1
+    return vectors[:, order]
+
+
+def _bipartite_search_hamiltonian(spec, walk, gamma):
+    graph, marked = complete_bipartite(spec)
+    return search_hamiltonian(SearchInstance(walk, graph, marked, gamma))
+
+
+def _convention_cases():
+    rng = np.random.default_rng(19)
+    spec = BipartiteSpec(128, 64, 3, 5)
+    cases = [
+        _bipartite_search_hamiltonian(spec, walk, gamma)
+        for walk in WalkKind
+        for gamma in (1.0 / spec.n1, 1.0 / spec.n2, 0.05)
+    ]
+    cases += [np.eye(4), np.kron(np.eye(5), [[0.0, 1.0], [1.0, 0.0]])]
+    cases += [_random_hermitian(rng, n) for n in (1, 2, 5, 12, 40)]
+    return cases
+
+
+def test_eig_conventions_are_bit_identical_to_the_loop_reference():
+    largest_tie = 0
+    for h in _convention_cases():
+        values, vectors = np.linalg.eigh(h)
+        expected = _loop_break_exact_ties(values, _loop_fix_phases(vectors))
+        got = eig_hermitian(h)
+        assert np.array_equal(got.eigenvalues, values)
+        assert np.array_equal(got.eigenvectors, expected)
+        # same bits, signed zeros included, and the same memory layout,
+        # which decides the rounding of the BLAS products in propagate
+        assert got.eigenvectors.tobytes("A") == expected.tobytes("A")
+        assert got.eigenvectors.strides == expected.strides
+        largest_tie = max(largest_tie, np.unique(values, return_counts=True)[1].max())
+    assert largest_tie >= 10  # the cases exercise large exact-tie groups
+
+
 def test_eig_matches_asymptotic_doublet_at_large_size():
     # oracle: the perturbation-theory eigenvalues at the left critical rate,
     # which the numeric 4x4 approaches as the layout grows
@@ -213,6 +276,50 @@ def test_propagate_matches_pointwise_evolution():
     states = propagate(decomp, psi0, times)
     for t, row in zip(times, states):
         assert np.allclose(row, evolve_state(decomp, psi0, t), atol=1e-12)
+
+
+def test_propagate_rows_selects_amplitudes_before_the_product():
+    rng = np.random.default_rng(8)
+    decomp = eig_hermitian(_random_hermitian(rng, 12))
+    psi0 = _random_state(rng, 12)
+    times = np.linspace(0.0, 30.0, 301)
+    full = propagate(decomp, psi0, times)
+    for rows in ([3], [0, 5, 11], [7, 2, 9, 2], list(range(12)), []):
+        part = propagate(decomp, psi0, times, rows=rows)
+        assert part.shape == (times.size, len(rows))
+        assert np.max(np.abs(part - full[:, rows]), initial=0.0) <= 1e-14
+    with pytest.raises(ValueError):
+        propagate(decomp, psi0, times, rows=[12])
+    with pytest.raises(ValueError):
+        propagate(decomp, psi0, times, rows=[-1])
+
+
+def test_propagate_rows_on_a_bipartite_search():
+    spec = BipartiteSpec(48, 24, 3, 5)
+    graph, marked = complete_bipartite(spec)
+    inst = SearchInstance(WalkKind.SIGNLESS_LAPLACIAN, graph, marked, 1 / 48)
+    h = search_hamiltonian(inst)
+    decomp = eig_hermitian(h)
+    psi0 = uniform_state(spec.n)
+    times = np.linspace(0.0, 60.0, 500)
+    rows = sorted(marked)
+    full = propagate(decomp, psi0, times)
+    part = propagate(decomp, psi0, times, rows=rows)
+    assert np.max(np.abs(part - full[:, rows])) <= 1e-14
+
+
+def test_search_hamiltonian_reuses_a_given_walk_matrix():
+    spec = BipartiteSpec(9, 5, 2, 1)
+    graph, marked = complete_bipartite(spec)
+    for kind in WalkKind:
+        w = walk_matrix(graph, kind)
+        kept = w.copy()
+        for gamma in (0.0, 0.1, 0.37):
+            inst = SearchInstance(kind, graph, marked, gamma)
+            assert np.array_equal(search_hamiltonian(inst, w), search_hamiltonian(inst))
+        assert np.array_equal(w, kept)  # the shared matrix is not modified
+    with pytest.raises(ValueError):
+        search_hamiltonian(SearchInstance(kind, graph, marked, 0.1), np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

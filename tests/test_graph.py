@@ -18,8 +18,52 @@ from qwsearch.spin_network import demo_graph
 
 def test_graph_canonicalizes_edges():
     g = Graph(4, frozenset({(2, 1), (1, 2), (0, 3)}))
-    assert g.edges == frozenset({(1, 2), (0, 3)})
+    assert g.edges.dtype == np.int64
+    assert np.array_equal(g.edges, [[0, 3], [1, 2]])
     assert g.m == 2
+
+
+def test_graph_edge_array_is_canonical_and_read_only():
+    g = Graph(5, [(3, 1), (0, 4), (1, 3), (2, 0), (4, 0)])
+    assert g.edges.shape == (3, 2)
+    assert np.array_equal(g.edges, [[0, 2], [0, 4], [1, 3]])
+    assert np.all(g.edges[:, 0] < g.edges[:, 1])
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+
+
+def test_graph_equality_and_hash_follow_the_edge_array():
+    a = Graph(4, frozenset({(2, 1), (0, 3)}))
+    b = Graph(4, np.array([[3, 0], [1, 2], [2, 1]]))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Graph(5, [(0, 3), (1, 2)])
+    assert a != Graph(4, [(0, 3)])
+
+
+def test_edgeless_graph():
+    for edges in (frozenset(), [], np.empty((0, 2), dtype=np.int64)):
+        g = Graph(3, edges)
+        assert g.m == 0
+        assert g.edges.shape == (0, 2)
+        assert g.edges.dtype == np.int64
+    assert Graph(3, []) == Graph(3, frozenset())
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1), (2, 2), (0, 7)], "self-loop at vertex 2"),
+        ([(0, 1), (0, 7), (2, 2)], r"edge \(0, 7\) out of range for n=3"),
+        ([(-1, 0)], r"edge \(-1, 0\) out of range for n=3"),
+        ([(0, 1, 2)], "vertex pairs"),
+        ([(0.5, 1.0)], "integers"),
+    ],
+)
+def test_graph_rejection_messages(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, edges)
 
 
 @pytest.mark.parametrize(
@@ -29,6 +73,7 @@ def test_graph_canonicalizes_edges():
         (3, frozenset({(1, 1)})),
         (3, frozenset({(0, 3)})),
         (2, frozenset({(-1, 0)})),
+        (2**31 + 1, frozenset({(0, 1)})),
     ],
 )
 def test_graph_rejects_bad_input(n, edges):
@@ -54,7 +99,7 @@ def test_complete_bipartite_layout():
 
 def test_complete_bipartite_single_edge():
     g, marked = complete_bipartite(BipartiteSpec(1, 1, 1, 0))
-    assert g.edges == frozenset({(0, 1)})
+    assert np.array_equal(g.edges, [[0, 1]])
     assert marked == frozenset({0})
 
 
@@ -139,6 +184,52 @@ def test_edge_list_round_trip(tmp_path):
     path.write_text("5 4\n0 1\n1 2\n1 3\n2 3\n")
     g = read_edge_list(path)
     assert g == demo_graph()
+
+
+def test_edge_list_merges_duplicate_and_reversed_lines(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("4 5\n0 1\n1 0\n2 3\n0 1\n\n  3 2  \n")
+    g = read_edge_list(path)
+    assert g.m == 2
+    assert np.array_equal(g.edges, [[0, 1], [2, 3]])
+
+
+def test_edge_list_without_edges(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("3 0\n")
+    g = read_edge_list(path)
+    assert g == Graph(3, [])
+    assert not adjacency_matrix(g).any()
+
+
+def test_edge_list_accepts_what_int_accepts(tmp_path):
+    # the fast parser is stricter than int(); such files still read
+    path = tmp_path / "graph.txt"
+    path.write_text("12 2\n+0 1_1\n\t3\t 4\n")
+    assert read_edge_list(path) == Graph(12, [(0, 11), (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty edge-list file"),
+        ("5\n", "header must be 'n m'"),
+        ("5 x\n", "non-integer header"),
+        ("5 2\n0 1\n", "header declares 2 edges but file has 1"),
+        ("5 2\n0 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+        ("5 2\n0 1 2\n3 4 0\n", "malformed edge line '0 1 2'"),
+        ("5 1\n3\n", "malformed edge line '3'"),
+        ("5 2\n0 1\na b\n", "non-integer edge 'a b'"),
+        ("5 1\n1.0 2\n", "non-integer edge '1.0 2'"),
+        ("2 1\n0 2\n", r"edge \(0, 2\) out of range for n=2"),
+        ("3 1\n1 1\n", "self-loop at vertex 1"),
+    ],
+)
+def test_edge_list_refusal_messages(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(path)
 
 
 @pytest.mark.parametrize(
