@@ -21,7 +21,6 @@ from .evolve import (
     SearchInstance,
     WalkKind,
     eig_hermitian,
-    evolve_state,
     first_peak,
     overlap_profile,
     propagate,

@@ -232,12 +232,16 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
 
 
 def class_probabilities(spec: BipartiteSpec, psi_full: np.ndarray) -> np.ndarray:
-    """Probability mass of a full-space state on each of the four classes."""
+    """Probability mass of full-space states on each of the four classes.
+
+    ``psi_full`` has shape ``(..., n)``, for example one state per time
+    step; the result has shape ``(..., 4)``.
+    """
     psi_full = np.asarray(psi_full)
-    if psi_full.shape != (spec.n,):
+    if psi_full.shape[-1:] != (spec.n,):
         raise ValueError("state dimension does not match the layout")
     probs = np.abs(psi_full) ** 2
-    return np.array([float(np.sum(probs[list(r)])) for r in class_slices(spec)])
+    return np.stack([probs[..., list(r)].sum(axis=-1) for r in class_slices(spec)], axis=-1)
 
 
 def critical_gamma(spec: BipartiteSpec, side: CriticalSide) -> float:
@@ -286,18 +290,36 @@ class DegenerateEigensystem:
     delta_e: float
 
 
+def _mirrored(system: DegenerateEigensystem) -> DegenerateEigensystem:
+    """A left-critical eigensystem of the partite-swapped layout, read as the
+    right-critical one of the original: classes (a, b, c, d) trade places
+    pairwise."""
+    perm = [1, 0, 3, 2]
+    pairs = tuple((vec[perm], val) for vec, val in system.pairs)
+    return DegenerateEigensystem(pairs=pairs, delta_e=system.delta_e)
+
+
+def _check_left_doublet(spec: BipartiteSpec) -> None:
+    """Refuse layouts without an isolated left-critical doublet {a, u}."""
+    if spec.k1 < 1:
+        raise ValueError("left-critical degeneracy needs k1 >= 1")
+    if spec.n1 == spec.n2:
+        raise ValueError("equal sides put the b level on the critical doublet")
+
+
 def energy_gap(spec: BipartiteSpec, side: CriticalSide) -> float:
     """First-order splitting of the degenerate doublet at the critical rate.
 
     This is the n -> infinity gap ``2 sqrt(k1 n2 / (n1 n))`` (left side).
     The exact 4x4 doublet is slightly narrower at finite size (0.98569 of
     this value on ``(512, 256, 3, 5)``); :func:`next_order_correction`
-    carries the next-order gap.
+    carries the next-order gap. Every first-order form derives from this
+    gap, so all of them raise ``ValueError`` without a marked vertex on the
+    target side or at ``n1 == n2``, where the ``b`` level joins the doublet.
     """
     if side is CriticalSide.RIGHT:
         return energy_gap(spec.swapped(), CriticalSide.LEFT)
-    if spec.k1 < 1:
-        raise ValueError("left-critical degeneracy needs k1 >= 1")
+    _check_left_doublet(spec)
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
     return 2.0 * math.sqrt(spec.k1 * n2 / (n1 * n))
 
@@ -315,14 +337,9 @@ def degenerate_correction(
     partite-swapped mirror image.
     """
     if side is CriticalSide.RIGHT:
-        mirrored = degenerate_correction(spec.swapped(), CriticalSide.LEFT)
-        perm = [1, 0, 3, 2]
-        pairs = tuple((vec[perm], val) for vec, val in mirrored.pairs)
-        return DegenerateEigensystem(pairs=pairs, delta_e=mirrored.delta_e)
-    if spec.k1 < 1:
-        raise ValueError("left-critical degeneracy needs k1 >= 1")
-    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
-    half_gap = math.sqrt(spec.k1 * n2 / (n1 * n))
+        return _mirrored(degenerate_correction(spec.swapped(), CriticalSide.LEFT))
+    half_gap = 0.5 * energy_gap(spec, CriticalSide.LEFT)
+    n1, n2 = float(spec.n1), float(spec.n2)
     base = -1.0 - n2 / n1
     e_a, e_b, u, v = (vec for vec, _ in asymptotic_eigensystem_h0(spec, 1.0 / n1))
     pairs = [
@@ -381,11 +398,10 @@ def closed_form_probabilities(
             spec.swapped(), start, CriticalSide.LEFT, t
         )
         return pb, pa, pd, pc
-    if spec.k1 < 1:
-        raise ValueError("left-critical evolution needs k1 >= 1")
+    gap = energy_gap(spec, CriticalSide.LEFT)
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
     t = np.asarray(t, dtype=float)
-    half = 0.5 * energy_gap(spec, CriticalSide.LEFT) * t
+    half = 0.5 * gap * t
     sin2 = np.sin(half) ** 2
     cos2 = np.cos(half) ** 2
     if start is InitialStateKind.UNIFORM:
@@ -465,14 +481,8 @@ def next_order_correction(
     ``b`` level meets the doublet.
     """
     if side is CriticalSide.RIGHT:
-        mirrored = next_order_correction(spec.swapped(), CriticalSide.LEFT)
-        perm = [1, 0, 3, 2]
-        pairs = tuple((vec[perm], val) for vec, val in mirrored.pairs)
-        return DegenerateEigensystem(pairs=pairs, delta_e=mirrored.delta_e)
-    if spec.k1 < 1:
-        raise ValueError("left-critical degeneracy needs k1 >= 1")
-    if spec.n1 == spec.n2:
-        raise ValueError("equal sides put the b level on the critical doublet")
+        return _mirrored(next_order_correction(spec.swapped(), CriticalSide.LEFT))
+    _check_left_doublet(spec)
     n1, n2 = float(spec.n1), float(spec.n2)
     r = math.sqrt(0.25 * (n1 - n2) ** 2 + float(spec.unmarked1 * spec.unmarked2))
     x = math.sqrt((r - 0.5 * (n1 - n2)) / (2.0 * r))
@@ -565,102 +575,36 @@ def closed_form_peaks(spec: BipartiteSpec) -> list[ClosedFormPeak]:
     partite set per critical rate; adjacency search has a single critical
     rate and reaches certainty only from its own eigenvector; the signless
     walk mirrors the Laplacian's two rates but reaches certainty only from
-    the signless eigenvector. Rows whose runtime is undefined (no marked
-    vertices on the targeted side) are omitted.
+    the signless eigenvector. Runtimes come from :func:`runtime_table`;
+    rows whose runtime is undefined (no marked vertices on the targeted
+    side) are omitted.
     """
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
-    k1, k2 = float(spec.k1), float(spec.k2)
-    gamma_a = 1.0 / math.sqrt(n1 * n2)
+    s = InitialStateKind.UNIFORM
+    sa = InitialStateKind.ADJACENCY_EIGENVECTOR
+    sq = InitialStateKind.SIGNLESS_EIGENVECTOR
+    left, right = Target.LEFT_MARKED, Target.RIGHT_MARKED
+    signless = WalkKind.SIGNLESS_LAPLACIAN
+    signless_peaks = [(s, 4.0 * n1 * n2 / n**2), (sq, 1.0)]
+    adjacency_peaks = [(s, 0.5 + math.sqrt(n1 * n2) / n), (sa, 1.0)]
+    # per runtime: walk, jumping rate, target, and (start, peak) of each row
+    setups = {
+        FastestWalk.LAPLACIAN_LEFT: (WalkKind.LAPLACIAN, 1.0 / n2, left, [(s, 1.0)]),
+        FastestWalk.LAPLACIAN_RIGHT: (WalkKind.LAPLACIAN, 1.0 / n1, right, [(s, 1.0)]),
+        FastestWalk.ADJACENCY: (
+            WalkKind.ADJACENCY, 1.0 / math.sqrt(n1 * n2), Target.MIXED, adjacency_peaks
+        ),
+        FastestWalk.SIGNLESS_LEFT: (signless, 1.0 / n1, left, signless_peaks),
+        FastestWalk.SIGNLESS_RIGHT: (signless, 1.0 / n2, right, signless_peaks),
+    }
     rows: list[ClosedFormPeak] = []
-    if spec.k1 >= 1:
-        rows.append(
-            ClosedFormPeak(
-                WalkKind.LAPLACIAN,
-                InitialStateKind.UNIFORM,
-                1.0 / n2,
-                0.5 * math.pi * math.sqrt(n / k1),
-                1.0,
-                Target.LEFT_MARKED,
+    for label, runtime in runtime_table(spec).as_ordered():
+        if runtime is not None:
+            walk, rate, target, peaks = setups[label]
+            rows.extend(
+                ClosedFormPeak(walk, start, rate, runtime, peak, target)
+                for start, peak in peaks
             )
-        )
-    if spec.k2 >= 1:
-        rows.append(
-            ClosedFormPeak(
-                WalkKind.LAPLACIAN,
-                InitialStateKind.UNIFORM,
-                1.0 / n1,
-                0.5 * math.pi * math.sqrt(n / k2),
-                1.0,
-                Target.RIGHT_MARKED,
-            )
-        )
-    t_adjacency = (math.pi / math.sqrt(2.0)) * math.sqrt(
-        n1 * n2 / (k2 * n1 + k1 * n2)
-    )
-    rows.append(
-        ClosedFormPeak(
-            WalkKind.ADJACENCY,
-            InitialStateKind.UNIFORM,
-            gamma_a,
-            t_adjacency,
-            0.5 + math.sqrt(n1 * n2) / n,
-            Target.MIXED,
-        )
-    )
-    rows.append(
-        ClosedFormPeak(
-            WalkKind.ADJACENCY,
-            InitialStateKind.ADJACENCY_EIGENVECTOR,
-            gamma_a,
-            t_adjacency,
-            1.0,
-            Target.MIXED,
-        )
-    )
-    if spec.k1 >= 1:
-        t_left = 0.5 * math.pi * math.sqrt(n1 * n / (k1 * n2))
-        rows.append(
-            ClosedFormPeak(
-                WalkKind.SIGNLESS_LAPLACIAN,
-                InitialStateKind.UNIFORM,
-                1.0 / n1,
-                t_left,
-                4.0 * n1 * n2 / n**2,
-                Target.LEFT_MARKED,
-            )
-        )
-        rows.append(
-            ClosedFormPeak(
-                WalkKind.SIGNLESS_LAPLACIAN,
-                InitialStateKind.SIGNLESS_EIGENVECTOR,
-                1.0 / n1,
-                t_left,
-                1.0,
-                Target.LEFT_MARKED,
-            )
-        )
-    if spec.k2 >= 1:
-        t_right = 0.5 * math.pi * math.sqrt(n2 * n / (k2 * n1))
-        rows.append(
-            ClosedFormPeak(
-                WalkKind.SIGNLESS_LAPLACIAN,
-                InitialStateKind.UNIFORM,
-                1.0 / n2,
-                t_right,
-                4.0 * n1 * n2 / n**2,
-                Target.RIGHT_MARKED,
-            )
-        )
-        rows.append(
-            ClosedFormPeak(
-                WalkKind.SIGNLESS_LAPLACIAN,
-                InitialStateKind.SIGNLESS_EIGENVECTOR,
-                1.0 / n2,
-                t_right,
-                1.0,
-                Target.RIGHT_MARKED,
-            )
-        )
     return rows
 
 
@@ -740,21 +684,17 @@ def fastest_regime(spec: BipartiteSpec) -> RegimeClassification:
         for label, value in defined
         if value <= best * (1.0 + RUNTIME_TIE_RTOL)
     )
-    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
-    if spec.n1 > spec.n2:
-        axis = "k1"
+    # thresholds on the larger side's marked count, from the layout with
+    # that side on the left
+    axis, thresholds = None, None
+    if spec.n1 != spec.n2:
+        axis = "k1" if spec.n1 > spec.n2 else "k2"
+        wide = spec if spec.n1 > spec.n2 else spec.swapped()
+        n1, n2, n = float(wide.n1), float(wide.n2), float(wide.n)
         thresholds = (
-            spec.k2 * n1 * (n1 - n2) / (n2 * n),
-            spec.k2 * n1 * n / (n2 * (n1 - n2)),
+            wide.k2 * n1 * (n1 - n2) / (n2 * n),
+            wide.k2 * n1 * n / (n2 * (n1 - n2)),
         )
-    elif spec.n2 > spec.n1:
-        axis = "k2"
-        thresholds = (
-            spec.k1 * n2 * (n2 - n1) / (n1 * n),
-            spec.k1 * n2 * n / (n1 * (n2 - n1)),
-        )
-    else:
-        axis, thresholds = None, None
     near_regular = abs(spec.n1 - spec.n2) < math.sqrt(spec.n)
     return RegimeClassification(
         fastest=fastest,
@@ -798,7 +738,4 @@ def simulate_full(
     inst = SearchInstance(walk=walk, graph=graph, marked=marked, gamma=gamma)
     h = search_hamiltonian(inst)
     psi0 = reduced_to_full(spec, initial_state(spec, start))
-    states = propagate(eig_hermitian(h), psi0, times)
-    slices = class_slices(spec)
-    probs = np.abs(states) ** 2
-    return np.stack([probs[:, list(r)].sum(axis=1) for r in slices], axis=1)
+    return class_probabilities(spec, propagate(eig_hermitian(h), psi0, times))

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,18 +62,18 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Merged parameters of one subcommand invocation."""
+    """Merged parameters of one subcommand invocation (``None``: no such flag)."""
 
     spec: BipartiteSpec | None = None
     graph_path: str | None = None
     marked: frozenset[int] | None = None
-    walk: WalkKind = WalkKind.SIGNLESS_LAPLACIAN
-    init: InitialStateKind = InitialStateKind.UNIFORM
-    probe: str = "s"
+    walk: WalkKind | None = None
+    init: InitialStateKind | None = None
+    probe: str | None = None
     gamma: float | None = None
     gamma_range: tuple[float, float, int] | None = None
     tmax: float | None = None
-    samples: int = DEFAULT_SAMPLES
+    samples: int | None = None
     mode: str = "reduced"
     out: str | None = None
     sweep_axis: str | None = None
@@ -84,33 +85,8 @@ class RunConfig:
 # config-file handling
 
 
-_CONFIG_CONVERTERS = {
-    "n1": int,
-    "n2": int,
-    "k1": int,
-    "k2": int,
-    "graph": str,
-    "marked": str,
-    "walk": str,
-    "init": str,
-    "probe": str,
-    "gamma": float,
-    "gamma_min": float,
-    "gamma_max": float,
-    "gamma_count": int,
-    "tmax": float,
-    "samples": int,
-    "mode": str,
-    "out": str,
-    "sweep": str,
-    "sweep_min": int,
-    "sweep_max": int,
-    "jz_ratio": float,
-}
-
-
-def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key=value`` config file; ``#`` starts a comment."""
+def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
+    """Parse a flat ``key=value`` config file of ``keys``; ``#`` starts a comment."""
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -120,23 +96,32 @@ def load_config(path: str | Path) -> dict[str, str]:
             raise UsageError(f"{path}: malformed config line {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_CONVERTERS:
+        if key not in keys:
             raise UsageError(f"{path}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str], name: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        try:
-            return _CONFIG_CONVERTERS[name](config[name])
-        except ValueError as exc:
-            raise UsageError(f"config key {name}: {exc}") from exc
-    return default
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``, reading the ``--config`` file into the defaults.
+
+    The file may set any flag of any subcommand, keyed by its destination
+    name. The chosen subcommand takes the values of its own flags as string
+    defaults, which argparse converts with each flag's type and which flags
+    on the command line override; keys of other subcommands are ignored.
+    """
+    args = parser.parse_args(argv)
+    if args.config:
+        (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+        flags = {
+            name: {a.dest for a in p._actions} - {"help", "config"}
+            for name, p in commands.items()
+        }
+        values = load_config(args.config, set().union(*flags.values()))
+        own = flags[args.command]
+        commands[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
+        args = parser.parse_args(argv)
+    return args
 
 
 def _parse_marked(text: str) -> frozenset[int]:
@@ -147,12 +132,9 @@ def _parse_marked(text: str) -> frozenset[int]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    config = {}
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-
-    sides = [_resolve(args, config, name) for name in ("n1", "n2", "k1", "k2")]
-    graph_path = _resolve(args, config, "graph")
+    opt = vars(args).get  # None for flags the subcommand does not have
+    sides = [opt(name) for name in ("n1", "n2", "k1", "k2")]
+    graph_path = opt("graph")
     spec = None
     if any(v is not None for v in sides):
         if any(v is None for v in sides):
@@ -161,64 +143,56 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("give either --n1/--n2/--k1/--k2 or --graph, not both")
         spec = BipartiteSpec(*sides)
 
-    marked_text = _resolve(args, config, "marked")
-    marked = _parse_marked(marked_text) if marked_text is not None else None
+    marked = _parse_marked(opt("marked")) if opt("marked") is not None else None
 
-    walk_name = _resolve(args, config, "walk", "signless")
-    if walk_name not in _WALKS:
-        raise UsageError(f"unknown walk kind {walk_name!r}")
-    init_name = _resolve(args, config, "init", "s")
-    if init_name not in _INITS:
-        raise UsageError(f"unknown initial state {init_name!r}")
-    probe = _resolve(args, config, "probe", "s")
-    if probe not in _PROBES:
-        raise UsageError(f"unknown probe {probe!r}")
+    # config-file values bypass argparse's choices, so check them here
+    walk, init, probe = opt("walk"), opt("init"), opt("probe")
+    for value, known, what in (
+        (walk, _WALKS, "walk kind"),
+        (init, _INITS, "initial state"),
+        (probe, _PROBES, "probe"),
+    ):
+        if value is not None and value not in known:
+            raise UsageError(f"unknown {what} {value!r}")
 
-    gamma = _resolve(args, config, "gamma")
-    gamma_min = _resolve(args, config, "gamma_min")
-    gamma_max = _resolve(args, config, "gamma_max")
-    gamma_count = _resolve(args, config, "gamma_count")
+    gamma_min, gamma_max = opt("gamma_min"), opt("gamma_max")
     gamma_range = None
     if gamma_min is not None or gamma_max is not None:
         if gamma_min is None or gamma_max is None:
             raise UsageError("--gamma-min and --gamma-max go together")
-        gamma_range = (
-            float(gamma_min),
-            float(gamma_max),
-            int(gamma_count if gamma_count is not None else DEFAULT_GAMMA_COUNT),
-        )
+        gamma_range = (gamma_min, gamma_max, opt("gamma_count"))
 
-    mode = _resolve(args, config, "mode", "full" if graph_path else "reduced")
+    mode = opt("mode")
+    if mode is None:
+        mode = "full" if graph_path else "reduced"
     if mode not in ("reduced", "full"):
         raise UsageError(f"unknown mode {mode!r}")
 
-    sweep_axis = _resolve(args, config, "sweep")
+    sweep_axis = opt("sweep")
     if sweep_axis is not None and sweep_axis not in ("k1", "k2"):
         raise UsageError("--sweep must be k1 or k2")
-    sweep_min = _resolve(args, config, "sweep_min")
-    sweep_max = _resolve(args, config, "sweep_max")
     sweep_range = None
     if sweep_axis is not None:
-        if sweep_min is None or sweep_max is None:
+        if opt("sweep_min") is None or opt("sweep_max") is None:
             raise UsageError("--sweep needs --sweep-min and --sweep-max")
-        sweep_range = (int(sweep_min), int(sweep_max))
+        sweep_range = (opt("sweep_min"), opt("sweep_max"))
 
     return RunConfig(
         spec=spec,
         graph_path=graph_path,
         marked=marked,
-        walk=_WALKS[walk_name],
-        init=_INITS[init_name],
+        walk=_WALKS.get(walk),
+        init=_INITS.get(init),
         probe=probe,
-        gamma=gamma,
+        gamma=opt("gamma"),
         gamma_range=gamma_range,
-        tmax=_resolve(args, config, "tmax"),
-        samples=int(_resolve(args, config, "samples", DEFAULT_SAMPLES)),
+        tmax=opt("tmax"),
+        samples=opt("samples"),
         mode=mode,
-        out=_resolve(args, config, "out"),
+        out=opt("out"),
         sweep_axis=sweep_axis,
         sweep_range=sweep_range,
-        jz_ratio=_resolve(args, config, "jz_ratio"),
+        jz_ratio=opt("jz_ratio"),
     )
 
 
@@ -244,10 +218,8 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     if tmax is None:
         if cfg.spec is None:
             raise UsageError("--tmax is required for edge-list instances")
-        defined = [
-            t for t in vars(runtime_table(cfg.spec)).values() if t is not None
-        ]
-        tmax = 2.0 * max(defined)
+        table = runtime_table(cfg.spec).as_ordered()
+        tmax = 2.0 * max(t for _, t in table if t is not None)
     if tmax <= 0:
         raise UsageError("--tmax must be positive")
     if cfg.samples < 2:
@@ -273,30 +245,31 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _full_instance(
+def _full_search(
     cfg: RunConfig,
-) -> tuple[Graph, frozenset[int], np.ndarray, list[range]]:
-    """Graph, marked set, start state and marked groups of a full-space run.
+) -> tuple[Callable[[float], np.ndarray], Graph, frozenset[int]]:
+    """Search Hamiltonian per gamma of a full-space run, its graph and marked set.
 
-    The groups split the sorted marked vertices into the classes a and b of
-    a bipartite layout, or keep them whole for an edge-list graph; each is a
-    range of positions in that sorted list. The success probability is the
-    sum of the groups' masses.
+    The graph (the complete bipartite layout or the edge list) and its walk
+    matrix are built once; each gamma only rescales the walk matrix.
     """
     if cfg.spec is not None:
-        spec = cfg.spec
-        _check_full_cap(spec.n)
-        graph, marked = complete_bipartite(spec)
-        psi0 = reduced_to_full(spec, initial_state(spec, cfg.init))
-        return graph, marked, psi0, [range(spec.k1), range(spec.k1, spec.k1 + spec.k2)]
-    if cfg.init is not InitialStateKind.UNIFORM:
-        raise UsageError("edge-list instances support only --init s")
-    if cfg.mode != "full":
-        raise UsageError("edge-list instances run in full mode only")
-    graph = read_edge_list(cfg.graph_path)
-    _check_full_cap(graph.n)
-    marked = cfg.marked if cfg.marked is not None else frozenset({0})
-    return graph, marked, uniform_state(graph.n), [range(len(marked))]
+        _check_full_cap(cfg.spec.n)
+        graph, marked = complete_bipartite(cfg.spec)
+    else:
+        if cfg.init is not InitialStateKind.UNIFORM:
+            raise UsageError("edge-list instances support only --init s")
+        if cfg.mode != "full":
+            raise UsageError("edge-list instances run in full mode only")
+        graph = read_edge_list(cfg.graph_path)
+        _check_full_cap(graph.n)
+        marked = cfg.marked if cfg.marked is not None else frozenset({0})
+    w = walk_matrix(graph, cfg.walk)
+
+    def build(gamma: float) -> np.ndarray:
+        return search_hamiltonian(SearchInstance(cfg.walk, graph, marked, float(gamma)), w)
+
+    return build, graph, marked
 
 
 def _success_curves(
@@ -304,20 +277,25 @@ def _success_curves(
 ) -> Iterator[np.ndarray]:
     """Success-probability curve over ``times`` for each gamma, in order.
 
-    Full-space runs build the graph and its walk matrix once and propagate
-    only the marked vertices' amplitudes.
+    Full-space runs propagate only the marked vertices' amplitudes. Their
+    success probability sums the masses of the marked groups: the classes
+    a and b of a bipartite layout, or the whole marked set of an edge-list
+    graph, each a range of positions in the sorted marked list.
     """
-    if cfg.spec is not None and cfg.mode == "reduced":
+    spec = cfg.spec
+    if spec is not None and cfg.mode == "reduced":
         for gamma in gammas:
-            probs = simulate_reduced(cfg.spec, cfg.walk, cfg.init, float(gamma), times)
+            probs = simulate_reduced(spec, cfg.walk, cfg.init, float(gamma), times)
             yield probs[:, 0] + probs[:, 1]
         return
-    graph, marked, psi0, groups = _full_instance(cfg)
-    w = walk_matrix(graph, cfg.walk)
+    build, graph, marked = _full_search(cfg)
+    if spec is not None:
+        psi0 = reduced_to_full(spec, initial_state(spec, cfg.init))
+        groups = [range(spec.k1), range(spec.k1, spec.k1 + spec.k2)]
+    else:
+        psi0, groups = uniform_state(graph.n), [range(len(marked))]
     for gamma in gammas:
-        inst = SearchInstance(cfg.walk, graph, marked, float(gamma))
-        decomp = eig_hermitian(search_hamiltonian(inst, w))
-        amps = propagate(decomp, psi0, times, rows=sorted(marked))
+        amps = propagate(eig_hermitian(build(gamma)), psi0, times, rows=sorted(marked))
         probs = np.abs(amps) ** 2
         yield sum(probs[:, list(group)].sum(axis=1) for group in groups)
 
@@ -388,32 +366,14 @@ def cmd_overlaps(cfg: RunConfig) -> int:
         raise UsageError("overlaps needs a bipartite layout")
     gammas = _gamma_grid(cfg)
     spec = cfg.spec
-    probe_reduced = _probe_state(cfg)
+    probe = _probe_state(cfg)
     if cfg.mode == "reduced":
-        rows = overlap_profile(
-            lambda g: reduced_hamiltonian(spec, cfg.walk, g),
-            gammas,
-            probe_reduced,
-            left_marked=[0],
-            right_marked=[1],
-        )
+        build, left, right = partial(reduced_hamiltonian, spec, cfg.walk), [0], [1]
     else:
-        _check_full_cap(spec.n)
-        graph, marked = complete_bipartite(spec)
-        w = walk_matrix(graph, cfg.walk)
-
-        def build(g: float) -> np.ndarray:
-            inst = SearchInstance(walk=cfg.walk, graph=graph, marked=marked, gamma=g)
-            return search_hamiltonian(inst, w)
-
-        slices = class_slices(spec)
-        rows = overlap_profile(
-            build,
-            gammas,
-            reduced_to_full(spec, probe_reduced),
-            left_marked=list(slices[0]),
-            right_marked=list(slices[1]),
-        )
+        build, _, _ = _full_search(cfg)
+        probe = reduced_to_full(spec, probe)
+        left, right = (list(vertices) for vertices in class_slices(spec)[:2])
+    rows = overlap_profile(build, gammas, probe, left_marked=left, right_marked=right)
     lines = ["gamma,n,S_n,L_n,R_n"]
     for row in rows:
         lines.append(
@@ -450,12 +410,9 @@ def cmd_runtimes(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             continue
-        candidate = BipartiteSpec(spec.n1, spec.n2, k1, k2)
-        table = runtime_table(candidate)
-        regime = fastest_regime(candidate)
+        regime = fastest_regime(BipartiteSpec(spec.n1, spec.n2, k1, k2))
         runtimes = [
-            "" if t is None else _fmt(t)
-            for t in (table.t_la, table.t_lb, table.t_a, table.t_qa, table.t_qb)
+            "" if t is None else _fmt(t) for _, t in regime.runtimes.as_ordered()
         ]
         lines.append(
             f"{value},{','.join(runtimes)},{regime.fastest.value},"
@@ -505,7 +462,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k2", type=int)
     p.add_argument("--graph", help="edge-list file: 'n m' header then 'i j' lines")
     p.add_argument("--marked", help="comma-separated marked vertices (edge-list runs)")
-    p.add_argument("--walk", choices=sorted(_WALKS))
+    p.add_argument("--walk", choices=sorted(_WALKS), default="signless")
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -515,7 +472,7 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_time_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tmax", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--mode", choices=["reduced", "full"])
 
 
@@ -523,7 +480,9 @@ def _add_gamma_range_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--gamma-min", dest="gamma_min", type=float)
     p.add_argument("--gamma-max", dest="gamma_max", type=float)
-    p.add_argument("--gamma-count", dest="gamma_count", type=int)
+    p.add_argument(
+        "--gamma-count", dest="gamma_count", type=int, default=DEFAULT_GAMMA_COUNT
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     _add_io_flags(p)
     _add_time_flags(p)
-    p.add_argument("--init", choices=sorted(_INITS))
+    p.add_argument("--init", choices=sorted(_INITS), default="s")
     p.add_argument("--gamma", type=float)
     p.set_defaults(handler=cmd_simulate)
 
@@ -542,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     _add_io_flags(p)
     _add_time_flags(p)
-    p.add_argument("--init", choices=sorted(_INITS))
+    p.add_argument("--init", choices=sorted(_INITS), default="s")
     _add_gamma_range_flags(p)
     p.set_defaults(handler=cmd_sweep_gamma)
 
@@ -550,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     _add_io_flags(p)
     p.add_argument("--mode", choices=["reduced", "full"])
-    p.add_argument("--probe", choices=list(_PROBES))
+    p.add_argument("--probe", choices=list(_PROBES), default="s")
     _add_gamma_range_flags(p)
     p.set_defaults(handler=cmd_overlaps)
 
@@ -575,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         cfg = _build_config(args)
         return args.handler(cfg)
     except UsageError as exc:

@@ -17,7 +17,6 @@ __all__ = [
     "walk_matrix",
     "search_hamiltonian",
     "eig_hermitian",
-    "evolve_state",
     "propagate",
     "success_probability",
     "uniform_state",
@@ -27,6 +26,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
+OVERLAP_EIGENVECTORS = 4  # lowest eigenvectors reported per gamma by overlap_profile
 
 
 class WalkKind(enum.Enum):
@@ -169,33 +169,6 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def _as_decomposition(h: np.ndarray | EigenDecomposition) -> EigenDecomposition:
-    if isinstance(h, EigenDecomposition):
-        return h
-    return eig_hermitian(h)
-
-
-def evolve_state(
-    h: np.ndarray | EigenDecomposition, psi0: np.ndarray, t: float
-) -> np.ndarray:
-    """Evolve ``psi0`` for time ``t`` under the time-independent ``h``.
-
-    Uses the spectral form ``V exp(-i L t) V^dag psi0``, which is exact for
-    arbitrarily long times. Accepts a precomputed decomposition to avoid
-    re-diagonalizing inside time loops.
-    """
-    decomp = _as_decomposition(h)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (decomp.dim,):
-        raise ValueError(
-            f"state dimension {psi0.shape} does not match operator ({decomp.dim},)"
-        )
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    coeffs = decomp.eigenvectors.conj().T @ psi0
-    return decomp.eigenvectors @ (np.exp(-1j * decomp.eigenvalues * t) * coeffs)
-
-
 def propagate(
     h: np.ndarray | EigenDecomposition,
     psi0: np.ndarray,
@@ -204,13 +177,17 @@ def propagate(
 ) -> np.ndarray:
     """Amplitudes at each time in ``times``; shape ``(len(times), len(rows))``.
 
+    Uses the spectral form ``V exp(-i L t) V^dag psi0``, which is exact for
+    arbitrarily long times; pass an :class:`EigenDecomposition` to skip the
+    eigensolve when ``h`` is reused.
+
     ``rows`` selects the basis states (vertices) whose amplitudes are
     returned, in the given order; ``None`` returns all ``dim`` of them. The
     selection is applied to the eigenvectors before the time-phase product,
     so a success curve over a few marked vertices costs ``len(rows)`` rather
     than ``dim`` columns per time step.
     """
-    decomp = _as_decomposition(h)
+    decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (decomp.dim,):
         raise ValueError("state dimension does not match operator")
@@ -295,12 +272,11 @@ def overlap_profile(
     probe: np.ndarray,
     left_marked: Sequence[int],
     right_marked: Sequence[int],
-    num_eigenvectors: int = 4,
 ) -> list[OverlapRow]:
     """Eigenvector overlap table across jumping rates.
 
     For each ``gamma`` the Hamiltonian from ``build_hamiltonian`` is
-    diagonalized and, for the lowest ``num_eigenvectors`` eigenvectors
+    diagonalized and, for the lowest ``OVERLAP_EIGENVECTORS`` eigenvectors
     ``psi_n``, the rows collect ``|<probe|psi_n>|^2`` together with the
     probability mass of ``psi_n`` on the left- and right-marked vertices.
     Rows are ordered by the given gamma sequence and then by ``n``; the
@@ -318,8 +294,7 @@ def overlap_profile(
     rows: list[OverlapRow] = []
     for gamma in gammas:
         decomp = eig_hermitian(build_hamiltonian(float(gamma)))
-        top = min(num_eigenvectors, decomp.dim)
-        for n in range(top):
+        for n in range(min(OVERLAP_EIGENVECTORS, decomp.dim)):
             vec = decomp.eigenvectors[:, n]
             rows.append(
                 OverlapRow(

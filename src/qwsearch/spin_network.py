@@ -38,9 +38,10 @@ __all__ = [
     "demo_graph",
 ]
 
-# Full-space construction is 2^n dense; 14 spins (16384-dim) is the largest
-# size that stays desk-scale.
-MAX_SPIN_VERTICES = 14
+# Full-space construction is 2^n dense. The build holds three 2^n x 2^n
+# complex arrays at once (the sum, one Kronecker product and its scaled
+# copy): 3 GiB at 13 spins, 12 GiB at 14.
+MAX_SPIN_VERTICES = 13
 
 EQUIVALENCE_TOL = 1e-10
 
@@ -78,8 +79,10 @@ def heisenberg_hamiltonian(g: Graph, j: CouplingConstants) -> np.ndarray:
     endpoint spins (site 0 is the leading tensor factor).
     """
     if g.n > MAX_SPIN_VERTICES:
+        need = 3 * 16 * 4**g.n
         raise ValueError(
-            f"full spin space for n={g.n} exceeds the cap of {MAX_SPIN_VERTICES}"
+            f"full spin space for n={g.n} needs about {need} bytes "
+            f"({need / 2**30:.0f} GiB), over the cap of {MAX_SPIN_VERTICES} vertices"
         )
     dim = 2**g.n
     h = np.zeros((dim, dim), dtype=complex)

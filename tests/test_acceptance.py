@@ -39,8 +39,8 @@ from qwsearch.cli import main
 from qwsearch.evolve import (
     WalkKind,
     eig_hermitian,
-    evolve_state,
     first_peak,
+    propagate,
     search_hamiltonian,
     uniform_state,
 )
@@ -331,16 +331,16 @@ def test_criterion_9_property_suite(tmp_path):
         psi0 /= np.linalg.norm(psi0)
         for t in (0.1, 1.0, 10.0, 100.0):
             norm_dev = max(
-                norm_dev, abs(np.linalg.norm(evolve_state(decomp, psi0, t)) - 1.0)
+                norm_dev, abs(np.linalg.norm(propagate(decomp, psi0, [t])[0]) - 1.0)
             )
     # composition at 1e-8
     a = rng.normal(size=(12, 12))
     decomp = eig_hermitian(0.5 * (a + a.T))
     psi0 = rng.normal(size=12) + 1j * rng.normal(size=12)
     psi0 /= np.linalg.norm(psi0)
-    stepwise = evolve_state(decomp, evolve_state(decomp, psi0, 3.7), 11.1)
+    stepwise = propagate(decomp, propagate(decomp, psi0, [3.7])[0], [11.1])[0]
     compose_dev = float(
-        np.max(np.abs(stepwise - evolve_state(decomp, psi0, 14.8)))
+        np.max(np.abs(stepwise - propagate(decomp, psi0, [14.8])[0]))
     )
     # gamma=0 probability invariance at 1e-10
     h0 = reduced_hamiltonian(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, 0.0)
@@ -348,7 +348,7 @@ def test_criterion_9_property_suite(tmp_path):
     p0 = np.abs(psi) ** 2
     gamma0_dev = 0.0
     for t in (0.5, 5.0, 50.0):
-        p = np.abs(evolve_state(h0, psi, t)) ** 2
+        p = np.abs(propagate(h0, psi, [t])[0]) ** 2
         gamma0_dev = max(gamma0_dev, float(np.max(np.abs(p - p0))))
     # closed-form probability sums at 1e-12
     times = np.linspace(0.0, 100.0, 500)

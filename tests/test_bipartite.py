@@ -306,6 +306,19 @@ def test_next_order_refuses_unmarked_target_and_equal_sides():
 # closed forms
 
 
+def test_first_order_forms_refuse_equal_sides():
+    # at n1 == n2 the b level joins the critical doublet (a triplet), so the
+    # first-order forms refuse it, with next_order_correction's message
+    spec = BipartiteSpec(8, 8, 2, 3)
+    for side in CriticalSide:
+        for form in (energy_gap, degenerate_correction, closed_form_runtime):
+            with pytest.raises(ValueError, match="equal sides"):
+                form(spec, side)
+        for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
+            with pytest.raises(ValueError, match="equal sides"):
+                closed_form_probabilities(spec, start, side, 1.0)
+
+
 def test_closed_form_rejects_adjacency_start():
     with pytest.raises(ValueError):
         closed_form_probabilities(
@@ -328,7 +341,7 @@ def test_closed_form_needs_marked_target_side():
 @settings(max_examples=80, deadline=None)
 def test_closed_form_probabilities_sum_to_one(spec, start, side, t):
     needed = spec.k1 if side is CriticalSide.LEFT else spec.k2
-    if needed < 1:
+    if needed < 1 or spec.n1 == spec.n2:
         return
     pa, pb, pc, pd = closed_form_probabilities(spec, start, side, t)
     assert pa + pb + pc + pd == pytest.approx(1.0, abs=1e-12)
@@ -372,7 +385,7 @@ def test_closed_form_peak_values():
 )
 @settings(max_examples=60, deadline=None)
 def test_partite_swap_symmetry_is_exact(spec, start, t):
-    if spec.k2 < 1:
+    if spec.k2 < 1 or spec.n1 == spec.n2:
         return
     right = closed_form_probabilities(spec, start, CriticalSide.RIGHT, t)
     swapped = closed_form_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)

@@ -84,6 +84,44 @@ def test_full_mode_cap(capsys):
     assert "full mode caps" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-gamma", "--mode", "full", "--gamma", "0.001", "--tmax", "1"],
+        ["overlaps", "--mode", "full", "--gamma", "0.001"],
+    ],
+    ids=["sweep-gamma", "overlaps"],
+)
+def test_full_mode_cap_on_shared_full_path(capsys, argv):
+    layout = ["--n1", "2000", "--n2", "200", "--k1", "1", "--k2", "1"]
+    code, out, err = run_cli(capsys, [*argv[:1], *layout, *argv[1:]])
+    assert (code, out) == (1, "")
+    assert "full mode caps at 2000 vertices, got 2200" in err
+
+
+def test_full_mode_cap_on_edge_list(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("2001 1\n0 1\n")
+    code, _, err = run_cli(
+        capsys, ["sweep-gamma", "--graph", str(path), "--gamma", "0.1", "--tmax", "1"]
+    )
+    assert code == 1
+    assert "full mode caps at 2000 vertices, got 2001" in err
+
+
+def test_verify_spin_refuses_past_the_spin_cap(capsys, tmp_path):
+    # 14 spins would hold three 2^14 x 2^14 complex arrays (12 GiB); the
+    # refusal comes before any allocation
+    path = tmp_path / "path14.txt"
+    path.write_text("14 13\n" + "".join(f"{i} {i + 1}\n" for i in range(13)))
+    code, out, err = run_cli(
+        capsys, ["verify-spin", "--graph", str(path), "--jz-ratio", "-1"]
+    )
+    assert (code, out) == (1, "")
+    assert f"needs about {3 * 16 * 4**14} bytes (12 GiB)" in err
+    assert "over the cap of 13 vertices" in err
+
+
 def test_verify_spin_exit_codes(capsys):
     code, out, _ = run_cli(capsys, ["verify-spin", "--jz-ratio", "-1", "--gamma", "0.3"])
     assert code == 0
@@ -548,6 +586,142 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["runtimes", "--config", str(cfg)])
     assert code == 1
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["simulate", "--gamma", "0.002", "--tmax", "40"],
+         ["--walk", "signless", "--init", "s", "--samples", "2000"]),
+        (["sweep-gamma", "--gamma-min", "0.001", "--gamma-max", "0.0055", "--samples", "50"],
+         ["--gamma-count", "200"]),
+        (["overlaps", "--gamma", "0.002"], ["--probe", "s"]),
+    ],
+    ids=["simulate", "sweep-gamma", "overlaps"],
+)
+def test_flag_defaults(capsys, argv, defaults):
+    code, implicit, _ = run_cli(capsys, [*argv, *FIG_FLAGS])
+    assert code == 0
+    code, explicit, _ = run_cli(capsys, [*argv, *FIG_FLAGS, *defaults])
+    assert code == 0
+    assert implicit.splitlines() == explicit.splitlines()  # a list diff stays cheap
+
+
+def _config_text(flags):
+    """A config file holding ``flags``, keyed by each flag's destination."""
+    pairs = zip(flags[::2], flags[1::2])
+    return "".join(f"{flag[2:].replace('-', '_')}={value}\n" for flag, value in pairs)
+
+
+CONFIG_RUNS = {
+    "simulate": [
+        *FIG_FLAGS, "--walk", "laplacian", "--init", "sq", "--gamma", "0.002",
+        "--tmax", "40", "--samples", "300", "--mode", "reduced",
+    ],
+    "sweep-gamma": [
+        *FIG_FLAGS, "--walk", "adjacency", "--init", "sa", "--gamma-min", "0.001",
+        "--gamma-max", "0.0055", "--gamma-count", "15", "--samples", "500",
+    ],
+    "overlaps": [
+        "--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5", "--probe", "mr",
+        "--mode", "full", "--gamma-min", "0.01", "--gamma-max", "0.05",
+        "--gamma-count", "3",
+    ],
+    "runtimes": [
+        "--n1", "1024", "--n2", "256", "--k1", "1", "--k2", "5", "--sweep", "k1",
+        "--sweep-min", "1", "--sweep-max", "40",
+    ],
+    "verify-spin": ["--jz-ratio", "-1", "--gamma", "0.3"],
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_RUNS))
+def test_config_file_matches_flags(capsys, tmp_path, command):
+    flags = list(CONFIG_RUNS[command])
+    if command == "verify-spin":
+        graph = tmp_path / "ring.txt"
+        graph.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+        flags += ["--graph", str(graph)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# every flag of the run\n" + _config_text(flags))
+    code, from_flags, _ = run_cli(capsys, [command, *flags])
+    assert code == 0
+    code, from_file, _ = run_cli(capsys, [command, "--config", str(cfg)])
+    assert code == 0
+    assert from_file.splitlines() == from_flags.splitlines()
+
+
+def test_flags_override_config_values_of_every_type(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text(CONFIG_RUNS["simulate"]))
+    override = ["--init", "s", "--gamma", "0.004", "--samples", "50", "--k2", "7"]
+    code, from_file, _ = run_cli(capsys, ["simulate", "--config", str(cfg), *override])
+    assert code == 0
+    code, from_flags, _ = run_cli(capsys, ["simulate", *CONFIG_RUNS["simulate"], *override])
+    assert code == 0
+    assert from_file == from_flags
+    assert len(from_file.splitlines()) == 51
+
+
+def test_config_keys_of_other_subcommands_are_accepted_and_ignored(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    layout = ["--n1", "1024", "--n2", "256", "--k1", "8", "--k2", "5"]
+    cfg.write_text(
+        _config_text(layout)
+        + "jz_ratio=1\nprobe=sq\ninit=sq\ngamma=0.002\nsamples=7\nmode=full\n"
+    )
+    code, from_file, _ = run_cli(capsys, ["runtimes", "--config", str(cfg)])
+    assert code == 0
+    code, from_flags, _ = run_cli(capsys, ["runtimes", *layout])
+    assert code == 0
+    assert from_file == from_flags
+
+
+def test_config_accepts_every_flag_name_and_nothing_else(capsys, tmp_path):
+    # verify-spin takes out, graph, jz_ratio and gamma; the other 17 keys
+    # belong to other subcommands and are ignored
+    keys = {
+        "n1": "8", "n2": "4", "k1": "1", "k2": "1", "marked": "0", "walk": "laplacian",
+        "init": "sq", "probe": "ml", "gamma_min": "0.1", "gamma_max": "0.2",
+        "gamma_count": "3", "tmax": "5", "samples": "10", "mode": "full",
+        "sweep": "k1", "sweep_min": "0", "sweep_max": "2", "out": str(tmp_path / "x"),
+        "jz_ratio": "-1", "gamma": "0.3",
+    }
+    graph = tmp_path / "path.txt"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n")
+    keys["graph"] = str(graph)
+    assert len(keys) == 21
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
+    code, out, _ = run_cli(capsys, ["verify-spin", "--config", str(cfg)])
+    assert code == 0
+    assert "result=PASS" in out
+    for extra in ("config", "handler", "command", "gamma-min"):
+        cfg.write_text(f"{extra}=1\n")
+        code, _, err = run_cli(capsys, ["verify-spin", "--config", str(cfg)])
+        assert code == 1
+        assert f"unknown config key {extra!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n1=512\nthis line has no equals sign\n", "malformed config line"),
+        ("n1=abc\n", "argument --n1: invalid int value: 'abc'"),
+        ("n1=512\ntmax=fast\n", "argument --tmax: invalid float value: 'fast'"),
+        ("n1=512\nwalk=bogus\n", "unknown walk kind 'bogus'"),
+        ("n1=512\ninit=zz\n", "unknown initial state 'zz'"),
+        ("n1=512\nmode=half\n", "unknown mode 'half'"),
+    ],
+    ids=["malformed", "bad-int", "bad-float", "bad-walk", "bad-init", "bad-mode"],
+)
+def test_config_refusals_exit_1(capsys, tmp_path, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rest = ["--n2", "256", "--k1", "3", "--k2", "5", "--gamma", "0.002"]
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *rest])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_csv_output_is_byte_identical_across_runs(capsys, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from qwsearch.evolve import WalkKind, eig_hermitian, evolve_state
+from qwsearch.evolve import WalkKind, eig_hermitian, propagate
 from qwsearch.graph import Graph, laplacian, signless_laplacian
 from qwsearch.spin_network import (
     CouplingConstants,
@@ -165,6 +165,6 @@ def test_identity_shift_is_global_phase():
     shifted = eig_hermitian(projected)
     bare = eig_hermitian(-gamma * laplacian(g))
     for t in (0.5, 3.0, 12.0):
-        p_shifted = np.abs(evolve_state(shifted, psi0, t)) ** 2
-        p_bare = np.abs(evolve_state(bare, psi0, t)) ** 2
+        p_shifted = np.abs(propagate(shifted, psi0, [t])[0]) ** 2
+        p_bare = np.abs(propagate(bare, psi0, [t])[0]) ** 2
         assert np.max(np.abs(p_shifted - p_bare)) <= 1e-10
