@@ -36,6 +36,7 @@ from .spin_network import (
     heisenberg_hamiltonian,
     project_single_excitation,
     single_excitation_basis,
+    single_excitation_hamiltonian,
 )
 from .bipartite import (
     ClosedFormPeak,

@@ -5,9 +5,11 @@ inside the one-excitation sector, exactly like a continuous-time quantum
 walk on the graph. Which walk appears depends on the coupling anisotropy:
 equal transverse couplings with ``jz = 0`` give the adjacency walk,
 ``jz = jx`` the Laplacian walk (up to an energy rezeroing), and ``jz = -jx``
-the signless-Laplacian walk. This module builds the full exponential-size
-Hamiltonian, projects it onto the one-excitation sector, and certifies which
-walk it realizes.
+the signless-Laplacian walk. This module builds the one-excitation block
+directly from the edge array in ``O(n^2 + m)`` and certifies which walk it
+realizes. The full exponential-size Hamiltonian and its projection stay as
+the reference the block is tested against; they are capped at
+``MAX_SPIN_VERTICES`` spins.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "heisenberg_hamiltonian",
     "single_excitation_basis",
     "project_single_excitation",
+    "single_excitation_hamiltonian",
     "certify_walk_equivalence",
     "demo_graph",
 ]
@@ -120,41 +123,71 @@ def project_single_excitation(h: np.ndarray, n: int) -> np.ndarray:
     return h[np.ix_(idx, idx)]
 
 
+def single_excitation_hamiltonian(g: Graph, j: CouplingConstants) -> np.ndarray:
+    """One-excitation block of :func:`heisenberg_hamiltonian`, built directly.
+
+    Row and column ``k`` belong to the state with the excitation at vertex
+    ``k``, as in :func:`single_excitation_basis`. On an edge ``(u, v)``,
+    ``XX + YY`` moves the excitation between ``u`` and ``v``, giving the
+    off-diagonal entry ``-(jx + jy) / 2``. ``ZZ`` is ``+1`` on the edges away
+    from the excitation and ``-1`` on the ``deg k`` edges at it, so the
+    diagonal is ``-(jz / 2) (m - 2 deg k)``, one rounding of an integer count.
+    The cost is ``O(n^2 + m)`` at any ``n``. The block equals
+    ``project_single_excitation(heisenberg_hamiltonian(g, j), g.n)``; the
+    sector is invariant, and the block is the whole dynamics in it, only
+    when ``jx == jy``.
+    """
+    h = np.zeros((g.n, g.n))
+    u, v = g.edges.T
+    h[u, v] = h[v, u] = -0.5 * (j.jx + j.jy)
+    count = g.m - 2 * np.bincount(g.edges.ravel(), minlength=g.n)
+    h[np.diag_indices(g.n)] = -0.5 * j.jz * count
+    return h
+
+
 def certify_walk_equivalence(
     g: Graph, j: CouplingConstants
-) -> tuple[WalkKind | None, float]:
-    """Classify which walk the spin network realizes on ``g``.
+) -> tuple[tuple[WalkKind, ...], float]:
+    """Classify which walks the spin network realizes on ``g``.
 
-    Builds the full Hamiltonian, projects it onto the one-excitation
-    sector, and compares against the three candidate identities:
+    Compares the one-excitation block (:func:`single_excitation_hamiltonian`)
+    with the three candidate identities:
 
     - adjacency:          ``-gamma A``
-    - Laplacian:          ``-gamma L - (gamma m / 2) I``
-    - signless Laplacian: ``-gamma Q + (gamma m / 2) I``
+    - Laplacian:          ``-gamma (L + (m / 2) I) = -gamma L - (gamma m / 2) I``
+    - signless Laplacian: ``-gamma (Q - (m / 2) I) = -gamma Q + (gamma m / 2) I``
 
-    with ``gamma = jx`` and ``m`` the edge count. Returns the matching kind
-    and the max entrywise deviation, or ``(None, deviation)`` when no
-    candidate matches within tolerance. Requires ``jx == jy``.
+    with ``gamma = jx``, ``L = A - D`` and ``m`` the edge count. Each
+    candidate is ``-gamma`` times a matrix of half-integers, so every entry
+    is one rounding, as in the block: a matching candidate deviates by
+    exactly 0.0 at any size. Returns the kinds within ``EQUIVALENCE_TOL``,
+    from the smallest deviation up (equal deviations in the order above),
+    and the smallest max entrywise deviation of the three. More than one
+    kind matches when the candidates coincide, as they do when every degree
+    is ``m / 2`` (the 4-cycle, K4, two disjoint edges, edgeless graphs).
+    Requires ``jx == jy``.
     """
     if j.jx != j.jy:
         raise ValueError("walk equivalence requires jx == jy")
     gamma = j.jx
-    projected = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
-    shift = 0.5 * gamma * g.m * np.eye(g.n)
-    candidates = [
-        (WalkKind.ADJACENCY, -gamma * adjacency_matrix(g)),
-        (WalkKind.LAPLACIAN, -gamma * laplacian(g) - shift),
-        (WalkKind.SIGNLESS_LAPLACIAN, -gamma * signless_laplacian(g) + shift),
-    ]
-    best_kind: WalkKind | None = None
-    best_dev = np.inf
-    for kind, target in candidates:
-        dev = float(np.max(np.abs(projected - target)))
-        if dev < best_dev:
-            best_kind, best_dev = kind, dev
-    if best_dev <= EQUIVALENCE_TOL:
-        return best_kind, best_dev
-    return None, best_dev
+    block = single_excitation_hamiltonian(g, j)
+    half_m = 0.5 * g.m
+    candidates = (
+        (WalkKind.ADJACENCY, adjacency_matrix, 0.0),
+        (WalkKind.LAPLACIAN, laplacian, half_m),
+        (WalkKind.SIGNLESS_LAPLACIAN, signless_laplacian, -half_m),
+    )
+    deviations = []
+    for kind, matrix, shift in candidates:
+        # in place: the block and one candidate are the only n x n arrays held
+        target = matrix(g)
+        target[np.diag_indices(g.n)] += shift
+        target *= -gamma
+        target -= block
+        deviations.append((float(np.max(np.abs(target, out=target))), kind))
+    deviations.sort(key=lambda pair: pair[0])  # stable: ties keep the order above
+    kinds = tuple(kind for dev, kind in deviations if dev <= EQUIVALENCE_TOL)
+    return kinds, deviations[0][0]
 
 
 def demo_graph() -> Graph:

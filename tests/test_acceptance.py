@@ -50,6 +50,7 @@ from qwsearch.spin_network import (
     heisenberg_hamiltonian,
     project_single_excitation,
     demo_graph,
+    single_excitation_hamiltonian,
 )
 
 BENCH_SPEC = BipartiteSpec(512, 256, 3, 5)
@@ -189,19 +190,24 @@ def test_criterion_4_spin_network_equivalences():
         ),
     ]
     worst = 0.0
+    block_gap = 0.0  # the certificate's block against the dense projection
     for _, couplings, target in cases:
         projected = project_single_excitation(
             heisenberg_hamiltonian(g, couplings), g.n
         )
         worst = max(worst, float(np.max(np.abs(projected - target))))
+        block = single_excitation_hamiltonian(g, couplings)
+        block_gap = max(block_gap, float(np.max(np.abs(block - projected))))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 1.0
+    ok = worst <= 1e-10 and block_gap <= 1e-10 and elapsed < 1.0
     _report(
         "criterion 4 (spin-network walk equivalences)",
         ok,
-        f"max entrywise deviation={worst:.2e} (tol 1e-10) elapsed={elapsed:.2f}s",
+        f"max entrywise deviation={worst:.2e} block vs dense={block_gap:.2e} "
+        f"(tol 1e-10) elapsed={elapsed:.2f}s",
     )
     assert worst <= 1e-10
+    assert block_gap <= 1e-10
     assert elapsed < 1.0
 
 

@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from qwsearch.cli import main
-from qwsearch.evolve import first_peak
+from qwsearch import cli, spin_network
+from qwsearch.cli import SEARCH_CELL_BYTES, SPIN_CELL_BYTES, main
+from qwsearch.evolve import WalkKind, first_peak
 
 FIG_FLAGS = ["--n1", "512", "--n2", "256", "--k1", "3", "--k2", "5"]
 
@@ -109,17 +110,77 @@ def test_full_mode_cap_on_edge_list(capsys, tmp_path):
     assert "full mode caps at 2000 vertices, got 2001" in err
 
 
-def test_verify_spin_refuses_past_the_spin_cap(capsys, tmp_path):
-    # 14 spins would hold three 2^14 x 2^14 complex arrays (12 GiB); the
-    # refusal comes before any allocation
+def test_full_mode_cap_names_the_bytes(capsys):
+    layout = ["--n1", "2000", "--n2", "200", "--k1", "1", "--k2", "1"]
+    code, _, err = run_cli(
+        capsys, ["sweep-gamma", *layout, "--mode", "full", "--gamma", "0.1", "--tmax", "1"]
+    )
+    assert code == 1
+    need = SEARCH_CELL_BYTES * 2200**2
+    assert f"its dense 2200x2200 arrays need about {need} bytes (258 MiB)" in err
+
+
+def test_verify_spin_certifies_a_14_vertex_path(capsys, tmp_path):
+    # past the dense reference's 13-spin cap: the block has no such limit
     path = tmp_path / "path14.txt"
     path.write_text("14 13\n" + "".join(f"{i} {i + 1}\n" for i in range(13)))
     code, out, err = run_cli(
         capsys, ["verify-spin", "--graph", str(path), "--jz-ratio", "-1"]
     )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "classification=signless",
+        "max_deviation=0.0",
+        "expected=signless",
+        "result=PASS",
+    ]
+
+
+def test_verify_spin_refuses_past_the_full_mode_cap(capsys, monkeypatch, tmp_path):
+    # the refusal comes before the certificate allocates its n x n arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("certificate built past the cap")
+
+    monkeypatch.setattr(cli, "certify_walk_equivalence", refuse)
+    path = tmp_path / "wide.txt"
+    path.write_text("2001 1\n0 1\n")
+    code, out, err = run_cli(
+        capsys, ["verify-spin", "--graph", str(path), "--jz-ratio", "-1"]
+    )
     assert (code, out) == (1, "")
-    assert f"needs about {3 * 16 * 4**14} bytes (12 GiB)" in err
-    assert "over the cap of 13 vertices" in err
+    assert "full mode caps at 2000 vertices, got 2001" in err
+    need = SPIN_CELL_BYTES * 2001**2
+    assert f"its dense 2001x2001 arrays need about {need} bytes (61 MiB)" in err
+
+
+COINCIDING_GRAPHS = {
+    "C4": "4 4\n0 1\n1 2\n2 3\n0 3\n",
+    "K4": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "2K2": "4 2\n0 1\n2 3\n",
+    "edgeless": "4 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COINCIDING_GRAPHS))
+def test_verify_spin_passes_when_candidates_coincide(capsys, tmp_path, name):
+    # every degree is m/2, so the adjacency, Laplacian and signless walks are
+    # one matrix: each expected class passes
+    path = tmp_path / "g.txt"
+    path.write_text(COINCIDING_GRAPHS[name])
+    argv = ["verify-spin", "--graph", str(path), "--gamma", "0.3", "--jz-ratio"]
+    for ratio, kind in (("0", "adjacency"), ("1", "laplacian"), ("-1", "signless")):
+        code, out, _ = run_cli(capsys, [*argv, ratio])
+        assert code == 0
+        assert out.splitlines() == [
+            f"classification={kind}",
+            "max_deviation=0.0",
+            f"expected={kind}",
+            "result=PASS",
+        ]
+    code, out, _ = run_cli(capsys, [*argv, "0.5"])
+    assert code == 2
+    assert "expected=none" in out
+    assert "result=FAIL" in out
 
 
 def test_verify_spin_exit_codes(capsys):
@@ -335,19 +396,31 @@ def test_full_and_edge_list_sweeps_match_reduced(capsys, tmp_path, walk):
     assert np.max(np.abs(edge - uniform)) <= 1e-9
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of ``qwsearch.<module>.<name>`` through every alias of it."""
+def _patch_everywhere(monkeypatch, module, name, make_replacement):
+    """Replace ``qwsearch.<module>.<name>`` through every alias of it.
+
+    ``make_replacement`` receives the original function.
+    """
     original = getattr(importlib.import_module(f"qwsearch.{module}"), name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
+    replacement = make_replacement(original)
     for mod_name, mod in list(sys.modules.items()):
         in_package = mod_name.split(".")[0] == "qwsearch"
         if in_package and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``qwsearch.<module>.<name>`` through every alias of it."""
+    calls = []
+
+    def make_counted(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return counted
+
+    _patch_everywhere(monkeypatch, module, name, make_counted)
     return calls
 
 
@@ -374,6 +447,28 @@ def test_full_runs_build_graph_and_walk_matrix_once_per_command(
     rows = _sweep(capsys, ["--graph", str(path), "--marked", marked, *SWEEP_GRID])
     assert len(rows) == 5
     assert (len(builds), len(reads), len(walks)) == (2, 1, 3)
+
+
+def test_spin_certificate_never_builds_the_dense_space(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 2^n spin Hamiltonian built")
+
+    _patch_everywhere(
+        monkeypatch, "spin_network", "heisenberg_hamiltonian", lambda original: refuse
+    )
+
+    g = spin_network.demo_graph()
+    kinds, deviation = spin_network.certify_walk_equivalence(
+        g, spin_network.CouplingConstants(0.3, 0.3, -0.3)
+    )
+    assert (kinds, deviation) == ((WalkKind.SIGNLESS_LAPLACIAN,), 0.0)
+
+    path = tmp_path / "g.txt"
+    path.write_text("6 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n1 4\n")
+    for graph in ([], ["--graph", str(path)]):
+        for ratio, code in (("0", 0), ("1", 0), ("-1", 0), ("0.5", 2)):
+            argv = ["verify-spin", *graph, "--jz-ratio", ratio, "--gamma", "0.3"]
+            assert run_cli(capsys, argv)[0] == code
 
 
 def test_sweep_gamma_single_point(capsys):

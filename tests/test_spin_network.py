@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from qwsearch.evolve import WalkKind, eig_hermitian, propagate
-from qwsearch.graph import Graph, laplacian, signless_laplacian
+from qwsearch.graph import (
+    BipartiteSpec,
+    Graph,
+    complete_bipartite,
+    laplacian,
+    signless_laplacian,
+)
 from qwsearch.spin_network import (
     CouplingConstants,
     certify_walk_equivalence,
@@ -13,6 +19,7 @@ from qwsearch.spin_network import (
     heisenberg_hamiltonian,
     project_single_excitation,
     single_excitation_basis,
+    single_excitation_hamiltonian,
 )
 
 couplings = st.floats(-2.0, 2.0, allow_nan=False)
@@ -45,10 +52,25 @@ def test_edgeless_network_is_zero():
     assert not h.any()
 
 
-def test_size_cap():
-    g = Graph(15, frozenset({(0, 1)}))
-    with pytest.raises(ValueError):
+def _assert_dense_refusal(n, gib):
+    # the dense reference holds three 2^n x 2^n complex arrays; the refusal
+    # names their bytes before allocating any of them
+    g = Graph(n, frozenset({(0, 1)}))
+    with pytest.raises(ValueError) as info:
         heisenberg_hamiltonian(g, CouplingConstants(1.0, 1.0, 0.0))
+    message = str(info.value)
+    assert f"needs about {3 * 16 * 4**n} bytes ({gib} GiB)" in message
+    assert "over the cap of 13 vertices" in message
+
+
+def test_size_cap():
+    _assert_dense_refusal(15, 48)
+
+
+def test_dense_reference_refuses_14_spins():
+    # verify-spin certifies 14 spins through the block; the dense build,
+    # kept as the reference, still stops at 13
+    _assert_dense_refusal(14, 12)
 
 
 def test_projection_shape_mismatch():
@@ -89,10 +111,10 @@ def test_projection_identities(gamma):
 )
 def test_certify_walk_equivalence(ratio, expected):
     g = demo_graph()
-    kind, deviation = certify_walk_equivalence(
+    kinds, deviation = certify_walk_equivalence(
         g, CouplingConstants(0.4, 0.4, 0.4 * ratio)
     )
-    assert kind is expected
+    assert kinds == (() if expected is None else (expected,))
     if expected is not None:
         assert deviation <= 1e-12
     else:
@@ -168,3 +190,90 @@ def test_identity_shift_is_global_phase():
         p_shifted = np.abs(propagate(shifted, psi0, [t])[0]) ** 2
         p_bare = np.abs(propagate(bare, psi0, [t])[0]) ** 2
         assert np.max(np.abs(p_shifted - p_bare)) <= 1e-10
+
+
+ratios = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), couplings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), couplings, ratios)
+def test_single_excitation_block_matches_dense_projection(g, gamma, ratio):
+    j = CouplingConstants(gamma, gamma, ratio * gamma)
+    dense = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
+    assert np.max(np.abs(single_excitation_hamiltonian(g, j) - dense)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs(max_n=6), couplings, couplings, couplings)
+def test_single_excitation_block_with_unequal_transverse_couplings(g, jx, jy, jz):
+    """The block is the projection for any couplings, invariant sector or not."""
+    j = CouplingConstants(jx, jy, jz)
+    dense = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
+    assert np.max(np.abs(single_excitation_hamiltonian(g, j) - dense)) <= 1e-12
+
+
+def test_single_excitation_block_on_the_bench_shape():
+    # a seeded 9-vertex, 14-edge graph, the size of the verify-spin benchmark
+    rng = np.random.default_rng(9)
+    pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    g = Graph(9, [pairs[k] for k in rng.choice(len(pairs), size=14, replace=False)])
+    assert g.m == 14
+    gamma = 0.61
+    for ratio in (0.0, 1.0, -1.0, 0.5):
+        j = CouplingConstants(gamma, gamma, ratio * gamma)
+        dense = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
+        assert np.max(np.abs(single_excitation_hamiltonian(g, j) - dense)) <= 1e-12
+
+
+def _dense_random_graph() -> Graph:
+    """2000 vertices, each pair an edge with probability 0.9."""
+    rng = np.random.default_rng(3)
+    u, v = np.triu_indices(2000, 1)
+    keep = rng.random(u.size) < 0.9
+    return Graph(2000, np.stack([u[keep], v[keep]], axis=1))
+
+
+def test_matching_candidate_deviation_is_exactly_zero():
+    """The block's diagonal is one rounding of ``-(jz/2)(m - 2 deg)`` and each
+    candidate is ``-gamma`` times half-integers, so they agree bit for bit.
+    Summing the diagonal edge by edge, or rounding ``gamma L`` and the shift
+    ``gamma m / 2`` apart, leaves up to 3e-9 here, past the 1e-10 tolerance."""
+    bipartite, _ = complete_bipartite(BipartiteSpec(512, 256, 3, 5))
+    dense = _dense_random_graph()
+    assert dense.m == 1_799_123
+    expected = {
+        0.0: WalkKind.ADJACENCY,
+        1.0: WalkKind.LAPLACIAN,
+        -1.0: WalkKind.SIGNLESS_LAPLACIAN,
+    }
+    for g, ratios_checked in ((bipartite, (0.0, 1.0, -1.0)), (dense, (1.0, -1.0))):
+        for gamma in (0.3, 0.77, 1.0):
+            for ratio in ratios_checked:
+                j = CouplingConstants(gamma, gamma, ratio * gamma)
+                kinds, deviation = certify_walk_equivalence(g, j)
+                assert (kinds, deviation) == ((expected[ratio],), 0.0), (g.n, gamma, ratio)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(4, []),
+        Graph(1, []),
+    ],
+    ids=["C4", "K4", "2K2", "edgeless4", "edgeless1"],
+)
+def test_coinciding_candidates_all_match(g):
+    """Every degree is m/2, so A, L + (m/2)I and Q - (m/2)I are one matrix."""
+    for ratio in (0.0, 1.0, -1.0):
+        kinds, deviation = certify_walk_equivalence(
+            g, CouplingConstants(0.3, 0.3, 0.3 * ratio)
+        )
+        assert kinds == (
+            WalkKind.ADJACENCY,
+            WalkKind.LAPLACIAN,
+            WalkKind.SIGNLESS_LAPLACIAN,
+        )
+        assert deviation == 0.0
