@@ -1,0 +1,221 @@
+"""Capture the output of a fixed table of qwsearch commands; compare two captures.
+
+    python scripts/capture_cli.py capture OUT.json
+    python scripts/capture_cli.py compare BEFORE.json AFTER.json [--tol 1e-9]
+
+``capture`` runs every row of ``COMMANDS`` in one process through
+``qwsearch.cli.main`` and writes each command's exit status, stdout and
+stderr to ``OUT.json``. It captures whichever ``qwsearch`` is importable, so
+putting another checkout's ``src`` first on ``PYTHONPATH`` captures that
+checkout. Edge-list commands read graph files that the script writes to a
+temporary directory; their ``argv`` names them by placeholder.
+
+``compare`` matches two captures command by command, line by line and field
+by field (comma-separated, with ``key=value`` fields split at ``=``). A
+numeric field is compared by its deviation ``|a - b| / max(1, |a|, |b|)``,
+which is absolute for probabilities and relative for times and rates; any
+other field must be identical. It prints the worst deviation and where it
+is, and exits 1 when a non-numeric field, an exit status or a line count
+differs, or when the worst deviation exceeds ``--tol``.
+
+The table covers the README examples; reduced, full and edge-list
+``simulate`` and ``sweep-gamma`` over the three walks (and, on layouts, the
+three start states); reduced and full ``overlaps`` over the three walks and
+four probes; full mode on the (512, 256, 3, 5) benchmark layout; and
+``verify-spin``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+WALKS = ("laplacian", "adjacency", "signless")
+INITS = ("s", "sa", "sq")
+PROBES = ("s", "sq", "ml", "mr")
+SMALL = ["--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5"]
+BENCH = ["--n1", "512", "--n2", "256", "--k1", "3", "--k2", "5"]
+SMALL_GRID = ["--gamma-min", "0.01", "--gamma-max", "0.06", "--gamma-count", "8"]
+
+# Edge-list graphs written at capture time, by placeholder: K_{48,24} with
+# vertex v relabelled 5v mod 72 (marked: the images of its classes a and b),
+# and a 10-vertex graph with unequal degrees.
+PERMUTED = "{permuted_k48_24}"
+IRREGULAR = "{irregular10}"
+PERMUTED_MARKED = ",".join(str(5 * v % 72) for v in (0, 1, 2, 48, 49, 50, 51, 52))
+IRREGULAR_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                   (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
+
+
+def _graph_files() -> dict[str, str]:
+    """Edge-list text of each placeholder graph."""
+    left, right = range(48), range(48, 72)
+    permuted = sorted(tuple(sorted((5 * i % 72, 5 * j % 72))) for i in left for j in right)
+    return {
+        PERMUTED: "\n".join(["72 1152", *(f"{i} {j}" for i, j in permuted)]) + "\n",
+        IRREGULAR: "\n".join(["10 13", *(f"{i} {j}" for i, j in IRREGULAR_EDGES)]) + "\n",
+    }
+
+
+def _commands() -> list[tuple[str, list[str]]]:
+    rows: list[tuple[str, list[str]]] = [
+        ("readme-simulate", ["simulate", *BENCH, "--walk", "signless", "--init", "s",
+                             "--gamma", "0.002", "--tmax", "80"]),
+        ("readme-sweep", ["sweep-gamma", *BENCH, "--gamma-min", "0.001",
+                          "--gamma-max", "0.0055", "--gamma-count", "200"]),
+        ("readme-overlaps", ["overlaps", *BENCH, "--probe", "s", "--gamma-min", "0.001",
+                             "--gamma-max", "0.0055"]),
+        ("readme-runtimes", ["runtimes", "--n1", "1024", "--n2", "256", "--k1", "1",
+                             "--k2", "5", "--sweep", "k1", "--sweep-min", "1",
+                             "--sweep-max", "60"]),
+        ("readme-verify-spin", ["verify-spin", "--jz-ratio", "-1", "--gamma", "0.3"]),
+    ]
+    for mode in ("reduced", "full"):
+        for walk in WALKS:
+            for init in INITS:
+                flags = [*SMALL, "--walk", walk, "--init", init, "--mode", mode]
+                rows.append((f"simulate-{mode}-{walk}-{init}",
+                             ["simulate", *flags, "--gamma", "0.0208", "--tmax", "60",
+                              "--samples", "400"]))
+                rows.append((f"sweep-{mode}-{walk}-{init}",
+                             ["sweep-gamma", *flags, *SMALL_GRID]))
+            for probe in PROBES:
+                rows.append((f"overlaps-{mode}-{walk}-{probe}",
+                             ["overlaps", *SMALL, "--walk", walk, "--probe", probe,
+                              "--mode", mode, *SMALL_GRID]))
+    for name, path, marked in (("permuted", PERMUTED, PERMUTED_MARKED),
+                               ("irregular", IRREGULAR, "0,6")):
+        for walk in WALKS:
+            flags = ["--graph", path, "--marked", marked, "--walk", walk, "--tmax", "60"]
+            rows.append((f"simulate-edges-{name}-{walk}",
+                         ["simulate", *flags, "--gamma", "0.05", "--samples", "400"]))
+            rows.append((f"sweep-edges-{name}-{walk}",
+                         ["sweep-gamma", *flags, *SMALL_GRID]))
+    for init in ("s", "sq"):
+        flags = [*BENCH, "--walk", "signless", "--init", init, "--mode", "full"]
+        rows.append((f"simulate-bench-full-{init}",
+                     ["simulate", *flags, "--gamma", repr(1 / 512), "--tmax", "80"]))
+        rows.append((f"sweep-bench-full-{init}",
+                     ["sweep-gamma", *flags, "--gamma-min", "0.0011",
+                      "--gamma-max", "0.0055", "--gamma-count", "4"]))
+    for graph, tag in (([], "demo"), (["--graph", IRREGULAR], "irregular")):
+        for ratio in ("0", "1", "-1", "0.5"):
+            rows.append((f"verify-spin-{tag}-{ratio}",
+                         ["verify-spin", *graph, "--jz-ratio", ratio, "--gamma", "0.3"]))
+    return rows
+
+
+COMMANDS = _commands()
+
+
+def capture(out: Path) -> None:
+    from qwsearch.cli import main
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for placeholder, text in _graph_files().items():
+            path = Path(tmp) / f"{placeholder.strip('{}')}.txt"
+            path.write_text(text)
+            paths[placeholder] = str(path)
+        for name, argv in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([paths.get(arg, arg) for arg in argv])
+            records.append({"name": name, "argv": argv, "exit": code,
+                            "stdout": stdout.getvalue(), "stderr": stderr.getvalue()})
+    out.write_text(json.dumps({"commands": records}, indent=1) + "\n")
+    print(f"captured {len(records)} commands into {out}")
+
+
+def _deviation(a: str, b: str) -> float | None:
+    """Scaled deviation of two finite numeric fields; ``None`` otherwise.
+
+    ``nan`` and ``inf`` count as text, so they must match exactly.
+    """
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    return abs(x - y) / max(1.0, abs(x), abs(y))
+
+
+def _field_pairs(before: str, after: str):
+    """Matching (line, field, a, b) of two outputs; raises on a shape mismatch."""
+    lines_a, lines_b = before.splitlines(), after.splitlines()
+    if len(lines_a) != len(lines_b):
+        raise ValueError(f"{len(lines_a)} lines against {len(lines_b)}")
+    for line, (row_a, row_b) in enumerate(zip(lines_a, lines_b), start=1):
+        fields_a, fields_b = row_a.split(","), row_b.split(",")
+        if len(fields_a) != len(fields_b):
+            raise ValueError(f"line {line}: {len(fields_a)} fields against {len(fields_b)}")
+        for field, (a, b) in enumerate(zip(fields_a, fields_b), start=1):
+            key_a, eq_a, a = a.rpartition("=")
+            key_b, eq_b, b = b.rpartition("=")
+            if (key_a, eq_a) != (key_b, eq_b):
+                raise ValueError(f"line {line} field {field}: key {key_a!r} against {key_b!r}")
+            yield line, field, a, b
+
+
+def compare(before: Path, after: Path, tol: float) -> int:
+    runs_a = {r["name"]: r for r in json.loads(before.read_text())["commands"]}
+    runs_b = {r["name"]: r for r in json.loads(after.read_text())["commands"]}
+    problems = [f"only in {before}: {name}" for name in runs_a.keys() - runs_b.keys()]
+    problems += [f"only in {after}: {name}" for name in runs_b.keys() - runs_a.keys()]
+    worst, where, identical, changed = 0.0, "", 0, 0
+    for name in [name for name in runs_a if name in runs_b]:
+        a, b = runs_a[name], runs_b[name]
+        if (a["argv"], a["exit"], a["stderr"]) != (b["argv"], b["exit"], b["stderr"]):
+            problems.append(f"{name}: argv, exit status or stderr differ")
+            continue
+        if a["stdout"] == b["stdout"]:
+            identical += 1
+            continue
+        changed += 1
+        try:
+            for line, field, x, y in _field_pairs(a["stdout"], b["stdout"]):
+                deviation = _deviation(x, y)
+                if deviation is None and x != y:
+                    problems.append(f"{name} line {line} field {field}: {x!r} against {y!r}")
+                elif deviation is not None and deviation > worst:
+                    worst = deviation
+                    where = f"{name} line {line} field {field}: {x} against {y}"
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+    print(f"commands: {len(runs_a.keys() & runs_b.keys())}, identical: {identical}, "
+          f"changed: {changed}")
+    print(f"worst deviation: {worst:.3g}" + (f" ({where})" if where else ""))
+    for problem in problems:
+        print(f"mismatch: {problem}")
+    if worst > tol:
+        print(f"worst deviation exceeds the tolerance {tol:g}")
+    return 1 if problems or worst > tol else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    p = sub.add_parser("capture", help="run the command table and write a capture")
+    p.add_argument("out", type=Path)
+    p = sub.add_parser("compare", help="compare two captures field by field")
+    p.add_argument("before", type=Path)
+    p.add_argument("after", type=Path)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest allowed scaled deviation (default 1e-9)")
+    args = parser.parse_args(argv)
+    if args.action == "capture":
+        capture(args.out)
+        return 0
+    return compare(args.before, args.after, args.tol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

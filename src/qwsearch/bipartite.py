@@ -21,6 +21,7 @@ from .evolve import (
     EigenDecomposition,
     SearchInstance,
     WalkKind,
+    _cluster_components,
     eig_hermitian,
     propagate,
     search_hamiltonian,
@@ -732,10 +733,21 @@ def simulate_full(
     """Numeric class probabilities from the full vertex-space dynamics.
 
     The independent cross-check of :func:`simulate_reduced`: builds the
-    whole complete bipartite graph and evolves all ``n`` amplitudes.
+    whole complete bipartite graph and diagonalizes its ``n x n`` search
+    Hamiltonian. The ``len(times) x n`` amplitudes are never formed. The
+    evolution is collapsed onto its ``K`` eigenvalue clusters as in
+    :func:`~qwsearch.evolve.propagate`, and each class's mass is
+    ``|phases @ R_C^T|^2``, with ``R_C`` the R factor of the class's
+    ``|C| x K`` block of cluster components. Memory therefore grows as
+    ``len(times) * K + n * K`` beyond the eigendecomposition.
     """
     graph, marked = complete_bipartite(spec)
     inst = SearchInstance(walk=walk, graph=graph, marked=marked, gamma=gamma)
     h = search_hamiltonian(inst)
     psi0 = reduced_to_full(spec, initial_state(spec, start))
-    return class_probabilities(spec, propagate(eig_hermitian(h), psi0, times))
+    phases, components = _cluster_components(eig_hermitian(h), psi0, times)
+    masses = []
+    for vertices in class_slices(spec):
+        r = np.linalg.qr(components[vertices.start : vertices.stop], mode="r")
+        masses.append(np.sum(np.abs(phases @ r.T) ** 2, axis=1))
+    return np.stack(masses, axis=-1)

@@ -5,8 +5,8 @@ Subcommands: ``simulate`` (success-probability curves), ``sweep-gamma``
 profiles), ``runtimes`` (runtime comparison across walks), ``verify-spin``
 (spin-network walk-equivalence check). Parameters come from flags or a flat
 ``key=value`` config file; flags override the file. Exit status is 0 on
-success, 1 for usage or validation errors, and 2 when ``verify-spin`` finds
-a mismatch.
+success, 1 for usage or validation errors or when memory runs out, and 2
+when ``verify-spin`` finds a mismatch.
 """
 
 from __future__ import annotations
@@ -557,6 +557,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

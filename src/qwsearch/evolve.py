@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -27,6 +28,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_EIGENVECTORS = 4  # lowest eigenvectors reported per gamma by overlap_profile
+CLUSTER_PHASE_TOL = 1e-10  # largest phase error t * spread of an eigenvalue cluster
 
 
 class WalkKind(enum.Enum):
@@ -143,8 +145,10 @@ def _break_exact_ties(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
             if end - start > 1:
                 block = vectors[:, start:end].real
                 order[start:end] = start + _lexicographic_order(block)
-    # always a gathered copy: its memory layout feeds the BLAS products in
-    # propagate, whose rounding would otherwise change in the last bit
+    # always a gathered copy, column-major like eigh's output: the layout
+    # decides how BLAS sums the coefficients V^dag psi0 in propagate and
+    # the vdot in overlap_profile, and a row-major copy rounds both
+    # differently in the last bit
     return vectors[:, order]
 
 
@@ -169,23 +173,39 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def propagate(
+def _cluster_starts(values: np.ndarray, t_max: float) -> np.ndarray:
+    """Index of the lowest eigenvalue of each cluster of ascending ``values``.
+
+    Clusters are formed greedily from the bottom: a cluster takes every
+    eigenvalue within ``CLUSTER_PHASE_TOL / max(t_max, 1)`` of its lowest
+    one, so giving all of them the lowest one's phase errs by at most
+    ``CLUSTER_PHASE_TOL`` up to time ``t_max``.
+    """
+    width = CLUSTER_PHASE_TOL / max(t_max, 1.0)
+    ascending = values.tolist()
+    starts: list[int] = []
+    k = 0
+    while k < len(ascending):
+        starts.append(k)
+        leader = ascending[k]
+        k = bisect.bisect_right(ascending, width, k + 1, key=lambda v: v - leader)
+    return np.array(starts, dtype=np.intp)
+
+
+def _cluster_components(
     h: np.ndarray | EigenDecomposition,
     psi0: np.ndarray,
     times: Sequence[float] | np.ndarray,
     rows: Sequence[int] | np.ndarray | None = None,
-) -> np.ndarray:
-    """Amplitudes at each time in ``times``; shape ``(len(times), len(rows))``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolution of ``psi0`` collapsed onto eigenvalue clusters.
 
-    Uses the spectral form ``V exp(-i L t) V^dag psi0``, which is exact for
-    arbitrarily long times; pass an :class:`EigenDecomposition` to skip the
-    eigensolve when ``h`` is reused.
-
-    ``rows`` selects the basis states (vertices) whose amplitudes are
-    returned, in the given order; ``None`` returns all ``dim`` of them. The
-    selection is applied to the eigenvectors before the time-phase product,
-    so a success curve over a few marked vertices costs ``len(rows)`` rather
-    than ``dim`` columns per time step.
+    Returns ``(phases, components)`` of shapes ``(len(times), K)`` and
+    ``(len(rows), K)`` for the ``K`` clusters of :func:`_cluster_starts`:
+    the leaders' phases ``exp(-i t lambda)`` and, per row, the sum of
+    ``V[row, k] c_k`` over each cluster, with ``c = V^dag psi0``. The
+    amplitudes are ``phases @ components.T``. Arguments are those of
+    :func:`propagate`.
     """
     decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -201,8 +221,37 @@ def propagate(
             raise ValueError("row index out of range")
         basis = basis[rows]
     coeffs = decomp.eigenvectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
-    return (phases * coeffs) @ basis.T
+    starts = _cluster_starts(decomp.eigenvalues, float(times.max(initial=0.0)))
+    components = np.add.reduceat(basis * coeffs, starts, axis=1)
+    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues[starts]))
+    return phases, components
+
+
+def propagate(
+    h: np.ndarray | EigenDecomposition,
+    psi0: np.ndarray,
+    times: Sequence[float] | np.ndarray,
+    rows: Sequence[int] | np.ndarray | None = None,
+) -> np.ndarray:
+    """Amplitudes at each time in ``times``; shape ``(len(times), len(rows))``.
+
+    Uses the spectral form ``V exp(-i L t) V^dag psi0`` with the eigenvalues
+    grouped into clusters. Each cluster holds the eigenvalues within
+    ``1e-10 / max(t_max, 1)`` of its lowest one, whose phase they all take,
+    so the phase error ``t * spread`` is at most 1e-10 up to the largest
+    time ``t_max``. The phase table then has one column per cluster: at
+    most 8 for the full n=768 bipartite search instead of 768. A spectrum
+    without near-degeneracies keeps one cluster per eigenvalue. Pass an
+    :class:`EigenDecomposition` to skip the eigensolve when ``h`` is reused.
+
+    ``rows`` selects the basis states (vertices) whose amplitudes are
+    returned, in the given order; ``None`` returns all ``dim`` of them. The
+    selection is applied to the eigenvectors before the cluster sums, so a
+    success curve over a few marked vertices costs ``len(rows)`` rather
+    than ``dim`` columns per time step.
+    """
+    phases, components = _cluster_components(h, psi0, times, rows)
+    return phases @ components.T
 
 
 def success_probability(psi: np.ndarray, marked: Iterable[int]) -> float:

@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and reference formulas for the test suite."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from qwsearch.graph import BipartiteSpec, Graph
@@ -25,3 +26,15 @@ def bipartite_specs(draw, max_side: int = 48) -> BipartiteSpec:
     if k1 + k2 == 0:
         k1 = 1
     return BipartiteSpec(n1, n2, k1, k2)
+
+
+def uncollapsed_propagate(decomp, psi0, times, rows=None):
+    """``V exp(-i L t) V^dag psi0`` with one phase per eigenvalue.
+
+    The reference for ``propagate``, which collapses eigenvalue clusters
+    onto one phase each; shape ``(len(times), len(rows))``.
+    """
+    basis = decomp.eigenvectors if rows is None else decomp.eigenvectors[list(rows)]
+    coeffs = decomp.eigenvectors.conj().T @ np.asarray(psi0, dtype=complex)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), decomp.eigenvalues))
+    return (phases * coeffs) @ basis.T

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bipartite_specs
+from conftest import bipartite_specs, uncollapsed_propagate
 from qwsearch.bipartite import (
     ClosedFormPeak,
     CriticalSide,
@@ -576,6 +576,32 @@ def test_full_and_reduced_class_probabilities_agree():
                 SMALL_SPEC, walk, InitialStateKind.UNIFORM, gamma, times
             )
             assert np.max(np.abs(reduced - full)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SMALL_SPEC, BipartiteSpec(40, 24, 40, 3), BipartiteSpec(30, 20, 2, 0)],
+    ids=str,
+)
+def test_simulate_full_matches_the_uncollapsed_class_curves(spec):
+    # reference: class sums of the len(times) x n amplitudes from the
+    # spectral form with one phase per eigenvalue; the layouts include
+    # empty classes c and b
+    graph, marked = complete_bipartite(spec)
+    times = np.linspace(0.0, 80.0, 321)
+    for walk in WalkKind:
+        for gamma in (1.0 / spec.n1, 1.0 / spec.n2, 0.07):
+            decomp = eig_hermitian(
+                search_hamiltonian(SearchInstance(walk, graph, marked, gamma))
+            )
+            for start in InitialStateKind:
+                psi0 = reduced_to_full(spec, initial_state(spec, start))
+                want = class_probabilities(
+                    spec, uncollapsed_propagate(decomp, psi0, times)
+                )
+                got = simulate_full(spec, walk, start, gamma, times)
+                assert got.shape == (times.size, 4)
+                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_class_probabilities_from_full_state():

@@ -1,5 +1,6 @@
 import importlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,43 @@ def test_simulate_full_mode_matches_reduced(capsys):
     _, reduced = parse_floats(out_reduced)
     _, full = parse_floats(out_full)
     assert np.max(np.abs(reduced - full)) <= 1e-9
+
+
+def test_full_simulate_memory_does_not_grow_with_samples_times_n(capsys, tmp_path):
+    # 20,000 samples on n = 768: one complex samples x n array alone is
+    # 245 MB, so the class curves must come from the cluster components
+    argv = ["simulate", *FIG_FLAGS, "--gamma", repr(1 / 512), "--tmax", "80",
+            "--samples", "20000"]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--mode", "full", "--out", str(tmp_path / "full.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
+    assert main([*argv, "--out", str(tmp_path / "reduced.csv")]) == 0
+    _, full = parse_floats((tmp_path / "full.csv").read_text())
+    _, reduced = parse_floats((tmp_path / "reduced.csv").read_text())
+    assert full.shape == (20000, 6)
+    assert np.max(np.abs(full - reduced)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 4.00 GiB for an array"),
+         "error: out of memory: Unable to allocate 4.00 GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_memory_error_exits_1_with_a_message(capsys, monkeypatch, exc, message):
+    def exhausted(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_runtimes", exhausted)
+    code, out, err = run_cli(capsys, ["runtimes", *FIG_FLAGS])
+    assert (code, out, err) == (1, "", message)
 
 
 def test_simulate_edge_list_instance(capsys, tmp_path):

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graphs, uncollapsed_propagate
 from qwsearch.bipartite import (
     CriticalSide,
     InitialStateKind,
     degenerate_correction,
     initial_state,
     reduced_hamiltonian,
+    reduced_to_full,
 )
 from qwsearch.evolve import (
+    CLUSTER_PHASE_TOL,
     EigenDecomposition,
     SearchInstance,
     WalkKind,
@@ -21,6 +24,7 @@ from qwsearch.evolve import (
     search_hamiltonian,
     success_probability,
     uniform_state,
+    _cluster_starts,
     walk_matrix,
 )
 from qwsearch.graph import BipartiteSpec, Graph, complete_bipartite
@@ -181,7 +185,8 @@ def test_eig_conventions_are_bit_identical_to_the_loop_reference():
         assert np.array_equal(got.eigenvalues, values)
         assert np.array_equal(got.eigenvectors, expected)
         # same bits, signed zeros included, and the same memory layout,
-        # which decides the rounding of the BLAS products in propagate
+        # which decides the rounding of the coefficients V^dag psi0 in
+        # propagate and of the vdot in overlap_profile
         assert got.eigenvectors.tobytes("A") == expected.tobytes("A")
         assert got.eigenvectors.strides == expected.strides
         largest_tie = max(largest_tie, np.unique(values, return_counts=True)[1].max())
@@ -309,6 +314,97 @@ def test_propagate_rows_on_a_bipartite_search():
     full = propagate(decomp, psi0, times)
     part = propagate(decomp, psi0, times, rows=rows)
     assert np.max(np.abs(part - full[:, rows])) <= 1e-14
+
+
+@pytest.mark.parametrize("walk", list(WalkKind))
+@pytest.mark.parametrize(
+    "spec", [BipartiteSpec(128, 64, 3, 5), BipartiteSpec(30, 20, 2, 0)], ids=str
+)
+def test_collapse_matches_uncollapsed_on_complete_bipartite(walk, spec):
+    graph, marked = complete_bipartite(spec)
+    times = np.linspace(0.0, 150.0, 600)
+    for gamma in (1.0 / spec.n1, 1.0 / spec.n2, 0.05):
+        decomp = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma)))
+        # the degenerate unmarked levels collapse: a handful of clusters
+        assert _cluster_starts(decomp.eigenvalues, times[-1]).size <= 8
+        for start in InitialStateKind:
+            psi0 = reduced_to_full(spec, initial_state(spec, start))
+            for rows in (sorted(marked), None):
+                got = propagate(decomp, psi0, times, rows=rows)
+                want = uncollapsed_propagate(decomp, psi0, times, rows=rows)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.sampled_from(list(WalkKind)), st.floats(0.0, 3.0), st.data())
+def test_collapse_matches_uncollapsed_on_random_graphs(graph, walk, gamma, data):
+    marked = data.draw(st.sets(st.integers(0, graph.n - 1), min_size=1))
+    h = search_hamiltonian(SearchInstance(walk, graph, frozenset(marked), gamma))
+    decomp = eig_hermitian(h)
+    psi0 = uniform_state(graph.n)
+    times = np.linspace(0.0, 50.0, 201)
+    # every amplitude moves by at most t_max times the widest cluster's
+    # spread (|V[r, :]| |c| <= 1), which the clustering keeps within
+    # CLUSTER_PHASE_TOL; gamma near 1e-12 makes genuinely distinct levels
+    # share a phase. 1e-12 covers rounding of phases t * lambda up to ~2000.
+    values = decomp.eigenvalues
+    starts = _cluster_starts(values, times[-1])
+    ends = np.append(starts[1:], values.size)
+    spread = max(values[end - 1] - values[start] for start, end in zip(starts, ends))
+    assert times[-1] * spread <= CLUSTER_PHASE_TOL
+    for rows in (sorted(marked), None):
+        got = propagate(decomp, psi0, times, rows=rows)
+        want = uncollapsed_propagate(decomp, psi0, times, rows=rows)
+        assert np.max(np.abs(got - want)) <= times[-1] * spread + 1e-12
+
+
+def test_cluster_width_follows_the_longest_time():
+    # a cluster spans at most CLUSTER_PHASE_TOL / max(t_max, 1) from its
+    # lowest member, and a chain of closer steps is cut where it exceeds that
+    assert CLUSTER_PHASE_TOL == 1e-10
+    pair = np.array([0.0, 1e-12])
+    assert _cluster_starts(pair, 50.0).tolist() == [0]
+    assert _cluster_starts(pair, 200.0).tolist() == [0, 1]
+    assert _cluster_starts(np.array([0.0, 2e-10]), 0.5).tolist() == [0, 1]
+    chain = np.array([0.0, 0.6e-12, 1.2e-12, 1.8e-12])
+    assert _cluster_starts(chain, 100.0).tolist() == [0, 2]
+    assert _cluster_starts(np.arange(5.0), 1e3).tolist() == [0, 1, 2, 3, 4]
+    assert _cluster_starts(np.zeros(0), 1.0).size == 0
+
+
+def test_near_degenerate_pair_stays_split_and_beats():
+    # a pair 1e-7 apart beside a far level; gap * t_max = pi is far above
+    # the 1e-10 bound, so the pair keeps two phases and its slow beat
+    # cos^2(delta t / 2) carries |0> over to |1> by t = pi / delta
+    delta = 1e-7
+    h = np.array([[1.0, delta / 2, 0.0], [delta / 2, 1.0, 0.0], [0.0, 0.0, -3.0]])
+    decomp = eig_hermitian(h)
+    times = np.linspace(0.0, np.pi / delta, 9)
+    assert _cluster_starts(decomp.eigenvalues, times[-1]).size == 3
+    probs = np.abs(propagate(decomp, np.array([1.0, 0.0, 0.0]), times)) ** 2
+    assert np.max(np.abs(probs[:, 0] - np.cos(0.5 * delta * times) ** 2)) <= 1e-6
+    assert probs[-1, 1] >= 1.0 - 1e-6
+    # a pair 1e-12 apart up to t = 50 (gap * t_max = 5e-11) shares one
+    # phase, within the bound of the uncollapsed form
+    tight = 1e-12
+    h = np.array([[1.0, tight / 2], [tight / 2, 1.0]])
+    decomp = eig_hermitian(h)
+    times = np.linspace(0.0, 50.0, 11)
+    assert _cluster_starts(decomp.eigenvalues, times[-1]).size == 1
+    psi0 = np.array([1.0, 0.0])
+    got = propagate(decomp, psi0, times)
+    want = uncollapsed_propagate(decomp, psi0, times)
+    assert np.max(np.abs(got - want)) <= CLUSTER_PHASE_TOL
+
+
+def test_propagate_with_no_times():
+    rng = np.random.default_rng(4)
+    decomp = eig_hermitian(_random_hermitian(rng, 6))
+    psi0 = _random_state(rng, 6)
+    assert propagate(decomp, psi0, [], rows=[0, 2, 5]).shape == (0, 3)
+    assert propagate(decomp, psi0, np.empty(0)).shape == (0, 6)
+    assert propagate(decomp, psi0, [], rows=[]).shape == (0, 0)
 
 
 def test_search_hamiltonian_reuses_a_given_walk_matrix():

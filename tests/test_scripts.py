@@ -1,21 +1,23 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from qwsearch.cli import build_parser
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_datasets.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _runs():
-    spec = importlib.util.spec_from_file_location("run_datasets", SCRIPT)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.RUNS
+    return module
 
 
-RUNS = _runs()
+RUNS = _load("run_datasets").RUNS
+CAPTURE = _load("capture_cli")
 
 
 def test_dataset_outputs_are_distinct():
@@ -28,3 +30,47 @@ def test_dataset_argv_parses(name, argv):
     # a renamed or removed flag breaks this test instead of the dataset script
     args = build_parser().parse_args([*argv, "--out", name])
     assert args.command == argv[0]
+
+
+def test_capture_command_names_are_distinct():
+    names = [name for name, _ in CAPTURE.COMMANDS]
+    assert len(names) == len(set(names)) == 89
+
+
+@pytest.mark.parametrize(
+    "name, argv", CAPTURE.COMMANDS, ids=[name for name, _ in CAPTURE.COMMANDS]
+)
+def test_capture_argv_parses(name, argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+def _capture_file(path, outputs):
+    records = [
+        {"name": name, "argv": [name], "exit": 0, "stdout": out, "stderr": ""}
+        for name, out in outputs.items()
+    ]
+    path.write_text(json.dumps({"commands": records}))
+    return path
+
+
+def test_capture_compare_reports_deviation_and_mismatch(tmp_path, capsys):
+    before = _capture_file(
+        tmp_path / "a.json", {"curve": "t,p\n10.0,0.5\n", "spin": "result=PASS\n"}
+    )
+    shifted = _capture_file(
+        tmp_path / "b.json", {"curve": "t,p\n10.000000000001,0.5\n", "spin": "result=PASS\n"}
+    )
+    assert CAPTURE.compare(before, shifted, tol=1e-9) == 0
+    assert "worst deviation: 1e-13" in capsys.readouterr().out
+    assert CAPTURE.compare(before, shifted, tol=1e-14) == 1
+    flipped = _capture_file(
+        tmp_path / "c.json", {"curve": "t,p\n10.0,0.5\n", "spin": "result=FAIL\n"}
+    )
+    assert CAPTURE.compare(before, flipped, tol=1e-9) == 1
+    assert "'PASS' against 'FAIL'" in capsys.readouterr().out
+    undefined = _capture_file(
+        tmp_path / "d.json", {"curve": "t,p\n10.0,nan\n", "spin": "result=PASS\n"}
+    )
+    assert CAPTURE.compare(before, undefined, tol=1e-9) == 1
+    assert "'0.5' against 'nan'" in capsys.readouterr().out
