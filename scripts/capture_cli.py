@@ -20,8 +20,9 @@ differs, or when the worst deviation exceeds ``--tol``.
 
 The table covers the README examples; reduced, full and edge-list
 ``simulate`` and ``sweep-gamma`` over the three walks (and, on layouts, the
-three start states); reduced and full ``overlaps`` over the three walks and
-four probes; full mode on the (512, 256, 3, 5) benchmark layout; and
+three start states; the edge lists include graphs whose search quotient is
+smaller than the graph but which are not bipartite layouts); reduced and
+full ``overlaps`` over the three walks and four probes; full mode on the (512, 256, 3, 5) benchmark layout; and
 ``verify-spin``.
 """
 
@@ -45,9 +46,13 @@ SMALL_GRID = ["--gamma-min", "0.01", "--gamma-max", "0.06", "--gamma-count", "8"
 
 # Edge-list graphs written at capture time, by placeholder: K_{48,24} with
 # vertex v relabelled 5v mod 72 (marked: the images of its classes a and b),
-# and a 10-vertex graph with unequal degrees.
+# a 10-vertex graph with unequal degrees (no symmetry: its search quotient
+# is the whole graph), and, marked at vertex 0, the cycle C_30 (16 cells)
+# and the hypercube Q_6 (7 cells, one per Hamming weight).
 PERMUTED = "{permuted_k48_24}"
 IRREGULAR = "{irregular10}"
+CYCLE = "{cycle30}"
+HYPERCUBE = "{hypercube6}"
 PERMUTED_MARKED = ",".join(str(5 * v % 72) for v in (0, 1, 2, 48, 49, 50, 51, 52))
 IRREGULAR_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                    (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
@@ -57,9 +62,13 @@ def _graph_files() -> dict[str, str]:
     """Edge-list text of each placeholder graph."""
     left, right = range(48), range(48, 72)
     permuted = sorted(tuple(sorted((5 * i % 72, 5 * j % 72))) for i in left for j in right)
+    cycle = [(i, (i + 1) % 30) for i in range(30)]
+    cube = [(v, v | 1 << b) for v in range(64) for b in range(6) if not v >> b & 1]
     return {
         PERMUTED: "\n".join(["72 1152", *(f"{i} {j}" for i, j in permuted)]) + "\n",
         IRREGULAR: "\n".join(["10 13", *(f"{i} {j}" for i, j in IRREGULAR_EDGES)]) + "\n",
+        CYCLE: "\n".join(["30 30", *(f"{i} {j}" for i, j in cycle)]) + "\n",
+        HYPERCUBE: "\n".join(["64 192", *(f"{i} {j}" for i, j in cube)]) + "\n",
     }
 
 
@@ -90,7 +99,9 @@ def _commands() -> list[tuple[str, list[str]]]:
                              ["overlaps", *SMALL, "--walk", walk, "--probe", probe,
                               "--mode", mode, *SMALL_GRID]))
     for name, path, marked in (("permuted", PERMUTED, PERMUTED_MARKED),
-                               ("irregular", IRREGULAR, "0,6")):
+                               ("irregular", IRREGULAR, "0,6"),
+                               ("cycle30", CYCLE, "0"),
+                               ("hypercube6", HYPERCUBE, "0")):
         for walk in WALKS:
             flags = ["--graph", path, "--marked", marked, "--walk", walk, "--tmax", "60"]
             rows.append((f"simulate-edges-{name}-{walk}",

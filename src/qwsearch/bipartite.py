@@ -19,12 +19,11 @@ import numpy as np
 
 from .evolve import (
     EigenDecomposition,
-    SearchInstance,
     WalkKind,
     _cluster_components,
     eig_hermitian,
     propagate,
-    search_hamiltonian,
+    quotient_search,
 )
 from .graph import BipartiteSpec, complete_bipartite
 
@@ -733,19 +732,23 @@ def simulate_full(
     """Numeric class probabilities from the full vertex-space dynamics.
 
     The independent cross-check of :func:`simulate_reduced`: builds the
-    whole complete bipartite graph and diagonalizes its ``n x n`` search
-    Hamiltonian. The ``len(times) x n`` amplitudes are never formed. The
-    evolution is collapsed onto its ``K`` eigenvalue clusters as in
-    :func:`~qwsearch.evolve.propagate`, and each class's mass is
-    ``|phases @ R_C^T|^2``, with ``R_C`` the R factor of the class's
-    ``|C| x K`` block of cluster components. Memory therefore grows as
-    ``len(times) * K + n * K`` beyond the eigendecomposition.
+    whole complete bipartite graph and lets
+    :func:`~qwsearch.evolve.quotient_search` find its invariant subspace
+    by colour refinement of the edge array, not from the class formulas
+    of this module. Per call it diagonalises that quotient (one row and
+    column per nonempty class, or per pair of classes where swapping the
+    sides fixes the layout) and lifts the eigenvectors to the ``n``
+    vertices, so no ``n x n`` matrix is held. The ``len(times) x n``
+    amplitudes are never formed either. The evolution is collapsed onto
+    its ``K`` eigenvalue clusters as in :func:`~qwsearch.evolve.propagate`,
+    and each class's mass is ``|phases @ R_C^T|^2``, with ``R_C`` the R
+    factor of the class's ``|C| x K`` block of cluster components. Memory
+    therefore grows as ``len(times) * K + n * K``.
     """
     graph, marked = complete_bipartite(spec)
-    inst = SearchInstance(walk=walk, graph=graph, marked=marked, gamma=gamma)
-    h = search_hamiltonian(inst)
     psi0 = reduced_to_full(spec, initial_state(spec, start))
-    phases, components = _cluster_components(eig_hermitian(h), psi0, times)
+    decomp = quotient_search(graph, walk, marked, psi0)(gamma)
+    phases, components = _cluster_components(decomp, psi0, times)
     masses = []
     for vertices in class_slices(spec):
         r = np.linalg.qr(components[vertices.start : vertices.stop], mode="r")

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,10 +34,10 @@ from .bipartite import (
 from .evolve import (
     SearchInstance,
     WalkKind,
-    eig_hermitian,
     first_peak,
     overlap_profile,
     propagate,
+    quotient_search,
     search_hamiltonian,
     uniform_state,
     walk_matrix,
@@ -49,10 +49,15 @@ __all__ = ["RunConfig", "main", "entry"]
 
 FULL_MODE_CAP = 2000
 # Bytes per vertex pair of the dense n x n arrays a command holds at its
-# peak. A full-space search holds the walk matrix and the Hamiltonian (8
-# each), the real eigenvectors (8) and their phase-fixed and reordered
-# complex copies (16 each); verify-spin holds its one-excitation block and
-# one candidate walk matrix (8 each).
+# peak. Full overlaps holds the walk matrix and the Hamiltonian (8 each),
+# the real eigenvectors (8) and their phase-fixed and reordered complex
+# copies (16 each). Full sweeps and simulate hold the same five arrays for
+# the c x c quotient of the search's equitable partition only, plus n x c
+# lifted eigenvectors (16 bytes each): about 0.1 MB on a bipartite layout
+# at the cap, and the full 56 bytes per pair only on a graph without
+# symmetry (c = n, where the lift is the quotient's own eigenvectors).
+# verify-spin holds its one-excitation block and one candidate walk
+# matrix (8 each).
 SEARCH_CELL_BYTES = 56
 SPIN_CELL_BYTES = 16
 DEFAULT_SAMPLES = 2000
@@ -125,9 +130,15 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
             for name, p in commands.items()
         }
         values = load_config(args.config, set().union(*flags.values()))
-        own = flags[args.command]
-        commands[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
-        args = parser.parse_args(argv)
+        own = {k: v for k, v in values.items() if k in flags[args.command]}
+        chosen = commands[args.command]
+        # the parser is shared by every call: put the defaults back afterwards
+        previous = {a.dest: a.default for a in chosen._actions if a.dest in own}
+        chosen.set_defaults(**own)
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            chosen.set_defaults(**previous)
     return args
 
 
@@ -227,6 +238,8 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
             raise UsageError("--tmax is required for edge-list instances")
         table = runtime_table(cfg.spec).as_ordered()
         tmax = 2.0 * max(t for _, t in table if t is not None)
+    if not np.isfinite(tmax):
+        raise UsageError(f"--tmax must be finite, got {tmax!r}")
     if tmax <= 0:
         raise UsageError("--tmax must be positive")
     if cfg.samples < 2:
@@ -250,6 +263,8 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
             return np.array([float(cfg.gamma)])
         raise UsageError("a gamma range (or a single --gamma) is required")
     lo, hi, count = cfg.gamma_range
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise UsageError(f"gamma bounds must be finite, got {lo!r} and {hi!r}")
     if count < 1:
         raise UsageError("--gamma-count must be at least 1")
     if lo <= 0 or hi < lo:
@@ -257,31 +272,22 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _full_search(
-    cfg: RunConfig,
-) -> tuple[Callable[[float], np.ndarray], Graph, frozenset[int]]:
-    """Search Hamiltonian per gamma of a full-space run, its graph and marked set.
+def _full_search(cfg: RunConfig) -> tuple[Graph, frozenset[int]]:
+    """Graph and marked set of a full-space run, built once per command.
 
-    The graph (the complete bipartite layout or the edge list) and its walk
-    matrix are built once; each gamma only rescales the walk matrix.
+    The graph is the complete bipartite layout or the edge list; either is
+    refused past the cap before any per-vertex-pair array is built.
     """
     if cfg.spec is not None:
         _check_full_cap(cfg.spec.n, SEARCH_CELL_BYTES)
-        graph, marked = complete_bipartite(cfg.spec)
-    else:
-        if cfg.init is not InitialStateKind.UNIFORM:
-            raise UsageError("edge-list instances support only --init s")
-        if cfg.mode != "full":
-            raise UsageError("edge-list instances run in full mode only")
-        graph = read_edge_list(cfg.graph_path)
-        _check_full_cap(graph.n, SEARCH_CELL_BYTES)
-        marked = cfg.marked if cfg.marked is not None else frozenset({0})
-    w = walk_matrix(graph, cfg.walk)
-
-    def build(gamma: float) -> np.ndarray:
-        return search_hamiltonian(SearchInstance(cfg.walk, graph, marked, float(gamma)), w)
-
-    return build, graph, marked
+        return complete_bipartite(cfg.spec)
+    if cfg.init is not InitialStateKind.UNIFORM:
+        raise UsageError("edge-list instances support only --init s")
+    if cfg.mode != "full":
+        raise UsageError("edge-list instances run in full mode only")
+    graph = read_edge_list(cfg.graph_path)
+    _check_full_cap(graph.n, SEARCH_CELL_BYTES)
+    return graph, cfg.marked if cfg.marked is not None else frozenset({0})
 
 
 def _success_curves(
@@ -289,7 +295,9 @@ def _success_curves(
 ) -> Iterator[np.ndarray]:
     """Success-probability curve over ``times`` for each gamma, in order.
 
-    Full-space runs propagate only the marked vertices' amplitudes. Their
+    Full-space runs diagonalise, per gamma, only the quotient of the
+    search (:func:`~qwsearch.evolve.quotient_search`: 4x4 on a bipartite
+    layout) and propagate only the marked vertices' amplitudes. Their
     success probability sums the masses of the marked groups: the classes
     a and b of a bipartite layout, or the whole marked set of an edge-list
     graph, each a range of positions in the sorted marked list.
@@ -300,14 +308,15 @@ def _success_curves(
             probs = simulate_reduced(spec, cfg.walk, cfg.init, float(gamma), times)
             yield probs[:, 0] + probs[:, 1]
         return
-    build, graph, marked = _full_search(cfg)
+    graph, marked = _full_search(cfg)
     if spec is not None:
         psi0 = reduced_to_full(spec, initial_state(spec, cfg.init))
         groups = [range(spec.k1), range(spec.k1, spec.k1 + spec.k2)]
     else:
         psi0, groups = uniform_state(graph.n), [range(len(marked))]
+    decompose = quotient_search(graph, cfg.walk, marked, psi0)
     for gamma in gammas:
-        amps = propagate(eig_hermitian(build(gamma)), psi0, times, rows=sorted(marked))
+        amps = propagate(decompose(gamma), psi0, times, rows=sorted(marked))
         probs = np.abs(amps) ** 2
         yield sum(probs[:, list(group)].sum(axis=1) for group in groups)
 
@@ -382,7 +391,12 @@ def cmd_overlaps(cfg: RunConfig) -> int:
     if cfg.mode == "reduced":
         build, left, right = partial(reduced_hamiltonian, spec, cfg.walk), [0], [1]
     else:
-        build, _, _ = _full_search(cfg)
+        graph, marked = _full_search(cfg)
+        w = walk_matrix(graph, cfg.walk)
+
+        def build(gamma: float) -> np.ndarray:
+            return search_hamiltonian(SearchInstance(cfg.walk, graph, marked, gamma), w)
+
         probe = reduced_to_full(spec, probe)
         left, right = (list(vertices) for vertices in class_slices(spec)[:2])
     rows = overlap_profile(build, gammas, probe, left_marked=left, right_marked=right)
@@ -510,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_time_flags(p)
     p.add_argument("--init", choices=sorted(_INITS), default="s")
     p.add_argument("--gamma", type=float)
-    p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("sweep-gamma", help="peak success probability per gamma")
     _add_instance_flags(p)
@@ -518,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_time_flags(p)
     p.add_argument("--init", choices=sorted(_INITS), default="s")
     _add_gamma_range_flags(p)
-    p.set_defaults(handler=cmd_sweep_gamma)
 
     p = sub.add_parser("overlaps", help="eigenvector overlap profile per gamma")
     _add_instance_flags(p)
@@ -526,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["reduced", "full"])
     p.add_argument("--probe", choices=list(_PROBES), default="s")
     _add_gamma_range_flags(p)
-    p.set_defaults(handler=cmd_overlaps)
 
     p = sub.add_parser("runtimes", help="runtime table and fastest-walk labels")
     _add_instance_flags(p)
@@ -534,24 +545,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=["k1", "k2"])
     p.add_argument("--sweep-min", dest="sweep_min", type=int)
     p.add_argument("--sweep-max", dest="sweep_max", type=int)
-    p.set_defaults(handler=cmd_runtimes)
 
     p = sub.add_parser("verify-spin", help="certify the spin-network walk class")
     _add_io_flags(p)
     p.add_argument("--graph", help="edge-list file (default: builtin demo graph)")
     p.add_argument("--jz-ratio", dest="jz_ratio", type=float)
     p.add_argument("--gamma", type=float)
-    p.set_defaults(handler=cmd_verify_spin)
 
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call.
+
+    Building it costs more than most commands; :func:`_parse_args` leaves
+    it as it found it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(_shared_parser(), argv)
         cfg = _build_config(args)
-        return args.handler(cfg)
+        # looked up per call, not bound into the shared parser
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

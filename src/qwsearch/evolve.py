@@ -9,7 +9,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, laplacian, signless_laplacian
+from .graph import (
+    EquitablePartition,
+    Graph,
+    adjacency_matrix,
+    equitable_partition,
+    laplacian,
+    signless_laplacian,
+)
 
 __all__ = [
     "WalkKind",
@@ -18,6 +25,7 @@ __all__ = [
     "walk_matrix",
     "search_hamiltonian",
     "eig_hermitian",
+    "quotient_search",
     "propagate",
     "success_probability",
     "uniform_state",
@@ -63,13 +71,36 @@ class SearchInstance:
         object.__setattr__(self, "marked", frozenset(int(i) for i in self.marked))
 
 
-def walk_matrix(g: Graph, kind: WalkKind) -> np.ndarray:
-    """The generator matrix for ``kind``: A, A - D, or A + D."""
+def walk_matrix(g: Graph | EquitablePartition, kind: WalkKind) -> np.ndarray:
+    """The generator matrix for ``kind``: A, A - D, or A + D.
+
+    Given an :class:`~qwsearch.graph.EquitablePartition` instead of a graph,
+    it is the ``c x c`` quotient on the normalised cell states: entries
+    ``arcs[i, j] / sqrt(sizes[i] sizes[j])``, and the cell degrees on the
+    diagonal for the Laplacians. On the discrete partition every size is
+    1, so the quotient is the graph's matrix bit for bit.
+    """
+    if isinstance(g, EquitablePartition):
+        return _quotient_walk_matrix(g, kind)
     if kind is WalkKind.ADJACENCY:
         return adjacency_matrix(g)
     if kind is WalkKind.LAPLACIAN:
         return laplacian(g)
     return signless_laplacian(g)
+
+
+def _quotient_walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarray:
+    # filled only where cells touch: a discrete partition has about 2m of n^2
+    rows, cols = np.nonzero(part.arcs)
+    out = np.zeros(part.arcs.shape)
+    out[rows, cols] = part.arcs[rows, cols] / np.sqrt(part.sizes[rows] * part.sizes[cols])
+    if kind is not WalkKind.ADJACENCY:
+        degrees = (part.arcs.sum(axis=1) // part.sizes).astype(float)
+        if kind is WalkKind.LAPLACIAN:
+            out[np.diag_indices_from(out)] -= degrees
+        else:
+            out[np.diag_indices_from(out)] += degrees
+    return out
 
 
 def search_hamiltonian(inst: SearchInstance, w: np.ndarray | None = None) -> np.ndarray:
@@ -83,22 +114,32 @@ def search_hamiltonian(inst: SearchInstance, w: np.ndarray | None = None) -> np.
         w = walk_matrix(inst.graph, inst.walk)
     elif w.shape != (inst.graph.n, inst.graph.n):
         raise ValueError("walk matrix does not match the graph")
-    h = -inst.gamma * w
-    marked = sorted(inst.marked)
+    return _oracle_shifted(inst.gamma, w, sorted(inst.marked))
+
+
+def _oracle_shifted(gamma: float, w: np.ndarray, marked: list[int]) -> np.ndarray:
+    """``-gamma * w`` with 1 subtracted at each ``marked`` diagonal entry."""
+    h = -gamma * w
     h[marked, marked] -= 1.0
     return h
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (real, ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (real, ascending) and orthonormal eigenvector columns.
+
+    ``eigenvectors`` has one row per basis state and one column per
+    eigenvalue. It is square for a full eigensolve; a decomposition lifted
+    from a quotient (:func:`quotient_search`) has ``dim`` rows and fewer
+    columns, spanning the invariant subspace the search runs in.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvectors.shape[0]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -171,6 +212,48 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     vectors = _fix_phases(vectors)
     vectors = _break_exact_ties(values, vectors)
     return EigenDecomposition(values, vectors)
+
+
+def quotient_search(
+    graph: Graph, walk: WalkKind, marked: Iterable[int], psi0: np.ndarray
+) -> Callable[[float], EigenDecomposition]:
+    """Per-gamma eigendecomposition of a search, reduced to its invariant subspace.
+
+    Search from ``psi0`` stays in the span of the normalised cell states of
+    the coarsest equitable partition of ``graph`` on which the marked set
+    and ``psi0`` are constant (Godsil & Royle, *Algebraic Graph Theory*,
+    ch. 9): on K_{n1,n2} these are the four vertex classes. The partition
+    and the ``c x c`` quotient walk matrix are built once here; the
+    returned function takes a gamma, diagonalises the quotient search
+    Hamiltonian ``-gamma W_q - M_q`` with :func:`eig_hermitian`, and
+    lifts the eigenvectors to the vertices (``V_q[cell] / sqrt(|cell|)``),
+    an ``n x c`` :class:`EigenDecomposition` for :func:`propagate`. It
+    holds the evolution of ``psi0`` exactly but not the rest of the
+    spectrum. A graph without symmetry gets the discrete partition, whose
+    quotient is the search Hamiltonian itself and whose lift is the
+    identity. The marked set and gamma are checked as by
+    :class:`SearchInstance`, with its messages.
+    """
+    marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (graph.n,):
+        raise ValueError("state dimension does not match the graph")
+    is_marked = np.zeros(graph.n)
+    is_marked[sorted(marked)] = 1.0
+    part = equitable_partition(graph, np.stack([is_marked, psi0.real, psi0.imag], axis=1))
+    w = walk_matrix(part, walk)
+    marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
+    cells = part.cells
+    scale = np.sqrt(part.sizes.astype(float))[cells, None]
+
+    def decompose(gamma: float) -> EigenDecomposition:
+        gamma = SearchInstance(walk, graph, marked, float(gamma)).gamma
+        decomp = eig_hermitian(_oracle_shifted(gamma, w, marked_cells))
+        if len(w) == graph.n:  # discrete: cell i is vertex i
+            return decomp
+        return EigenDecomposition(decomp.eigenvalues, decomp.eigenvectors[cells] / scale)
+
+    return decompose
 
 
 def _cluster_starts(values: np.ndarray, t_max: float) -> np.ndarray:

@@ -16,6 +16,8 @@ __all__ = [
     "laplacian",
     "signless_laplacian",
     "read_edge_list",
+    "EquitablePartition",
+    "equitable_partition",
 ]
 
 
@@ -225,3 +227,114 @@ def _parse_edges(path: str | Path, body: list[str]):
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer edge {line!r}") from exc
     return edges
+
+
+@dataclass(frozen=True, eq=False)
+class EquitablePartition:
+    """A partition of a graph's vertices in which neighbour counts are per cell.
+
+    ``cells[v]`` is the cell of vertex ``v``, cells numbered in the order of
+    their smallest vertex; ``sizes[i]`` is the vertex count of cell ``i``;
+    ``arcs[i, j]`` counts the edges between cells ``i`` and ``j``, from each
+    end (so ``arcs`` is symmetric and an edge inside a cell counts twice).
+    Equitable means that every vertex of cell ``i`` has exactly
+    ``arcs[i, j] / sizes[i]`` neighbours in cell ``j``.
+    """
+
+    cells: np.ndarray
+    sizes: np.ndarray
+    arcs: np.ndarray
+
+
+def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions of every edge, as (source, target) arrays."""
+    u, v = np.asarray(g.edges).T
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser: spreads small integers over all 64 bits."""
+    x = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _first_vertex_order(labels: np.ndarray) -> np.ndarray:
+    """Relabel ``labels`` (any integers) 0, 1, ... in order of first occurrence."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def equitable_partition(g: Graph, colours) -> EquitablePartition:
+    """Coarsest equitable partition of ``g`` in which ``colours`` is constant on cells.
+
+    ``colours`` holds one key per vertex, shape ``(n,)`` or ``(n, k)`` (rows
+    compared exactly). Colour refinement starts from the classes of equal
+    keys and splits each cell by the multiset of its vertices' neighbour
+    cells until no cell splits; each round costs one pass over the ``2m``
+    arcs, and a round that splits nothing ends it, so there are at most
+    ``n`` rounds (about ``n / 2`` on a path marked at one end). Each round
+    splits cells exactly by cell id, and compares the multisets by the top
+    bits (at least 32) of a 64-bit sum of mixed cell ids. Equal multisets
+    always agree there, so vertices that share a cell of the answer are
+    never split; the exact check of the result certifies that no two of
+    its cells were merged by a hash collision (it raises ``ValueError`` if
+    one ever were). A graph without symmetry gets the discrete partition,
+    cell ``i`` = vertex ``i``.
+    """
+    keys = np.asarray(colours)
+    if keys.shape[:1] != (g.n,) or keys.ndim > 2:
+        raise ValueError("colours must hold one key (or one key row) per vertex")
+    _, cells = np.unique(keys.reshape(g.n, -1), axis=0, return_inverse=True)
+    cells = cells.reshape(g.n)
+    count = int(cells.max()) + 1
+    src, dst = _arcs(g)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    starts = np.flatnonzero(np.diff(src, prepend=-1))  # first arc of each non-isolated vertex
+    sources = src[starts]
+    mixed = _mix(np.arange(g.n))  # cell ids stay below n
+    signature = np.zeros(g.n, dtype=np.uint64)
+    while src.size:
+        signature[sources] = np.add.reduceat(mixed[cells[dst]], starts)
+        # the cell id in the high bits, the signature's top bits below it:
+        # vertices of different cells never share a key
+        bits = np.uint64(count.bit_length())
+        packed = (cells.astype(np.uint64) << (np.uint64(64) - bits)) | (signature >> bits)
+        order = np.argsort(packed)
+        by_key = packed[order]
+        split = by_key[1:] != by_key[:-1]
+        fresh = np.empty(g.n, dtype=np.intp)
+        fresh[order[0]] = 0
+        fresh[order[1:]] = np.cumsum(split)
+        if int(fresh[order[-1]]) + 1 == count:
+            break
+        cells, count = fresh, int(fresh[order[-1]]) + 1
+    return _checked_partition(g, _first_vertex_order(cells))
+
+
+def _checked_partition(g: Graph, cells: np.ndarray) -> EquitablePartition:
+    """The partition of ``g`` into ``cells``; ``ValueError`` unless it is equitable.
+
+    Exact integer check: each vertex's count of neighbours in each cell it
+    touches, times its cell's size, must equal the arc count between the
+    two cells. The counts of a cell's vertices then sum to that arc count
+    only if every vertex of the cell touches the other cell, so no vertex
+    can miss a cell its cell touches.
+    """
+    cells = np.asarray(cells, dtype=np.intp)
+    count = int(cells.max()) + 1
+    sizes = np.bincount(cells, minlength=count)
+    src, dst = _arcs(g)
+    arcs = np.bincount(cells[src] * count + cells[dst], minlength=count * count)
+    arcs = arcs.reshape(count, count)
+    # (vertex, neighbour cell) pairs and how many arcs each carries
+    pairs, per_pair = np.unique(src * count + cells[dst], return_counts=True)
+    vertex, target = np.divmod(pairs, count)
+    own = cells[vertex]
+    if not np.array_equal(per_pair * sizes[own], arcs[own, target]):
+        raise ValueError("vertex partition is not equitable")
+    return EquitablePartition(cells, sizes, arcs)

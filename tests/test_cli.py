@@ -1,13 +1,25 @@
 import importlib
+import os
+import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from qwsearch import cli, spin_network
 from qwsearch.cli import SEARCH_CELL_BYTES, SPIN_CELL_BYTES, main
-from qwsearch.evolve import WalkKind, first_peak
+from qwsearch.evolve import (
+    SearchInstance,
+    WalkKind,
+    eig_hermitian,
+    first_peak,
+    propagate,
+    search_hamiltonian,
+    uniform_state,
+)
+from qwsearch.graph import read_edge_list
 
 FIG_FLAGS = ["--n1", "512", "--n2", "256", "--k1", "3", "--k2", "5"]
 
@@ -487,6 +499,67 @@ def test_full_runs_build_graph_and_walk_matrix_once_per_command(
     assert (len(builds), len(reads), len(walks)) == (2, 1, 3)
 
 
+def test_full_sweeps_diagonalise_the_quotient_and_overlaps_the_graph(
+    capsys, monkeypatch, tmp_path
+):
+    solves = _count_calls(monkeypatch, "evolve", "eig_hermitian")
+    layout = _layout_flags(SWEEP_LAYOUT)
+    rows = _sweep(capsys, [*layout, *SWEEP_GRID, "--mode", "full"])
+    assert len(rows) == 5
+    path, marked = _permuted_edge_list(tmp_path, SWEEP_LAYOUT, seed=4)
+    rows = _sweep(capsys, ["--graph", str(path), "--marked", marked, *SWEEP_GRID])
+    assert len(rows) == 5
+    argv = ["simulate", *layout, "--mode", "full", "--gamma", "0.02", "--tmax", "5"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert [args[0].shape for args in solves] == [(4, 4)] * 11
+    code, _, _ = run_cli(capsys, ["overlaps", *layout, *SWEEP_GRID[2:], "--mode", "full"])
+    assert code == 0
+    assert [args[0].shape for args in solves[11:]] == [(72, 72)] * 5
+
+
+def test_edge_list_sweep_on_a_cycle_matches_the_dense_eigensolve(capsys, tmp_path):
+    path = tmp_path / "cycle.txt"
+    path.write_text("30 30\n" + "".join(f"{i} {(i + 1) % 30}\n" for i in range(30)))
+    graph = read_edge_list(path)
+    times = np.linspace(0.0, 60.0, 400)
+    for walk in WalkKind:
+        argv = ["simulate", "--graph", str(path), "--walk", walk.value, "--gamma", "0.4",
+                "--tmax", "60", "--samples", "400"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        h = search_hamiltonian(SearchInstance(walk, graph, frozenset({0}), 0.4))
+        amps = propagate(eig_hermitian(h), uniform_state(30), times, rows=[0])
+        _, data = parse_floats(out)
+        assert np.max(np.abs(data[:, 1] - np.abs(amps[:, 0]) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-gamma", "--marked", ",", "--gamma", "0.1"], "error: marked set must be nonempty"),
+        (["sweep-gamma", "--marked", "4", "--gamma", "0.1"], "error: marked vertex out of range"),
+        (["simulate", "--marked", "-1", "--gamma", "0.1"], "error: marked vertex out of range"),
+        (["simulate", "--marked", "1", "--gamma", "-0.1"],
+         "error: gamma must be finite and nonnegative"),
+        (["sweep-gamma", "--gamma", "-0.1"], "error: gamma must be finite and nonnegative"),
+    ],
+    ids=["empty", "past-the-end", "negative-vertex", "simulate-gamma", "sweep-gamma"],
+)
+def test_edge_list_marked_and_gamma_refusals(capsys, tmp_path, argv, message):
+    path = tmp_path / "p4.txt"
+    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    code, out, err = run_cli(capsys, [*argv, "--graph", str(path), "--tmax", "2"])
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+def test_full_layout_refuses_negative_gamma(capsys, command):
+    layout = ["--n1", "4", "--n2", "3", "--k1", "1", "--k2", "0"]
+    argv = [command, *layout, "--mode", "full", "--gamma", "-1", "--tmax", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", "error: gamma must be finite and nonnegative\n")
+
+
 def test_spin_certificate_never_builds_the_dense_space(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2^n spin Hamiltonian built")
@@ -855,6 +928,56 @@ def test_config_refusals_exit_1(capsys, tmp_path, text, message):
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *rest])
     assert (code, out) == (1, "")
     assert message in err
+
+
+def test_a_config_file_does_not_leak_into_the_next_call(capsys, tmp_path):
+    # main keeps one parser for the process; the first call's config-file
+    # defaults must be gone by the second call
+    assert cli._shared_parser() is cli._shared_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text(CONFIG_RUNS["simulate"]) + "marked=1\n")
+    code, _, _ = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 0
+    argv = ["simulate", *FIG_FLAGS, "--gamma", "0.003", "--tmax", "30", "--samples", "40"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qwsearch", *argv], capture_output=True, text=True, env=env
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert out == fresh.stdout
+
+
+LAYOUT_48 = ["--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--gamma", "0.02", "--tmax", "nan"], "--tmax must be finite, got nan"),
+        (["simulate", "--gamma", "0.02", "--tmax", "inf"], "--tmax must be finite, got inf"),
+        (["simulate", "--gamma", "0.02", "--tmax", "inf", "--mode", "full"],
+         "--tmax must be finite, got inf"),
+        (["sweep-gamma", "--gamma-min", "0.01", "--gamma-max", "0.02", "--tmax", "nan"],
+         "--tmax must be finite, got nan"),
+        (["sweep-gamma", "--gamma-min", "0.01", "--gamma-max", "0.02", "--tmax", "inf"],
+         "--tmax must be finite, got inf"),
+        (["sweep-gamma", "--gamma-min", "0.01", "--gamma-max", "inf"],
+         "gamma bounds must be finite, got 0.01 and inf"),
+        (["sweep-gamma", "--gamma-min", "nan", "--gamma-max", "0.02"],
+         "gamma bounds must be finite, got nan and 0.02"),
+        (["overlaps", "--gamma-min", "0.01", "--gamma-max", "inf"],
+         "gamma bounds must be finite, got 0.01 and inf"),
+    ],
+    ids=["simulate-nan", "simulate-inf", "simulate-full-inf", "sweep-nan", "sweep-inf",
+         "gamma-max-inf", "gamma-min-nan", "overlaps-inf"],
+)
+def test_non_finite_time_and_gamma_bounds_are_usage_errors(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy RuntimeWarning on the way out
+        code, out, err = run_cli(capsys, [*argv, *LAYOUT_48])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_csv_output_is_byte_identical_across_runs(capsys, tmp_path):

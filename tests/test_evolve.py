@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, uncollapsed_propagate
+from conftest import bipartite_specs, graphs, uncollapsed_propagate
 from qwsearch.bipartite import (
     CriticalSide,
     InitialStateKind,
+    class_sizes,
     degenerate_correction,
     initial_state,
     reduced_hamiltonian,
@@ -21,13 +22,14 @@ from qwsearch.evolve import (
     first_peak,
     overlap_profile,
     propagate,
+    quotient_search,
     search_hamiltonian,
     success_probability,
     uniform_state,
     _cluster_starts,
     walk_matrix,
 )
-from qwsearch.graph import BipartiteSpec, Graph, complete_bipartite
+from qwsearch.graph import BipartiteSpec, Graph, complete_bipartite, equitable_partition
 
 
 def _random_hermitian(rng, n):
@@ -357,6 +359,138 @@ def test_collapse_matches_uncollapsed_on_random_graphs(graph, walk, gamma, data)
         got = propagate(decomp, psi0, times, rows=rows)
         want = uncollapsed_propagate(decomp, psi0, times, rows=rows)
         assert np.max(np.abs(got - want)) <= times[-1] * spread + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# quotient of the equitable partition
+
+
+def _widest_spread(values, t_max):
+    """Largest ``max - min`` over the eigenvalue clusters ``propagate`` forms."""
+    starts = _cluster_starts(values, t_max)
+    ends = np.append(starts[1:], values.size)
+    return max(values[end - 1] - values[start] for start, end in zip(starts, ends))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.sampled_from(list(WalkKind)), st.floats(0.0, 3.0), st.data())
+def test_quotient_propagation_matches_the_dense_eigensolve(graph, walk, gamma, data):
+    marked = frozenset(data.draw(st.sets(st.integers(0, graph.n - 1), min_size=1)))
+    # the uniform start, or one that only some symmetries of the search keep
+    values = [1.0] if data.draw(st.booleans()) else [1.0, 2.0, 1j]
+    psi0 = np.array(data.draw(st.lists(st.sampled_from(values), min_size=graph.n,
+                                       max_size=graph.n)), dtype=complex)
+    psi0 /= np.linalg.norm(psi0)
+    lifted = quotient_search(graph, walk, marked, psi0)(gamma)
+    h = search_hamiltonian(SearchInstance(walk, graph, marked, gamma))
+    dense = eig_hermitian(h)
+    vectors = lifted.eigenvectors
+    assert lifted.dim == graph.n and vectors.shape[1] == lifted.eigenvalues.size
+    # the lifted columns are orthonormal eigenvectors of the full Hamiltonian
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1]))) <= 1e-12
+    assert np.max(np.abs(h @ vectors - vectors * lifted.eigenvalues)) <= 1e-12
+    times = np.linspace(0.0, 50.0, 201)
+    # the two spectra cluster differently, each within t_max * spread of
+    # the uncollapsed form (gamma near 1e-12 brings distinct levels close)
+    allowance = times[-1] * (_widest_spread(lifted.eigenvalues, times[-1])
+                             + _widest_spread(dense.eigenvalues, times[-1]))
+    for rows in (sorted(marked), None):
+        exact = uncollapsed_propagate(lifted, psi0, times, rows=rows)
+        assert np.max(np.abs(exact - uncollapsed_propagate(dense, psi0, times, rows=rows))) <= 1e-12
+        got = propagate(lifted, psi0, times, rows=rows)
+        want = propagate(dense, psi0, times, rows=rows)
+        assert np.max(np.abs(got - want)) <= allowance + 1e-12
+
+
+def _irregular10():
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+             (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
+    return Graph(10, edges)
+
+
+@given(graphs(), st.sampled_from(list(WalkKind)))
+def test_discrete_quotient_walk_matrix_is_the_walk_matrix(graph, walk):
+    part = equitable_partition(graph, np.arange(graph.n))
+    assert np.array_equal(walk_matrix(part, walk), walk_matrix(graph, walk))
+
+
+@pytest.mark.parametrize("walk", list(WalkKind))
+def test_discrete_quotient_search_is_the_dense_search_bit_for_bit(walk):
+    graph, marked = _irregular10(), frozenset({0, 6})
+    psi0 = uniform_state(graph.n)
+    is_marked = np.isin(np.arange(graph.n), sorted(marked))
+    assert equitable_partition(graph, is_marked).sizes.tolist() == [1] * 10
+    decompose = quotient_search(graph, walk, marked, psi0)
+    w = walk_matrix(graph, walk)
+    for gamma in (0.0, 0.05, 0.3, 1.7):
+        got = decompose(gamma)
+        want = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w))
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert got.eigenvectors.flags.f_contiguous == want.eigenvectors.flags.f_contiguous
+
+
+def _layout_quotient_checks(spec, walk, start, gamma):
+    graph, marked = complete_bipartite(spec)
+    psi0 = reduced_to_full(spec, initial_state(spec, start))
+    lifted = quotient_search(graph, walk, marked, psi0)(gamma)
+    active = [i for i, size in enumerate(class_sizes(spec)) if size]
+    reduced = np.linalg.eigvalsh(reduced_hamiltonian(spec, walk, gamma)[np.ix_(active, active)])
+    if (spec.n1, spec.k1) == (spec.n2, spec.k2):
+        # swapping the sides fixes the search: a with b, c with d share a cell,
+        # and the quotient keeps the swap-symmetric half of the spectrum
+        assert lifted.eigenvalues.size == len(active) // 2
+        gaps = np.abs(lifted.eigenvalues[:, None] - reduced[None, :]).min(axis=1)
+        assert np.max(gaps) <= 1e-12
+    else:
+        assert lifted.eigenvalues.size == len(active)
+        assert np.max(np.abs(lifted.eigenvalues - reduced)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BipartiteSpec(512, 256, 3, 5), BipartiteSpec(30, 20, 2, 0), BipartiteSpec(40, 24, 40, 3),
+     BipartiteSpec(6, 6, 2, 2), BipartiteSpec(5, 5, 5, 5), BipartiteSpec(1, 1, 1, 0)],
+    ids=str,
+)
+def test_layout_quotient_has_one_cell_per_nonempty_class(spec):
+    for walk in WalkKind:
+        for start in InitialStateKind:
+            for gamma in (1.0 / spec.n1, 1.0 / spec.n2, 0.07):
+                _layout_quotient_checks(spec, walk, start, gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_specs(max_side=12), st.sampled_from(list(WalkKind)),
+       st.sampled_from(list(InitialStateKind)), st.floats(0.0, 2.0))
+def test_layout_quotient_spectrum_matches_the_reduced_model(spec, walk, start, gamma):
+    _layout_quotient_checks(spec, walk, start, gamma)
+
+
+def test_permuted_layout_quotient_has_four_cells():
+    spec = BipartiteSpec(48, 24, 3, 5)
+    graph, marked = complete_bipartite(spec)
+    relabel = np.array([5 * v % 72 for v in range(72)])
+    permuted = Graph(72, relabel[np.asarray(graph.edges)])
+    images = frozenset(int(relabel[v]) for v in marked)
+    lifted = quotient_search(permuted, WalkKind.LAPLACIAN, images, uniform_state(72))(0.03)
+    reduced = np.linalg.eigvalsh(reduced_hamiltonian(spec, WalkKind.LAPLACIAN, 0.03))
+    assert np.max(np.abs(lifted.eigenvalues - reduced)) <= 1e-12
+
+
+def test_quotient_search_refuses_as_the_search_instance_does():
+    graph = _irregular10()
+    psi0 = uniform_state(10)
+    with pytest.raises(ValueError, match="marked set must be nonempty"):
+        quotient_search(graph, WalkKind.LAPLACIAN, frozenset(), psi0)
+    with pytest.raises(ValueError, match="marked vertex out of range"):
+        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({10}), psi0)
+    with pytest.raises(ValueError, match="state dimension"):
+        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0[:9])
+    decompose = quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0)
+    for gamma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+            decompose(gamma)
 
 
 def test_cluster_width_follows_the_longest_time():

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs
+from qwsearch import graph as graph_module
 from qwsearch.graph import (
     BipartiteSpec,
     Graph,
     adjacency_matrix,
     complete_bipartite,
     degree_matrix,
+    equitable_partition,
     laplacian,
     read_edge_list,
     signless_laplacian,
@@ -248,3 +251,108 @@ def test_edge_list_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         read_edge_list(path)
+
+
+# ---------------------------------------------------------------------------
+# equitable partitions
+
+
+def _reference_partition(g, colours):
+    """Colour refinement on exact tuples; cells numbered by smallest vertex."""
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    colour = list(colours)
+    while True:
+        ids = {}
+        fresh = [
+            ids.setdefault((colour[v], tuple(sorted(colour[w] for w in neighbours[v]))), len(ids))
+            for v in range(g.n)
+        ]
+        if len(ids) == len(set(colour)):
+            return fresh
+        colour = fresh
+
+
+def _cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _hypercube(d):
+    return Graph(2**d, [(v, v | 1 << b) for v in range(2**d) for b in range(d) if not v >> b & 1])
+
+
+def _marked_at(n, *vertices):
+    colours = np.zeros(n)
+    colours[list(vertices)] = 1.0
+    return colours
+
+
+@given(graphs(), st.data())
+def test_equitable_partition_matches_exact_refinement(g, data):
+    colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    part = equitable_partition(g, np.array(colours))
+    assert part.cells.tolist() == _reference_partition(g, colours)
+    assert part.sizes.tolist() == np.bincount(part.cells).tolist()
+    assert np.array_equal(part.arcs, part.arcs.T)
+    assert part.arcs.sum() == 2 * g.m
+
+
+def test_equitable_partition_of_symmetric_searches():
+    # reflection about the marked vertex pairs i with 30 - i on the cycle
+    part = equitable_partition(_cycle(30), _marked_at(30, 0))
+    assert part.sizes.size == 16
+    assert part.cells.tolist() == [min(i, 30 - i) for i in range(30)]
+    # one cell per Hamming weight, numbered by its smallest vertex 2^w - 1
+    part = equitable_partition(_hypercube(6), _marked_at(64, 0))
+    weights = [bin(v).count("1") for v in range(64)]
+    assert part.cells.tolist() == weights
+    assert part.sizes.tolist() == [1, 6, 15, 20, 15, 6, 1]
+    assert part.arcs[1].tolist() == [6, 0, 30, 0, 0, 0, 0]
+
+
+def test_equitable_partition_keeps_key_rows_apart():
+    g = complete_bipartite(BipartiteSpec(3, 2, 1, 0))[0]
+    rows = np.array([[1.0, 0.5], [0.0, 0.5], [0.0, 0.5], [0.0, 0.25], [0.0, 0.25]])
+    assert equitable_partition(g, rows).cells.tolist() == [0, 1, 1, 2, 2]
+    assert equitable_partition(g, rows[:, 1]).cells.tolist() == [0, 0, 0, 1, 1]
+    with pytest.raises(ValueError, match="one key"):
+        equitable_partition(g, rows[:4])
+
+
+def test_path_marked_at_one_end_is_discrete():
+    g = Graph(41, [(i, i + 1) for i in range(40)])
+    part = equitable_partition(g, _marked_at(41, 0))
+    assert part.cells.tolist() == list(range(41))
+    # marked at the middle, the reflection halves it
+    part = equitable_partition(g, _marked_at(41, 20))
+    assert part.sizes.size == 21
+
+
+def test_edgeless_graph_partition_is_the_colouring():
+    part = equitable_partition(Graph(4, []), np.array([2, 1, 2, 1]))
+    assert part.cells.tolist() == [0, 1, 0, 1]
+    assert part.arcs.tolist() == [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize(
+    "g, cells",
+    [
+        # vertex 0 has no neighbour in cell 1; vertex 1 has one
+        (Graph(3, [(0, 1), (1, 2)]), [0, 0, 1]),
+        # both vertices of cell 0 reach only cell 1, one twice and one once
+        (Graph(5, [(0, 2), (0, 3), (1, 4)]), [0, 0, 1, 1, 1]),
+    ],
+    ids=["missing-cell", "wrong-count"],
+)
+def test_equitability_guard_refuses_a_non_equitable_partition(g, cells):
+    with pytest.raises(ValueError, match="not equitable"):
+        graph_module._checked_partition(g, np.array(cells))
+
+
+def test_a_hash_collision_is_caught_not_returned(monkeypatch):
+    # with every signature equal, refinement stops at the initial colours
+    monkeypatch.setattr(graph_module, "_mix", lambda x: np.zeros(len(x), dtype=np.uint64))
+    with pytest.raises(ValueError, match="not equitable"):
+        equitable_partition(Graph(4, [(0, 1), (1, 2), (2, 3)]), _marked_at(4, 0))
