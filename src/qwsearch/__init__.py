@@ -33,9 +33,6 @@ from .spin_network import (
     CouplingConstants,
     certify_walk_equivalence,
     demo_graph,
-    heisenberg_hamiltonian,
-    project_single_excitation,
-    single_excitation_basis,
     single_excitation_hamiltonian,
 )
 from .bipartite import (

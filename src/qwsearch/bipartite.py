@@ -20,7 +20,6 @@ import numpy as np
 from .evolve import (
     EigenDecomposition,
     WalkKind,
-    _cluster_components,
     eig_hermitian,
     propagate,
     quotient_search,
@@ -735,22 +734,12 @@ def simulate_full(
     whole complete bipartite graph and lets
     :func:`~qwsearch.evolve.quotient_search` find its invariant subspace
     by colour refinement of the edge array, not from the class formulas
-    of this module. Per call it diagonalises that quotient (one row and
-    column per nonempty class, or per pair of classes where swapping the
-    sides fixes the layout) and lifts the eigenvectors to the ``n``
-    vertices, so no ``n x n`` matrix is held. The ``len(times) x n``
-    amplitudes are never formed either. The evolution is collapsed onto
-    its ``K`` eigenvalue clusters as in :func:`~qwsearch.evolve.propagate`,
-    and each class's mass is ``|phases @ R_C^T|^2``, with ``R_C`` the R
-    factor of the class's ``|C| x K`` block of cluster components. Memory
-    therefore grows as ``len(times) * K + n * K``.
+    of this module. The evolution runs in that quotient (one cell per
+    nonempty class, or per pair of classes where swapping the sides fixes
+    the layout), and each class's mass is read from the cells it meets, so
+    no array grows with ``n`` beyond the graph and the start state. Returns
+    shape ``(len(times), 4)``.
     """
     graph, marked = complete_bipartite(spec)
     psi0 = reduced_to_full(spec, initial_state(spec, start))
-    decomp = quotient_search(graph, walk, marked, psi0)(gamma)
-    phases, components = _cluster_components(decomp, psi0, times)
-    masses = []
-    for vertices in class_slices(spec):
-        r = np.linalg.qr(components[vertices.start : vertices.stop], mode="r")
-        masses.append(np.sum(np.abs(phases @ r.T) ** 2, axis=1))
-    return np.stack(masses, axis=-1)
+    return quotient_search(graph, walk, marked, psi0, class_slices(spec))(gamma, times)

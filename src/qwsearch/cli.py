@@ -12,6 +12,7 @@ when ``verify-spin`` finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -36,7 +37,6 @@ from .evolve import (
     WalkKind,
     first_peak,
     overlap_profile,
-    propagate,
     quotient_search,
     search_hamiltonian,
     uniform_state,
@@ -52,10 +52,9 @@ FULL_MODE_CAP = 2000
 # peak. Full overlaps holds the walk matrix and the Hamiltonian (8 each),
 # the real eigenvectors (8) and their phase-fixed and reordered complex
 # copies (16 each). Full sweeps and simulate hold the same five arrays for
-# the c x c quotient of the search's equitable partition only, plus n x c
-# lifted eigenvectors (16 bytes each): about 0.1 MB on a bipartite layout
-# at the cap, and the full 56 bytes per pair only on a graph without
-# symmetry (c = n, where the lift is the quotient's own eigenvectors).
+# the c x c quotient of the search's equitable partition only, and evolve
+# a c-dimensional state: about 900 bytes on a bipartite layout, and the
+# full 56 bytes per pair only on a graph without symmetry (c = n).
 # verify-spin holds its one-excitation block and one candidate walk
 # matrix (8 each).
 SEARCH_CELL_BYTES = 56
@@ -295,12 +294,9 @@ def _success_curves(
 ) -> Iterator[np.ndarray]:
     """Success-probability curve over ``times`` for each gamma, in order.
 
-    Full-space runs diagonalise, per gamma, only the quotient of the
-    search (:func:`~qwsearch.evolve.quotient_search`: 4x4 on a bipartite
-    layout) and propagate only the marked vertices' amplitudes. Their
-    success probability sums the masses of the marked groups: the classes
-    a and b of a bipartite layout, or the whole marked set of an edge-list
-    graph, each a range of positions in the sorted marked list.
+    Full-space runs evolve, per gamma, only the quotient of the search
+    (:func:`~qwsearch.evolve.quotient_search`: 4x4 on a bipartite layout)
+    and read the mass of the marked set from it.
     """
     spec = cfg.spec
     if spec is not None and cfg.mode == "reduced":
@@ -311,14 +307,11 @@ def _success_curves(
     graph, marked = _full_search(cfg)
     if spec is not None:
         psi0 = reduced_to_full(spec, initial_state(spec, cfg.init))
-        groups = [range(spec.k1), range(spec.k1, spec.k1 + spec.k2)]
     else:
-        psi0, groups = uniform_state(graph.n), [range(len(marked))]
-    decompose = quotient_search(graph, cfg.walk, marked, psi0)
+        psi0 = uniform_state(graph.n)
+    masses = quotient_search(graph, cfg.walk, marked, psi0, [sorted(marked)])
     for gamma in gammas:
-        amps = propagate(decompose(gamma), psi0, times, rows=sorted(marked))
-        probs = np.abs(amps) ** 2
-        yield sum(probs[:, list(group)].sum(axis=1) for group in groups)
+        yield masses(gamma, times)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +473,15 @@ def cmd_verify_spin(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes a value after a flag for a flag unless it is a plain
+        # decimal; widen that to every negative float literal (-1e-3, -inf),
+        # so such values reach the range and finiteness checks
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message: str):  # exit status 1 instead of argparse's 2
         raise UsageError(message)
 

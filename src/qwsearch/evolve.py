@@ -128,10 +128,8 @@ def _oracle_shifted(gamma: float, w: np.ndarray, marked: list[int]) -> np.ndarra
 class EigenDecomposition:
     """Eigenvalues (real, ascending) and orthonormal eigenvector columns.
 
-    ``eigenvectors`` has one row per basis state and one column per
-    eigenvalue. It is square for a full eigensolve; a decomposition lifted
-    from a quotient (:func:`quotient_search`) has ``dim`` rows and fewer
-    columns, spanning the invariant subspace the search runs in.
+    ``eigenvectors`` is square: one row per basis state and one column per
+    eigenvalue.
     """
 
     eigenvalues: np.ndarray
@@ -215,24 +213,31 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
 
 
 def quotient_search(
-    graph: Graph, walk: WalkKind, marked: Iterable[int], psi0: np.ndarray
-) -> Callable[[float], EigenDecomposition]:
-    """Per-gamma eigendecomposition of a search, reduced to its invariant subspace.
+    graph: Graph,
+    walk: WalkKind,
+    marked: Iterable[int],
+    psi0: np.ndarray,
+    groups: Sequence[Iterable[int]],
+) -> Callable[[float, Sequence[float] | np.ndarray], np.ndarray]:
+    """Probability mass of each vertex group along a search, evolved in its quotient.
 
     Search from ``psi0`` stays in the span of the normalised cell states of
     the coarsest equitable partition of ``graph`` on which the marked set
     and ``psi0`` are constant (Godsil & Royle, *Algebraic Graph Theory*,
-    ch. 9): on K_{n1,n2} these are the four vertex classes. The partition
-    and the ``c x c`` quotient walk matrix are built once here; the
-    returned function takes a gamma, diagonalises the quotient search
-    Hamiltonian ``-gamma W_q - M_q`` with :func:`eig_hermitian`, and
-    lifts the eigenvectors to the vertices (``V_q[cell] / sqrt(|cell|)``),
-    an ``n x c`` :class:`EigenDecomposition` for :func:`propagate`. It
-    holds the evolution of ``psi0`` exactly but not the rest of the
-    spectrum. A graph without symmetry gets the discrete partition, whose
-    quotient is the search Hamiltonian itself and whose lift is the
-    identity. The marked set and gamma are checked as by
-    :class:`SearchInstance`, with its messages.
+    ch. 9): on K_{n1,n2} these are the four vertex classes, or two when
+    swapping the sides fixes the search. The partition, the ``c x c``
+    quotient walk matrix and the start ``q0[i] = sqrt(|cell i|) psi0[v_i]``
+    (``v_i`` any vertex of cell ``i``) are built once here. The returned
+    function ``masses(gamma, times)`` diagonalises the quotient search
+    Hamiltonian ``-gamma W_q - M_q`` with :func:`eig_hermitian`, evolves
+    ``q0`` with :func:`propagate` on the cells that meet a group, and
+    returns shape ``(len(times), len(groups))``. The state is uniform on
+    every cell, so group ``g`` holds ``sum_i |q_i(t)|^2 |g & cell i| /
+    |cell i|``, also where a group takes part of a cell. Nothing of size
+    ``n x c`` is formed. A graph without symmetry gets the discrete
+    partition, whose quotient is the search Hamiltonian itself. The marked
+    set and gamma are checked as by :class:`SearchInstance`, with its
+    messages, and group vertices as the ``rows`` of :func:`propagate`.
     """
     marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
     psi0 = np.asarray(psi0, dtype=complex)
@@ -243,17 +248,24 @@ def quotient_search(
     part = equitable_partition(graph, np.stack([is_marked, psi0.real, psi0.imag], axis=1))
     w = walk_matrix(part, walk)
     marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
-    cells = part.cells
-    scale = np.sqrt(part.sizes.astype(float))[cells, None]
+    sizes = part.sizes.astype(float)
+    _, first = np.unique(part.cells, return_index=True)
+    q0 = np.sqrt(sizes) * psi0[first]
+    weights = np.zeros((sizes.size, len(groups)))
+    for g, group in enumerate(groups):
+        vertices = np.unique(np.fromiter(group, dtype=np.intp))
+        if vertices.size and (vertices[0] < 0 or vertices[-1] >= graph.n):
+            raise ValueError("row index out of range")
+        weights[:, g] = np.bincount(part.cells[vertices], minlength=sizes.size) / sizes
+    touched = np.flatnonzero(weights.any(axis=1))
+    weights = weights[touched]
 
-    def decompose(gamma: float) -> EigenDecomposition:
+    def masses(gamma: float, times: Sequence[float] | np.ndarray) -> np.ndarray:
         gamma = SearchInstance(walk, graph, marked, float(gamma)).gamma
         decomp = eig_hermitian(_oracle_shifted(gamma, w, marked_cells))
-        if len(w) == graph.n:  # discrete: cell i is vertex i
-            return decomp
-        return EigenDecomposition(decomp.eigenvalues, decomp.eigenvectors[cells] / scale)
+        return np.abs(propagate(decomp, q0, times, rows=touched)) ** 2 @ weights
 
-    return decompose
+    return masses
 
 
 def _cluster_starts(values: np.ndarray, t_max: float) -> np.ndarray:
@@ -273,41 +285,6 @@ def _cluster_starts(values: np.ndarray, t_max: float) -> np.ndarray:
         leader = ascending[k]
         k = bisect.bisect_right(ascending, width, k + 1, key=lambda v: v - leader)
     return np.array(starts, dtype=np.intp)
-
-
-def _cluster_components(
-    h: np.ndarray | EigenDecomposition,
-    psi0: np.ndarray,
-    times: Sequence[float] | np.ndarray,
-    rows: Sequence[int] | np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolution of ``psi0`` collapsed onto eigenvalue clusters.
-
-    Returns ``(phases, components)`` of shapes ``(len(times), K)`` and
-    ``(len(rows), K)`` for the ``K`` clusters of :func:`_cluster_starts`:
-    the leaders' phases ``exp(-i t lambda)`` and, per row, the sum of
-    ``V[row, k] c_k`` over each cluster, with ``c = V^dag psi0``. The
-    amplitudes are ``phases @ components.T``. Arguments are those of
-    :func:`propagate`.
-    """
-    decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (decomp.dim,):
-        raise ValueError("state dimension does not match operator")
-    times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0:
-        raise ValueError("evolution times must be nonnegative")
-    basis = decomp.eigenvectors
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and (rows.min() < 0 or rows.max() >= decomp.dim):
-            raise ValueError("row index out of range")
-        basis = basis[rows]
-    coeffs = decomp.eigenvectors.conj().T @ psi0
-    starts = _cluster_starts(decomp.eigenvalues, float(times.max(initial=0.0)))
-    components = np.add.reduceat(basis * coeffs, starts, axis=1)
-    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues[starts]))
-    return phases, components
 
 
 def propagate(
@@ -333,7 +310,24 @@ def propagate(
     success curve over a few marked vertices costs ``len(rows)`` rather
     than ``dim`` columns per time step.
     """
-    phases, components = _cluster_components(h, psi0, times, rows)
+    decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (decomp.dim,):
+        raise ValueError("state dimension does not match operator")
+    times = np.asarray(times, dtype=float)
+    if times.size and times.min() < 0:
+        raise ValueError("evolution times must be nonnegative")
+    basis = decomp.eigenvectors
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and (rows.min() < 0 or rows.max() >= decomp.dim):
+            raise ValueError("row index out of range")
+        basis = basis[rows]
+    coeffs = decomp.eigenvectors.conj().T @ psi0
+    starts = _cluster_starts(decomp.eigenvalues, float(times.max(initial=0.0)))
+    # per row, the sum of V[row, k] c_k over each cluster
+    components = np.add.reduceat(basis * coeffs, starts, axis=1)
+    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues[starts]))
     return phases @ components.T
 
 

@@ -7,15 +7,12 @@ equal transverse couplings with ``jz = 0`` give the adjacency walk,
 ``jz = jx`` the Laplacian walk (up to an energy rezeroing), and ``jz = -jx``
 the signless-Laplacian walk. This module builds the one-excitation block
 directly from the edge array in ``O(n^2 + m)`` and certifies which walk it
-realizes. The full exponential-size Hamiltonian and its projection stay as
-the reference the block is tested against; they are capped at
-``MAX_SPIN_VERTICES`` spins.
+realizes, without building the exponential-size Hamiltonian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -28,30 +25,13 @@ from .graph import (
 )
 
 __all__ = [
-    "MAX_SPIN_VERTICES",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "CouplingConstants",
-    "heisenberg_hamiltonian",
-    "single_excitation_basis",
-    "project_single_excitation",
     "single_excitation_hamiltonian",
     "certify_walk_equivalence",
     "demo_graph",
 ]
 
-# Full-space construction is 2^n dense. The build holds three 2^n x 2^n
-# complex arrays at once (the sum, one Kronecker product and its scaled
-# copy): 3 GiB at 13 spins, 12 GiB at 14.
-MAX_SPIN_VERTICES = 13
-
 EQUIVALENCE_TOL = 1e-10
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -68,74 +48,20 @@ class CouplingConstants:
                 raise ValueError(f"coupling {name} must be finite")
 
 
-def _pair_operator(pauli: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Kronecker embedding of ``pauli (x) pauli`` on sites ``i`` and ``j``."""
-    factors = [pauli if site in (i, j) else _I2 for site in range(n)]
-    return reduce(np.kron, factors)
-
-
-def heisenberg_hamiltonian(g: Graph, j: CouplingConstants) -> np.ndarray:
-    """Full ``2^n``-dimensional exchange Hamiltonian of the spin network.
-
-    ``H = -(1/2) sum_{i~j} (jx XiXj + jy YiYj + jz ZiZj)`` where the sum
-    runs over the edges of ``g`` and the Pauli operators act on the two
-    endpoint spins (site 0 is the leading tensor factor).
-    """
-    if g.n > MAX_SPIN_VERTICES:
-        need = 3 * 16 * 4**g.n
-        raise ValueError(
-            f"full spin space for n={g.n} needs about {need} bytes "
-            f"({need / 2**30:.0f} GiB), over the cap of {MAX_SPIN_VERTICES} vertices"
-        )
-    dim = 2**g.n
-    h = np.zeros((dim, dim), dtype=complex)
-    for u, v in g.edges.tolist():  # sorted: Graph keeps its edges in order
-        h += j.jx * _pair_operator(PAULI_X, g.n, u, v)
-        h += j.jy * _pair_operator(PAULI_Y, g.n, u, v)
-        h += j.jz * _pair_operator(PAULI_Z, g.n, u, v)
-    h *= -0.5
-    return h
-
-
-def single_excitation_basis(n: int) -> list[int]:
-    """Computational-basis indices of the one-excitation states.
-
-    Entry ``k`` is the index of the state with the single flipped spin at
-    vertex ``k``. Vertex 0 occupies the most significant bit, so the state
-    with the excitation at vertex 0 is ``|100...0>``.
-    """
-    if n < 1:
-        raise ValueError("vertex count must be positive")
-    return [1 << (n - 1 - k) for k in range(n)]
-
-
-def project_single_excitation(h: np.ndarray, n: int) -> np.ndarray:
-    """Restrict a full spin Hamiltonian to the one-excitation sector.
-
-    For equal transverse couplings the sector is invariant, so the
-    restriction loses no amplitude and is the walk Hamiltonian on the
-    graph's vertices.
-    """
-    h = np.asarray(h)
-    if h.shape != (2**n, 2**n):
-        raise ValueError(f"operator shape {h.shape} does not match 2^{n}")
-    idx = single_excitation_basis(n)
-    return h[np.ix_(idx, idx)]
-
-
 def single_excitation_hamiltonian(g: Graph, j: CouplingConstants) -> np.ndarray:
-    """One-excitation block of :func:`heisenberg_hamiltonian`, built directly.
+    """One-excitation block of the network's exchange Hamiltonian, built directly.
 
-    Row and column ``k`` belong to the state with the excitation at vertex
-    ``k``, as in :func:`single_excitation_basis`. On an edge ``(u, v)``,
+    The Hamiltonian on the ``2^n`` spin states is ``H = -(1/2) sum_{u~v}
+    (jx XuXv + jy YuYv + jz ZuZv)``, summed over the edges of ``g``. Row
+    and column ``k`` of the block belong to the state with the single
+    flipped spin at vertex ``k``. On an edge ``(u, v)``,
     ``XX + YY`` moves the excitation between ``u`` and ``v``, giving the
     off-diagonal entry ``-(jx + jy) / 2``. ``ZZ`` is ``+1`` on the edges away
     from the excitation and ``-1`` on the ``deg k`` edges at it, so the
     diagonal is ``-(jz / 2) (m - 2 deg k)``, one rounding of an integer count.
-    The cost is ``O(n^2 + m)`` at any ``n``. The block equals
-    ``project_single_excitation(heisenberg_hamiltonian(g, j), g.n)``; the
-    sector is invariant, and the block is the whole dynamics in it, only
-    when ``jx == jy``.
+    The cost is ``O(n^2 + m)`` at any ``n``. The block equals the rows and
+    columns of ``H`` at the one-excitation states; the sector is invariant,
+    and the block is the whole dynamics in it, only when ``jx == jy``.
     """
     h = np.zeros((g.n, g.n))
     u, v = g.edges.T

@@ -47,11 +47,10 @@ from qwsearch.evolve import (
 from qwsearch.graph import BipartiteSpec, laplacian, signless_laplacian
 from qwsearch.spin_network import (
     CouplingConstants,
-    heisenberg_hamiltonian,
-    project_single_excitation,
     demo_graph,
     single_excitation_hamiltonian,
 )
+from spin_reference import heisenberg_hamiltonian, project_single_excitation
 
 BENCH_SPEC = BipartiteSpec(512, 256, 3, 5)
 SMALL_SPEC = BipartiteSpec(9, 5, 4, 2)

@@ -580,13 +580,14 @@ def test_full_and_reduced_class_probabilities_agree():
 
 @pytest.mark.parametrize(
     "spec",
-    [SMALL_SPEC, BipartiteSpec(40, 24, 40, 3), BipartiteSpec(30, 20, 2, 0)],
+    [SMALL_SPEC, BipartiteSpec(40, 24, 40, 3), BipartiteSpec(30, 20, 2, 0),
+     BipartiteSpec(6, 6, 2, 2)],
     ids=str,
 )
 def test_simulate_full_matches_the_uncollapsed_class_curves(spec):
     # reference: class sums of the len(times) x n amplitudes from the
     # spectral form with one phase per eigenvalue; the layouts include
-    # empty classes c and b
+    # empty classes c and b, and classes a and b sharing one cell
     graph, marked = complete_bipartite(spec)
     times = np.linspace(0.0, 80.0, 321)
     for walk in WalkKind:

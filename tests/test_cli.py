@@ -20,6 +20,7 @@ from qwsearch.evolve import (
     uniform_state,
 )
 from qwsearch.graph import read_edge_list
+from spin_reference import heisenberg_hamiltonian
 
 FIG_FLAGS = ["--n1", "512", "--n2", "256", "--k1", "3", "--k2", "5"]
 
@@ -542,8 +543,11 @@ def test_edge_list_sweep_on_a_cycle_matches_the_dense_eigensolve(capsys, tmp_pat
         (["simulate", "--marked", "1", "--gamma", "-0.1"],
          "error: gamma must be finite and nonnegative"),
         (["sweep-gamma", "--gamma", "-0.1"], "error: gamma must be finite and nonnegative"),
+        (["simulate", "--marked", "1", "--gamma", "-1e-3"],
+         "error: gamma must be finite and nonnegative"),
     ],
-    ids=["empty", "past-the-end", "negative-vertex", "simulate-gamma", "sweep-gamma"],
+    ids=["empty", "past-the-end", "negative-vertex", "simulate-gamma", "sweep-gamma",
+         "simulate-gamma-exponent"],
 )
 def test_edge_list_marked_and_gamma_refusals(capsys, tmp_path, argv, message):
     path = tmp_path / "p4.txt"
@@ -564,11 +568,14 @@ def test_spin_certificate_never_builds_the_dense_space(capsys, monkeypatch, tmp_
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2^n spin Hamiltonian built")
 
-    _patch_everywhere(
-        monkeypatch, "spin_network", "heisenberg_hamiltonian", lambda original: refuse
-    )
-
+    # the package has no dense 2^n Hamiltonian; the tests' reference makes
+    # it from Kronecker products, which are refused here
+    assert not hasattr(spin_network, "heisenberg_hamiltonian")
+    monkeypatch.setattr(np, "kron", refuse)
     g = spin_network.demo_graph()
+    with pytest.raises(AssertionError, match="dense 2\\^n"):
+        heisenberg_hamiltonian(g, spin_network.CouplingConstants(0.3, 0.3, -0.3))
+
     kinds, deviation = spin_network.certify_walk_equivalence(
         g, spin_network.CouplingConstants(0.3, 0.3, -0.3)
     )
@@ -969,9 +976,15 @@ LAYOUT_48 = ["--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5"]
          "gamma bounds must be finite, got nan and 0.02"),
         (["overlaps", "--gamma-min", "0.01", "--gamma-max", "inf"],
          "gamma bounds must be finite, got 0.01 and inf"),
+        # negative values in exponent or word form are values, not flags
+        (["sweep-gamma", "--gamma-min", "-inf", "--gamma-max", "0.02"],
+         "gamma bounds must be finite, got -inf and 0.02"),
+        (["sweep-gamma", "--gamma-min", "-1e-3", "--gamma-max", "0.02"],
+         "need 0 < gamma-min <= gamma-max for a log-spaced sweep"),
     ],
     ids=["simulate-nan", "simulate-inf", "simulate-full-inf", "sweep-nan", "sweep-inf",
-         "gamma-max-inf", "gamma-min-nan", "overlaps-inf"],
+         "gamma-max-inf", "gamma-min-nan", "overlaps-inf", "gamma-min-minus-inf",
+         "gamma-min-exponent"],
 )
 def test_non_finite_time_and_gamma_bounds_are_usage_errors(capsys, argv, message):
     with warnings.catch_warnings():

@@ -8,14 +8,15 @@ from qwsearch.bipartite import (
     CriticalSide,
     InitialStateKind,
     class_sizes,
+    class_slices,
     degenerate_correction,
     initial_state,
     reduced_hamiltonian,
     reduced_to_full,
+    simulate_reduced,
 )
 from qwsearch.evolve import (
     CLUSTER_PHASE_TOL,
-    EigenDecomposition,
     SearchInstance,
     WalkKind,
     eig_hermitian,
@@ -372,6 +373,16 @@ def _widest_spread(values, t_max):
     return max(values[end - 1] - values[start] for start, end in zip(starts, ends))
 
 
+def _quotient(graph, walk, marked, psi0, gamma):
+    """The search's equitable partition and its quotient search Hamiltonian."""
+    is_marked = np.isin(np.arange(graph.n), sorted(marked)).astype(float)
+    part = equitable_partition(graph, np.stack([is_marked, psi0.real, psi0.imag], axis=1))
+    h = -gamma * walk_matrix(part, walk)
+    cells = sorted({int(c) for c in part.cells[sorted(marked)]})
+    h[cells, cells] -= 1.0
+    return part, h
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs(), st.sampled_from(list(WalkKind)), st.floats(0.0, 3.0), st.data())
 def test_quotient_propagation_matches_the_dense_eigensolve(graph, walk, gamma, data):
@@ -381,25 +392,21 @@ def test_quotient_propagation_matches_the_dense_eigensolve(graph, walk, gamma, d
     psi0 = np.array(data.draw(st.lists(st.sampled_from(values), min_size=graph.n,
                                        max_size=graph.n)), dtype=complex)
     psi0 /= np.linalg.norm(psi0)
-    lifted = quotient_search(graph, walk, marked, psi0)(gamma)
-    h = search_hamiltonian(SearchInstance(walk, graph, marked, gamma))
-    dense = eig_hermitian(h)
-    vectors = lifted.eigenvectors
-    assert lifted.dim == graph.n and vectors.shape[1] == lifted.eigenvalues.size
-    # the lifted columns are orthonormal eigenvectors of the full Hamiltonian
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1]))) <= 1e-12
-    assert np.max(np.abs(h @ vectors - vectors * lifted.eigenvalues)) <= 1e-12
+    groups = [[v] for v in range(graph.n)] + [sorted(marked)]
     times = np.linspace(0.0, 50.0, 201)
-    # the two spectra cluster differently, each within t_max * spread of
-    # the uncollapsed form (gamma near 1e-12 brings distinct levels close)
-    allowance = times[-1] * (_widest_spread(lifted.eigenvalues, times[-1])
-                             + _widest_spread(dense.eigenvalues, times[-1]))
-    for rows in (sorted(marked), None):
-        exact = uncollapsed_propagate(lifted, psi0, times, rows=rows)
-        assert np.max(np.abs(exact - uncollapsed_propagate(dense, psi0, times, rows=rows))) <= 1e-12
-        got = propagate(lifted, psi0, times, rows=rows)
-        want = propagate(dense, psi0, times, rows=rows)
-        assert np.max(np.abs(got - want)) <= allowance + 1e-12
+    got = quotient_search(graph, walk, marked, psi0, groups)(gamma, times)
+    dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma)))
+    probs = np.abs(uncollapsed_propagate(dense, psi0, times)) ** 2
+    want = np.column_stack([probs, probs[:, sorted(marked)].sum(axis=1)])
+    assert got.shape == want.shape
+    # the quotient spectrum is part of the dense one
+    quotient_values = np.linalg.eigvalsh(_quotient(graph, walk, marked, psi0, gamma)[1])
+    assert np.max(np.abs(quotient_values[:, None] - dense.eigenvalues).min(axis=1)) <= 1e-12
+    # the quotient state moves by at most t_max times its widest cluster's
+    # spread, and a group's mass by at most twice that (gamma near 1e-12
+    # brings distinct levels close enough to share a phase)
+    allowance = 2.0 * times[-1] * _widest_spread(quotient_values, times[-1])
+    assert np.max(np.abs(got - want)) <= allowance + 1e-12
 
 
 def _irregular10():
@@ -420,31 +427,37 @@ def test_discrete_quotient_search_is_the_dense_search_bit_for_bit(walk):
     psi0 = uniform_state(graph.n)
     is_marked = np.isin(np.arange(graph.n), sorted(marked))
     assert equitable_partition(graph, is_marked).sizes.tolist() == [1] * 10
-    decompose = quotient_search(graph, walk, marked, psi0)
+    singles = [[v] for v in range(graph.n)]
+    each = quotient_search(graph, walk, marked, psi0, [*singles, sorted(marked)])
+    together = quotient_search(graph, walk, marked, psi0, [sorted(marked)])
     w = walk_matrix(graph, walk)
+    times = np.linspace(0.0, 60.0, 400)
     for gamma in (0.0, 0.05, 0.3, 1.7):
-        got = decompose(gamma)
-        want = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w))
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
-        assert got.eigenvectors.flags.f_contiguous == want.eigenvectors.flags.f_contiguous
+        dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w))
+        probs = np.abs(propagate(dense, psi0, times, rows=np.arange(graph.n))) ** 2
+        got = each(gamma, times)
+        assert np.array_equal(got[:, :-1], probs)
+        assert np.array_equal(got[:, -1], probs[:, 0] + probs[:, 6])
+        probs = np.abs(propagate(dense, psi0, times, rows=sorted(marked))) ** 2
+        assert np.array_equal(together(gamma, times)[:, 0], probs.sum(axis=1))
 
 
 def _layout_quotient_checks(spec, walk, start, gamma):
     graph, marked = complete_bipartite(spec)
     psi0 = reduced_to_full(spec, initial_state(spec, start))
-    lifted = quotient_search(graph, walk, marked, psi0)(gamma)
+    part, h = _quotient(graph, walk, marked, psi0, gamma)
+    values = np.linalg.eigvalsh(h)
     active = [i for i, size in enumerate(class_sizes(spec)) if size]
     reduced = np.linalg.eigvalsh(reduced_hamiltonian(spec, walk, gamma)[np.ix_(active, active)])
     if (spec.n1, spec.k1) == (spec.n2, spec.k2):
         # swapping the sides fixes the search: a with b, c with d share a cell,
         # and the quotient keeps the swap-symmetric half of the spectrum
-        assert lifted.eigenvalues.size == len(active) // 2
-        gaps = np.abs(lifted.eigenvalues[:, None] - reduced[None, :]).min(axis=1)
+        assert part.sizes.size == len(active) // 2
+        gaps = np.abs(values[:, None] - reduced[None, :]).min(axis=1)
         assert np.max(gaps) <= 1e-12
     else:
-        assert lifted.eigenvalues.size == len(active)
-        assert np.max(np.abs(lifted.eigenvalues - reduced)) <= 1e-12
+        assert part.sizes.size == len(active)
+        assert np.max(np.abs(values - reduced)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -473,24 +486,35 @@ def test_permuted_layout_quotient_has_four_cells():
     relabel = np.array([5 * v % 72 for v in range(72)])
     permuted = Graph(72, relabel[np.asarray(graph.edges)])
     images = frozenset(int(relabel[v]) for v in marked)
-    lifted = quotient_search(permuted, WalkKind.LAPLACIAN, images, uniform_state(72))(0.03)
+    psi0 = uniform_state(72)
+    part, h = _quotient(permuted, WalkKind.LAPLACIAN, images, psi0, 0.03)
+    assert part.sizes.size == 4
     reduced = np.linalg.eigvalsh(reduced_hamiltonian(spec, WalkKind.LAPLACIAN, 0.03))
-    assert np.max(np.abs(lifted.eigenvalues - reduced)) <= 1e-12
+    assert np.max(np.abs(np.linalg.eigvalsh(h) - reduced)) <= 1e-12
+    groups = [relabel[list(vertices)] for vertices in class_slices(spec)]
+    times = np.linspace(0.0, 60.0, 241)
+    got = quotient_search(permuted, WalkKind.LAPLACIAN, images, psi0, groups)(0.03, times)
+    want = simulate_reduced(spec, WalkKind.LAPLACIAN, InitialStateKind.UNIFORM, 0.03, times)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_quotient_search_refuses_as_the_search_instance_does():
     graph = _irregular10()
     psi0 = uniform_state(10)
     with pytest.raises(ValueError, match="marked set must be nonempty"):
-        quotient_search(graph, WalkKind.LAPLACIAN, frozenset(), psi0)
+        quotient_search(graph, WalkKind.LAPLACIAN, frozenset(), psi0, [[1]])
     with pytest.raises(ValueError, match="marked vertex out of range"):
-        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({10}), psi0)
+        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({10}), psi0, [[1]])
     with pytest.raises(ValueError, match="state dimension"):
-        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0[:9])
-    decompose = quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0)
+        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0[:9], [[1]])
+    # a group vertex is checked as a row of propagate is, with its message
+    for group in ([10], [0, -1]):
+        with pytest.raises(ValueError, match="^row index out of range$"):
+            quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1], group])
+    masses = quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1]])
     for gamma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
-            decompose(gamma)
+            masses(gamma, [0.0, 1.0])
 
 
 def test_cluster_width_follows_the_longest_time():

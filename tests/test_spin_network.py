@@ -4,6 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from spin_reference import (
+    heisenberg_hamiltonian,
+    project_single_excitation,
+    single_excitation_basis,
+)
 from qwsearch.evolve import WalkKind, eig_hermitian, propagate
 from qwsearch.graph import (
     BipartiteSpec,
@@ -16,9 +21,6 @@ from qwsearch.spin_network import (
     CouplingConstants,
     certify_walk_equivalence,
     demo_graph,
-    heisenberg_hamiltonian,
-    project_single_excitation,
-    single_excitation_basis,
     single_excitation_hamiltonian,
 )
 
