@@ -23,9 +23,10 @@ The table covers the README examples; reduced, full and edge-list
 three start states; the edge lists include graphs whose search quotient is
 smaller than the graph but which are not bipartite layouts); reduced and
 full ``overlaps`` over the three walks and four probes; full mode on the
-(512, 256, 3, 5) benchmark layout and on K_{6,6} with two marked vertices per
-side, whose classes a and b share one cell of the search quotient; and
-``verify-spin``.
+(512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma`` and
+``overlaps``) and on K_{6,6} with two marked vertices per side, whose classes a
+and b share one cell of the search quotient and whose a and b interiors share
+a level in ``overlaps``; and ``verify-spin``.
 """
 
 from __future__ import annotations
@@ -117,12 +118,19 @@ def _commands() -> list[tuple[str, list[str]]]:
         rows.append((f"sweep-bench-full-{init}",
                      ["sweep-gamma", *flags, "--gamma-min", "0.0011",
                       "--gamma-max", "0.0055", "--gamma-count", "4"]))
+        rows.append((f"overlaps-bench-full-{init}",
+                     ["overlaps", *BENCH, "--walk", "signless", "--probe", init,
+                      "--mode", "full", "--gamma-min", "0.0011", "--gamma-max", "0.0055",
+                      "--gamma-count", "4"]))
     # swapping the sides fixes this layout: a with b and c with d share a cell
     swapsym = ["--n1", "6", "--n2", "6", "--k1", "2", "--k2", "2", "--mode", "full"]
     rows.append(("simulate-full-swapsym",
                  ["simulate", *swapsym, "--gamma", "0.15", "--tmax", "30", "--samples", "400"]))
     rows.append(("sweep-full-swapsym",
                  ["sweep-gamma", *swapsym, "--gamma-min", "0.05", "--gamma-max", "0.3",
+                  "--gamma-count", "8"]))
+    rows.append(("overlaps-full-swapsym",
+                 ["overlaps", *swapsym, "--gamma-min", "0.05", "--gamma-max", "0.3",
                   "--gamma-count", "8"]))
     for graph, tag in (([], "demo"), (["--graph", IRREGULAR], "irregular")):
         for ratio in ("0", "1", "-1", "0.5"):

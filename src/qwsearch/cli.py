@@ -33,14 +33,12 @@ from .bipartite import (
     simulate_reduced,
 )
 from .evolve import (
-    SearchInstance,
     WalkKind,
     first_peak,
     overlap_profile,
+    quotient_overlaps,
     quotient_search,
-    search_hamiltonian,
     uniform_state,
-    walk_matrix,
 )
 from .graph import BipartiteSpec, Graph, complete_bipartite, read_edge_list
 from .spin_network import CouplingConstants, certify_walk_equivalence, demo_graph
@@ -49,12 +47,13 @@ __all__ = ["RunConfig", "main", "entry"]
 
 FULL_MODE_CAP = 2000
 # Bytes per vertex pair of the dense n x n arrays a command holds at its
-# peak. Full overlaps holds the walk matrix and the Hamiltonian (8 each),
-# the real eigenvectors (8) and their phase-fixed and reordered complex
-# copies (16 each). Full sweeps and simulate hold the same five arrays for
-# the c x c quotient of the search's equitable partition only, and evolve
-# a c-dimensional state: about 900 bytes on a bipartite layout, and the
-# full 56 bytes per pair only on a graph without symmetry (c = n).
+# peak. A search holds the walk matrix and the Hamiltonian (8 each), the
+# real eigenvectors (8) and their phase-fixed and reordered complex copies
+# (16 each), all of them for the c x c quotient of the search's equitable
+# partition only: about 900 bytes on a bipartite layout, and the full 56
+# bytes per pair only on a graph without symmetry (c = n), which sweeps
+# and simulate accept. Full overlaps runs on bipartite layouts only, so it
+# holds no dense n x n array: its cells' interiors have closed-form levels.
 # verify-spin holds its one-excitation block and one candidate walk
 # matrix (8 each).
 SEARCH_CELL_BYTES = 56
@@ -376,23 +375,27 @@ def _probe_state(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_overlaps(cfg: RunConfig) -> int:
+    """Overlap rows of the four lowest levels per gamma.
+
+    Reduced mode diagonalises the 4x4 class model. Full mode builds the
+    graph and reads the whole Hamiltonian's rows from the ``c x c``
+    quotient of the search plus the closed-form levels inside its cells
+    (:func:`~qwsearch.evolve.quotient_overlaps`), so no ``n x n`` matrix
+    is formed. Both go through :func:`~qwsearch.evolve.overlap_profile`.
+    """
     if cfg.spec is None:
         raise UsageError("overlaps needs a bipartite layout")
     gammas = _gamma_grid(cfg)
     spec = cfg.spec
     probe = _probe_state(cfg)
     if cfg.mode == "reduced":
-        build, left, right = partial(reduced_hamiltonian, spec, cfg.walk), [0], [1]
+        build = partial(reduced_hamiltonian, spec, cfg.walk)
+        rows = overlap_profile(build, gammas, probe, left_marked=[0], right_marked=[1])
     else:
         graph, marked = _full_search(cfg)
-        w = walk_matrix(graph, cfg.walk)
-
-        def build(gamma: float) -> np.ndarray:
-            return search_hamiltonian(SearchInstance(cfg.walk, graph, marked, gamma), w)
-
+        left, right = class_slices(spec)[:2]
         probe = reduced_to_full(spec, probe)
-        left, right = (list(vertices) for vertices in class_slices(spec)[:2])
-    rows = overlap_profile(build, gammas, probe, left_marked=left, right_marked=right)
+        rows = quotient_overlaps(graph, cfg.walk, marked, probe, left, right, gammas)
     lines = ["gamma,n,S_n,L_n,R_n"]
     for row in rows:
         lines.append(

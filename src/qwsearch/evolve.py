@@ -26,6 +26,7 @@ __all__ = [
     "search_hamiltonian",
     "eig_hermitian",
     "quotient_search",
+    "quotient_overlaps",
     "propagate",
     "success_probability",
     "uniform_state",
@@ -212,6 +213,45 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
+def _search_quotient(
+    graph: Graph,
+    walk: WalkKind,
+    marked: Iterable[int],
+    psi0: np.ndarray,
+    colours: Sequence[np.ndarray] = (),
+) -> tuple[frozenset[int], EquitablePartition, np.ndarray, list[int], np.ndarray]:
+    """Set-up shared by :func:`quotient_search` and :func:`quotient_overlaps`.
+
+    Checks the marked set as :class:`SearchInstance` does and the shape of
+    ``psi0``, then finds the coarsest equitable partition on which the
+    marked set, ``psi0`` and each extra per-vertex column of ``colours``
+    are constant. Returns the checked marked set, the partition, its
+    quotient walk matrix, the cells holding marked vertices and the
+    quotient state ``q0[i] = sqrt(|cell i|) psi0[v_i]`` (``v_i`` the first
+    vertex of cell ``i``).
+    """
+    marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (graph.n,):
+        raise ValueError("state dimension does not match the graph")
+    is_marked = np.zeros(graph.n)
+    is_marked[sorted(marked)] = 1.0
+    keys = np.stack([is_marked, psi0.real, psi0.imag, *colours], axis=1)
+    part = equitable_partition(graph, keys)
+    marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
+    _, first = np.unique(part.cells, return_index=True)
+    q0 = np.sqrt(part.sizes.astype(float)) * psi0[first]
+    return marked, part, walk_matrix(part, walk), marked_cells, q0
+
+
+def _group_vertices(group: Iterable[int], n: int) -> np.ndarray:
+    """Sorted distinct vertices of ``group``, checked as the ``rows`` of :func:`propagate`."""
+    vertices = np.unique(np.fromiter(group, dtype=np.intp))
+    if vertices.size and (vertices[0] < 0 or vertices[-1] >= n):
+        raise ValueError("row index out of range")
+    return vertices
+
+
 def quotient_search(
     graph: Graph,
     walk: WalkKind,
@@ -239,23 +279,11 @@ def quotient_search(
     set and gamma are checked as by :class:`SearchInstance`, with its
     messages, and group vertices as the ``rows`` of :func:`propagate`.
     """
-    marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (graph.n,):
-        raise ValueError("state dimension does not match the graph")
-    is_marked = np.zeros(graph.n)
-    is_marked[sorted(marked)] = 1.0
-    part = equitable_partition(graph, np.stack([is_marked, psi0.real, psi0.imag], axis=1))
-    w = walk_matrix(part, walk)
-    marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
+    marked, part, w, marked_cells, q0 = _search_quotient(graph, walk, marked, psi0)
     sizes = part.sizes.astype(float)
-    _, first = np.unique(part.cells, return_index=True)
-    q0 = np.sqrt(sizes) * psi0[first]
     weights = np.zeros((sizes.size, len(groups)))
     for g, group in enumerate(groups):
-        vertices = np.unique(np.fromiter(group, dtype=np.intp))
-        if vertices.size and (vertices[0] < 0 or vertices[-1] >= graph.n):
-            raise ValueError("row index out of range")
+        vertices = _group_vertices(group, graph.n)
         weights[:, g] = np.bincount(part.cells[vertices], minlength=sizes.size) / sizes
     touched = np.flatnonzero(weights.any(axis=1))
     weights = weights[touched]
@@ -266,6 +294,54 @@ def quotient_search(
         return np.abs(propagate(decomp, q0, times, rows=touched)) ** 2 @ weights
 
     return masses
+
+
+def quotient_overlaps(
+    graph: Graph,
+    walk: WalkKind,
+    marked: Iterable[int],
+    probe: np.ndarray,
+    left: Iterable[int],
+    right: Iterable[int],
+    gammas: Sequence[float],
+) -> list[OverlapRow]:
+    """:func:`overlap_profile` of the whole search Hamiltonian, from its quotient.
+
+    The partition is that of :func:`quotient_search` (``probe`` in the
+    start state's place), coloured also by the ``left`` and ``right``
+    groups. Each cell must be a class of twins: ``arcs[i, i] == 0`` and
+    each ``arcs[i, j]`` is 0 or ``sizes[i] sizes[j]``, checked exactly
+    (``ValueError`` names the first cell that fails); every cell of a
+    complete bipartite layout is. Then each vector on cell ``i`` that sums
+    to zero there is an eigenvector of ``H = -gamma W - M`` at the
+    quotient's ``h_q[i, i]`` (``-m_i``, ``gamma d_i - m_i`` or ``-gamma
+    d_i - m_i`` for the adjacency, Laplacian and signless walks), with
+    multiplicity ``|cell i| - 1``, probe overlap 0 and mass 1 on the group
+    that holds the cell. With the quotient's eigenvectors they span the
+    whole space, so each gamma diagonalises only the ``c x c`` quotient and
+    nothing of size ``n x n`` is formed. Exactly tied levels take the
+    quotient's eigenvectors first, then the interiors by cell (the cell of
+    the smallest vertex first).
+    """
+    sides = [_group_vertices(group, graph.n) for group in (left, right)]
+    member = [np.isin(np.arange(graph.n), vertices) for vertices in sides]
+    marked, part, w, marked_cells, q_probe = _search_quotient(
+        graph, walk, marked, probe, member
+    )
+    full = np.outer(part.sizes, part.sizes)
+    twins = (np.diag(part.arcs) == 0) & ((part.arcs == 0) | (part.arcs == full)).all(axis=1)
+    if not twins.all():
+        cell = int(np.argmin(twins))
+        raise ValueError(f"cell {cell} of the search partition is not a class of twins")
+
+    def build(gamma: float) -> np.ndarray:
+        gamma = SearchInstance(walk, graph, marked, gamma).gamma
+        return _oracle_shifted(gamma, w, marked_cells)
+
+    left_cells, right_cells = (np.unique(part.cells[vertices]) for vertices in sides)
+    return overlap_profile(
+        build, gammas, q_probe, left_cells, right_cells, interior=part.sizes - 1
+    )
 
 
 def _cluster_starts(values: np.ndarray, t_max: float) -> np.ndarray:
@@ -390,6 +466,7 @@ class OverlapRow(NamedTuple):
     s_overlap: float
     left_overlap: float
     right_overlap: float
+    eigenvalue: float
 
 
 def overlap_profile(
@@ -398,16 +475,27 @@ def overlap_profile(
     probe: np.ndarray,
     left_marked: Sequence[int],
     right_marked: Sequence[int],
+    interior: Sequence[int] | np.ndarray = (),
 ) -> list[OverlapRow]:
     """Eigenvector overlap table across jumping rates.
 
-    For each ``gamma`` the Hamiltonian from ``build_hamiltonian`` is
-    diagonalized and, for the lowest ``OVERLAP_EIGENVECTORS`` eigenvectors
-    ``psi_n``, the rows collect ``|<probe|psi_n>|^2`` together with the
-    probability mass of ``psi_n`` on the left- and right-marked vertices.
-    Rows are ordered by the given gamma sequence and then by ``n``; the
-    per-gamma work items are independent, so callers may parallelize them
-    as long as they keep this ordering.
+    For each ``gamma`` the Hamiltonian ``h`` from ``build_hamiltonian`` is
+    diagonalized with :func:`eig_hermitian`, and the rows report the
+    lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n``: ``|<probe|psi_n>|^2``,
+    the probability mass of ``psi_n`` on the left- and right-marked basis
+    states, and the eigenvalue. Reduced mode passes the 4x4 class model
+    and these are all its levels.
+
+    ``interior[i]`` more levels at ``h[i, i]`` join those of basis state
+    ``i`` (none by default). They are the cell-interior levels of
+    :func:`quotient_overlaps`, whose basis state ``i`` is the normalised
+    state of a cell: probe overlap 0, mass 1 on the side that holds ``i``
+    and 0 on the other. Levels are taken in ascending order; exactly tied
+    levels put ``h``'s eigenvectors first (in :func:`eig_hermitian`'s
+    order), then interior levels by basis state. Rows are ordered by the
+    given gamma sequence and then by ``n``; the per-gamma work items are
+    independent, so callers may parallelize them as long as they keep
+    this ordering.
     """
     gammas = list(gammas)
     if not gammas:
@@ -415,20 +503,31 @@ def overlap_profile(
     probe = np.asarray(probe, dtype=complex)
     if abs(np.linalg.norm(probe) - 1.0) > 1e-8:
         raise ValueError("probe state must be normalized")
-    left = [int(i) for i in left_marked]
-    right = [int(i) for i in right_marked]
+    left = np.array([int(i) for i in left_marked], dtype=np.intp)
+    right = np.array([int(i) for i in right_marked], dtype=np.intp)
+    # the basis state of each interior level, at most as many per state as rows
+    extra = np.minimum(np.asarray(interior, dtype=np.intp), OVERLAP_EIGENVECTORS)
+    states = np.repeat(np.arange(extra.size), extra)
     rows: list[OverlapRow] = []
-    for gamma in gammas:
-        decomp = eig_hermitian(build_hamiltonian(float(gamma)))
-        for n in range(min(OVERLAP_EIGENVECTORS, decomp.dim)):
-            vec = decomp.eigenvectors[:, n]
+    for gamma in map(float, gammas):
+        h = build_hamiltonian(gamma)
+        decomp = eig_hermitian(h)
+        dim, levels = decomp.dim, decomp.eigenvalues
+        order: Iterable[int] = range(min(OVERLAP_EIGENVECTORS, dim))
+        if states.size:
+            levels = np.concatenate([levels, h[states, states].real])
+            order = np.argsort(levels, kind="stable")[:OVERLAP_EIGENVECTORS]
+        for n, k in enumerate(order):
+            if k < dim:
+                vec = decomp.eigenvectors[:, k]
+                s_overlap = float(np.abs(np.vdot(probe, vec)) ** 2)
+                left_overlap = float(np.sum(np.abs(vec[left]) ** 2))
+                right_overlap = float(np.sum(np.abs(vec[right]) ** 2))
+            else:
+                state = states[k - dim]
+                s_overlap = 0.0
+                left_overlap, right_overlap = float(state in left), float(state in right)
             rows.append(
-                OverlapRow(
-                    gamma=float(gamma),
-                    n=n,
-                    s_overlap=float(np.abs(np.vdot(probe, vec)) ** 2),
-                    left_overlap=float(np.sum(np.abs(vec[left]) ** 2)),
-                    right_overlap=float(np.sum(np.abs(vec[right]) ** 2)),
-                )
+                OverlapRow(gamma, n, s_overlap, left_overlap, right_overlap, float(levels[k]))
             )
     return rows

@@ -33,7 +33,12 @@ class _EdgeArray(np.ndarray):
 
 
 def _canonical_edges(edges, n: int) -> _EdgeArray:
-    """Validate vertex pairs and return them sorted, deduplicated, ``u < v``."""
+    """Validate vertex pairs and return them sorted, deduplicated, ``u < v``.
+
+    Input that is already canonical (every ``u < v``, rows strictly
+    increasing) is checked and copied once; anything else is sorted by the
+    key ``u * n + v``.
+    """
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
@@ -42,7 +47,8 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
     if not np.issubdtype(pairs.dtype, np.integer):
         raise ValueError("edge endpoints must be integers")
     u, v = pairs.astype(np.int64, copy=False).T
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    ordered = bool(np.all(u < v))
+    lo, hi = (u, v) if ordered else (np.minimum(u, v), np.maximum(u, v))
     loops = u == v
     bad = loops | (lo < 0) | (hi >= n)
     if bad.any():
@@ -51,9 +57,13 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
             raise ValueError(f"self-loop at vertex {u[first]}")
         edge = (int(u[first]), int(v[first]))
         raise ValueError(f"edge {edge!r} out of range for n={n}")
-    keys = np.sort(lo * n + hi)
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0: keeps the first
-    out = np.stack([keys // n, keys % n], axis=1).view(_EdgeArray)
+    # rows strictly increasing in (u, v): sorted, and no pair twice
+    if ordered and np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))):
+        out = np.array(pairs, dtype=np.int64).view(_EdgeArray)
+    else:
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0: keeps the first
+        out = np.stack([keys // n, keys % n], axis=1).view(_EdgeArray)
     out.flags.writeable = False
     return out
 
@@ -140,9 +150,11 @@ def complete_bipartite(spec: BipartiteSpec) -> tuple[Graph, frozenset[int]]:
     left vertices plus the first ``k2`` right vertices (a fixed layout: by
     symmetry the search dynamics do not depend on which vertices are marked).
     """
-    left = np.repeat(np.arange(spec.n1), spec.n2)
-    right = np.tile(np.arange(spec.n1, spec.n), spec.n1)
-    graph = Graph(spec.n, np.stack([left, right], axis=1))
+    # filled in canonical order, so the graph checks it instead of sorting it
+    edges = np.empty((spec.n1, spec.n2, 2), dtype=np.int64)
+    edges[:, :, 0] = np.arange(spec.n1)[:, None]
+    edges[:, :, 1] = np.arange(spec.n1, spec.n)
+    graph = Graph(spec.n, edges.reshape(-1, 2))
     marked = frozenset(range(spec.k1)) | frozenset(
         range(spec.n1, spec.n1 + spec.k2)
     )

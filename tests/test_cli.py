@@ -500,7 +500,7 @@ def test_full_runs_build_graph_and_walk_matrix_once_per_command(
     assert (len(builds), len(reads), len(walks)) == (2, 1, 3)
 
 
-def test_full_sweeps_diagonalise_the_quotient_and_overlaps_the_graph(
+def test_full_sweeps_and_overlaps_diagonalise_only_the_quotient(
     capsys, monkeypatch, tmp_path
 ):
     solves = _count_calls(monkeypatch, "evolve", "eig_hermitian")
@@ -513,9 +513,22 @@ def test_full_sweeps_diagonalise_the_quotient_and_overlaps_the_graph(
     argv = ["simulate", *layout, "--mode", "full", "--gamma", "0.02", "--tmax", "5"]
     assert run_cli(capsys, argv)[0] == 0
     assert [args[0].shape for args in solves] == [(4, 4)] * 11
-    code, _, _ = run_cli(capsys, ["overlaps", *layout, *SWEEP_GRID[2:], "--mode", "full"])
-    assert code == 0
-    assert [args[0].shape for args in solves[11:]] == [(72, 72)] * 5
+
+    # full overlaps forms no dense walk matrix either
+    def refuse(original):
+        def refused(*args, **kwargs):
+            raise AssertionError("dense n x n walk matrix built")
+
+        return refused
+
+    for name in ("adjacency_matrix", "laplacian", "signless_laplacian"):
+        _patch_everywhere(monkeypatch, "graph", name, refuse)
+    for walk in ("adjacency", "laplacian", "signless"):
+        argv = ["overlaps", *layout, *SWEEP_GRID[2:], "--mode", "full", "--walk", walk]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 4 * 5
+    assert [args[0].shape for args in solves[11:]] == [(4, 4)] * 15
 
 
 def test_edge_list_sweep_on_a_cycle_matches_the_dense_eigensolve(capsys, tmp_path):

@@ -13,6 +13,7 @@ from qwsearch.bipartite import (
     initial_state,
     reduced_hamiltonian,
     reduced_to_full,
+    reduction_isometry,
     simulate_reduced,
 )
 from qwsearch.evolve import (
@@ -23,6 +24,7 @@ from qwsearch.evolve import (
     first_peak,
     overlap_profile,
     propagate,
+    quotient_overlaps,
     quotient_search,
     search_hamiltonian,
     success_probability,
@@ -698,3 +700,165 @@ def test_overlap_crossings_near_critical_rates():
     assert 0.0036 < crossing < 0.0042
     values = s_at(crossing)
     assert values[0] > 0.3 and values[1] > 0.3
+
+
+# ---------------------------------------------------------------------------
+# quotient_overlaps: the whole spectrum from the quotient and the cell interiors
+
+
+def _layout_probes(spec):
+    """The four probes of ``overlaps`` that the layout admits, in the class basis."""
+    probes = {"s": initial_state(spec, InitialStateKind.UNIFORM),
+              "sq": initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR)}
+    if spec.k1:
+        probes["ml"] = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    if spec.k2:
+        probes["mr"] = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    return probes
+
+
+def _layout_overlaps(spec, walk, probe, gammas):
+    """Rows of quotient_overlaps, their explicit eigenvectors and the rows' reader.
+
+    ``explicit(gamma)`` returns the dense Hamiltonian and ``(eigenvalue,
+    unit vector)`` pairs: the eigenvectors of the search's quotient,
+    spread evenly over each cell's vertices, and for each cell of two or more
+    vertices the difference of its first two vertices, at the diagonal
+    entry of that cell's vertices.
+    """
+    graph, marked = complete_bipartite(spec)
+    probe = reduced_to_full(spec, probe)
+    left, right = (list(vertices) for vertices in class_slices(spec)[:2])
+    rows = quotient_overlaps(graph, walk, marked, probe, left, right, gammas)
+    w = walk_matrix(graph, walk)
+    colours = [np.isin(np.arange(spec.n), vertices) for vertices in (sorted(marked), left, right)]
+    part = equitable_partition(graph, np.stack([*colours, probe.real, probe.imag], axis=1))
+    cells = [np.flatnonzero(part.cells == i) for i in range(part.sizes.size)]
+    lift = np.zeros((spec.n, len(cells)))
+    for i, vertices in enumerate(cells):
+        lift[vertices, i] = 1.0 / np.sqrt(vertices.size)
+
+    marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
+
+    def explicit(gamma):
+        h = search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w)
+        # the quotient as the search builds it: where the quotient is
+        # degenerate, its eigenvectors are eig_hermitian's choice
+        hq = -gamma * walk_matrix(part, walk)
+        hq[marked_cells, marked_cells] -= 1.0
+        quotient = eig_hermitian(hq)
+        pairs = list(zip(quotient.eigenvalues, (lift @ quotient.eigenvectors).T))
+        for vertices in cells:
+            if vertices.size >= 2:
+                vec = np.zeros(spec.n)
+                vec[vertices[:2]] = [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]
+                pairs.append((h[vertices[0], vertices[0]], vec))
+        return h, pairs
+
+    def observables(vec):
+        return (np.abs(np.vdot(probe, vec)) ** 2, np.sum(np.abs(vec[left]) ** 2),
+                np.sum(np.abs(vec[right]) ** 2))
+
+    return rows, explicit, observables
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_specs(max_side=20), st.sampled_from(list(WalkKind)), st.floats(0.0, 3.0),
+       st.data())
+def test_quotient_overlaps_report_eigenpairs_of_the_dense_search(spec, walk, gamma, data):
+    probe = data.draw(st.sampled_from(sorted(_layout_probes(spec).items())))[1]
+    rows, explicit, observables = _layout_overlaps(spec, walk, probe, [gamma])
+    h, pairs = explicit(gamma)
+    reference = eig_hermitian(h)
+    count = min(4, spec.n)
+    assert [row.n for row in rows] == list(range(count))
+    # the reported levels are the four lowest of the dense spectrum
+    got = np.array([row.eigenvalue for row in rows])
+    assert np.max(np.abs(got - reference.eigenvalues[:count])) <= 1e-12
+    scale = max(1.0, float(np.max(np.abs(h))))
+    for row in rows:
+        # each row is read from a unit eigenvector of the dense Hamiltonian
+        want = (row.s_overlap, row.left_overlap, row.right_overlap)
+        matches = [vec for value, vec in pairs if abs(value - row.eigenvalue) <= 1e-12
+                   and np.max(np.abs(np.subtract(observables(vec), want))) <= 1e-12]
+        assert matches, row
+        vec = matches[0]
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        assert np.linalg.norm(h @ vec - row.eigenvalue * vec) <= 1e-12 * scale
+        # where no other quotient eigenvector and no other cell's interior
+        # has a level nearby, the dense eigensolve has the same row
+        nearby = sum(abs(value - row.eigenvalue) <= 1e-3 * scale for value, _ in pairs)
+        if nearby == 1:
+            dense_row = observables(reference.eigenvectors[:, row.n])
+            assert np.max(np.abs(np.subtract(dense_row, want))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "layout", [(48, 24, 3, 5), (512, 256, 3, 5), (9, 5, 4, 2), (2, 2, 1, 1), (10, 7, 0, 3),
+               (10, 7, 10, 0)],
+    ids=str,
+)
+def test_quotient_overlaps_match_the_dense_rows_of_the_laplacians(layout):
+    # these walks give the interiors of classes a and b different levels,
+    # so no degenerate space spans two cells and the dense rows are unique
+    spec = BipartiteSpec(*layout)
+    gammas = [0.5 / spec.n1, 1.0 / spec.n2, 0.05]
+    for walk in (WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN):
+        for probe in _layout_probes(spec).values():
+            rows, explicit, observables = _layout_overlaps(spec, walk, probe, gammas)
+            for row in rows:
+                reference = eig_hermitian(explicit(row.gamma)[0])
+                want = observables(reference.eigenvectors[:, row.n])
+                got = (row.s_overlap, row.left_overlap, row.right_overlap)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+                assert abs(row.eigenvalue - reference.eigenvalues[row.n]) <= 1e-12
+
+
+def test_quotient_overlaps_order_exact_ties():
+    # K_{6,6} with two marked vertices per side: the interiors of classes a
+    # and b share a level for every walk, and at gamma = 0 so do the class
+    # states. Tied levels take the quotient's eigenvectors first (in
+    # eig_hermitian's order), then the interiors by cell: a (vertex 0)
+    # before b (vertex 6).
+    spec = BipartiteSpec(6, 6, 2, 2)
+    uniform = initial_state(spec, InitialStateKind.UNIFORM)
+    for walk in WalkKind:
+        rows, explicit, _ = _layout_overlaps(spec, walk, uniform, [0.0, 0.01, 0.05, 0.15, 0.3])
+        for gamma in (0.01, 0.05, 0.15, 0.3):
+            h = explicit(gamma)[0]
+            tied = h[0, 0]
+            assert h[6, 6] == tied
+            interior = [row[2:5] for row in rows if row.gamma == gamma and row.eigenvalue == tied]
+            assert interior == [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        at_zero = [row for row in rows if row.gamma == 0.0]
+        assert [row.eigenvalue for row in at_zero] == [-1.0] * 4
+        assert [row[3:5] for row in at_zero] == [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        assert [row.s_overlap for row in at_zero] == pytest.approx([1 / 6, 1 / 6, 0.0, 0.0])
+        assert at_zero[2].s_overlap == at_zero[3].s_overlap == 0.0
+
+
+def test_quotient_overlaps_refuse_cells_that_are_not_twins():
+    # C_30 marked at one vertex: cell {1, 29} sees only half of cell {2, 28}
+    cycle = Graph(30, [(i, (i + 1) % 30) for i in range(30)])
+    for walk in WalkKind:
+        with pytest.raises(ValueError, match="is not a class of twins"):
+            quotient_overlaps(cycle, walk, {0}, uniform_state(30), [0], [15], [0.1])
+    # the two ends of a three-vertex path marked in the middle are twins
+    path = Graph(3, [(0, 1), (1, 2)])
+    rows = quotient_overlaps(path, WalkKind.LAPLACIAN, {1}, uniform_state(3), [0], [2], [0.2])
+    assert [row.n for row in rows] == [0, 1, 2]
+
+
+def test_quotient_overlaps_check_inputs_as_the_search_does():
+    graph, marked = complete_bipartite(BipartiteSpec(4, 3, 1, 1))
+    psi = uniform_state(7)
+    with pytest.raises(ValueError, match="marked set must be nonempty"):
+        quotient_overlaps(graph, WalkKind.LAPLACIAN, set(), psi, [0], [4], [0.1])
+    with pytest.raises(ValueError, match="state dimension"):
+        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, psi[:6], [0], [4], [0.1])
+    with pytest.raises(ValueError, match="^row index out of range$"):
+        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, psi, [0], [7], [0.1])
+    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, psi, [0], [4], [-0.1])
+    with pytest.raises(ValueError, match="probe state must be normalized"):
+        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, 2 * psi, [0], [4], [0.1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -119,6 +121,43 @@ def test_complete_bipartite_degrees(spec):
     assert np.array_equal(deg[spec.n1 :], np.full(spec.n2, spec.n1))
     assert g.m == spec.n1 * spec.n2
     assert len(marked) == spec.k1 + spec.k2
+
+
+@given(bipartite_specs(max_side=12), st.randoms(use_true_random=False))
+def test_complete_bipartite_edges_are_the_sorted_product(spec, rng):
+    g, _ = complete_bipartite(spec)
+    product = [(i, j) for i in range(spec.n1) for j in range(spec.n1, spec.n)]
+    assert g.edges.tobytes() == np.array(product, dtype=np.int64).tobytes()
+    # shuffled, reversed and repeated input still canonicalises to it
+    scrambled = product + [(j, i) for i, j in product[:5]]
+    rng.shuffle(scrambled)
+    assert Graph(spec.n, scrambled).edges.tobytes() == g.edges.tobytes()
+    assert Graph(spec.n, np.array(scrambled, dtype=np.int32)) == g
+
+
+def test_canonical_input_is_checked_and_copied():
+    rows = np.array([[0, 1], [0, 3], [2, 3]])
+    g = Graph(4, rows)
+    rows[0, 1] = 2  # the caller's array stays writable and is not shared
+    assert np.array_equal(g.edges, [[0, 1], [0, 3], [2, 3]])
+    assert not g.edges.flags.writeable
+    # sorted input with a repeated row is deduplicated, not taken as it is
+    assert np.array_equal(Graph(4, [(0, 1), (0, 1), (2, 3)]).edges, [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match=r"edge \(2, 4\) out of range for n=4"):
+        Graph(4, [(0, 1), (2, 4)])
+
+
+def test_complete_bipartite_peak_memory_is_about_two_edge_arrays():
+    spec = BipartiteSpec(512, 256, 3, 5)
+    complete_bipartite(spec)
+    tracemalloc.start()
+    try:
+        g, _ = complete_bipartite(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the filled array and the graph's copy of it, plus boolean checks
+    assert peak <= 2.5 * g.edges.nbytes
 
 
 def test_demo_graph_matrices():
