@@ -26,7 +26,8 @@ full ``overlaps`` over the three walks and four probes; full mode on the
 (512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma`` and
 ``overlaps``) and on K_{6,6} with two marked vertices per side, whose classes a
 and b share one cell of the search quotient and whose a and b interiors share
-a level in ``overlaps``; and ``verify-spin``.
+a level in ``overlaps``; reduced and full ``overlaps`` on layouts with an
+empty class; and ``verify-spin``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def _commands() -> list[tuple[str, list[str]]]:
     rows.append(("overlaps-full-swapsym",
                  ["overlaps", *swapsym, "--gamma-min", "0.05", "--gamma-max", "0.3",
                   "--gamma-count", "8"]))
+    # (1, 2, 1, 1) has an empty class c and (10, 7, 0, 3) an empty class a:
+    # neither class may add a level to the overlaps rows
+    for layout, tag in (((1, 2, 1, 1), "1-2-1-1"), ((10, 7, 0, 3), "10-7-0-3")):
+        flags = [f"--{key}={value}" for key, value in zip(("n1", "n2", "k1", "k2"), layout)]
+        for mode in ("reduced", "full"):
+            rows.append((f"overlaps-{mode}-empty-class-{tag}",
+                         ["overlaps", *flags, "--walk", "adjacency", "--mode", mode,
+                          *SMALL_GRID]))
     for graph, tag in (([], "demo"), (["--graph", IRREGULAR], "irregular")):
         for ratio in ("0", "1", "-1", "0.5"):
             rows.append((f"verify-spin-{tag}-{ratio}",

@@ -15,7 +15,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .bipartite import (
     InitialStateKind,
+    class_sizes,
     class_slices,
     initial_state,
     reduced_hamiltonian,
@@ -47,15 +48,19 @@ __all__ = ["RunConfig", "main", "entry"]
 
 FULL_MODE_CAP = 2000
 # Bytes per vertex pair of the dense n x n arrays a command holds at its
-# peak. A search holds the walk matrix and the Hamiltonian (8 each), the
-# real eigenvectors (8) and their phase-fixed and reordered complex copies
-# (16 each), all of them for the c x c quotient of the search's equitable
-# partition only: about 900 bytes on a bipartite layout, and the full 56
-# bytes per pair only on a graph without symmetry (c = n), which sweeps
-# and simulate accept. Full overlaps runs on bipartite layouts only, so it
-# holds no dense n x n array: its cells' interiors have closed-form levels.
-# verify-spin holds its one-excitation block and one candidate walk
-# matrix (8 each).
+# peak. A search holds the walk matrix, the Hamiltonian and its real
+# eigenvectors (8 each), all of them for the c x c quotient of the
+# search's equitable partition only: a few hundred bytes on a bipartite
+# layout, and bytes per vertex pair only on a graph without symmetry
+# (c = n), which sweeps and simulate accept. There a one-gamma edge-list
+# sweep of G(2000, 0.05) with the default 2000 samples peaks at 48.8
+# bytes per pair under tracemalloc (56.8 while eigh's eigenvectors were
+# copied to phase-fixed complex arrays): the walk matrix and eigenvectors
+# (16) and, while propagate evaluates it, the samples x c phase table
+# with its temporaries (32 per entry). Full overlaps runs on bipartite
+# layouts only, so it holds no dense n x n array: its cells' interiors
+# have closed-form levels. verify-spin holds its one-excitation block and
+# one candidate walk matrix (8 each).
 SEARCH_CELL_BYTES = 56
 SPIN_CELL_BYTES = 16
 DEFAULT_SAMPLES = 2000
@@ -377,7 +382,8 @@ def _probe_state(cfg: RunConfig) -> np.ndarray:
 def cmd_overlaps(cfg: RunConfig) -> int:
     """Overlap rows of the four lowest levels per gamma.
 
-    Reduced mode diagonalises the 4x4 class model. Full mode builds the
+    Reduced mode diagonalises the class model on the layout's nonempty
+    classes, so an empty class adds no level. Full mode builds the
     graph and reads the whole Hamiltonian's rows from the ``c x c``
     quotient of the search plus the closed-form levels inside its cells
     (:func:`~qwsearch.evolve.quotient_overlaps`), so no ``n x n`` matrix
@@ -389,8 +395,15 @@ def cmd_overlaps(cfg: RunConfig) -> int:
     spec = cfg.spec
     probe = _probe_state(cfg)
     if cfg.mode == "reduced":
-        build = partial(reduced_hamiltonian, spec, cfg.walk)
-        rows = overlap_profile(build, gammas, probe, left_marked=[0], right_marked=[1])
+        active = np.flatnonzero(class_sizes(spec))
+        block = np.ix_(active, active)
+        rows = overlap_profile(
+            lambda gamma: reduced_hamiltonian(spec, cfg.walk, gamma)[block],
+            gammas,
+            probe[active],
+            left_marked=np.flatnonzero(active == 0),
+            right_marked=np.flatnonzero(active == 1),
+        )
     else:
         graph, marked = _full_search(cfg)
         left, right = class_slices(spec)[:2]

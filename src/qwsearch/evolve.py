@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -37,7 +36,6 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_EIGENVECTORS = 4  # lowest eigenvectors reported per gamma by overlap_profile
-CLUSTER_PHASE_TOL = 1e-10  # largest phase error t * spread of an eigenvalue cluster
 
 
 class WalkKind(enum.Enum):
@@ -130,7 +128,8 @@ class EigenDecomposition:
     """Eigenvalues (real, ascending) and orthonormal eigenvector columns.
 
     ``eigenvectors`` is square: one row per basis state and one column per
-    eigenvalue.
+    eigenvalue, real for a real matrix. Columns carry no phase convention,
+    and within an exactly degenerate eigenvalue no particular basis.
     """
 
     eigenvalues: np.ndarray
@@ -141,64 +140,17 @@ class EigenDecomposition:
         return self.eigenvectors.shape[0]
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = np.array(vectors, dtype=complex)
-    cols = np.arange(out.shape[1])
-    rows = np.argmax(np.abs(out), axis=0)
-    # each column's unit scale comes from NumPy's scalar complex division,
-    # which rounds differently from its array loop; the scaling is broadcast
-    out *= np.array([np.conj(p) / abs(p) for p in out[rows, cols]])
-    out[rows, cols] = out[rows, cols].real  # drop the residual imaginary dust
-    return out
-
-
-def _lexicographic_order(block: np.ndarray) -> np.ndarray:
-    """Stable order of ``block``'s columns by their entries, top row first.
-
-    Sorts on the leading rows only, taking twice as many while neighbouring
-    columns still agree on all of them.
-    """
-    depth = 1
-    while True:
-        keys = block[:depth]
-        perm = np.lexsort(keys[::-1])
-        ordered = keys[:, perm]
-        still_tied = np.all(ordered[:, 1:] == ordered[:, :-1], axis=0)
-        if depth == len(block) or not still_tied.any():
-            return perm
-        depth = min(2 * depth, len(block))
-
-
-def _break_exact_ties(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Reorder columns within groups of exactly equal eigenvalues.
-
-    Ties are resolved by the lexicographic order of the eigenvector entries'
-    real parts (columns equal in every entry keep their order), so repeated
-    runs produce identical output.
-    """
-    order = np.arange(values.size)
-    tied = values[1:] == values[:-1]
-    if tied.any():
-        bounds = np.flatnonzero(np.concatenate(([True], ~tied, [True])))
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            if end - start > 1:
-                block = vectors[:, start:end].real
-                order[start:end] = start + _lexicographic_order(block)
-    # always a gathered copy, column-major like eigh's output: the layout
-    # decides how BLAS sums the coefficients V^dag psi0 in propagate and
-    # the vdot in overlap_profile, and a row-major copy rounds both
-    # differently in the last bit
-    return vectors[:, order]
-
-
 def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+    """Eigendecomposition of a Hermitian matrix: ``np.linalg.eigh``'s arrays.
 
-    Eigenvalues are ascending; each eigenvector's largest-magnitude entry is
-    made real positive, and columns within exactly degenerate eigenvalues are
-    sorted lexicographically by real parts. Identical input therefore yields
-    identical output across runs.
+    Checks that ``h`` is square and Hermitian to within ``HERMITICITY_TOL``
+    of its largest entry, then returns ``eigh``'s output unchanged:
+    ascending eigenvalues and orthonormal eigenvector columns (real for a
+    real ``h``). Each column is fixed only up to a phase (a sign for real
+    input), and an exactly degenerate eigenspace gets whichever orthonormal
+    basis LAPACK finds. Repeated calls on the same input in one process
+    return the same arrays; another NumPy or LAPACK build may choose other
+    phases or bases.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -207,10 +159,7 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     deviation = float(np.max(np.abs(h - h.conj().T)))
     if deviation > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian (deviation {deviation:g})")
-    values, vectors = np.linalg.eigh(h)
-    vectors = _fix_phases(vectors)
-    vectors = _break_exact_ties(values, vectors)
-    return EigenDecomposition(values, vectors)
+    return EigenDecomposition(*np.linalg.eigh(h))
 
 
 def _search_quotient(
@@ -344,25 +293,6 @@ def quotient_overlaps(
     )
 
 
-def _cluster_starts(values: np.ndarray, t_max: float) -> np.ndarray:
-    """Index of the lowest eigenvalue of each cluster of ascending ``values``.
-
-    Clusters are formed greedily from the bottom: a cluster takes every
-    eigenvalue within ``CLUSTER_PHASE_TOL / max(t_max, 1)`` of its lowest
-    one, so giving all of them the lowest one's phase errs by at most
-    ``CLUSTER_PHASE_TOL`` up to time ``t_max``.
-    """
-    width = CLUSTER_PHASE_TOL / max(t_max, 1.0)
-    ascending = values.tolist()
-    starts: list[int] = []
-    k = 0
-    while k < len(ascending):
-        starts.append(k)
-        leader = ascending[k]
-        k = bisect.bisect_right(ascending, width, k + 1, key=lambda v: v - leader)
-    return np.array(starts, dtype=np.intp)
-
-
 def propagate(
     h: np.ndarray | EigenDecomposition,
     psi0: np.ndarray,
@@ -371,20 +301,17 @@ def propagate(
 ) -> np.ndarray:
     """Amplitudes at each time in ``times``; shape ``(len(times), len(rows))``.
 
-    Uses the spectral form ``V exp(-i L t) V^dag psi0`` with the eigenvalues
-    grouped into clusters. Each cluster holds the eigenvalues within
-    ``1e-10 / max(t_max, 1)`` of its lowest one, whose phase they all take,
-    so the phase error ``t * spread`` is at most 1e-10 up to the largest
-    time ``t_max``. The phase table then has one column per cluster: at
-    most 8 for the full n=768 bipartite search instead of 768. A spectrum
-    without near-degeneracies keeps one cluster per eigenvalue. Pass an
+    Uses the spectral form ``V exp(-i L t) V^dag psi0`` exactly, with one
+    phase column per eigenvalue. The search commands call it on the ``c x
+    c`` quotient of :func:`quotient_search` (4x4 on a bipartite layout),
+    so the phase table is ``len(times) x c``. Pass an
     :class:`EigenDecomposition` to skip the eigensolve when ``h`` is reused.
 
     ``rows`` selects the basis states (vertices) whose amplitudes are
     returned, in the given order; ``None`` returns all ``dim`` of them. The
-    selection is applied to the eigenvectors before the cluster sums, so a
-    success curve over a few marked vertices costs ``len(rows)`` rather
-    than ``dim`` columns per time step.
+    selection is applied to the eigenvectors before the product with the
+    phases, so a success curve over a few marked vertices costs
+    ``len(rows)`` rather than ``dim`` columns per time step.
     """
     decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -400,11 +327,8 @@ def propagate(
             raise ValueError("row index out of range")
         basis = basis[rows]
     coeffs = decomp.eigenvectors.conj().T @ psi0
-    starts = _cluster_starts(decomp.eigenvalues, float(times.max(initial=0.0)))
-    # per row, the sum of V[row, k] c_k over each cluster
-    components = np.add.reduceat(basis * coeffs, starts, axis=1)
-    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues[starts]))
-    return phases @ components.T
+    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
+    return phases @ (basis * coeffs).T
 
 
 def success_probability(psi: np.ndarray, marked: Iterable[int]) -> float:
@@ -483,15 +407,16 @@ def overlap_profile(
     diagonalized with :func:`eig_hermitian`, and the rows report the
     lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n``: ``|<probe|psi_n>|^2``,
     the probability mass of ``psi_n`` on the left- and right-marked basis
-    states, and the eigenvalue. Reduced mode passes the 4x4 class model
-    and these are all its levels.
+    states, and the eigenvalue. Reduced mode passes the class model on
+    the layout's nonempty classes (4x4 at most), and these are all its
+    levels.
 
     ``interior[i]`` more levels at ``h[i, i]`` join those of basis state
     ``i`` (none by default). They are the cell-interior levels of
     :func:`quotient_overlaps`, whose basis state ``i`` is the normalised
     state of a cell: probe overlap 0, mass 1 on the side that holds ``i``
     and 0 on the other. Levels are taken in ascending order; exactly tied
-    levels put ``h``'s eigenvectors first (in :func:`eig_hermitian`'s
+    levels put ``h``'s eigenvectors first (in ``np.linalg.eigh``'s
     order), then interior levels by basis state. Rows are ordered by the
     given gamma sequence and then by ``n``; the per-gamma work items are
     independent, so callers may parallelize them as long as they keep

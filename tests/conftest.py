@@ -31,8 +31,8 @@ def bipartite_specs(draw, max_side: int = 48) -> BipartiteSpec:
 def uncollapsed_propagate(decomp, psi0, times, rows=None):
     """``V exp(-i L t) V^dag psi0`` with one phase per eigenvalue.
 
-    The reference for ``propagate``, which collapses eigenvalue clusters
-    onto one phase each; shape ``(len(times), len(rows))``.
+    The reference for ``propagate``, which sums the same products in
+    another order; shape ``(len(times), len(rows))``.
     """
     basis = decomp.eigenvectors if rows is None else decomp.eigenvectors[list(rows)]
     coeffs = decomp.eigenvectors.conj().T @ np.asarray(psi0, dtype=complex)

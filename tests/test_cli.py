@@ -281,7 +281,7 @@ def test_simulate_full_mode_matches_reduced(capsys):
 
 def test_full_simulate_memory_does_not_grow_with_samples_times_n(capsys, tmp_path):
     # 20,000 samples on n = 768: one complex samples x n array alone is
-    # 245 MB, so the class curves must come from the cluster components
+    # 245 MB, so the class curves must come from the search quotient
     argv = ["simulate", *FIG_FLAGS, "--gamma", repr(1 / 512), "--tmax", "80",
             "--samples", "20000"]
     tracemalloc.start()
@@ -661,21 +661,30 @@ def test_overlaps_signless_probe_avoids_top_eigenvector(capsys):
 
 
 def test_overlaps_full_mode_matches_reduced_on_singleton_classes(capsys):
-    # with one vertex per class the full space IS the class space, so both
-    # modes must report identical eigenpair overlaps
-    argv = [
-        "overlaps",
-        "--n1", "2", "--n2", "2", "--k1", "1", "--k2", "1",
-        "--walk", "signless", "--probe", "s",
-        "--gamma-min", "0.05", "--gamma-max", "0.3", "--gamma-count", "5",
-    ]
-    code, out_reduced, _ = run_cli(capsys, argv + ["--mode", "reduced"])
-    assert code == 0
-    code, out_full, _ = run_cli(capsys, argv + ["--mode", "full"])
-    assert code == 0
-    _, reduced = parse_floats(out_reduced)
-    _, full = parse_floats(out_full)
-    assert np.max(np.abs(reduced - full)) <= 1e-9
+    # with at most one vertex per class the full space IS the class space,
+    # so both modes must report identical eigenpair overlaps; an empty class
+    # adds no level in either mode
+    grid = ["--probe", "s", "--gamma-min", "0.05", "--gamma-max", "0.3", "--gamma-count", "5"]
+    for layout in ((2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1), (1, 1, 0, 1)):
+        flags = [f"--{key}={value}" for key, value in zip(("n1", "n2", "k1", "k2"), layout)]
+        for walk in ("signless", "laplacian", "adjacency"):
+            argv = ["overlaps", *flags, "--walk", walk, *grid]
+            code, out_reduced, _ = run_cli(capsys, argv + ["--mode", "reduced"])
+            assert code == 0
+            code, out_full, _ = run_cli(capsys, argv + ["--mode", "full"])
+            assert code == 0
+            _, reduced = parse_floats(out_reduced)
+            _, full = parse_floats(out_full)
+            assert reduced.shape == full.shape == (5 * min(4, sum(layout[:2])), 5)
+            assert np.max(np.abs(reduced - full)) <= 1e-9
+    # no left-marked vertex, so no reduced level has mass on the left class
+    for walk in ("signless", "laplacian", "adjacency"):
+        code, out, _ = run_cli(capsys, ["overlaps", "--n1", "10", "--n2", "7", "--k1", "0",
+                                        "--k2", "3", "--walk", walk, *grid])
+        assert code == 0
+        _, reduced = parse_floats(out)
+        assert reduced.shape == (15, 5)
+        assert np.all(reduced[:, 3] == 0.0)
 
 
 def test_overlaps_full_mode_reports_whole_spectrum_order(capsys):
