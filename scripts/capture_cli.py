@@ -25,9 +25,10 @@ smaller than the graph but which are not bipartite layouts); reduced and
 full ``overlaps`` over the three walks and four probes; full mode on the
 (512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma`` and
 ``overlaps``) and on K_{6,6} with two marked vertices per side, whose classes a
-and b share one cell of the search quotient and whose a and b interiors share
-a level in ``overlaps``; reduced and full ``overlaps`` on layouts with an
-empty class; and ``verify-spin``.
+and b share one cell of the sweep's quotient (``overlaps`` colours the sides
+apart); reduced and full ``overlaps`` on layouts with an empty class; reduced
+``simulate`` and ``overlaps`` on (10^9, 1000, 3, 5), where an array per vertex
+would not fit in memory; and ``verify-spin``.
 """
 
 from __future__ import annotations
@@ -141,6 +142,12 @@ def _commands() -> list[tuple[str, list[str]]]:
             rows.append((f"overlaps-{mode}-empty-class-{tag}",
                          ["overlaps", *flags, "--walk", "adjacency", "--mode", mode,
                           *SMALL_GRID]))
+    huge = ["--n1", "1000000000", "--n2", "1000", "--k1", "3", "--k2", "5"]
+    rows.append(("simulate-reduced-huge",
+                 ["simulate", *huge, "--gamma", "1e-9", "--tmax", "100", "--samples", "400"]))
+    rows.append(("overlaps-reduced-huge",
+                 ["overlaps", *huge, "--gamma-min", "5e-10", "--gamma-max", "2e-9",
+                  "--gamma-count", "8"]))
     for graph, tag in (([], "demo"), (["--graph", IRREGULAR], "irregular")):
         for ratio in ("0", "1", "-1", "0.5"):
             rows.append((f"verify-spin-{tag}-{ratio}",

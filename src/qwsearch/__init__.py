@@ -45,7 +45,6 @@ from .bipartite import (
     RuntimeTable,
     Target,
     asymptotic_eigensystem_h0,
-    class_probabilities,
     class_sizes,
     class_slices,
     closed_form_peaks,
@@ -61,7 +60,6 @@ from .bipartite import (
     reduced_hamiltonian,
     reduced_to_full,
     reduced_walk_matrix,
-    reduction_isometry,
     runtime_table,
     simulate_full,
     simulate_reduced,

@@ -2,11 +2,15 @@
 
 By symmetry, search on a complete bipartite graph confines the dynamics to
 the span of four uniform class states: left marked (a), right marked (b),
-left unmarked (c), right unmarked (d). This module builds the reduced 4x4
-operators, the three canonical initial states, the asymptotic eigensystems
-at the two critical jumping rates ``1/n1`` and ``1/n2``, the closed-form
-class probabilities, their next-order finite-size corrections, and the
-runtime comparison across the three walks.
+left unmarked (c), right unmarked (d). This module writes these classes
+down as an equitable partition in closed form, whose quotient search runs
+through the same engine (:class:`~qwsearch.evolve.SearchQuotient`) as the
+partition that colour refinement finds in the built graph. On top of it
+sit the reduced 4x4 operators, the three canonical initial states, the
+asymptotic eigensystems at the two critical jumping rates ``1/n1`` and
+``1/n2``, the closed-form class probabilities, their next-order
+finite-size corrections, and the runtime comparison across the three
+walks.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import numpy as np
 
 from .evolve import (
     EigenDecomposition,
+    SearchQuotient,
     WalkKind,
-    eig_hermitian,
     propagate,
     quotient_search,
+    walk_matrix,
 )
-from .graph import BipartiteSpec, complete_bipartite
+from .graph import BipartiteSpec, EquitablePartition, complete_bipartite
 
 __all__ = [
     "CLASS_NAMES",
@@ -38,12 +43,12 @@ __all__ = [
     "DegenerateEigensystem",
     "class_sizes",
     "class_slices",
+    "class_partition",
+    "class_quotient",
     "reduced_walk_matrix",
     "reduced_hamiltonian",
-    "reduction_isometry",
     "initial_state",
     "reduced_to_full",
-    "class_probabilities",
     "critical_gamma",
     "asymptotic_eigensystem_h0",
     "degenerate_correction",
@@ -108,67 +113,56 @@ def class_slices(spec: BipartiteSpec) -> tuple[range, range, range, range]:
     )
 
 
-def _zero_inactive(matrix: np.ndarray, spec: BipartiteSpec) -> np.ndarray:
-    """Zero rows/columns of classes with no vertices (inert coordinates)."""
-    for i, size in enumerate(class_sizes(spec)):
-        if size == 0:
-            matrix[i, :] = 0.0
-            matrix[:, i] = 0.0
-    return matrix
+def class_partition(spec: BipartiteSpec) -> EquitablePartition:
+    """The classes (a, b, c, d) of K_{n1,n2} as an equitable partition, in closed form.
+
+    The nonempty classes are the cells, in that order. Two cells on
+    opposite sides meet in ``sizes[i] sizes[j]`` arcs, two on one side in
+    none, and ``cells`` is ``None``: nothing grows with ``n``. The counts
+    are Python integers, exact also where ``n1 n2`` passes 2^63.
+    """
+    sizes = np.array(class_sizes(spec), dtype=object)
+    across = np.add.outer(range(4), range(4)) % 2  # a, c left; b, d right
+    active = np.flatnonzero(sizes)
+    arcs = (np.outer(sizes, sizes) * across)[np.ix_(active, active)]
+    return EquitablePartition(None, sizes[active], arcs)
+
+
+def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> SearchQuotient:
+    """The search from the class-basis ``state`` on :func:`class_partition`.
+
+    Its groups are the four classes (a, b, c, d); an empty class is a
+    group that no cell meets.
+    """
+    active = np.flatnonzero(class_sizes(spec))
+    return SearchQuotient(walk_matrix(class_partition(spec), walk), np.flatnonzero(active < 2),
+                          np.asarray(state, dtype=complex)[active], np.eye(4)[active])
+
+
+def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:
+    """A class-quotient matrix in the fixed (a, b, c, d) 4x4, zero on empty classes."""
+    active = np.flatnonzero(class_sizes(spec))
+    out = np.zeros((4, 4))
+    out[np.ix_(active, active)] = matrix
+    return out
 
 
 def reduced_walk_matrix(spec: BipartiteSpec, walk: WalkKind) -> np.ndarray:
-    """The walk generator restricted to the (a, b, c, d) class basis.
+    """The walk generator on the class states: :func:`class_partition`'s quotient in 4x4.
 
     The adjacency block couples each left class to each right class with
     weight ``sqrt(size_i * size_j)``; the degree part is ``diag(n2, n1,
-    n2, n1)``. Coordinates of empty classes are zeroed so the matrix keeps
-    a fixed 4x4 shape for every layout.
+    n2, n1)``.
     """
-    k1, k2 = float(spec.k1), float(spec.k2)
-    u1, u2 = float(spec.unmarked1), float(spec.unmarked2)
-    adj = np.array(
-        [
-            [0.0, math.sqrt(k1 * k2), 0.0, math.sqrt(k1 * u2)],
-            [math.sqrt(k1 * k2), 0.0, math.sqrt(k2 * u1), 0.0],
-            [0.0, math.sqrt(k2 * u1), 0.0, math.sqrt(u1 * u2)],
-            [math.sqrt(k1 * u2), 0.0, math.sqrt(u1 * u2), 0.0],
-        ]
-    )
-    deg = np.diag([float(spec.n2), float(spec.n1), float(spec.n2), float(spec.n1)])
-    if walk is WalkKind.ADJACENCY:
-        out = adj
-    elif walk is WalkKind.LAPLACIAN:
-        out = adj - deg
-    else:
-        out = adj + deg
-    return _zero_inactive(out, spec)
+    return _embedded(spec, walk_matrix(class_partition(spec), walk))
 
 
 def reduced_hamiltonian(
     spec: BipartiteSpec, walk: WalkKind, gamma: float
 ) -> np.ndarray:
-    """Reduced 4x4 search Hamiltonian ``-gamma W - diag(1, 1, 0, 0)``."""
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError("gamma must be finite and nonnegative")
-    h = -gamma * reduced_walk_matrix(spec, walk)
-    h[0, 0] -= 1.0
-    h[1, 1] -= 1.0
-    return _zero_inactive(h, spec)
-
-
-def reduction_isometry(spec: BipartiteSpec) -> np.ndarray:
-    """The ``n x 4`` isometry whose columns are the class states.
-
-    Column ``i`` is the uniform superposition over the vertices of class
-    ``i`` (zero column for an empty class). Conjugating the full search
-    Hamiltonian by this isometry reproduces the reduced matrix.
-    """
-    iso = np.zeros((spec.n, 4))
-    for col, (size, vertices) in enumerate(zip(class_sizes(spec), class_slices(spec))):
-        if size:
-            iso[list(vertices), col] = 1.0 / math.sqrt(size)
-    return iso
+    """Reduced 4x4 search Hamiltonian ``-gamma W - diag(1, 1, 0, 0)`` of :func:`class_quotient`."""
+    # the Hamiltonian does not read the state
+    return _embedded(spec, class_quotient(spec, walk, np.zeros(4)).hamiltonian(gamma))
 
 
 def initial_state(spec: BipartiteSpec, kind: InitialStateKind) -> np.ndarray:
@@ -220,27 +214,11 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
     reduced = np.asarray(reduced, dtype=complex)
     if reduced.shape != (4,):
         raise ValueError("reduced state must have four amplitudes")
-    full = np.zeros(spec.n, dtype=complex)
-    for amp, size, vertices in zip(reduced, class_sizes(spec), class_slices(spec)):
-        if size == 0:
-            if abs(amp) > 1e-12:
-                raise ValueError("nonzero amplitude on an empty vertex class")
-            continue
-        full[list(vertices)] = amp / math.sqrt(size)
-    return full
-
-
-def class_probabilities(spec: BipartiteSpec, psi_full: np.ndarray) -> np.ndarray:
-    """Probability mass of full-space states on each of the four classes.
-
-    ``psi_full`` has shape ``(..., n)``, for example one state per time
-    step; the result has shape ``(..., 4)``.
-    """
-    psi_full = np.asarray(psi_full)
-    if psi_full.shape[-1:] != (spec.n,):
-        raise ValueError("state dimension does not match the layout")
-    probs = np.abs(psi_full) ** 2
-    return np.stack([probs[..., list(r)].sum(axis=-1) for r in class_slices(spec)], axis=-1)
+    sizes = np.array(class_sizes(spec))[[0, 2, 1, 3]]  # vertex order a, c, b, d
+    amps = reduced[[0, 2, 1, 3]]
+    if np.any(np.abs(amps[sizes == 0]) > 1e-12):
+        raise ValueError("nonzero amplitude on an empty vertex class")
+    return np.repeat(amps / np.sqrt(np.maximum(sizes, 1)), sizes)
 
 
 def critical_gamma(spec: BipartiteSpec, side: CriticalSide) -> float:
@@ -711,14 +689,11 @@ def simulate_reduced(
     gamma: float,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Numeric class probabilities from the 4x4 reduced dynamics.
+    """Numeric class probabilities from the search on :func:`class_quotient`.
 
     Returns shape ``(len(times), 4)``; rows sum to one.
     """
-    h = reduced_hamiltonian(spec, walk, gamma)
-    psi0 = initial_state(spec, start)
-    states = propagate(eig_hermitian(h), psi0, times)
-    return np.abs(states) ** 2
+    return class_quotient(spec, walk, initial_state(spec, start)).masses(gamma, times)
 
 
 def simulate_full(
@@ -732,13 +707,13 @@ def simulate_full(
 
     The independent cross-check of :func:`simulate_reduced`: builds the
     whole complete bipartite graph and lets
-    :func:`~qwsearch.evolve.quotient_search` find its invariant subspace
-    by colour refinement of the edge array, not from the class formulas
-    of this module. The evolution runs in that quotient (one cell per
-    nonempty class, or per pair of classes where swapping the sides fixes
-    the layout), and each class's mass is read from the cells it meets, so
-    no array grows with ``n`` beyond the graph and the start state. Returns
-    shape ``(len(times), 4)``.
+    :func:`~qwsearch.evolve.search_quotient` find its partition by colour
+    refinement of the edge array, not from :func:`class_partition`. The
+    evolution runs in that quotient (one cell per nonempty class, or per
+    pair of classes where swapping the sides fixes the layout), and each
+    class's mass is read from the cells it meets, so no array grows with
+    ``n`` beyond the graph and the start state. Returns shape
+    ``(len(times), 4)``.
     """
     graph, marked = complete_bipartite(spec)
     psi0 = reduced_to_full(spec, initial_state(spec, start))

@@ -17,28 +17,23 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bipartite import (
     InitialStateKind,
-    class_sizes,
+    class_quotient,
     class_slices,
     initial_state,
-    reduced_hamiltonian,
     reduced_to_full,
     runtime_table,
     fastest_regime,
-    simulate_full,
-    simulate_reduced,
 )
 from .evolve import (
+    SearchQuotient,
     WalkKind,
     first_peak,
-    overlap_profile,
-    quotient_overlaps,
-    quotient_search,
+    search_quotient,
     uniform_state,
 )
 from .graph import BipartiteSpec, Graph, complete_bipartite, read_edge_list
@@ -58,9 +53,9 @@ FULL_MODE_CAP = 2000
 # copied to phase-fixed complex arrays): the walk matrix and eigenvectors
 # (16) and, while propagate evaluates it, the samples x c phase table
 # with its temporaries (32 per entry). Full overlaps runs on bipartite
-# layouts only, so it holds no dense n x n array: its cells' interiors
-# have closed-form levels. verify-spin holds its one-excitation block and
-# one candidate walk matrix (8 each).
+# layouts only and reports the quotient's levels, so it holds no dense
+# n x n array. verify-spin holds its one-excitation block and one
+# candidate walk matrix (8 each).
 SEARCH_CELL_BYTES = 56
 SPIN_CELL_BYTES = 16
 DEFAULT_SAMPLES = 2000
@@ -293,29 +288,35 @@ def _full_search(cfg: RunConfig) -> tuple[Graph, frozenset[int]]:
     return graph, cfg.marked if cfg.marked is not None else frozenset({0})
 
 
-def _success_curves(
-    cfg: RunConfig, gammas: Sequence[float], times: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Success-probability curve over ``times`` for each gamma, in order.
+def _layout_quotient(cfg: RunConfig, state: np.ndarray, sides: bool = False) -> SearchQuotient:
+    """The layout's search from the class-basis ``state``, groups the classes (a, b, c, d).
 
-    Full-space runs evolve, per gamma, only the quotient of the search
-    (:func:`~qwsearch.evolve.quotient_search`: 4x4 on a bipartite layout)
-    and read the mass of the marked set from it.
+    ``--mode`` chooses only where the partition comes from: reduced mode
+    writes the class partition down
+    (:func:`~qwsearch.bipartite.class_quotient`), full mode builds the
+    graph and refines the marked set and the state on it
+    (:func:`~qwsearch.evolve.search_quotient`), with ``sides`` also the
+    classes a and b. Both give the same quotient, up to the cell order.
     """
     spec = cfg.spec
-    if spec is not None and cfg.mode == "reduced":
-        for gamma in gammas:
-            probs = simulate_reduced(spec, cfg.walk, cfg.init, float(gamma), times)
-            yield probs[:, 0] + probs[:, 1]
-        return
+    if cfg.mode == "reduced":
+        return class_quotient(spec, cfg.walk, state)
     graph, marked = _full_search(cfg)
-    if spec is not None:
-        psi0 = reduced_to_full(spec, initial_state(spec, cfg.init))
-    else:
-        psi0 = uniform_state(graph.n)
-    masses = quotient_search(graph, cfg.walk, marked, psi0, [sorted(marked)])
-    for gamma in gammas:
-        yield masses(gamma, times)[:, 0]
+    classes = class_slices(spec)
+    psi0 = reduced_to_full(spec, state)
+    return search_quotient(graph, cfg.walk, marked, psi0, classes, classes[:2] if sides else ())
+
+
+def _search(cfg: RunConfig) -> SearchQuotient:
+    """The quotient that ``simulate`` and ``sweep-gamma`` evolve, built once per command.
+
+    Its groups are the classes (a, b, c, d) of a layout, or the marked set
+    of an edge list.
+    """
+    if cfg.spec is not None:
+        return _layout_quotient(cfg, initial_state(cfg.spec, cfg.init))
+    graph, marked = _full_search(cfg)
+    return search_quotient(graph, cfg.walk, marked, uniform_state(graph.n), [sorted(marked)])
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +329,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.spec is None and cfg.graph_path is None:
         raise UsageError("simulate needs a bipartite layout or --graph")
     times = _time_grid(cfg)
-    gamma = float(cfg.gamma)
-    lines: list[str] = []
-    if cfg.spec is not None:
-        if cfg.mode == "reduced":
-            probs = simulate_reduced(cfg.spec, cfg.walk, cfg.init, gamma, times)
-        else:
-            _check_full_cap(cfg.spec.n, SEARCH_CELL_BYTES)
-            probs = simulate_full(cfg.spec, cfg.walk, cfg.init, gamma, times)
-        lines.append("t,p_success,p_a,p_b,p_c,p_d")
-        for t, row in zip(times, probs):
-            p_success = row[0] + row[1]
-            fields = [_fmt(t), _fmt(p_success)] + [_fmt(x) for x in row]
-            lines.append(",".join(fields))
+    masses = _search(cfg).masses(float(cfg.gamma), times)
+    if cfg.spec is None:
+        lines = ["t,p_success"] + [f"{_fmt(t)},{_fmt(p)}" for t, p in zip(times, masses[:, 0])]
     else:
-        (curve,) = _success_curves(cfg, [gamma], times)
-        lines.append("t,p_success")
-        for t, p in zip(times, curve):
-            lines.append(f"{_fmt(t)},{_fmt(p)}")
+        lines = ["t,p_success,p_a,p_b,p_c,p_d"]
+        for t, row in zip(times, masses):
+            lines.append(",".join(_fmt(x) for x in (t, row[0] + row[1], *row)))
     _emit(lines, cfg.out)
     return 0
 
@@ -356,8 +346,12 @@ def cmd_sweep_gamma(cfg: RunConfig) -> int:
     gammas = _gamma_grid(cfg)
     times = _time_grid(cfg)
     lines = ["gamma,t_peak,p_peak"]
-    for gamma, curve in zip(gammas, _success_curves(cfg, gammas, times)):
-        t_peak, p_peak = first_peak(times, curve)
+    search = _search(cfg)
+    # one group holds the success: classes a and b of a layout, or an edge
+    # list's marked set, so only the marked cells are propagated
+    search = search._replace(shares=search.shares[:, :2].sum(axis=1, keepdims=True))
+    for gamma in gammas:
+        t_peak, p_peak = first_peak(times, search.masses(gamma, times)[:, 0])
         lines.append(f"{_fmt(gamma)},{_fmt(t_peak)},{_fmt(p_peak)}")
     _emit(lines, cfg.out)
     return 0
@@ -380,35 +374,17 @@ def _probe_state(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_overlaps(cfg: RunConfig) -> int:
-    """Overlap rows of the four lowest levels per gamma.
+    """Overlap rows of the search's four lowest levels per gamma.
 
-    Reduced mode diagonalises the class model on the layout's nonempty
-    classes, so an empty class adds no level. Full mode builds the
-    graph and reads the whole Hamiltonian's rows from the ``c x c``
-    quotient of the search plus the closed-form levels inside its cells
-    (:func:`~qwsearch.evolve.quotient_overlaps`), so no ``n x n`` matrix
-    is formed. Both go through :func:`~qwsearch.evolve.overlap_profile`.
+    The levels are those of the quotient of the search's partition, read
+    with :meth:`~qwsearch.evolve.SearchQuotient.levels`: the class model
+    on the layout's nonempty classes, in both modes, so an empty class adds
+    no level and no ``n x n`` matrix is formed.
     """
     if cfg.spec is None:
         raise UsageError("overlaps needs a bipartite layout")
     gammas = _gamma_grid(cfg)
-    spec = cfg.spec
-    probe = _probe_state(cfg)
-    if cfg.mode == "reduced":
-        active = np.flatnonzero(class_sizes(spec))
-        block = np.ix_(active, active)
-        rows = overlap_profile(
-            lambda gamma: reduced_hamiltonian(spec, cfg.walk, gamma)[block],
-            gammas,
-            probe[active],
-            left_marked=np.flatnonzero(active == 0),
-            right_marked=np.flatnonzero(active == 1),
-        )
-    else:
-        graph, marked = _full_search(cfg)
-        left, right = class_slices(spec)[:2]
-        probe = reduced_to_full(spec, probe)
-        rows = quotient_overlaps(graph, cfg.walk, marked, probe, left, right, gammas)
+    rows = _layout_quotient(cfg, _probe_state(cfg), sides=True).levels(gammas)
     lines = ["gamma,n,S_n,L_n,R_n"]
     for row in rows:
         lines.append(
@@ -512,8 +488,12 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--walk", choices=sorted(_WALKS), default="signless")
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value file; flags override it")
+
+
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
     p.add_argument("--out", help="CSV output path (default: stdout)")
 
 
@@ -565,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-max", dest="sweep_max", type=int)
 
     p = sub.add_parser("verify-spin", help="certify the spin-network walk class")
-    _add_io_flags(p)
+    _add_config_flag(p)
     p.add_argument("--graph", help="edge-list file (default: builtin demo graph)")
     p.add_argument("--jz-ratio", dest="jz_ratio", type=float)
     p.add_argument("--gamma", type=float)

@@ -24,6 +24,8 @@ __all__ = [
     "walk_matrix",
     "search_hamiltonian",
     "eig_hermitian",
+    "SearchQuotient",
+    "search_quotient",
     "quotient_search",
     "quotient_overlaps",
     "propagate",
@@ -65,9 +67,16 @@ class SearchInstance:
             raise ValueError("marked set must be nonempty")
         if any(not (0 <= i < self.graph.n) for i in self.marked):
             raise ValueError("marked vertex out of range")
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError("gamma must be finite and nonnegative")
+        _checked_gamma(self.gamma)
         object.__setattr__(self, "marked", frozenset(int(i) for i in self.marked))
+
+
+def _checked_gamma(gamma: float) -> float:
+    """``gamma`` as a float; ``ValueError`` unless it is finite and nonnegative."""
+    gamma = float(gamma)
+    if not np.isfinite(gamma) or gamma < 0:
+        raise ValueError("gamma must be finite and nonnegative")
+    return gamma
 
 
 def walk_matrix(g: Graph | EquitablePartition, kind: WalkKind) -> np.ndarray:
@@ -92,7 +101,8 @@ def _quotient_walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarra
     # filled only where cells touch: a discrete partition has about 2m of n^2
     rows, cols = np.nonzero(part.arcs)
     out = np.zeros(part.arcs.shape)
-    out[rows, cols] = part.arcs[rows, cols] / np.sqrt(part.sizes[rows] * part.sizes[cols])
+    pairs = (part.sizes[rows] * part.sizes[cols]).astype(float)
+    out[rows, cols] = part.arcs[rows, cols] / np.sqrt(pairs)
     if kind is not WalkKind.ADJACENCY:
         degrees = (part.arcs.sum(axis=1) // part.sizes).astype(float)
         if kind is WalkKind.LAPLACIAN:
@@ -116,7 +126,7 @@ def search_hamiltonian(inst: SearchInstance, w: np.ndarray | None = None) -> np.
     return _oracle_shifted(inst.gamma, w, sorted(inst.marked))
 
 
-def _oracle_shifted(gamma: float, w: np.ndarray, marked: list[int]) -> np.ndarray:
+def _oracle_shifted(gamma: float, w: np.ndarray, marked: np.ndarray | list[int]) -> np.ndarray:
     """``-gamma * w`` with 1 subtracted at each ``marked`` diagonal entry."""
     h = -gamma * w
     h[marked, marked] -= 1.0
@@ -162,35 +172,42 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(*np.linalg.eigh(h))
 
 
-def _search_quotient(
-    graph: Graph,
-    walk: WalkKind,
-    marked: Iterable[int],
-    psi0: np.ndarray,
-    colours: Sequence[np.ndarray] = (),
-) -> tuple[frozenset[int], EquitablePartition, np.ndarray, list[int], np.ndarray]:
-    """Set-up shared by :func:`quotient_search` and :func:`quotient_overlaps`.
+class SearchQuotient(NamedTuple):
+    """A search on the normalised cell states of an equitable partition.
 
-    Checks the marked set as :class:`SearchInstance` does and the shape of
-    ``psi0``, then finds the coarsest equitable partition on which the
-    marked set, ``psi0`` and each extra per-vertex column of ``colours``
-    are constant. Returns the checked marked set, the partition, its
-    quotient walk matrix, the cells holding marked vertices and the
-    quotient state ``q0[i] = sqrt(|cell i|) psi0[v_i]`` (``v_i`` the first
-    vertex of cell ``i``).
+    ``walk`` is the partition's ``c x c`` quotient walk matrix, ``marked``
+    the cells of the marked vertices, ``state`` the start (or probe) on the
+    cell states and ``shares[i, g]`` the fraction of cell ``i``'s vertices
+    in group ``g``. :func:`search_quotient` finds it by refining a graph,
+    :func:`~qwsearch.bipartite.class_quotient` writes it down for a
+    complete bipartite layout; nothing in it grows with the vertex count.
     """
-    marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (graph.n,):
-        raise ValueError("state dimension does not match the graph")
-    is_marked = np.zeros(graph.n)
-    is_marked[sorted(marked)] = 1.0
-    keys = np.stack([is_marked, psi0.real, psi0.imag, *colours], axis=1)
-    part = equitable_partition(graph, keys)
-    marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
-    _, first = np.unique(part.cells, return_index=True)
-    q0 = np.sqrt(part.sizes.astype(float)) * psi0[first]
-    return marked, part, walk_matrix(part, walk), marked_cells, q0
+
+    walk: np.ndarray
+    marked: np.ndarray
+    state: np.ndarray
+    shares: np.ndarray
+
+    def hamiltonian(self, gamma: float) -> np.ndarray:
+        """The quotient search Hamiltonian ``-gamma W_q - M_q``."""
+        return _oracle_shifted(_checked_gamma(gamma), self.walk, self.marked)
+
+    def masses(self, gamma: float, times: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Mass of each group at each time, shape ``(len(times), groups)``.
+
+        The state is uniform on every cell, so group ``g`` holds ``sum_i
+        |q_i(t)|^2 shares[i, g]``, also where a group takes part of a cell.
+        Only the cells that meet a group are propagated.
+        """
+        touched = np.flatnonzero(self.shares.any(axis=1))
+        decomp = eig_hermitian(self.hamiltonian(gamma))
+        probs = np.abs(propagate(decomp, self.state, times, rows=touched)) ** 2
+        return probs @ self.shares[touched]
+
+    def levels(self, gammas: Sequence[float]) -> list[OverlapRow]:
+        """:func:`overlap_profile` of the quotient; groups 0 and 1 are its sides."""
+        left, right = (np.flatnonzero(self.shares[:, g]) for g in (0, 1))
+        return overlap_profile(self.hamiltonian, gammas, self.state, left, right)
 
 
 def _group_vertices(group: Iterable[int], n: int) -> np.ndarray:
@@ -199,6 +216,46 @@ def _group_vertices(group: Iterable[int], n: int) -> np.ndarray:
     if vertices.size and (vertices[0] < 0 or vertices[-1] >= n):
         raise ValueError("row index out of range")
     return vertices
+
+
+def search_quotient(
+    graph: Graph,
+    walk: WalkKind,
+    marked: Iterable[int],
+    psi0: np.ndarray,
+    groups: Sequence[Iterable[int]],
+    colours: Sequence[Iterable[int]] = (),
+) -> SearchQuotient:
+    """The quotient of a search on ``graph``, found by colour refinement.
+
+    Search from ``psi0`` stays in the span of the normalised cell states of
+    the coarsest equitable partition of ``graph`` on which the marked set,
+    ``psi0`` and membership of each vertex group in ``colours`` are
+    constant (Godsil & Royle, *Algebraic Graph Theory*, ch. 9). On
+    K_{n1,n2} its cells are the nonempty vertex classes, or half of them
+    when swapping the sides fixes the search and no colour tells the sides
+    apart. A graph without symmetry gets the discrete partition, whose
+    quotient is the search Hamiltonian itself. The start on the cells is
+    ``q0[i] = sqrt(|cell i|) psi0[v_i]`` (``v_i`` any vertex of cell
+    ``i``). The marked set is checked as by :class:`SearchInstance`, with
+    its messages, and the vertices of ``groups`` and ``colours`` as the
+    ``rows`` of :func:`propagate`.
+    """
+    marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (graph.n,):
+        raise ValueError("state dimension does not match the graph")
+    keys = [np.isin(np.arange(graph.n), _group_vertices(c, graph.n)) for c in colours]
+    keys.append(np.isin(np.arange(graph.n), sorted(marked)))
+    part = equitable_partition(graph, np.stack([*keys, psi0.real, psi0.imag], axis=1))
+    sizes = part.sizes.astype(float)
+    shares = np.zeros((sizes.size, len(groups)))
+    for g, group in enumerate(groups):
+        shares[:, g] = np.bincount(part.cells[_group_vertices(group, graph.n)],
+                                   minlength=sizes.size) / sizes
+    _, first = np.unique(part.cells, return_index=True)
+    return SearchQuotient(walk_matrix(part, walk), np.unique(part.cells[sorted(marked)]),
+                          np.sqrt(sizes) * psi0[first], shares)
 
 
 def quotient_search(
@@ -210,39 +267,14 @@ def quotient_search(
 ) -> Callable[[float, Sequence[float] | np.ndarray], np.ndarray]:
     """Probability mass of each vertex group along a search, evolved in its quotient.
 
-    Search from ``psi0`` stays in the span of the normalised cell states of
-    the coarsest equitable partition of ``graph`` on which the marked set
-    and ``psi0`` are constant (Godsil & Royle, *Algebraic Graph Theory*,
-    ch. 9): on K_{n1,n2} these are the four vertex classes, or two when
-    swapping the sides fixes the search. The partition, the ``c x c``
-    quotient walk matrix and the start ``q0[i] = sqrt(|cell i|) psi0[v_i]``
-    (``v_i`` any vertex of cell ``i``) are built once here. The returned
-    function ``masses(gamma, times)`` diagonalises the quotient search
-    Hamiltonian ``-gamma W_q - M_q`` with :func:`eig_hermitian`, evolves
-    ``q0`` with :func:`propagate` on the cells that meet a group, and
-    returns shape ``(len(times), len(groups))``. The state is uniform on
-    every cell, so group ``g`` holds ``sum_i |q_i(t)|^2 |g & cell i| /
-    |cell i|``, also where a group takes part of a cell. Nothing of size
-    ``n x c`` is formed. A graph without symmetry gets the discrete
-    partition, whose quotient is the search Hamiltonian itself. The marked
-    set and gamma are checked as by :class:`SearchInstance`, with its
-    messages, and group vertices as the ``rows`` of :func:`propagate`.
+    The partition and quotient walk matrix of :func:`search_quotient` are
+    built once here. The returned ``masses(gamma, times)`` diagonalises the
+    ``c x c`` quotient search Hamiltonian with :func:`eig_hermitian` per
+    call and returns shape ``(len(times), len(groups))``
+    (:meth:`SearchQuotient.masses`); nothing of size ``n x c`` is formed.
+    Gamma is checked as by :class:`SearchInstance`.
     """
-    marked, part, w, marked_cells, q0 = _search_quotient(graph, walk, marked, psi0)
-    sizes = part.sizes.astype(float)
-    weights = np.zeros((sizes.size, len(groups)))
-    for g, group in enumerate(groups):
-        vertices = _group_vertices(group, graph.n)
-        weights[:, g] = np.bincount(part.cells[vertices], minlength=sizes.size) / sizes
-    touched = np.flatnonzero(weights.any(axis=1))
-    weights = weights[touched]
-
-    def masses(gamma: float, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        gamma = SearchInstance(walk, graph, marked, float(gamma)).gamma
-        decomp = eig_hermitian(_oracle_shifted(gamma, w, marked_cells))
-        return np.abs(propagate(decomp, q0, times, rows=touched)) ** 2 @ weights
-
-    return masses
+    return search_quotient(graph, walk, marked, psi0, groups).masses
 
 
 def quotient_overlaps(
@@ -254,43 +286,17 @@ def quotient_overlaps(
     right: Iterable[int],
     gammas: Sequence[float],
 ) -> list[OverlapRow]:
-    """:func:`overlap_profile` of the whole search Hamiltonian, from its quotient.
+    """:func:`overlap_profile` of the search's own levels, from its quotient.
 
-    The partition is that of :func:`quotient_search` (``probe`` in the
+    The partition is that of :func:`search_quotient` (``probe`` in the
     start state's place), coloured also by the ``left`` and ``right``
-    groups. Each cell must be a class of twins: ``arcs[i, i] == 0`` and
-    each ``arcs[i, j]`` is 0 or ``sizes[i] sizes[j]``, checked exactly
-    (``ValueError`` names the first cell that fails); every cell of a
-    complete bipartite layout is. Then each vector on cell ``i`` that sums
-    to zero there is an eigenvector of ``H = -gamma W - M`` at the
-    quotient's ``h_q[i, i]`` (``-m_i``, ``gamma d_i - m_i`` or ``-gamma
-    d_i - m_i`` for the adjacency, Laplacian and signless walks), with
-    multiplicity ``|cell i| - 1``, probe overlap 0 and mass 1 on the group
-    that holds the cell. With the quotient's eigenvectors they span the
-    whole space, so each gamma diagonalises only the ``c x c`` quotient and
-    nothing of size ``n x n`` is formed. Exactly tied levels take the
-    quotient's eigenvectors first, then the interiors by cell (the cell of
-    the smallest vertex first).
+    groups, whose masses the rows report. Its quotient's levels are those
+    of the search: on a complete bipartite layout, the class model on the
+    nonempty classes. Each gamma diagonalises only the ``c x c`` quotient;
+    any graph is accepted.
     """
     sides = [_group_vertices(group, graph.n) for group in (left, right)]
-    member = [np.isin(np.arange(graph.n), vertices) for vertices in sides]
-    marked, part, w, marked_cells, q_probe = _search_quotient(
-        graph, walk, marked, probe, member
-    )
-    full = np.outer(part.sizes, part.sizes)
-    twins = (np.diag(part.arcs) == 0) & ((part.arcs == 0) | (part.arcs == full)).all(axis=1)
-    if not twins.all():
-        cell = int(np.argmin(twins))
-        raise ValueError(f"cell {cell} of the search partition is not a class of twins")
-
-    def build(gamma: float) -> np.ndarray:
-        gamma = SearchInstance(walk, graph, marked, gamma).gamma
-        return _oracle_shifted(gamma, w, marked_cells)
-
-    left_cells, right_cells = (np.unique(part.cells[vertices]) for vertices in sides)
-    return overlap_profile(
-        build, gammas, q_probe, left_cells, right_cells, interior=part.sizes - 1
-    )
+    return search_quotient(graph, walk, marked, probe, sides, sides).levels(gammas)
 
 
 def propagate(
@@ -303,7 +309,7 @@ def propagate(
 
     Uses the spectral form ``V exp(-i L t) V^dag psi0`` exactly, with one
     phase column per eigenvalue. The search commands call it on the ``c x
-    c`` quotient of :func:`quotient_search` (4x4 on a bipartite layout),
+    c`` quotient of a :class:`SearchQuotient` (4x4 on a bipartite layout),
     so the phase table is ``len(times) x c``. Pass an
     :class:`EigenDecomposition` to skip the eigensolve when ``h`` is reused.
 
@@ -399,7 +405,6 @@ def overlap_profile(
     probe: np.ndarray,
     left_marked: Sequence[int],
     right_marked: Sequence[int],
-    interior: Sequence[int] | np.ndarray = (),
 ) -> list[OverlapRow]:
     """Eigenvector overlap table across jumping rates.
 
@@ -407,20 +412,13 @@ def overlap_profile(
     diagonalized with :func:`eig_hermitian`, and the rows report the
     lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n``: ``|<probe|psi_n>|^2``,
     the probability mass of ``psi_n`` on the left- and right-marked basis
-    states, and the eigenvalue. Reduced mode passes the class model on
-    the layout's nonempty classes (4x4 at most), and these are all its
-    levels.
-
-    ``interior[i]`` more levels at ``h[i, i]`` join those of basis state
-    ``i`` (none by default). They are the cell-interior levels of
-    :func:`quotient_overlaps`, whose basis state ``i`` is the normalised
-    state of a cell: probe overlap 0, mass 1 on the side that holds ``i``
-    and 0 on the other. Levels are taken in ascending order; exactly tied
-    levels put ``h``'s eigenvectors first (in ``np.linalg.eigh``'s
-    order), then interior levels by basis state. Rows are ordered by the
-    given gamma sequence and then by ``n``; the per-gamma work items are
-    independent, so callers may parallelize them as long as they keep
-    this ordering.
+    states, and the eigenvalue. The ``overlaps`` command passes the
+    quotient of the search's partition (:meth:`SearchQuotient.levels`):
+    on a bipartite layout, the class model on the nonempty classes, 4x4
+    at most. Exactly tied levels keep ``np.linalg.eigh``'s order. Rows are
+    ordered by the given gamma sequence and then by ``n``; the per-gamma
+    work items are independent, so callers may parallelize them as long as
+    they keep this ordering.
     """
     gammas = list(gammas)
     if not gammas:
@@ -430,29 +428,12 @@ def overlap_profile(
         raise ValueError("probe state must be normalized")
     left = np.array([int(i) for i in left_marked], dtype=np.intp)
     right = np.array([int(i) for i in right_marked], dtype=np.intp)
-    # the basis state of each interior level, at most as many per state as rows
-    extra = np.minimum(np.asarray(interior, dtype=np.intp), OVERLAP_EIGENVECTORS)
-    states = np.repeat(np.arange(extra.size), extra)
     rows: list[OverlapRow] = []
     for gamma in map(float, gammas):
-        h = build_hamiltonian(gamma)
-        decomp = eig_hermitian(h)
-        dim, levels = decomp.dim, decomp.eigenvalues
-        order: Iterable[int] = range(min(OVERLAP_EIGENVECTORS, dim))
-        if states.size:
-            levels = np.concatenate([levels, h[states, states].real])
-            order = np.argsort(levels, kind="stable")[:OVERLAP_EIGENVECTORS]
-        for n, k in enumerate(order):
-            if k < dim:
-                vec = decomp.eigenvectors[:, k]
-                s_overlap = float(np.abs(np.vdot(probe, vec)) ** 2)
-                left_overlap = float(np.sum(np.abs(vec[left]) ** 2))
-                right_overlap = float(np.sum(np.abs(vec[right]) ** 2))
-            else:
-                state = states[k - dim]
-                s_overlap = 0.0
-                left_overlap, right_overlap = float(state in left), float(state in right)
-            rows.append(
-                OverlapRow(gamma, n, s_overlap, left_overlap, right_overlap, float(levels[k]))
-            )
+        decomp = eig_hermitian(build_hamiltonian(gamma))
+        for n in range(min(OVERLAP_EIGENVECTORS, decomp.dim)):
+            vec = decomp.eigenvectors[:, n]
+            masses = (float(np.sum(np.abs(vec[side]) ** 2)) for side in (left, right))
+            s_overlap = float(np.abs(np.vdot(probe, vec)) ** 2)
+            rows.append(OverlapRow(gamma, n, s_overlap, *masses, float(decomp.eigenvalues[n])))
     return rows

@@ -246,14 +246,16 @@ class EquitablePartition:
     """A partition of a graph's vertices in which neighbour counts are per cell.
 
     ``cells[v]`` is the cell of vertex ``v``, cells numbered in the order of
-    their smallest vertex; ``sizes[i]`` is the vertex count of cell ``i``;
-    ``arcs[i, j]`` counts the edges between cells ``i`` and ``j``, from each
-    end (so ``arcs`` is symmetric and an edge inside a cell counts twice).
+    their smallest vertex (``None`` for a partition written down in closed
+    form, which holds no per-vertex array); ``sizes[i]`` is the vertex
+    count of cell ``i``; ``arcs[i, j]`` counts the edges between cells ``i``
+    and ``j``, from each end (so ``arcs`` is symmetric and an edge inside a
+    cell counts twice).
     Equitable means that every vertex of cell ``i`` has exactly
     ``arcs[i, j] / sizes[i]`` neighbours in cell ``j``.
     """
 
-    cells: np.ndarray
+    cells: np.ndarray | None
     sizes: np.ndarray
     arcs: np.ndarray
 

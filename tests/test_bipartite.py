@@ -13,7 +13,7 @@ from qwsearch.bipartite import (
     InitialStateKind,
     Target,
     asymptotic_eigensystem_h0,
-    class_probabilities,
+    class_partition,
     class_sizes,
     class_slices,
     closed_form_peaks,
@@ -29,16 +29,21 @@ from qwsearch.bipartite import (
     reduced_hamiltonian,
     reduced_to_full,
     reduced_walk_matrix,
-    reduction_isometry,
     runtime_table,
     simulate_full,
     simulate_reduced,
 )
 from qwsearch.evolve import SearchInstance, WalkKind, eig_hermitian, search_hamiltonian
-from qwsearch.graph import BipartiteSpec, complete_bipartite
+from qwsearch.graph import BipartiteSpec, complete_bipartite, equitable_partition
 
 BENCH_SPEC = BipartiteSpec(512, 256, 3, 5)
 SMALL_SPEC = BipartiteSpec(9, 5, 4, 2)
+
+
+def class_probabilities(spec, psi_full):
+    """Probability mass of full-space states ``(..., n)`` on each class, ``(..., 4)``."""
+    probs = np.abs(np.asarray(psi_full)) ** 2
+    return np.stack([probs[..., list(r)].sum(axis=-1) for r in class_slices(spec)], axis=-1)
 
 
 def _brute_isometry(spec):
@@ -87,8 +92,71 @@ def test_all_marked_layout_collapses_to_marked_block():
     assert h[0, 1] == pytest.approx(-0.2 * math.sqrt(12))
 
 
-def test_reduction_isometry_matches_brute_force():
-    assert np.array_equal(reduction_isometry(SMALL_SPEC), _brute_isometry(SMALL_SPEC))
+def _in_refined_order(spec, merge=False):
+    """Sizes and arcs of :func:`class_partition` in the refined cell order a, c, b, d.
+
+    With ``merge``, classes a with b and c with d are one cell each, as
+    where swapping the sides fixes the search.
+    """
+    closed = class_partition(spec)
+    active = np.flatnonzero(class_sizes(spec))
+    cells = np.zeros((4, 4), dtype=np.int64)  # class -> cell incidence
+    for cell, cls in enumerate(c for c in (0, 2, 1, 3) if c in active):
+        cells[cls, cell] = 1
+    if merge:
+        cells = np.zeros((4, 4), dtype=np.int64)
+        cells[[0, 1], 0 if spec.k1 else 1] = 1
+        cells[[2, 3], 1 if spec.k1 else 0] = 1
+    cells = cells[active][:, cells[active].any(axis=0)]
+    return cells.T @ closed.sizes, cells.T @ closed.arcs @ cells
+
+
+# a fifth of the layouts are swap-symmetric: (n, n, k, k)
+_SYMMETRIC_SPECS = st.integers(1, 24).flatmap(
+    lambda n: st.integers(1, n).map(lambda k: BipartiteSpec(n, n, k, k))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(*[bipartite_specs(max_side=24)] * 4, _SYMMETRIC_SPECS), st.data())
+def test_refined_layout_partition_is_the_class_partition(spec, data):
+    # exact, in integers: colour refinement of the built graph finds the
+    # closed-form class partition
+    graph, marked = complete_bipartite(spec)
+    vertices = np.arange(spec.n)
+    is_marked = np.isin(vertices, sorted(marked))
+    # overlaps colouring: marked set, probe and the sides a and b
+    probes = [initial_state(spec, InitialStateKind.UNIFORM),
+              initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR),
+              *np.eye(4, dtype=complex)[[i for i in (0, 1) if class_sizes(spec)[i]]]]
+    psi = reduced_to_full(spec, data.draw(st.sampled_from(probes)))
+    sides = [np.isin(vertices, list(r)) for r in class_slices(spec)[:2]]
+    refined = equitable_partition(graph, np.stack([is_marked, psi.real, psi.imag, *sides], 1))
+    sizes, arcs = _in_refined_order(spec)
+    assert np.array_equal(refined.sizes, sizes)
+    assert np.array_equal(refined.arcs, arcs)
+    # sweep colouring: marked set and start; a swap-symmetric search merges
+    # a with b and c with d
+    start = initial_state(spec, data.draw(st.sampled_from(list(InitialStateKind))))
+    psi = reduced_to_full(spec, start)
+    refined = equitable_partition(graph, np.stack([is_marked, psi.real, psi.imag], 1))
+    symmetric = (spec.n1, spec.k1) == (spec.n2, spec.k2)
+    if symmetric:
+        assert np.array_equal(start, start[[1, 0, 3, 2]])
+    sizes, arcs = _in_refined_order(spec, merge=symmetric)
+    assert np.array_equal(refined.sizes, sizes)
+    assert np.array_equal(refined.arcs, arcs)
+
+
+def test_class_partition_counts_past_int64():
+    # n1 n2 = 1.2e19 arcs between the sides: int64 arithmetic would wrap
+    spec = BipartiteSpec(4 * 10**9, 3 * 10**9, 3, 5)
+    part = class_partition(spec)
+    assert part.cells is None
+    assert part.arcs.sum() == 2 * spec.n1 * spec.n2
+    w = reduced_walk_matrix(spec, WalkKind.SIGNLESS_LAPLACIAN)
+    assert np.diag(w).tolist() == [spec.n2, spec.n1, spec.n2, spec.n1]
+    assert w[2, 3] == pytest.approx(math.sqrt(spec.unmarked1 * spec.unmarked2), rel=1e-15)
 
 
 def test_reduced_hamiltonian_rejects_bad_gamma():
@@ -150,6 +218,9 @@ def test_reduced_to_full_round_trip_is_identity():
     amps /= np.linalg.norm(amps)
     full = reduced_to_full(SMALL_SPEC, amps)
     assert np.allclose(iso.T @ full, amps, atol=1e-14)
+    # the per-class loop it replaced, bit for bit
+    for amp, size, vertices in zip(amps, class_sizes(SMALL_SPEC), class_slices(SMALL_SPEC)):
+        assert np.array_equal(full[list(vertices)], np.full(size, amp / math.sqrt(size)))
 
 
 def test_reduced_to_full_rejects_amplitude_on_empty_class():

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -7,8 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import bipartite_specs
 from qwsearch import cli, spin_network
+from qwsearch.bipartite import class_quotient, class_sizes
 from qwsearch.cli import SEARCH_CELL_BYTES, SPIN_CELL_BYTES, main
 from qwsearch.evolve import (
     SearchInstance,
@@ -217,6 +223,16 @@ def test_verify_spin_exit_codes(capsys):
     assert "result=FAIL" in out
 
 
+def test_verify_spin_has_no_out_flag(capsys, tmp_path):
+    # it prints key=value lines to stdout, not a CSV
+    out = tmp_path / "x.txt"
+    argv = ["verify-spin", "--jz-ratio", "-1", "--gamma", "0.3", "--out", str(out)]
+    code, stdout, err = run_cli(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("usage error: ") and "--out" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -297,6 +313,36 @@ def test_full_simulate_memory_does_not_grow_with_samples_times_n(capsys, tmp_pat
     _, reduced = parse_floats((tmp_path / "reduced.csv").read_text())
     assert full.shape == (20000, 6)
     assert np.max(np.abs(full - reduced)) <= 1e-9
+
+
+def test_reduced_mode_stays_constant_in_n(capsys, monkeypatch):
+    # (10^9, 1000, 3, 5): a per-vertex array would hold 8 GB, so reduced
+    # mode must neither build the graph nor refine a partition of it
+    def refuse(original):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{original.__name__} called in reduced mode")
+
+        return refused
+
+    for name in ("complete_bipartite", "equitable_partition"):
+        _patch_everywhere(monkeypatch, "graph", name, refuse)
+    layout = ["--n1", "1000000000", "--n2", "1000", "--k1", "3", "--k2", "5"]
+    for argv, rows in (
+        (["simulate", "--gamma", "1e-9", "--tmax", "100"], 2000),
+        (["sweep-gamma", "--gamma-min", "5e-10", "--gamma-max", "2e-9", "--gamma-count", "20"],
+         20),
+        (["overlaps", "--gamma-min", "5e-10", "--gamma-max", "2e-9", "--gamma-count", "4"], 16),
+    ):
+        tracemalloc.start()
+        try:
+            code = main([argv[0], *layout, *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        assert len(out.splitlines()) == 1 + rows
+        assert peak < 4 * 2**20, (argv[0], peak)
 
 
 @pytest.mark.parametrize(
@@ -687,9 +733,40 @@ def test_overlaps_full_mode_matches_reduced_on_singleton_classes(capsys):
         assert np.all(reduced[:, 3] == 0.0)
 
 
-def test_overlaps_full_mode_reports_whole_spectrum_order(capsys):
-    # with multi-vertex classes the full spectrum interleaves eigenvectors
-    # that are antisymmetric inside a class; they carry no probe overlap
+def _main_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return parse_floats(out.getvalue())[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartite_specs(max_side=12), st.sampled_from(["signless", "laplacian", "adjacency"]),
+       st.sampled_from(["s", "sq", "ml", "mr"]), st.floats(0.0, 3.0, exclude_min=True))
+def test_overlaps_full_mode_matches_reduced_row_by_row(spec, walk, probe, gamma):
+    # both modes report the levels of the search's quotient. Levels closer
+    # than 1e-3 of the Hamiltonian's scale (at gamma -> 0 the pairs a, b and
+    # c, d close up) have no well-conditioned eigenvectors, so such a run of
+    # rows is compared by its sums, which do not depend on the basis eigh
+    # picks; every other row is compared on its own
+    assume(probe not in ("ml", "mr") or class_sizes(spec)[probe == "mr"])
+    layout = [f"--{key}={getattr(spec, key)}" for key in ("n1", "n2", "k1", "k2")]
+    argv = ["overlaps", *layout, "--walk", walk, "--probe", probe, "--gamma", repr(gamma)]
+    reduced = _main_output([*argv, "--mode", "reduced"])
+    full = _main_output([*argv, "--mode", "full"])
+    assert reduced.shape == full.shape == (sum(size > 0 for size in class_sizes(spec)), 5)
+    quotient = class_quotient(spec, WalkKind(walk), np.zeros(4))
+    scale = max(1.0, float(np.max(np.abs(quotient.hamiltonian(gamma)))))
+    levels = np.linalg.eigvalsh(quotient.hamiltonian(gamma))
+    runs = np.split(np.arange(levels.size), np.flatnonzero(np.diff(levels) > 1e-3 * scale) + 1)
+    for run in runs:
+        assert np.max(np.abs(full[run].sum(axis=0) - reduced[run].sum(axis=0))) <= 1e-12
+
+
+def test_overlaps_full_mode_reports_the_search_levels(capsys):
+    # with multi-vertex classes the rows are still the four class levels of
+    # the search: the probe lies in their span, so its overlaps sum to one
     code, out, _ = run_cli(
         capsys,
         [
@@ -704,7 +781,7 @@ def test_overlaps_full_mode_reports_whole_spectrum_order(capsys):
     for gamma in np.unique(data[:, 0]):
         block = data[data[:, 0] == gamma]
         assert block.shape[0] == 4
-        assert np.sum(block[:, 2]) <= 1.0 + 1e-10
+        assert np.sum(block[:, 2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlaps_requires_layout(capsys, tmp_path):
@@ -913,8 +990,8 @@ def test_config_keys_of_other_subcommands_are_accepted_and_ignored(capsys, tmp_p
 
 
 def test_config_accepts_every_flag_name_and_nothing_else(capsys, tmp_path):
-    # verify-spin takes out, graph, jz_ratio and gamma; the other 17 keys
-    # belong to other subcommands and are ignored
+    # verify-spin takes graph, jz_ratio and gamma; the other 18 keys belong
+    # to other subcommands and are ignored
     keys = {
         "n1": "8", "n2": "4", "k1": "1", "k2": "1", "marked": "0", "walk": "laplacian",
         "init": "sq", "probe": "ml", "gamma_min": "0.1", "gamma_max": "0.2",

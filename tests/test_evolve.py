@@ -13,7 +13,6 @@ from qwsearch.bipartite import (
     initial_state,
     reduced_hamiltonian,
     reduced_to_full,
-    reduction_isometry,
     simulate_reduced,
 )
 from qwsearch.evolve import (
@@ -631,7 +630,7 @@ def test_overlap_crossings_near_critical_rates():
 
 
 # ---------------------------------------------------------------------------
-# quotient_overlaps: the whole spectrum from the quotient and the cell interiors
+# quotient_overlaps: the search's own levels, from its quotient
 
 
 def _layout_probes(spec):
@@ -645,49 +644,54 @@ def _layout_probes(spec):
     return probes
 
 
-def _layout_overlaps(spec, walk, probe, gammas):
-    """Rows of quotient_overlaps, their explicit eigenvectors and the rows' reader.
+def _overlaps_and_dense(graph, walk, marked, probe, left, right, gammas):
+    """Rows of quotient_overlaps, the dense search and the rows' reader.
 
     ``explicit(gamma)`` returns the dense Hamiltonian and ``(eigenvalue,
     unit vector)`` pairs: the eigenvectors of the search's quotient,
-    spread evenly over each cell's vertices, and for each cell of two or more
-    vertices the difference of its first two vertices, at the diagonal
-    entry of that cell's vertices.
+    spread evenly over each cell's vertices.
     """
-    graph, marked = complete_bipartite(spec)
-    probe = reduced_to_full(spec, probe)
-    left, right = (list(vertices) for vertices in class_slices(spec)[:2])
     rows = quotient_overlaps(graph, walk, marked, probe, left, right, gammas)
     w = walk_matrix(graph, walk)
-    colours = [np.isin(np.arange(spec.n), vertices) for vertices in (sorted(marked), left, right)]
+    colours = [np.isin(np.arange(graph.n), vertices) for vertices in (sorted(marked), left, right)]
     part = equitable_partition(graph, np.stack([*colours, probe.real, probe.imag], axis=1))
-    cells = [np.flatnonzero(part.cells == i) for i in range(part.sizes.size)]
-    lift = np.zeros((spec.n, len(cells)))
-    for i, vertices in enumerate(cells):
-        lift[vertices, i] = 1.0 / np.sqrt(vertices.size)
-
+    lift = np.zeros((graph.n, part.sizes.size))
+    lift[np.arange(graph.n), part.cells] = 1.0 / np.sqrt(part.sizes[part.cells])
     marked_cells = sorted({int(c) for c in part.cells[sorted(marked)]})
 
     def explicit(gamma):
         h = search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w)
-        # the quotient as the search builds it: where the quotient is
-        # degenerate, its eigenvectors are eigh's choice
         hq = -gamma * walk_matrix(part, walk)
         hq[marked_cells, marked_cells] -= 1.0
         quotient = eig_hermitian(hq)
-        pairs = list(zip(quotient.eigenvalues, (lift @ quotient.eigenvectors).T))
-        for vertices in cells:
-            if vertices.size >= 2:
-                vec = np.zeros(spec.n)
-                vec[vertices[:2]] = [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]
-                pairs.append((h[vertices[0], vertices[0]], vec))
-        return h, pairs
+        return h, list(zip(quotient.eigenvalues, (lift @ quotient.eigenvectors).T))
 
     def observables(vec):
         return (np.abs(np.vdot(probe, vec)) ** 2, np.sum(np.abs(vec[left]) ** 2),
                 np.sum(np.abs(vec[right]) ** 2))
 
     return rows, explicit, observables
+
+
+def _layout_overlaps(spec, walk, probe, gammas):
+    """:func:`_overlaps_and_dense` on the layout, its sides the classes a and b."""
+    graph, marked = complete_bipartite(spec)
+    left, right = (list(vertices) for vertices in class_slices(spec)[:2])
+    return _overlaps_and_dense(graph, walk, marked, reduced_to_full(spec, probe), left, right,
+                               gammas)
+
+
+def _assert_rows_match_simple_dense_levels(rows, explicit, observables):
+    """Each row whose level is simple in the dense spectrum is the dense eigensolve's row."""
+    for gamma in sorted({row.gamma for row in rows}):
+        reference = eig_hermitian(explicit(gamma)[0])
+        for row in (row for row in rows if row.gamma == gamma):
+            near = np.flatnonzero(np.abs(reference.eigenvalues - row.eigenvalue) <= 1e-9)
+            assert near.size == 1, row
+            want = observables(reference.eigenvectors[:, near[0]])
+            got = (row.s_overlap, row.left_overlap, row.right_overlap)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+            assert abs(row.eigenvalue - reference.eigenvalues[near[0]]) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -698,11 +702,12 @@ def test_quotient_overlaps_report_eigenpairs_of_the_dense_search(spec, walk, gam
     rows, explicit, observables = _layout_overlaps(spec, walk, probe, [gamma])
     h, pairs = explicit(gamma)
     reference = eig_hermitian(h)
-    count = min(4, spec.n)
+    # one cell per nonempty class: the class model's levels, in ascending order
+    count = min(4, sum(size > 0 for size in class_sizes(spec)))
     assert [row.n for row in rows] == list(range(count))
-    # the reported levels are the four lowest of the dense spectrum
     got = np.array([row.eigenvalue for row in rows])
-    assert np.max(np.abs(got - reference.eigenvalues[:count])) <= 1e-12
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got[:, None] - reference.eigenvalues).min(axis=1)) <= 1e-12
     scale = max(1.0, float(np.max(np.abs(h))))
     for row in rows:
         # each row is read from a unit eigenvector of the dense Hamiltonian
@@ -713,12 +718,8 @@ def test_quotient_overlaps_report_eigenpairs_of_the_dense_search(spec, walk, gam
         vec = matches[0]
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
         assert np.linalg.norm(h @ vec - row.eigenvalue * vec) <= 1e-12 * scale
-        # where no other quotient eigenvector and no other cell's interior
-        # has a level nearby, the dense eigensolve has the same row
-        nearby = sum(abs(value - row.eigenvalue) <= 1e-3 * scale for value, _ in pairs)
-        if nearby == 1:
-            dense_row = observables(reference.eigenvectors[:, row.n])
-            assert np.max(np.abs(np.subtract(dense_row, want))) <= 1e-12
+    # every probe is uniform on the classes, so the rows carry all of its weight
+    assert sum(row.s_overlap for row in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -727,52 +728,55 @@ def test_quotient_overlaps_report_eigenpairs_of_the_dense_search(spec, walk, gam
     ids=str,
 )
 def test_quotient_overlaps_match_the_dense_rows_of_the_laplacians(layout):
-    # these walks give the interiors of classes a and b different levels,
-    # so no degenerate space spans two cells and the dense rows are unique
+    # these walks give the class levels and the interiors of classes a and
+    # b different values, so each reported level is simple in the dense
+    # spectrum and its dense row is unique
     spec = BipartiteSpec(*layout)
     gammas = [0.5 / spec.n1, 1.0 / spec.n2, 0.05]
     for walk in (WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN):
         for probe in _layout_probes(spec).values():
             rows, explicit, observables = _layout_overlaps(spec, walk, probe, gammas)
-            for row in rows:
-                reference = eig_hermitian(explicit(row.gamma)[0])
-                want = observables(reference.eigenvectors[:, row.n])
-                got = (row.s_overlap, row.left_overlap, row.right_overlap)
-                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
-                assert abs(row.eigenvalue - reference.eigenvalues[row.n]) <= 1e-12
+            _assert_rows_match_simple_dense_levels(rows, explicit, observables)
 
 
 def test_quotient_overlaps_order_exact_ties():
-    # K_{6,6} with two marked vertices per side: the interiors of classes a
-    # and b share a level for every walk, and at gamma = 0 so do the class
-    # states. Tied levels take the quotient's eigenvectors first (in eigh's
-    # order, so compared as a set), then the interiors by cell: a (vertex 0)
-    # before b (vertex 6).
+    # K_{6,6} with two marked vertices per side: swapping the sides fixes
+    # the search, and at gamma = 0 the class states a and b tie, as do c
+    # and d. Tied levels keep eigh's order, so they are compared as a set;
+    # the rows are those of the reduced class model in every case.
     spec = BipartiteSpec(6, 6, 2, 2)
     uniform = initial_state(spec, InitialStateKind.UNIFORM)
+    gammas = [0.0, 0.01, 0.05, 0.15, 0.3]
     for walk in WalkKind:
-        rows, explicit, _ = _layout_overlaps(spec, walk, uniform, [0.0, 0.01, 0.05, 0.15, 0.3])
-        for gamma in (0.01, 0.05, 0.15, 0.3):
-            h = explicit(gamma)[0]
-            tied = h[0, 0]
-            assert h[6, 6] == tied
-            interior = [row[2:5] for row in rows if row.gamma == gamma and row.eigenvalue == tied]
-            assert interior == [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        rows, _, _ = _layout_overlaps(spec, walk, uniform, gammas)
+        reduced = overlap_profile(_reduced_builder(spec, walk), gammas, uniform, [0], [1])
+        assert len(rows) == len(reduced) == 4 * len(gammas)
+        for gamma in gammas:
+            got = [row for row in rows if row.gamma == gamma]
+            want = [row for row in reduced if row.gamma == gamma]
+            for value in {row.eigenvalue for row in want}:
+                tied = [row[2:] for row in got if abs(row.eigenvalue - value) <= 1e-12]
+                expected = [row[2:] for row in want if row.eigenvalue == value]
+                assert len(tied) == len(expected)
+                assert np.max(np.abs(np.subtract(sorted(tied), sorted(expected)))) <= 1e-12
         at_zero = [row for row in rows if row.gamma == 0.0]
-        assert [row.eigenvalue for row in at_zero] == [-1.0] * 4
+        assert [row.eigenvalue for row in at_zero] == [-1.0, -1.0, 0.0, 0.0]
         assert {row[3:5] for row in at_zero[:2]} == {(0.0, 1.0), (1.0, 0.0)}
-        assert [row[3:5] for row in at_zero[2:]] == [(1.0, 0.0), (0.0, 1.0)]
-        assert [row.s_overlap for row in at_zero] == pytest.approx([1 / 6, 1 / 6, 0.0, 0.0])
-        assert at_zero[2].s_overlap == at_zero[3].s_overlap == 0.0
+        assert [row[3:5] for row in at_zero[2:]] == [(0.0, 0.0), (0.0, 0.0)]
+        assert [row.s_overlap for row in at_zero] == pytest.approx([1 / 6, 1 / 6, 1 / 3, 1 / 3])
 
 
-def test_quotient_overlaps_refuse_cells_that_are_not_twins():
-    # C_30 marked at one vertex: cell {1, 29} sees only half of cell {2, 28}
+def test_quotient_overlaps_take_any_graph():
+    # C_30 marked at one vertex, with the sides {0} and {15}: cell {1, 29}
+    # sees only half of cell {2, 28}, so the cells are not classes of twins,
+    # and the rows are still eigenpairs of the dense search
     cycle = Graph(30, [(i, (i + 1) % 30) for i in range(30)])
     for walk in WalkKind:
-        with pytest.raises(ValueError, match="is not a class of twins"):
-            quotient_overlaps(cycle, walk, {0}, uniform_state(30), [0], [15], [0.1])
-    # the two ends of a three-vertex path marked in the middle are twins
+        rows, explicit, observables = _overlaps_and_dense(
+            cycle, walk, {0}, uniform_state(30), [0], [15], [0.1, 0.7]
+        )
+        assert [row.n for row in rows] == [0, 1, 2, 3] * 2
+        _assert_rows_match_simple_dense_levels(rows, explicit, observables)
     path = Graph(3, [(0, 1), (1, 2)])
     rows = quotient_overlaps(path, WalkKind.LAPLACIAN, {1}, uniform_state(3), [0], [2], [0.2])
     assert [row.n for row in rows] == [0, 1, 2]
