@@ -415,7 +415,13 @@ def overlap_profile(
     states, and the eigenvalue. The ``overlaps`` command passes the
     quotient of the search's partition (:meth:`SearchQuotient.levels`):
     on a bipartite layout, the class model on the nonempty classes, 4x4
-    at most. Exactly tied levels keep ``np.linalg.eigh``'s order. Rows are
+    at most. Exactly tied levels keep ``np.linalg.eigh``'s order. Levels
+    that split by less than ``eigh``'s accuracy (about machine epsilon
+    times the Hamiltonian's scale; on a bipartite layout, a with b and c
+    with d as gamma -> 0) are a near-degenerate pair: ``eigh`` may return
+    any basis of their span, so the rows of each level depend on the basis
+    (on the cell order, for one) and only their sums over the pair are
+    determined. Rows are
     ordered by the given gamma sequence and then by ``n``; the per-gamma
     work items are independent, so callers may parallelize them as long as
     they keep this ordering.

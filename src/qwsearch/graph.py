@@ -200,6 +200,9 @@ def read_edge_list(path: str | Path) -> Graph:
     0-based endpoints. Blank lines and trailing whitespace are ignored.
     """
     text = Path(path).read_text()
+    rows = _plain_rows(path, text)
+    if rows is not None:
+        return Graph(int(rows[0, 0]), rows[1:])
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
@@ -214,10 +217,40 @@ def read_edge_list(path: str | Path) -> Graph:
         raise ValueError(
             f"{path}: header declares {m} edges but file has {len(lines) - 1}"
         )
-    return Graph(n, _parse_edges(path, lines[1:]))
+    return Graph(n, _parse_edges(path, lines[1:], n))
 
 
-def _parse_edges(path: str | Path, body: list[str]):
+_INT64 = np.iinfo(np.int64)
+# Files of only these bytes split into lines at "\n" alone, as str.splitlines
+# splits them, so NumPy's reader sees the lines read_edge_list sees.
+_PLAIN_BYTES = b"0123456789 \t\n"
+# Below this many characters, NumPy's opening of a path costs more than the
+# line list it saves (about 2,000 edges).
+_BULK_CHARS = 1 << 14
+
+
+def _plain_rows(path: str | Path, text: str) -> np.ndarray | None:
+    """Header and edge rows of the edge list ``text`` read from ``path``, or ``None``.
+
+    A long file of plain bytes is read again by NumPy in chunks, which skips
+    blank lines. Its rows are taken only when every line holds two integers
+    and their count matches the header's ``m``. Anything else returns
+    ``None``, and the line-by-line reader gives its own result or message.
+    """
+    if len(text) < _BULK_CHARS or text.encode().translate(None, _PLAIN_BYTES):
+        return None
+    if text.isspace():  # NumPy would warn that the file holds no data
+        return None
+    try:
+        rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != 2 or rows.shape[0] - 1 != rows[0, 1]:
+        return None
+    return rows
+
+
+def _parse_edges(path: str | Path, body: list[str], n: int):
     """Endpoint pairs of the edge lines; a bad line raises naming the line."""
     if body:
         try:
@@ -235,9 +268,13 @@ def _parse_edges(path: str | Path, body: list[str]):
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed edge line {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edge = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer edge {line!r}") from exc
+        if not _INT64.min <= min(edge) <= max(edge) <= _INT64.max:
+            # past int64, so past every vertex count, and no edge array holds it
+            raise ValueError(f"{path}: edge {edge!r} out of range for n={n}")
+        edges.append(edge)
     return edges
 
 
@@ -258,12 +295,6 @@ class EquitablePartition:
     cells: np.ndarray | None
     sizes: np.ndarray
     arcs: np.ndarray
-
-
-def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions of every edge, as (source, target) arrays."""
-    u, v = np.asarray(g.edges).T
-    return np.concatenate([u, v]), np.concatenate([v, u])
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -288,16 +319,19 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
     ``colours`` holds one key per vertex, shape ``(n,)`` or ``(n, k)`` (rows
     compared exactly). Colour refinement starts from the classes of equal
     keys and splits each cell by the multiset of its vertices' neighbour
-    cells until no cell splits; each round costs one pass over the ``2m``
-    arcs, and a round that splits nothing ends it, so there are at most
-    ``n`` rounds (about ``n / 2`` on a path marked at one end). Each round
-    splits cells exactly by cell id, and compares the multisets by the top
-    bits (at least 32) of a 64-bit sum of mixed cell ids. Equal multisets
-    always agree there, so vertices that share a cell of the answer are
-    never split; the exact check of the result certifies that no two of
-    its cells were merged by a hash collision (it raises ``ValueError`` if
-    one ever were). A graph without symmetry gets the discrete partition,
-    cell ``i`` = vertex ``i``.
+    cells until no cell splits; a round that splits nothing ends it, so
+    there are at most ``n`` rounds (about ``n / 2`` on a path marked at one
+    end). Each round is one pass over the ``m`` edges as stored, with no
+    arc array and no sort longer than ``n``: the smaller ends are sorted,
+    so their sums are one ``reduceat`` over their runs, and the larger ends
+    add theirs in place. Each round splits cells exactly by cell id, and
+    compares the multisets by the top bits (at least 32) of a 64-bit sum
+    of mixed cell ids; the sums wrap, so they do not depend on the order
+    of the edges. Equal multisets always agree there, so vertices that
+    share a cell of the answer are never split; the exact check of the
+    result certifies that no two of its cells were merged by a hash
+    collision (it raises ``ValueError`` if one ever were). A graph without
+    symmetry gets the discrete partition, cell ``i`` = vertex ``i``.
     """
     keys = np.asarray(colours)
     if keys.shape[:1] != (g.n,) or keys.ndim > 2:
@@ -305,15 +339,16 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
     _, cells = np.unique(keys.reshape(g.n, -1), axis=0, return_inverse=True)
     cells = cells.reshape(g.n)
     count = int(cells.max()) + 1
-    src, dst = _arcs(g)
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    starts = np.flatnonzero(np.diff(src, prepend=-1))  # first arc of each non-isolated vertex
-    sources = src[starts]
+    u, v = np.asarray(g.edges).T
+    bounds = np.searchsorted(u, np.arange(g.n + 1))  # u == w on bounds[w] .. bounds[w+1]-1
+    heads = np.flatnonzero(np.diff(bounds))
+    starts = bounds[heads]
     mixed = _mix(np.arange(g.n))  # cell ids stay below n
-    signature = np.zeros(g.n, dtype=np.uint64)
-    while src.size:
-        signature[sources] = np.add.reduceat(mixed[cells[dst]], starts)
+    while u.size:
+        mixed_cell = mixed[cells]
+        signature = np.zeros(g.n, dtype=np.uint64)
+        signature[heads] = np.add.reduceat(mixed_cell[v], starts)
+        np.add.at(signature, v, mixed_cell[u])
         # the cell id in the high bits, the signature's top bits below it:
         # vertices of different cells never share a key
         bits = np.uint64(count.bit_length())
@@ -333,22 +368,37 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
 def _checked_partition(g: Graph, cells: np.ndarray) -> EquitablePartition:
     """The partition of ``g`` into ``cells``; ``ValueError`` unless it is equitable.
 
-    Exact integer check: each vertex's count of neighbours in each cell it
-    touches, times its cell's size, must equal the arc count between the
-    two cells. The counts of a cell's vertices then sum to that arc count
-    only if every vertex of the cell touches the other cell, so no vertex
-    can miss a cell its cell touches.
+    Exact integer check: each vertex's count of neighbours in each cell,
+    times its cell's size, must equal the arc count between the two cells,
+    which is the sum of those counts over the vertex's cell. When the
+    ``n x c`` table of the counts is no larger than the ``2m`` arcs, the
+    whole table is counted and compared, zeros included. Past that, only
+    the (vertex, neighbour cell) pairs that occur are counted, by one sort
+    of ``2m`` keys; the counts of a cell's vertices then sum to the arc
+    count only if every vertex of the cell touches the other cell, so no
+    vertex can miss a cell its cell touches. Either way the check holds
+    one ``c x c`` array and no array over the ``2m`` arcs but those keys.
     """
     cells = np.asarray(cells, dtype=np.intp)
     count = int(cells.max()) + 1
     sizes = np.bincount(cells, minlength=count)
-    src, dst = _arcs(g)
-    arcs = np.bincount(cells[src] * count + cells[dst], minlength=count * count)
-    arcs = arcs.reshape(count, count)
-    # (vertex, neighbour cell) pairs and how many arcs each carries
-    pairs, per_pair = np.unique(src * count + cells[dst], return_counts=True)
-    vertex, target = np.divmod(pairs, count)
-    own = cells[vertex]
-    if not np.array_equal(per_pair * sizes[own], arcs[own, target]):
+    u, v = np.asarray(g.edges).T
+    arcs = np.zeros((count, count), dtype=np.int64)
+    if g.n * count <= 2 * g.m:
+        per = np.bincount(u * count + cells[v], minlength=g.n * count)
+        per += np.bincount(v * count + cells[u], minlength=g.n * count)
+        per = per.reshape(g.n, count)
+        np.add.at(arcs, cells, per)
+        per *= sizes[cells, None]
+        equitable = np.array_equal(per, arcs[cells])
+    else:
+        # (vertex, neighbour cell) pairs and how many arcs each carries
+        keys = np.concatenate([u * count + cells[v], v * count + cells[u]])
+        pairs, per_pair = np.unique(keys, return_counts=True)
+        vertex, target = np.divmod(pairs, count)
+        own = cells[vertex]
+        np.add.at(arcs, (own, target), per_pair)
+        equitable = np.array_equal(per_pair * sizes[own], arcs[own, target])
+    if not equitable:
         raise ValueError("vertex partition is not equitable")
     return EquitablePartition(cells, sizes, arcs)

@@ -315,6 +315,23 @@ def test_full_simulate_memory_does_not_grow_with_samples_times_n(capsys, tmp_pat
     assert np.max(np.abs(full - reduced)) <= 1e-9
 
 
+def test_full_simulate_peak_memory_is_about_three_edge_arrays(capsys):
+    # the graph's edge array, the copy its build fills, and the refinement's
+    # few arrays over the m edges; no array over the 2m arcs
+    argv = ["simulate", *FIG_FLAGS, "--gamma", repr(1 / 512), "--mode", "full"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    edge_bytes = 512 * 256 * 2 * 8
+    assert peak <= 3 * edge_bytes
+
+
 def test_reduced_mode_stays_constant_in_n(capsys, monkeypatch):
     # (10^9, 1000, 3, 5): a per-vertex array would hold 8 GB, so reduced
     # mode must neither build the graph nor refine a partition of it

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,7 @@ def test_edge_list_accepts_what_int_accepts(tmp_path):
         ("5 1\n1.0 2\n", "non-integer edge '1.0 2'"),
         ("2 1\n0 2\n", r"edge \(0, 2\) out of range for n=2"),
         ("3 1\n1 1\n", "self-loop at vertex 1"),
+        ("5 1\n99999999999999999999 1\n", r"edge \(99999999999999999999, 1\) out of range for n=5"),
     ],
 )
 def test_edge_list_refusal_messages(tmp_path, text, message):
@@ -290,6 +292,90 @@ def test_edge_list_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         read_edge_list(path)
+
+
+def _read_line_by_line(path, text):
+    """Reference reader: the graph of an edge-list text, or its refusal message."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        return f"{path}: empty edge-list file"
+    header = lines[0].split()
+    if len(header) != 2:
+        return f"{path}: header must be 'n m'"
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        return f"{path}: non-integer header"
+    if len(lines) - 1 != m:
+        return f"{path}: header declares {m} edges but file has {len(lines) - 1}"
+    edges = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            return f"{path}: malformed edge line {line!r}"
+        try:
+            edge = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            return f"{path}: non-integer edge {line!r}"
+        if not all(-(2**63) <= x < 2**63 for x in edge):
+            return f"{path}: edge {edge!r} out of range for n={n}"
+        edges.append(edge)
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _permuted_complete_bipartite_text(n1, n2):
+    rng = random.Random(3)
+    perm = list(range(n1 + n2))
+    rng.shuffle(perm)
+    lines = [f"{perm[i]} {perm[n1 + j]}\n" for i in range(n1) for j in range(n2)]
+    return f"{n1 + n2} {n1 * n2}\n" + "".join(lines)
+
+
+# (text, whether the bulk reader takes it once the file is long enough)
+PARSE_CASES = {
+    "leading-blank-lines": ("\n\n5 2\n0 1\n2 3\n", True),
+    "whitespace-only-lines": ("5 2\n0 1\n \t \n2 3\n  \n", True),
+    "tabs": ("5 2\n0\t1\n\t2 \t3\t\n", True),
+    "crlf": ("5 2\r\n0 1\r\n2 3\r\n", True),  # both readers see "\n" alone
+    # str.splitlines breaks these lines in two, where NumPy reads one edge
+    "form-feed-in-a-line": ("5 1\n0\x0c1\n", False),
+    "next-line-in-a-line": ("5 1\n0\x851\n", False),
+    "no-final-newline": ("5 2\n0 1\n2 3", True),
+    "int-syntax": ("12 2\n+0 1_1\n3 4\n", False),
+    "three-columns": ("5 2\n0 1 2\n3 4\n", False),
+    "count-mismatch": ("5 3\n0 1\n2 3\n", False),
+    "overflow": ("5 1\n99999999999999999999 1\n", False),
+    "self-loop": ("3 1\n1 1\n", True),
+    "permuted-k64-64": (_permuted_complete_bipartite_text(64, 64), True),
+    "long-and-blank": ("\n \t\n" * 5000, False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bulk_chars", [None, 0], ids=["long-files-bulk", "all-files-bulk"])
+@pytest.mark.parametrize("text, plain", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_edge_list_parse_matches_a_line_by_line_reader(tmp_path, monkeypatch, text, plain,
+                                                        bulk_chars):
+    if bulk_chars is not None:
+        monkeypatch.setattr(graph_module, "_BULK_CHARS", bulk_chars)
+    bulk_reader = graph_module._plain_rows
+    taken = []
+    monkeypatch.setattr(graph_module, "_plain_rows",
+                        lambda *args: taken.append(bulk_reader(*args)) or taken[-1])
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode())
+    try:
+        got = read_edge_list(path)
+    except ValueError as exc:
+        got = str(exc)
+    expected = _read_line_by_line(path, text)
+    assert type(got) is type(expected)
+    assert got == expected
+    # each case runs through the bulk reader or the line-by-line one, as stated
+    assert (taken[0] is not None) == (plain and len(text) >= graph_module._BULK_CHARS)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +468,11 @@ def test_edgeless_graph_partition_is_the_colouring():
         (Graph(3, [(0, 1), (1, 2)]), [0, 0, 1]),
         # both vertices of cell 0 reach only cell 1, one twice and one once
         (Graph(5, [(0, 2), (0, 3), (1, 4)]), [0, 0, 1, 1, 1]),
+        # n c = 8 <= 2 m: the whole vertex-by-cell table is compared; vertex 2
+        # has two neighbours in cell 0, vertex 3 none
+        (Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), [0, 0, 1, 1]),
     ],
-    ids=["missing-cell", "wrong-count"],
+    ids=["missing-cell", "wrong-count", "table"],
 )
 def test_equitability_guard_refuses_a_non_equitable_partition(g, cells):
     with pytest.raises(ValueError, match="not equitable"):
@@ -395,3 +484,48 @@ def test_a_hash_collision_is_caught_not_returned(monkeypatch):
     monkeypatch.setattr(graph_module, "_mix", lambda x: np.zeros(len(x), dtype=np.uint64))
     with pytest.raises(ValueError, match="not equitable"):
         equitable_partition(Graph(4, [(0, 1), (1, 2), (2, 3)]), _marked_at(4, 0))
+
+
+def _neighbour_counts(g, cells):
+    """Exact reference: ``counts[v, j]`` is the number of neighbours of ``v`` in cell ``j``."""
+    counts = np.zeros((g.n, max(cells) + 1), dtype=np.int64)
+    for u, v in g.edges.tolist():
+        counts[u, cells[v]] += 1
+        counts[v, cells[u]] += 1
+    return counts
+
+
+@given(graphs(), st.data())
+def test_checked_partition_certifies_exactly_the_equitable_partitions(g, data):
+    # dense graphs with few cells take the vertex-by-cell table, the rest the sort
+    drawn = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    labels = list(dict.fromkeys(drawn))
+    cells = np.array([labels.index(c) for c in drawn])  # numbered by first vertex
+    counts = _neighbour_counts(g, cells)
+    first = [cells.tolist().index(c) for c in cells]
+    if np.array_equal(counts, counts[first]):
+        part = graph_module._checked_partition(g, cells)
+        arcs = np.zeros((len(labels), len(labels)), dtype=np.int64)
+        np.add.at(arcs, cells, counts)
+        assert np.array_equal(part.arcs, arcs)
+        assert part.sizes.tolist() == np.bincount(cells).tolist()
+    else:
+        with pytest.raises(ValueError, match="not equitable"):
+            graph_module._checked_partition(g, cells)
+
+
+@given(graphs(), st.data())
+def test_refining_a_relabelled_graph_gives_the_relabelled_partition(g, data):
+    colours = np.array(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+    perm = np.array(data.draw(st.permutations(range(g.n))), dtype=np.int64)
+    moved_colours = np.empty_like(colours)
+    moved_colours[perm] = colours
+    part = equitable_partition(g, colours)
+    moved = equitable_partition(Graph(g.n, perm[g.edges]), moved_colours)
+    # the cell in the relabelled graph of each vertex, renumbered by first vertex
+    ids = {}
+    renumbered = [ids.setdefault(c, len(ids)) for c in moved.cells[perm].tolist()]
+    assert renumbered == part.cells.tolist()
+    order = list(ids)
+    assert np.array_equal(moved.sizes[order], part.sizes)
+    assert np.array_equal(moved.arcs[np.ix_(order, order)], part.arcs)
