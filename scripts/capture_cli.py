@@ -27,6 +27,8 @@ full ``overlaps`` over the three walks and four probes; full mode on the
 ``overlaps``) and on K_{6,6} with two marked vertices per side, whose classes a
 and b share one cell of the sweep's quotient (``overlaps`` colours the sides
 apart); reduced and full ``overlaps`` on layouts with an empty class; reduced
+``sweep-gamma`` at the edges of the crest scan (two and three samples, and a
+window too short for a crest); reduced
 ``simulate`` and ``overlaps`` on (10^9, 1000, 3, 5), where an array per vertex
 would not fit in memory; and ``verify-spin``.
 """
@@ -142,6 +144,14 @@ def _commands() -> list[tuple[str, list[str]]]:
             rows.append((f"overlaps-{mode}-empty-class-{tag}",
                          ["overlaps", *flags, "--walk", "adjacency", "--mode", mode,
                           *SMALL_GRID]))
+    # the edges of first_peak's crest scan: two samples (no interior one),
+    # three (one candidate), and a window too short for any crest, where
+    # the rising curve falls back to its largest sample
+    for tag, window in (("samples-2", ["--tmax", "60", "--samples", "2"]),
+                        ("samples-3", ["--tmax", "60", "--samples", "3"]),
+                        ("monotone", ["--tmax", "0.5"])):
+        rows.append((f"sweep-crest-{tag}",
+                     ["sweep-gamma", *SMALL, "--walk", "signless", *window, *SMALL_GRID]))
     huge = ["--n1", "1000000000", "--n2", "1000", "--k1", "3", "--k2", "5"]
     rows.append(("simulate-reduced-huge",
                  ["simulate", *huge, "--gamma", "1e-9", "--tmax", "100", "--samples", "400"]))

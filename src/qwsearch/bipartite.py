@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,13 @@ def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> Se
 
 
 def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:
-    """A class-quotient matrix in the fixed (a, b, c, d) 4x4, zero on empty classes."""
+    """A class-quotient matrix, or a stack of them, in the fixed (a, b, c, d) 4x4.
+
+    Rows and columns of empty classes are zero.
+    """
     active = np.flatnonzero(class_sizes(spec))
-    out = np.zeros((4, 4))
-    out[np.ix_(active, active)] = matrix
+    out = np.zeros((*matrix.shape[:-2], 4, 4))
+    out[..., active[:, None], active] = matrix
     return out
 
 
@@ -158,9 +162,12 @@ def reduced_walk_matrix(spec: BipartiteSpec, walk: WalkKind) -> np.ndarray:
 
 
 def reduced_hamiltonian(
-    spec: BipartiteSpec, walk: WalkKind, gamma: float
+    spec: BipartiteSpec, walk: WalkKind, gamma: float | Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """Reduced 4x4 search Hamiltonian ``-gamma W - diag(1, 1, 0, 0)`` of :func:`class_quotient`."""
+    """Reduced 4x4 search Hamiltonian ``-gamma W - diag(1, 1, 0, 0)`` of :func:`class_quotient`.
+
+    A 1-D sequence of rates gives the stack of their Hamiltonians.
+    """
     # the Hamiltonian does not read the state
     return _embedded(spec, class_quotient(spec, walk, np.zeros(4)).hamiltonian(gamma))
 

@@ -48,13 +48,17 @@ FULL_MODE_CAP = 2000
 # search's equitable partition only: a few hundred bytes on a bipartite
 # layout, and bytes per vertex pair only on a graph without symmetry
 # (c = n), which sweeps and simulate accept. There a one-gamma edge-list
-# sweep of G(2000, 0.05) with the default 2000 samples peaks at 48.8
-# bytes per pair under tracemalloc (56.8 while eigh's eigenvectors were
-# copied to phase-fixed complex arrays): the walk matrix and eigenvectors
-# (16) and, while propagate evaluates it, the samples x c phase table
-# with its temporaries (32 per entry). Full overlaps runs on bipartite
-# layouts only and reports the quotient's levels, so it holds no dense
-# n x n array. verify-spin holds its one-excitation block and one
+# sweep of G(2000, 0.05) with the default 2000 samples peaks at 40.1
+# bytes per pair under tracemalloc (48.0 while the phase table came from
+# np.exp, 56.8 while eigh's eigenvectors were copied to phase-fixed
+# complex arrays): the walk matrix and eigenvectors (16) and, while
+# propagate evaluates it, the samples x c phase table with its real
+# angles (24 per entry). A sweep diagonalises its rates in stacks of at
+# most evolve.STACK_ENTRIES entries, one rate at a time from c = 256 up, so
+# a many-gamma sweep peaks as a one-gamma sweep does (40.0 bytes per pair
+# for 4 gammas on the 2000-vertex path marked at one end). Full overlaps
+# runs on bipartite layouts only and reports the quotient's levels, so it
+# holds no dense n x n array. verify-spin holds its one-excitation block and one
 # candidate walk matrix (8 each).
 SEARCH_CELL_BYTES = 56
 SPIN_CELL_BYTES = 16
@@ -330,12 +334,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise UsageError("simulate needs a bipartite layout or --graph")
     times = _time_grid(cfg)
     masses = _search(cfg).masses(float(cfg.gamma), times)
+    # Python floats: their repr is _fmt's, and a + b rounds as NumPy's sum
     if cfg.spec is None:
-        lines = ["t,p_success"] + [f"{_fmt(t)},{_fmt(p)}" for t, p in zip(times, masses[:, 0])]
+        rows = zip(times.tolist(), masses[:, 0].tolist())
+        lines = ["t,p_success", *(f"{t!r},{p!r}" for t, p in rows)]
     else:
         lines = ["t,p_success,p_a,p_b,p_c,p_d"]
-        for t, row in zip(times, masses):
-            lines.append(",".join(_fmt(x) for x in (t, row[0] + row[1], *row)))
+        for t, row in zip(times.tolist(), masses):
+            a, b, c, d = row.tolist()
+            lines.append(f"{t!r},{a + b!r},{a!r},{b!r},{c!r},{d!r}")
     _emit(lines, cfg.out)
     return 0
 
@@ -350,9 +357,9 @@ def cmd_sweep_gamma(cfg: RunConfig) -> int:
     # one group holds the success: classes a and b of a layout, or an edge
     # list's marked set, so only the marked cells are propagated
     search = search._replace(shares=search.shares[:, :2].sum(axis=1, keepdims=True))
-    for gamma in gammas:
-        t_peak, p_peak = first_peak(times, search.masses(gamma, times)[:, 0])
-        lines.append(f"{_fmt(gamma)},{_fmt(t_peak)},{_fmt(p_peak)}")
+    for gamma, masses in zip(gammas.tolist(), search.sweep(gammas, times)):
+        t_peak, p_peak = first_peak(times, masses[:, 0])
+        lines.append(f"{gamma!r},{t_peak!r},{p_peak!r}")
     _emit(lines, cfg.out)
     return 0
 
@@ -385,12 +392,9 @@ def cmd_overlaps(cfg: RunConfig) -> int:
         raise UsageError("overlaps needs a bipartite layout")
     gammas = _gamma_grid(cfg)
     rows = _layout_quotient(cfg, _probe_state(cfg), sides=True).levels(gammas)
+    # the rows hold Python floats, whose repr is _fmt's
     lines = ["gamma,n,S_n,L_n,R_n"]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row.gamma)},{row.n},{_fmt(row.s_overlap)},"
-            f"{_fmt(row.left_overlap)},{_fmt(row.right_overlap)}"
-        )
+    lines += [f"{g!r},{n},{s!r},{left!r},{right!r}" for g, n, s, left, right, _ in rows]
     _emit(lines, cfg.out)
     return 0
 

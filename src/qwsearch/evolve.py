@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +38,11 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_EIGENVECTORS = 4  # lowest eigenvectors reported per gamma by overlap_profile
+# Rates are diagonalised together in runs whose Hamiltonian stack holds at
+# most this many entries (512 KiB of float64): a reduced 4x4 sweep is one
+# eigh call, and a quotient of 256 cells or more (c = n on a graph without
+# symmetry) is solved one rate at a time, holding what one solve holds.
+STACK_ENTRIES = 2**16
 
 
 class WalkKind(enum.Enum):
@@ -71,10 +76,13 @@ class SearchInstance:
         object.__setattr__(self, "marked", frozenset(int(i) for i in self.marked))
 
 
-def _checked_gamma(gamma: float) -> float:
-    """``gamma`` as a float; ``ValueError`` unless it is finite and nonnegative."""
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0:
+def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
+    """``gamma``, one rate or a 1-D sequence, as floats.
+
+    ``ValueError`` unless every rate is finite and nonnegative.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim > 1 or not np.all(np.isfinite(gamma) & (gamma >= 0)):
         raise ValueError("gamma must be finite and nonnegative")
     return gamma
 
@@ -126,10 +134,16 @@ def search_hamiltonian(inst: SearchInstance, w: np.ndarray | None = None) -> np.
     return _oracle_shifted(inst.gamma, w, sorted(inst.marked))
 
 
-def _oracle_shifted(gamma: float, w: np.ndarray, marked: np.ndarray | list[int]) -> np.ndarray:
-    """``-gamma * w`` with 1 subtracted at each ``marked`` diagonal entry."""
-    h = -gamma * w
-    h[marked, marked] -= 1.0
+def _oracle_shifted(
+    gamma: float | np.ndarray, w: np.ndarray, marked: np.ndarray | list[int]
+) -> np.ndarray:
+    """``-gamma * w`` with 1 subtracted at each ``marked`` diagonal entry.
+
+    A 1-D array of rates gives the stack of their matrices, shape
+    ``(len(gamma), *w.shape)``.
+    """
+    h = -np.asarray(gamma)[..., None, None] * w
+    h[..., marked, marked] -= 1.0
     return h
 
 
@@ -139,7 +153,9 @@ class EigenDecomposition:
 
     ``eigenvectors`` is square: one row per basis state and one column per
     eigenvalue, real for a real matrix. Columns carry no phase convention,
-    and within an exactly degenerate eigenvalue no particular basis.
+    and within an exactly degenerate eigenvalue no particular basis. The
+    decomposition of a stack of matrices holds stacks of these arrays,
+    shapes ``(..., d)`` and ``(..., d, d)``.
     """
 
     eigenvalues: np.ndarray
@@ -147,28 +163,33 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.eigenvectors.shape[-1]
 
 
 def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix: ``np.linalg.eigh``'s arrays.
+    """Eigendecomposition of a Hermitian matrix or a stack of them: ``eigh``'s arrays.
 
-    Checks that ``h`` is square and Hermitian to within ``HERMITICITY_TOL``
-    of its largest entry, then returns ``eigh``'s output unchanged:
-    ascending eigenvalues and orthonormal eigenvector columns (real for a
-    real ``h``). Each column is fixed only up to a phase (a sign for real
-    input), and an exactly degenerate eigenspace gets whichever orthonormal
-    basis LAPACK finds. Repeated calls on the same input in one process
-    return the same arrays; another NumPy or LAPACK build may choose other
-    phases or bases.
+    ``h`` has shape ``(d, d)`` or ``(..., d, d)``. Each matrix is checked
+    to be Hermitian to within ``HERMITICITY_TOL`` of its own largest entry
+    (the message names the deviation of the first that is not), then the
+    whole stack goes to one ``eigh`` call, whose output is returned
+    unchanged: ascending eigenvalues and orthonormal eigenvector columns
+    (real for a real ``h``), each matrix's bit for bit as its own call
+    would give them. Each column is fixed only up to a phase (a sign for
+    real input), and an exactly degenerate eigenspace gets whichever
+    orthonormal basis LAPACK finds. Repeated calls on the same input in one
+    process return the same arrays; another NumPy or LAPACK build may
+    choose other phases or bases.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    deviation = float(np.max(np.abs(h - h.conj().T)))
-    if deviation > HERMITICITY_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian (deviation {deviation:g})")
+    entries = (-2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=entries, initial=0.0))
+    deviation = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=entries, initial=0.0)
+    failed = deviation > HERMITICITY_TOL * scale
+    if failed.any():
+        raise ValueError(f"matrix is not Hermitian (deviation {deviation[failed][0]:g})")
     return EigenDecomposition(*np.linalg.eigh(h))
 
 
@@ -188,26 +209,63 @@ class SearchQuotient(NamedTuple):
     state: np.ndarray
     shares: np.ndarray
 
-    def hamiltonian(self, gamma: float) -> np.ndarray:
-        """The quotient search Hamiltonian ``-gamma W_q - M_q``."""
+    def hamiltonian(self, gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
+        """The quotient search Hamiltonian ``-gamma W_q - M_q``.
+
+        A 1-D sequence of rates gives the stack of their Hamiltonians.
+        """
         return _oracle_shifted(_checked_gamma(gamma), self.walk, self.marked)
+
+    def sweep(
+        self, gammas: Sequence[float] | np.ndarray, times: Sequence[float] | np.ndarray
+    ) -> Iterator[np.ndarray]:
+        """:meth:`masses` at each rate of ``gammas`` in turn.
+
+        ``gammas`` is a 1-D sequence of rates, checked here. They are
+        diagonalised in runs (see ``STACK_ENTRIES``), one
+        :func:`eig_hermitian` call on each run's stack, then each is
+        propagated on its own, so only one ``len(times) x c`` phase table is
+        held at a time.
+        """
+        rates = _checked_gamma(gammas)
+        if rates.ndim != 1:
+            raise ValueError("gammas must be a 1-D sequence of rates")
+        return self._swept(rates, times)
+
+    def _swept(
+        self, rates: np.ndarray, times: Sequence[float] | np.ndarray
+    ) -> Iterator[np.ndarray]:
+        touched = np.flatnonzero(self.shares.any(axis=1))
+        shares = self.shares[touched]
+        for run in _rate_runs(rates, len(self.walk)):
+            stack = eig_hermitian(self.hamiltonian(run))
+            for k in range(run.size):
+                decomp = EigenDecomposition(stack.eigenvalues[k], stack.eigenvectors[k])
+                yield np.abs(propagate(decomp, self.state, times, rows=touched)) ** 2 @ shares
+            # let this run's eigenvectors go before the next run is solved
+            del stack, decomp
 
     def masses(self, gamma: float, times: Sequence[float] | np.ndarray) -> np.ndarray:
         """Mass of each group at each time, shape ``(len(times), groups)``.
 
         The state is uniform on every cell, so group ``g`` holds ``sum_i
         |q_i(t)|^2 shares[i, g]``, also where a group takes part of a cell.
-        Only the cells that meet a group are propagated.
+        Only the cells that meet a group are propagated. This is
+        :meth:`sweep` of the one rate.
         """
-        touched = np.flatnonzero(self.shares.any(axis=1))
-        decomp = eig_hermitian(self.hamiltonian(gamma))
-        probs = np.abs(propagate(decomp, self.state, times, rows=touched)) ** 2
-        return probs @ self.shares[touched]
+        (masses,) = self.sweep([gamma], times)
+        return masses
 
     def levels(self, gammas: Sequence[float]) -> list[OverlapRow]:
         """:func:`overlap_profile` of the quotient; groups 0 and 1 are its sides."""
         left, right = (np.flatnonzero(self.shares[:, g]) for g in (0, 1))
         return overlap_profile(self.hamiltonian, gammas, self.state, left, right)
+
+
+def _rate_runs(rates: np.ndarray, dim: int) -> list[np.ndarray]:
+    """``rates`` in runs whose ``dim x dim`` stacks hold at most ``STACK_ENTRIES`` entries."""
+    step = max(1, STACK_ENTRIES // max(dim, 1) ** 2)
+    return [rates[i : i + step] for i in range(0, rates.size, step)]
 
 
 def _group_vertices(group: Iterable[int], n: int) -> np.ndarray:
@@ -333,7 +391,12 @@ def propagate(
             raise ValueError("row index out of range")
         basis = basis[rows]
     coeffs = decomp.eigenvectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
+    # exp(-i x) filled in place as cos x - i sin x: with glibc's libm these
+    # are the bits of np.exp(-1j * x), and they take about 20 % less time
+    angles = np.outer(times, decomp.eigenvalues)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.negative(np.sin(angles, out=phases.imag), out=phases.imag)
     return phases @ (basis * coeffs).T
 
 
@@ -355,12 +418,14 @@ def uniform_state(n: int) -> np.ndarray:
 
 def _refine_crest(t: np.ndarray, v: np.ndarray, i: int) -> tuple[float, float]:
     """Quadratic interpolation through the three samples bracketing crest i."""
-    denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
+    # Python floats round as NumPy's float64 scalars do, at a fraction of the cost
+    (t0, t1, t2), (v0, v1, v2) = t[i - 1 : i + 2].tolist(), v[i - 1 : i + 2].tolist()
+    denom = v0 - 2.0 * v1 + v2
     if denom >= 0.0:
-        return float(t[i]), float(v[i])
-    shift = float(np.clip(0.5 * (v[i - 1] - v[i + 1]) / denom, -1.0, 1.0))
-    step = 0.5 * (t[i + 1] - t[i - 1])
-    return float(t[i] + shift * step), float(v[i] - 0.25 * (v[i - 1] - v[i + 1]) * shift)
+        return t1, v1
+    shift = min(max(0.5 * (v0 - v2) / denom, -1.0), 1.0)
+    step = 0.5 * (t2 - t0)
+    return t1 + shift * step, v1 - 0.25 * (v0 - v2) * shift
 
 
 def first_peak(
@@ -381,11 +446,11 @@ def first_peak(
     if t.shape != v.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("times and values must be matching nonempty 1-D arrays")
     cutoff = 0.999 * float(np.max(v))
-    for i in range(1, v.size - 1):
-        if v[i] >= v[i - 1] and v[i] > v[i + 1]:
-            peak_t, peak_v = _refine_crest(t, v, i)
-            if peak_v >= cutoff:
-                return peak_t, peak_v
+    crests = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
+    for i in crests.tolist():
+        peak_t, peak_v = _refine_crest(t, v, i)
+        if peak_v >= cutoff:
+            return peak_t, peak_v
     i = int(np.argmax(v))
     return float(t[i]), float(v[i])
 
@@ -400,34 +465,34 @@ class OverlapRow(NamedTuple):
 
 
 def overlap_profile(
-    build_hamiltonian: Callable[[float], np.ndarray],
-    gammas: Sequence[float],
+    build_hamiltonians: Callable[[np.ndarray], np.ndarray],
+    gammas: Sequence[float] | np.ndarray,
     probe: np.ndarray,
     left_marked: Sequence[int],
     right_marked: Sequence[int],
 ) -> list[OverlapRow]:
     """Eigenvector overlap table across jumping rates.
 
-    For each ``gamma`` the Hamiltonian ``h`` from ``build_hamiltonian`` is
-    diagonalized with :func:`eig_hermitian`, and the rows report the
-    lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n``: ``|<probe|psi_n>|^2``,
-    the probability mass of ``psi_n`` on the left- and right-marked basis
-    states, and the eigenvalue. The ``overlaps`` command passes the
-    quotient of the search's partition (:meth:`SearchQuotient.levels`):
-    on a bipartite layout, the class model on the nonempty classes, 4x4
-    at most. Exactly tied levels keep ``np.linalg.eigh``'s order. Levels
-    that split by less than ``eigh``'s accuracy (about machine epsilon
-    times the Hamiltonian's scale; on a bipartite layout, a with b and c
-    with d as gamma -> 0) are a near-degenerate pair: ``eigh`` may return
-    any basis of their span, so the rows of each level depend on the basis
-    (on the cell order, for one) and only their sums over the pair are
-    determined. Rows are
-    ordered by the given gamma sequence and then by ``n``; the per-gamma
-    work items are independent, so callers may parallelize them as long as
-    they keep this ordering.
+    ``build_hamiltonians`` maps a 1-D float array of rates to the stack of
+    their Hamiltonians, shape ``(len(rates), d, d)`` with ``d`` the length
+    of ``probe``. The rates go to it in runs (see ``STACK_ENTRIES``), each
+    run's stack is diagonalized by one :func:`eig_hermitian` call, and the
+    rows report the lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n`` of
+    each rate: ``|<probe|psi_n>|^2``, the probability mass of ``psi_n`` on
+    the left- and right-marked basis states, and the eigenvalue. The
+    ``overlaps`` command passes the quotient of the search's partition
+    (:meth:`SearchQuotient.levels`): on a bipartite layout, the class model
+    on the nonempty classes, 4x4 at most. Exactly tied levels keep
+    ``np.linalg.eigh``'s order. Levels that split by less than ``eigh``'s
+    accuracy (about machine epsilon times the Hamiltonian's scale; on a
+    bipartite layout, a with b and c with d as gamma -> 0) are a
+    near-degenerate pair: ``eigh`` may return any basis of their span, so
+    the rows of each level depend on the basis (on the cell order, for one)
+    and only their sums over the pair are determined. Rows are ordered by
+    the given gamma sequence and then by ``n``.
     """
-    gammas = list(gammas)
-    if not gammas:
+    rates = np.fromiter(gammas, dtype=float)
+    if not rates.size:
         raise ValueError("gamma list must be nonempty")
     probe = np.asarray(probe, dtype=complex)
     if abs(np.linalg.norm(probe) - 1.0) > 1e-8:
@@ -435,11 +500,30 @@ def overlap_profile(
     left = np.array([int(i) for i in left_marked], dtype=np.intp)
     right = np.array([int(i) for i in right_marked], dtype=np.intp)
     rows: list[OverlapRow] = []
-    for gamma in map(float, gammas):
-        decomp = eig_hermitian(build_hamiltonian(gamma))
-        for n in range(min(OVERLAP_EIGENVECTORS, decomp.dim)):
-            vec = decomp.eigenvectors[:, n]
-            masses = (float(np.sum(np.abs(vec[side]) ** 2)) for side in (left, right))
-            s_overlap = float(np.abs(np.vdot(probe, vec)) ** 2)
-            rows.append(OverlapRow(gamma, n, s_overlap, *masses, float(decomp.eigenvalues[n])))
+    for run in _rate_runs(rates, probe.size):
+        rows += _levels(build_hamiltonians(run), run, probe, left, right)
+    return rows
+
+
+def _levels(
+    hamiltonians: np.ndarray, rates: np.ndarray, probe: np.ndarray, left: np.ndarray,
+    right: np.ndarray
+) -> list[OverlapRow]:
+    """The :func:`overlap_profile` rows of one run of rates and its stack of Hamiltonians."""
+    if np.shape(hamiltonians)[:-2] != rates.shape:
+        raise ValueError("build_hamiltonians must give one matrix per gamma")
+    stack = eig_hermitian(hamiltonians)
+    count = min(OVERLAP_EIGENVECTORS, stack.dim)
+    vectors = stack.eigenvectors[..., :count]
+    # one level per row, its basis states contiguous: each side's mass is
+    # summed in the order np.sum takes over that level's own entries
+    weights = np.ascontiguousarray(np.swapaxes(np.abs(vectors) ** 2, -1, -2))
+    left_mass, right_mass = (weights[..., side].sum(axis=-1).tolist() for side in (left, right))
+    values = stack.eigenvalues[:, :count].tolist()
+    rows = []
+    for g, gamma in enumerate(rates.tolist()):
+        for n in range(count):
+            s_overlap = float(np.abs(np.vdot(probe, vectors[g, :, n])) ** 2)
+            rows.append(OverlapRow(gamma, n, s_overlap, left_mass[g][n], right_mass[g][n],
+                                   values[g][n]))
     return rows

@@ -23,6 +23,7 @@ __all__ = [
 
 # edges are sorted by the int64 key u * n + v, which must not overflow
 _MAX_VERTICES = 2**31
+_INT64 = np.iinfo(np.int64)
 
 
 class _EdgeArray(np.ndarray):
@@ -39,12 +40,14 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
     increasing) is checked and copied once; anything else is sorted by the
     key ``u * n + v``.
     """
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    listed = edges if isinstance(edges, np.ndarray) else list(edges)
+    pairs = np.asarray(listed)
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be vertex pairs")
-    if not np.issubdtype(pairs.dtype, np.integer):
+    if pairs.dtype.kind not in "iu" or (pairs.dtype.kind == "u" and pairs.max() > _INT64.max):
+        _refuse_past_int64(listed.tolist() if isinstance(listed, np.ndarray) else listed, n)
         raise ValueError("edge endpoints must be integers")
     u, v = pairs.astype(np.int64, copy=False).T
     ordered = bool(np.all(u < v))
@@ -66,6 +69,22 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
         out = np.stack([keys // n, keys % n], axis=1).view(_EdgeArray)
     out.flags.writeable = False
     return out
+
+
+def _refuse_past_int64(rows, n: int) -> None:
+    """Name the first edge with an integer endpoint past int64, if all endpoints are integers.
+
+    NumPy holds such endpoints as uint64, float64 or objects. They are past
+    every vertex count, so the edge is refused by name, as
+    :func:`read_edge_list` names its line.
+    """
+    edges = [tuple(row) for row in rows]
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+           for edge in edges for x in edge):
+        for edge in edges:
+            edge = (int(edge[0]), int(edge[1]))
+            if not _INT64.min <= min(edge) <= max(edge) <= _INT64.max:
+                raise ValueError(f"edge {edge!r} out of range for n={n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +239,6 @@ def read_edge_list(path: str | Path) -> Graph:
     return Graph(n, _parse_edges(path, lines[1:], n))
 
 
-_INT64 = np.iinfo(np.int64)
 # Files of only these bytes split into lines at "\n" alone, as str.splitlines
 # splits them, so NumPy's reader sees the lines read_edge_list sees.
 _PLAIN_BYTES = b"0123456789 \t\n"
@@ -336,8 +354,15 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
     keys = np.asarray(colours)
     if keys.shape[:1] != (g.n,) or keys.ndim > 2:
         raise ValueError("colours must hold one key (or one key row) per vertex")
-    _, cells = np.unique(keys.reshape(g.n, -1), axis=0, return_inverse=True)
-    cells = cells.reshape(g.n)
+    # the classes of equal key rows, numbered in the rows' lexicographic
+    # order: one stable sort by the columns, then a split wherever a row
+    # differs from the one before it (== on each key, so 0.0 equals -0.0)
+    rows = keys.reshape(g.n, -1)
+    order = np.lexsort(rows.T[::-1]) if rows.size else np.arange(g.n)
+    ranked = rows[order]
+    cells = np.empty(g.n, dtype=np.intp)
+    cells[order[0]] = 0
+    cells[order[1:]] = np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))
     count = int(cells.max()) + 1
     u, v = np.asarray(g.edges).T
     bounds = np.searchsorted(u, np.arange(g.n + 1))  # u == w on bounds[w] .. bounds[w+1]-1

@@ -332,6 +332,29 @@ def test_full_simulate_peak_memory_is_about_three_edge_arrays(capsys):
     assert peak <= 3 * edge_bytes
 
 
+def test_many_gamma_sweep_without_symmetry_holds_what_one_gamma_holds(capsys, tmp_path):
+    # a path marked at one end refines to its 300 single vertices: its
+    # Hamiltonians are diagonalised one rate at a time, not as a stack
+    path = tmp_path / "path.txt"
+    path.write_text("300 299\n" + "".join(f"{i} {i + 1}\n" for i in range(299)))
+    argv = ["sweep-gamma", "--graph", str(path), "--marked", "0", "--tmax", "20",
+            "--samples", "200"]
+    assert main([*argv, "--gamma", "0.5"]) == 0  # first-call allocations are not the sweep's
+    peaks = []
+    for grid in (["--gamma", "0.5"], ["--gamma-min", "0.01", "--gamma-max", "1",
+                                      "--gamma-count", "50"]):
+        tracemalloc.start()
+        try:
+            code = main([*argv, *grid])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+    one, many = peaks
+    assert many <= 1.05 * one + 2**16, peaks
+
+
 def test_reduced_mode_stays_constant_in_n(capsys, monkeypatch):
     # (10^9, 1000, 3, 5): a per-vertex array would hold 8 GB, so reduced
     # mode must neither build the graph nor refine a partition of it
@@ -575,7 +598,14 @@ def test_full_sweeps_and_overlaps_diagonalise_only_the_quotient(
     assert len(rows) == 5
     argv = ["simulate", *layout, "--mode", "full", "--gamma", "0.02", "--tmax", "5"]
     assert run_cli(capsys, argv)[0] == 0
-    assert [args[0].shape for args in solves] == [(4, 4)] * 11
+
+    def solved(calls):
+        # each call diagonalises one 4x4 or a stack of them: (count, 4, 4)
+        assert {args[0].shape[-2:] for args in calls} == {(4, 4)}
+        return sum(int(np.prod(args[0].shape[:-2])) for args in calls)
+
+    assert solved(solves) == 11
+    sweeps_and_simulate = len(solves)
 
     # full overlaps forms no dense walk matrix either
     def refuse(original):
@@ -591,7 +621,7 @@ def test_full_sweeps_and_overlaps_diagonalise_only_the_quotient(
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 4 * 5
-    assert [args[0].shape for args in solves[11:]] == [(4, 4)] * 15
+    assert solved(solves[sweeps_and_simulate:]) == 15
 
 
 def test_edge_list_sweep_on_a_cycle_matches_the_dense_eigensolve(capsys, tmp_path):

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs, uncollapsed_propagate
+from qwsearch import evolve
 from qwsearch.bipartite import (
     CriticalSide,
     InitialStateKind,
+    class_quotient,
     class_sizes,
     class_slices,
     degenerate_correction,
@@ -25,6 +27,7 @@ from qwsearch.evolve import (
     quotient_overlaps,
     quotient_search,
     search_hamiltonian,
+    search_quotient,
     success_probability,
     uniform_state,
     walk_matrix,
@@ -160,6 +163,94 @@ def test_eig_returns_the_arrays_of_eigh_bit_for_bit():
         assert got.eigenvectors.tobytes("A") == vectors.tobytes("A")
         assert got.eigenvectors.dtype == vectors.dtype
         assert got.eigenvectors.strides == vectors.strides
+
+
+def _bench_quotients():
+    """The search quotients of the benchmark layouts, both modes, every walk and start."""
+    for layout in ((512, 256, 3, 5), (48, 24, 3, 5)):
+        spec = BipartiteSpec(*layout)
+        graph, marked = complete_bipartite(spec)
+        for walk in WalkKind:
+            for start in InitialStateKind:
+                state = initial_state(spec, start)
+                yield spec, class_quotient(spec, walk, state)
+                yield spec, search_quotient(graph, walk, marked, reduced_to_full(spec, state),
+                                            class_slices(spec))
+
+
+def test_stacked_eig_is_each_matrix_eigh_bit_for_bit():
+    for spec, quotient in _bench_quotients():
+        gammas = np.geomspace(0.512 / spec.n1, 1.408 / spec.n2, 200)
+        stack = quotient.hamiltonian(gammas)
+        got = eig_hermitian(stack)
+        assert got.eigenvalues.shape == (200, stack.shape[-1])
+        for k, gamma in enumerate(gammas):
+            h = quotient.hamiltonian(gamma)
+            assert stack[k].tobytes() == h.tobytes()
+            values, vectors = np.linalg.eigh(h)
+            assert got.eigenvalues[k].tobytes() == values.tobytes()
+            assert got.eigenvectors[k].tobytes() == vectors.tobytes()
+
+
+def test_sweep_is_masses_at_each_rate_bit_for_bit():
+    times = np.linspace(0.0, 80.0, 300)
+    for spec, quotient in _bench_quotients():
+        gammas = [1.0 / spec.n1, 1.0 / spec.n2, 0.05]
+        swept = list(quotient.sweep(gammas, times))
+        assert len(swept) == len(gammas)
+        for gamma, masses in zip(gammas, swept):
+            assert masses.tobytes() == quotient.masses(gamma, times).tobytes()
+        # the rates are checked before any is diagonalised
+        for gammas in (0.1, [[0.1]], [0.1, -1.0]):
+            with pytest.raises(ValueError):
+                quotient.sweep(gammas, times)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 64, 255, 256, 300])
+def test_rates_are_diagonalised_in_stacks_bounded_by_their_entries(monkeypatch, dim):
+    # a reduced 4x4 sweep is one call; from 256 cells up, one rate per call
+    solved = []
+
+    def recording(h):
+        solved.append(np.shape(h))
+        return eig_hermitian(h)
+
+    monkeypatch.setattr(evolve, "eig_hermitian", recording)
+    quotient = search_quotient(
+        Graph(dim, [(i, i + 1) for i in range(dim - 1)]), WalkKind.LAPLACIAN, {0},
+        uniform_state(dim), [[0], [dim - 1]]
+    )
+    assert len(quotient.walk) == dim
+    gammas = np.geomspace(0.01, 1.0, 50)
+    for run in (lambda: list(quotient.sweep(gammas, [0.0, 1.0])), lambda: quotient.levels(gammas)):
+        solved.clear()
+        assert len(run()) in (50, 50 * min(dim, 4))
+        assert [shape[1:] for shape in solved] == [(dim, dim)] * len(solved)
+        assert sum(shape[0] for shape in solved) == 50
+        step = max(1, evolve.STACK_ENTRIES // dim**2)
+        assert [shape[0] for shape in solved[:-1]] == [step] * (len(solved) - 1)
+
+
+def test_stacked_eig_refuses_a_non_hermitian_member_by_its_own_scale():
+    h = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError) as single:
+        eig_hermitian(h)
+    assert str(single.value) == "matrix is not Hermitian (deviation 1)"
+    for stack in (np.stack([np.eye(2), h, np.eye(2)]), h[None, None]):
+        with pytest.raises(ValueError) as stacked:
+            eig_hermitian(stack)
+        assert str(stacked.value) == str(single.value)
+    # each matrix is held to its own largest entry, not to the stack's
+    skewed = np.array([[0.0, 1e-8], [0.0, 0.0]])
+    eig_hermitian(1e3 * np.eye(2) + skewed)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(deviation 1e-08\)$"):
+        eig_hermitian(np.stack([1e3 * np.eye(2), skewed]))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        eig_hermitian(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        eig_hermitian(np.zeros(4))
+    empty = eig_hermitian(np.zeros((0, 4, 4)))
+    assert empty.eigenvalues.shape == (0, 4) and empty.eigenvectors.shape == (0, 4, 4)
 
 
 def test_eig_matches_asymptotic_doublet_at_large_size():
@@ -560,6 +651,59 @@ def test_first_peak_picks_first_of_equal_revivals():
     t = np.linspace(0.0, 20.0, 4001)
     t_peak, _ = first_peak(t, np.sin(t) ** 2)
     assert t_peak == pytest.approx(np.pi / 2, abs=0.01)
+
+
+def _first_peak_loop(times, values):
+    """The crest scan as a loop over every sample: the reference for first_peak."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    cutoff = 0.999 * float(np.max(v))
+    for i in range(1, v.size - 1):
+        if v[i] >= v[i - 1] and v[i] > v[i + 1]:
+            denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
+            if denom >= 0.0:
+                peak_t, peak_v = float(t[i]), float(v[i])
+            else:
+                shift = float(np.clip(0.5 * (v[i - 1] - v[i + 1]) / denom, -1.0, 1.0))
+                step = 0.5 * (t[i + 1] - t[i - 1])
+                peak_t = float(t[i] + shift * step)
+                peak_v = float(v[i] - 0.25 * (v[i - 1] - v[i + 1]) * shift)
+            if peak_v >= cutoff:
+                return peak_t, peak_v
+    i = int(np.argmax(v))
+    return float(t[i]), float(v[i])
+
+
+# a few levels make ties and plateaus common; short runs make crests at
+# the ends and curves of one to three samples
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 0.9985, 0.999, 1.0])
+_CURVES = st.one_of(
+    st.lists(_LEVELS, min_size=1, max_size=12),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.integers(1, 30).map(lambda n: [0.5] * n),
+    st.integers(1, 30).map(lambda n: list(np.linspace(0.0, 1.0, n))),
+    st.integers(1, 30).map(lambda n: list(np.linspace(1.0, 0.0, n))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CURVES, st.floats(0.0, 10.0), st.floats(1e-3, 5.0))
+def test_first_peak_is_the_loop_over_every_sample(values, start, spacing):
+    t = start + spacing * np.arange(len(values))
+    got = first_peak(t, values)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.array(_first_peak_loop(t, values)).tobytes()
+
+
+def test_first_peak_on_bench_curves_is_the_loop():
+    times = np.linspace(0.0, 120.0, 2000)
+    quotient = class_quotient(BipartiteSpec(512, 256, 3, 5), WalkKind.SIGNLESS_LAPLACIAN,
+                              initial_state(BipartiteSpec(512, 256, 3, 5),
+                                            InitialStateKind.UNIFORM))
+    gammas = np.geomspace(0.001, 0.0055, 40)
+    for masses in quotient.sweep(gammas, times):
+        success = masses[:, 0] + masses[:, 1]
+        assert first_peak(times, success) == _first_peak_loop(times, success)
 
 
 def test_first_peak_validates():

@@ -73,6 +73,39 @@ def test_graph_rejection_messages(edges, message):
 
 
 @pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(10**20, 1)], r"^edge \(100000000000000000000, 1\) out of range for n=5$"),
+        ([(0, 1), (2, 2), (1, -(10**20))],
+         r"^edge \(1, -100000000000000000000\) out of range for n=5$"),
+        ([(np.int64(1), 2**63)], r"^edge \(1, 9223372036854775808\) out of range for n=5$"),
+        ([(0, 1), (2**63, 2**64 - 1)],
+         r"^edge \(9223372036854775808, 18446744073709551615\) out of range for n=5$"),
+        (np.array([(1, 2**63)], dtype=np.uint64),
+         r"^edge \(1, 9223372036854775808\) out of range for n=5$"),
+        ([(10**20, 0.5)], "^edge endpoints must be integers$"),
+        ([(True, 10**20)], "^edge endpoints must be integers$"),
+        ([(True, False)], "^edge endpoints must be integers$"),
+    ],
+)
+def test_graph_names_an_endpoint_past_int64_as_read_edge_list_does(edges, message):
+    # NumPy holds such an int as an object; the first edge holding one is
+    # named, as the edge-list reader names its line
+    with pytest.raises(ValueError, match=message):
+        Graph(5, edges)
+
+
+def test_graph_refuses_in_range_integers_that_numpy_does_not_hold_as_integers():
+    # objects, and int64 mixed with uint64 (which NumPy makes float64)
+    for edges in (np.array([(1, 0), (2, 3)], dtype=object),
+                  [(np.uint64(1), np.int64(0)), (2, 3)],
+                  np.array([(0.0, 1.0)])):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(5, edges)
+    assert Graph(5, np.array([(1, 0), (2, 3)], dtype=np.uint64)).edges.tolist() == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize(
     "n,edges",
     [
         (0, frozenset()),
@@ -459,6 +492,22 @@ def test_edgeless_graph_partition_is_the_colouring():
     part = equitable_partition(Graph(4, []), np.array([2, 1, 2, 1]))
     assert part.cells.tolist() == [0, 1, 0, 1]
     assert part.arcs.tolist() == [[0, 0], [0, 0]]
+
+
+_KEYS = st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, np.inf, -np.inf, 1e-300])
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(_KEYS, min_size=k, max_size=k), min_size=1, max_size=40)))
+def test_edgeless_partition_is_the_classes_of_equal_key_rows(rows):
+    # without edges the start is the answer: rows compared exactly, key by
+    # key (0.0 equals -0.0), as np.unique over the rows compares them
+    rows = np.array(rows)
+    _, classes = np.unique(rows, axis=0, return_inverse=True)
+    first = {}
+    want = [first.setdefault(c, len(first)) for c in classes.reshape(-1).tolist()]
+    assert equitable_partition(Graph(len(rows), []), rows).cells.tolist() == want
+    assert equitable_partition(Graph(len(rows), []), rows[:, :0]).cells.tolist() == [0] * len(rows)
 
 
 @pytest.mark.parametrize(
