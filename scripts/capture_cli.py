@@ -28,9 +28,11 @@ full ``overlaps`` over the three walks and four probes; full mode on the
 and b share one cell of the sweep's quotient (``overlaps`` colours the sides
 apart); reduced and full ``overlaps`` on layouts with an empty class; reduced
 ``sweep-gamma`` at the edges of the crest scan (two and three samples, and a
-window too short for a crest); reduced
-``simulate`` and ``overlaps`` on (10^9, 1000, 3, 5), where an array per vertex
-would not fit in memory; and ``verify-spin``.
+window too short for a crest); reduced ``sweep-gamma`` at 20,000 and 7
+samples, whose time grids split into blocks of 142 and 3, each with a
+short last block; reduced ``simulate`` and ``overlaps`` on (10^9, 1000, 3,
+5), where an array per vertex would not fit in memory; and
+``verify-spin``.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ def _commands() -> list[tuple[str, list[str]]]:
                         ("monotone", ["--tmax", "0.5"])):
         rows.append((f"sweep-crest-{tag}",
                      ["sweep-gamma", *SMALL, "--walk", "signless", *window, *SMALL_GRID]))
+    # propagate's anchor-and-offset split of the time grid: 20,000 samples
+    # in blocks of 142 (the last one short), and 7 samples in blocks of 3
+    for samples in ("20000", "7"):
+        rows.append((f"sweep-split-samples-{samples}",
+                     ["sweep-gamma", *BENCH, "--walk", "signless", "--tmax", "80",
+                      "--samples", samples, "--gamma-min", "0.0011", "--gamma-max", "0.0055",
+                      "--gamma-count", "4"]))
     huge = ["--n1", "1000000000", "--n2", "1000", "--k1", "3", "--k2", "5"]
     rows.append(("simulate-reduced-huge",
                  ["simulate", *huge, "--gamma", "1e-9", "--tmax", "100", "--samples", "400"]))

@@ -48,15 +48,16 @@ FULL_MODE_CAP = 2000
 # search's equitable partition only: a few hundred bytes on a bipartite
 # layout, and bytes per vertex pair only on a graph without symmetry
 # (c = n), which sweeps and simulate accept. There a one-gamma edge-list
-# sweep of G(2000, 0.05) with the default 2000 samples peaks at 40.1
-# bytes per pair under tracemalloc (48.0 while the phase table came from
-# np.exp, 56.8 while eigh's eigenvectors were copied to phase-fixed
-# complex arrays): the walk matrix and eigenvectors (16) and, while
-# propagate evaluates it, the samples x c phase table with its real
-# angles (24 per entry). A sweep diagonalises its rates in stacks of at
-# most evolve.STACK_ENTRIES entries, one rate at a time from c = 256 up, so
-# a many-gamma sweep peaks as a one-gamma sweep does (40.0 bytes per pair
-# for 4 gammas on the 2000-vertex path marked at one end). Full overlaps
+# sweep of G(2000, 0.05) with the default 2000 samples peaks at 34.5
+# bytes per pair under tracemalloc (40.0 while the phase table's real
+# angles were held beside it, 48.0 while the table came from np.exp, 56.8
+# while eigh's eigenvectors were copied to phase-fixed complex arrays):
+# the walk matrix and eigenvectors (16) and, while propagate builds it,
+# the samples x c complex phase table (16 per entry). A sweep
+# diagonalises its rates in stacks of at most evolve.STACK_ENTRIES
+# entries, one rate at a time from c = 256 up, so a many-gamma sweep peaks
+# as a one-gamma sweep does (34.5 bytes per pair for 4 gammas on the
+# 2000-vertex path marked at one end). Full overlaps
 # runs on bipartite layouts only and reports the quotient's levels, so it
 # holds no dense n x n array. verify-spin holds its one-excitation block and one
 # candidate walk matrix (8 each).

@@ -23,6 +23,7 @@ from qwsearch.evolve import (
     first_peak,
     propagate,
     search_hamiltonian,
+    search_quotient,
     uniform_state,
 )
 from qwsearch.graph import read_edge_list
@@ -353,6 +354,36 @@ def test_many_gamma_sweep_without_symmetry_holds_what_one_gamma_holds(capsys, tm
         capsys.readouterr()
     one, many = peaks
     assert many <= 1.05 * one + 2**16, peaks
+
+
+def test_sweep_phase_table_holds_at_most_20_bytes_per_sample_and_level(capsys, tmp_path):
+    # a seeded G(400, 0.05) marked at vertex 0 has no symmetry: c = n levels,
+    # and the samples x c phase table holds 16 bytes per entry
+    n = 400
+    rng = np.random.default_rng(17)
+    left, right = np.triu_indices(n, 1)
+    keep = rng.random(left.size) < 0.05
+    edges = np.column_stack([left[keep], right[keep]])
+    path = tmp_path / "gnp.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges.tolist()))
+    quotient = search_quotient(read_edge_list(str(path)), WalkKind.SIGNLESS_LAPLACIAN, {0},
+                               uniform_state(n), [[0]])
+    levels = len(quotient.walk)
+    assert levels == n
+    argv = ["sweep-gamma", "--graph", str(path), "--marked", "0", "--walk", "signless",
+            "--gamma", "0.05", "--tmax", "80"]
+    assert main([*argv, "--samples", "200"]) == 0  # first-call allocations are not the sweep's
+    peaks = []
+    for samples in (2000, 10_000):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--samples", str(samples)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+    assert peaks[1] - peaks[0] <= 20 * 8000 * levels, peaks
 
 
 def test_reduced_mode_stays_constant_in_n(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from qwsearch.bipartite import (
     simulate_reduced,
 )
 from qwsearch.evolve import (
+    EigenDecomposition,
     SearchInstance,
     WalkKind,
     eig_hermitian,
@@ -583,6 +587,142 @@ def test_propagate_with_no_times():
     assert propagate(decomp, psi0, [], rows=[0, 2, 5]).shape == (0, 3)
     assert propagate(decomp, psi0, np.empty(0)).shape == (0, 6)
     assert propagate(decomp, psi0, [], rows=[]).shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the anchor-and-offset split of propagate's times
+
+
+def _bench_class_quotient(walk):
+    """The reduced-mode quotient of the (512, 256, 3, 5) benchmark layout from s."""
+    spec = BipartiteSpec(512, 256, 3, 5)
+    return class_quotient(spec, walk, initial_state(spec, InitialStateKind.UNIFORM))
+
+
+@pytest.mark.parametrize("times", [[0.5, np.nan], [np.inf], [1.0, -np.inf], [-0.5], [3.0, -0.5]],
+                         ids=["nan", "inf", "-inf", "negative", "negative-after"])
+def test_propagate_refuses_times_that_are_not_finite_and_nonnegative(monkeypatch, times):
+    def refused(*args):
+        raise AssertionError("a phase table was built")
+
+    monkeypatch.setattr(evolve, "_phases", refused)
+    decomp = eig_hermitian(np.diag([1.0, -1.0]))
+    quotient = _bench_class_quotient(WalkKind.SIGNLESS_LAPLACIAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="evolution times must be finite and nonnegative"):
+            propagate(decomp, np.array([1.0, 0.0]), times)
+        # a sweep refuses its grid before any rate is propagated
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            quotient.sweep([0.002, 0.004], times)
+
+
+def _split_sum(times):
+    """The split of ``times`` and its anchor + offset at each sample."""
+    split = evolve._split_times(times)
+    size = len(split.inverse)
+    assert split.block == (math.isqrt(size - 1) + 1 if size else 1)
+    assert split.anchors.shape == (-(-size // split.block),)
+    assert np.all(np.diff(split.offsets) > 0) and np.all(split.offsets >= 0)
+    return split, np.repeat(split.anchors, split.block)[:size] + split.offsets[split.inverse]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e6), st.integers(0, 3000))
+def test_split_of_a_uniform_grid_is_exact(tmax, samples):
+    times = np.linspace(0.0, tmax, samples)
+    _, summed = _split_sum(times)
+    assert summed.tobytes() == times.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, allow_infinity=False), max_size=60), st.booleans())
+def test_split_of_any_nonnegative_times_is_exact(values, ordered):
+    # the anchor is rounded to the spacing at its block's largest time, so
+    # the offset is exact also past twice the anchor and in any order
+    times = np.array(sorted(values) if ordered else values, dtype=float)
+    _, summed = _split_sum(times)
+    assert summed.tobytes() == times.tobytes()
+
+
+def test_split_of_the_bench_grids_has_few_distinct_offsets():
+    for tmax in (80.0, 120.0):
+        split, _ = _split_sum(np.linspace(0.0, tmax, 2000))
+        assert (split.block, split.anchors.size) == (45, 45)
+        assert split.offsets.size <= 400
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2, 3, 7, 1000, 20_000])
+def test_split_propagation_matches_the_reference_at_any_sample_count(samples):
+    # 1000 and 20,000 samples are not multiples of their blocks (32, 142)
+    rng = np.random.default_rng(samples)
+    decomp = eig_hermitian(_random_hermitian(rng, 6))
+    psi0 = _random_state(rng, 6)
+    times = np.linspace(0.0, 80.0, samples)
+    got = propagate(decomp, psi0, times)
+    assert got.shape == (samples, 6)
+    assert np.max(np.abs(got - uncollapsed_propagate(decomp, psi0, times)), initial=0.0) <= 1e-12
+
+
+def test_split_propagation_takes_unsorted_and_repeated_times():
+    rng = np.random.default_rng(12)
+    decomp = eig_hermitian(_random_hermitian(rng, 5))
+    psi0 = _random_state(rng, 5)
+    grid = rng.uniform(0.0, 100.0, 400)
+    for times in (rng.permutation(np.concatenate([grid, grid[:50], [0.0, 0.0]])),
+                  grid[::-1], [5.0, 5.0, 0.0, 3.0, 3.0, 100.0, 0.0], np.full(30, 7.25)):
+        got = propagate(decomp, psi0, times, rows=[4, 0])
+        want = uncollapsed_propagate(decomp, psi0, times, rows=[4, 0])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_sweep_splits_its_times_once_for_all_rates(monkeypatch):
+    splits = []
+
+    def counting(times):
+        splits.append(len(times))
+        return split_times(times)
+
+    split_times = evolve._split_times
+    monkeypatch.setattr(evolve, "_split_times", counting)
+    times = np.linspace(0.0, 80.0, 500)
+    path = search_quotient(Graph(300, [(i, i + 1) for i in range(299)]), WalkKind.LAPLACIAN,
+                           {0}, uniform_state(300), [[0]])
+    for quotient, gammas in ((_bench_class_quotient(WalkKind.SIGNLESS_LAPLACIAN),
+                              np.linspace(0.001, 0.0055, 50)),
+                             (path, [0.1, 0.5, 1.0])):  # one eigh call per rate
+        splits.clear()
+        assert len(list(quotient.sweep(gammas, times))) == len(gammas)
+        assert splits == [500]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision < 18,
+                    reason="needs an extended-precision long double")
+def test_split_phases_are_as_accurate_as_cos_of_the_rounded_angle():
+    # the table of an identity eigenbasis is the phase table itself; its
+    # error against a long-double exp(-i L t) stays that of cos(fl(L t))
+    rng = np.random.default_rng(2)
+    irregular = rng.uniform(0.0, 120.0, 2000)
+    grids = [np.linspace(0.0, 80.0, 2000), np.linspace(0.0, 120.0, 2000), np.sort(irregular),
+             irregular]
+    for walk in WalkKind:
+        quotient = _bench_class_quotient(walk)
+        for gamma in (1 / 512, 1 / 256, 0.001, 0.0033, 0.0055):
+            values = eig_hermitian(quotient.hamiltonian(gamma)).eigenvalues
+            ident = EigenDecomposition(values, np.eye(values.size))
+            for times in grids:
+                table = propagate(ident, np.ones(values.size), times)
+                exact = np.outer(times.astype(np.longdouble), values.astype(np.longdouble))
+                rounded = np.outer(times, values)
+                new = _phase_error(table.real, table.imag, exact)
+                old = _phase_error(np.cos(rounded), -np.sin(rounded), exact)
+                assert new <= 2.0 * old + 1e-15, (walk, gamma, new, old)
+
+
+def _phase_error(real, imag, angles):
+    """Largest deviation of ``real + i imag`` from the long-double ``exp(-i angles)``."""
+    return float(max(np.max(np.abs(real - np.cos(angles))),
+                     np.max(np.abs(imag + np.sin(angles)))))
 
 
 def test_search_hamiltonian_reuses_a_given_walk_matrix():
