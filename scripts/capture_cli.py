@@ -32,7 +32,8 @@ window too short for a crest); reduced ``sweep-gamma`` at 20,000 and 7
 samples, whose time grids split into blocks of 142 and 3, each with a
 short last block; reduced ``simulate`` and ``overlaps`` on (10^9, 1000, 3,
 5), where an array per vertex would not fit in memory; and
-``verify-spin``.
+``verify-spin``, also on a 2001-vertex path and on three edges under a
+header of 2^31 vertices, past the search cap.
 """
 
 from __future__ import annotations
@@ -57,11 +58,14 @@ SMALL_GRID = ["--gamma-min", "0.01", "--gamma-max", "0.06", "--gamma-count", "8"
 # vertex v relabelled 5v mod 72 (marked: the images of its classes a and b),
 # a 10-vertex graph with unequal degrees (no symmetry: its search quotient
 # is the whole graph), and, marked at vertex 0, the cycle C_30 (16 cells)
-# and the hypercube Q_6 (7 cells, one per Hamming weight).
+# and the hypercube Q_6 (7 cells, one per Hamming weight); for verify-spin,
+# the path on 2001 vertices and three edges on 2^31 vertices.
 PERMUTED = "{permuted_k48_24}"
 IRREGULAR = "{irregular10}"
 CYCLE = "{cycle30}"
 HYPERCUBE = "{hypercube6}"
+PATH2001 = "{path2001}"
+HUGE_HEADER = "{huge_header}"
 PERMUTED_MARKED = ",".join(str(5 * v % 72) for v in (0, 1, 2, 48, 49, 50, 51, 52))
 IRREGULAR_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                    (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
@@ -78,6 +82,8 @@ def _graph_files() -> dict[str, str]:
         IRREGULAR: "\n".join(["10 13", *(f"{i} {j}" for i, j in IRREGULAR_EDGES)]) + "\n",
         CYCLE: "\n".join(["30 30", *(f"{i} {j}" for i, j in cycle)]) + "\n",
         HYPERCUBE: "\n".join(["64 192", *(f"{i} {j}" for i, j in cube)]) + "\n",
+        PATH2001: "\n".join(["2001 2000", *(f"{i} {i + 1}" for i in range(2000))]) + "\n",
+        HUGE_HEADER: "2147483648 3\n0 1\n1 2\n2147483646 2147483647\n",
     }
 
 
@@ -171,6 +177,11 @@ def _commands() -> list[tuple[str, list[str]]]:
         for ratio in ("0", "1", "-1", "0.5"):
             rows.append((f"verify-spin-{tag}-{ratio}",
                          ["verify-spin", *graph, "--jz-ratio", ratio, "--gamma", "0.3"]))
+    # past the search cap: the certificate holds nothing that grows with n
+    for path, tag in ((PATH2001, "path2001"), (HUGE_HEADER, "huge-header")):
+        for ratio in ("-1", "0.5"):
+            rows.append((f"verify-spin-{tag}-{ratio}",
+                         ["verify-spin", "--graph", path, "--jz-ratio", ratio, "--gamma", "0.3"]))
     return rows
 
 

@@ -1,39 +1,35 @@
 """Continuous-time quantum-walk spatial search toolkit.
 
 Simulates and analyzes search driven by the Laplacian, adjacency, or
-signless-Laplacian walk generator, with a closed-form layer for the
-complete bipartite graph and a spin-network origin check for all three
-walks.
+signless-Laplacian walk generator. Every search runs on the quotient of an
+equitable partition of its graph, with no dense builder of the graph's
+own matrices. A closed-form layer covers the complete bipartite graph,
+and a spin-network check certifies the origin of all three walks from one
+hopping amplitude and the energies of the distinct degrees.
 """
 
 from .graph import (
     BipartiteSpec,
     Graph,
-    adjacency_matrix,
     complete_bipartite,
-    degree_matrix,
-    laplacian,
     read_edge_list,
-    signless_laplacian,
 )
 from .evolve import (
     EigenDecomposition,
-    SearchInstance,
     WalkKind,
     eig_hermitian,
     first_peak,
     overlap_profile,
     propagate,
-    search_hamiltonian,
-    success_probability,
     uniform_state,
     walk_matrix,
 )
 from .spin_network import (
     CouplingConstants,
+    ExcitationBlock,
     certify_walk_equivalence,
     demo_graph,
-    single_excitation_hamiltonian,
+    single_excitation_block,
 )
 from .bipartite import (
     ClosedFormPeak,

@@ -27,7 +27,7 @@ from .evolve import (
     SearchQuotient,
     WalkKind,
     propagate,
-    quotient_search,
+    search_quotient,
     walk_matrix,
 )
 from .graph import BipartiteSpec, EquitablePartition, complete_bipartite
@@ -724,4 +724,4 @@ def simulate_full(
     """
     graph, marked = complete_bipartite(spec)
     psi0 = reduced_to_full(spec, initial_state(spec, start))
-    return quotient_search(graph, walk, marked, psi0, class_slices(spec))(gamma, times)
+    return search_quotient(graph, walk, marked, psi0, class_slices(spec)).masses(gamma, times)

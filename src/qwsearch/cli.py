@@ -59,10 +59,8 @@ FULL_MODE_CAP = 2000
 # as a one-gamma sweep does (34.5 bytes per pair for 4 gammas on the
 # 2000-vertex path marked at one end). Full overlaps
 # runs on bipartite layouts only and reports the quotient's levels, so it
-# holds no dense n x n array. verify-spin holds its one-excitation block and one
-# candidate walk matrix (8 each).
+# holds no dense n x n array.
 SEARCH_CELL_BYTES = 56
-SPIN_CELL_BYTES = 16
 DEFAULT_SAMPLES = 2000
 DEFAULT_GAMMA_COUNT = 200
 
@@ -250,10 +248,10 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, float(tmax), cfg.samples)
 
 
-def _check_full_cap(n: int, cell_bytes: int) -> None:
-    """Refuse ``n`` vertices past the cap, naming the bytes the command would hold."""
+def _check_full_cap(n: int) -> None:
+    """Refuse a search on ``n`` vertices past the cap, naming the bytes it would hold."""
     if n > FULL_MODE_CAP:
-        need = cell_bytes * n * n
+        need = SEARCH_CELL_BYTES * n * n
         raise UsageError(
             f"full mode caps at {FULL_MODE_CAP} vertices, got {n}: its dense "
             f"{n}x{n} arrays need about {need} bytes ({need / 2**20:.0f} MiB)"
@@ -282,14 +280,14 @@ def _full_search(cfg: RunConfig) -> tuple[Graph, frozenset[int]]:
     refused past the cap before any per-vertex-pair array is built.
     """
     if cfg.spec is not None:
-        _check_full_cap(cfg.spec.n, SEARCH_CELL_BYTES)
+        _check_full_cap(cfg.spec.n)
         return complete_bipartite(cfg.spec)
     if cfg.init is not InitialStateKind.UNIFORM:
         raise UsageError("edge-list instances support only --init s")
     if cfg.mode != "full":
         raise UsageError("edge-list instances run in full mode only")
     graph = read_edge_list(cfg.graph_path)
-    _check_full_cap(graph.n, SEARCH_CELL_BYTES)
+    _check_full_cap(graph.n)
     return graph, cfg.marked if cfg.marked is not None else frozenset({0})
 
 
@@ -450,7 +448,6 @@ def cmd_verify_spin(cfg: RunConfig) -> int:
         raise UsageError("verify-spin needs --jz-ratio")
     gamma = float(cfg.gamma) if cfg.gamma is not None else 1.0
     graph = read_edge_list(cfg.graph_path) if cfg.graph_path else demo_graph()
-    _check_full_cap(graph.n, SPIN_CELL_BYTES)
     ratio = float(cfg.jz_ratio)
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=ratio * gamma)
     kinds, deviation = certify_walk_equivalence(graph, couplings)

@@ -1,4 +1,13 @@
-"""Search Hamiltonians and exact spectral time evolution."""
+"""Search on the quotient of an equitable partition, and exact spectral time evolution.
+
+A search on a graph is run on the normalised cell states of the coarsest
+equitable partition that its marked set and start respect
+(:func:`search_quotient`): a ``c x c`` walk matrix and Hamiltonian, where
+``c`` is the cell count, four on a complete bipartite layout and ``n``
+only on a graph without symmetry. On top of it sit the checked Hermitian
+eigendecomposition, the spectral propagator, peak finding and the
+eigenvector overlap table.
+"""
 
 from __future__ import annotations
 
@@ -9,28 +18,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import (
-    EquitablePartition,
-    Graph,
-    adjacency_matrix,
-    equitable_partition,
-    laplacian,
-    signless_laplacian,
-)
+from .graph import EquitablePartition, Graph, equitable_partition
 
 __all__ = [
     "WalkKind",
-    "SearchInstance",
     "EigenDecomposition",
     "walk_matrix",
-    "search_hamiltonian",
     "eig_hermitian",
     "SearchQuotient",
     "search_quotient",
-    "quotient_search",
-    "quotient_overlaps",
     "propagate",
-    "success_probability",
     "uniform_state",
     "first_peak",
     "OverlapRow",
@@ -54,29 +51,6 @@ class WalkKind(enum.Enum):
     SIGNLESS_LAPLACIAN = "signless"
 
 
-@dataclass(frozen=True)
-class SearchInstance:
-    """A spatial-search problem: walk kind, graph, marked vertices, rate.
-
-    ``gamma`` is the jumping rate multiplying the walk matrix. Zero is
-    accepted (the Hamiltonian degenerates to the bare oracle), which is
-    useful as a sanity limit.
-    """
-
-    walk: WalkKind
-    graph: Graph
-    marked: frozenset[int]
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not self.marked:
-            raise ValueError("marked set must be nonempty")
-        if any(not (0 <= i < self.graph.n) for i in self.marked):
-            raise ValueError("marked vertex out of range")
-        _checked_gamma(self.gamma)
-        object.__setattr__(self, "marked", frozenset(int(i) for i in self.marked))
-
-
 def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
     """``gamma``, one rate or a 1-D sequence, as floats.
 
@@ -88,25 +62,14 @@ def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
     return gamma
 
 
-def walk_matrix(g: Graph | EquitablePartition, kind: WalkKind) -> np.ndarray:
-    """The generator matrix for ``kind``: A, A - D, or A + D.
+def walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarray:
+    """The ``c x c`` generator for ``kind`` (A, A - D, or A + D) on the cells of ``part``.
 
-    Given an :class:`~qwsearch.graph.EquitablePartition` instead of a graph,
-    it is the ``c x c`` quotient on the normalised cell states: entries
-    ``arcs[i, j] / sqrt(sizes[i] sizes[j])``, and the cell degrees on the
-    diagonal for the Laplacians. On the discrete partition every size is
-    1, so the quotient is the graph's matrix bit for bit.
+    It acts on the normalised cell states: entries ``arcs[i, j] /
+    sqrt(sizes[i] sizes[j])``, and the cell degrees on the diagonal for the
+    Laplacians. On the discrete partition every size is 1, so it is the
+    graph's own ``n x n`` matrix, bit for bit.
     """
-    if isinstance(g, EquitablePartition):
-        return _quotient_walk_matrix(g, kind)
-    if kind is WalkKind.ADJACENCY:
-        return adjacency_matrix(g)
-    if kind is WalkKind.LAPLACIAN:
-        return laplacian(g)
-    return signless_laplacian(g)
-
-
-def _quotient_walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarray:
     # filled only where cells touch: a discrete partition has about 2m of n^2
     rows, cols = np.nonzero(part.arcs)
     out = np.zeros(part.arcs.shape)
@@ -119,20 +82,6 @@ def _quotient_walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarra
         else:
             out[np.diag_indices_from(out)] += degrees
     return out
-
-
-def search_hamiltonian(inst: SearchInstance, w: np.ndarray | None = None) -> np.ndarray:
-    """Search Hamiltonian ``-gamma * W - sum_marked |i><i|``.
-
-    ``W`` is the walk matrix of the instance's kind; pass it as ``w`` when
-    it was built already (a sweep over gamma builds it once per graph). The
-    result is real symmetric, hence exactly Hermitian.
-    """
-    if w is None:
-        w = walk_matrix(inst.graph, inst.walk)
-    elif w.shape != (inst.graph.n, inst.graph.n):
-        raise ValueError("walk matrix does not match the graph")
-    return _oracle_shifted(inst.gamma, w, sorted(inst.marked))
 
 
 def _oracle_shifted(
@@ -276,6 +225,16 @@ def _group_vertices(group: Iterable[int], n: int) -> np.ndarray:
     return vertices
 
 
+def _marked_vertices(marked: Iterable[int], n: int) -> list[int]:
+    """Sorted distinct vertices of ``marked``; ``ValueError`` if empty or out of range."""
+    vertices = sorted({int(i) for i in marked})
+    if not vertices:
+        raise ValueError("marked set must be nonempty")
+    if vertices[0] < 0 or vertices[-1] >= n:
+        raise ValueError("marked vertex out of range")
+    return vertices
+
+
 def search_quotient(
     graph: Graph,
     walk: WalkKind,
@@ -295,16 +254,16 @@ def search_quotient(
     apart. A graph without symmetry gets the discrete partition, whose
     quotient is the search Hamiltonian itself. The start on the cells is
     ``q0[i] = sqrt(|cell i|) psi0[v_i]`` (``v_i`` any vertex of cell
-    ``i``). The marked set is checked as by :class:`SearchInstance`, with
-    its messages, and the vertices of ``groups`` and ``colours`` as the
-    ``rows`` of :func:`propagate`.
+    ``i``). The marked set must be a nonempty set of vertices, and the
+    vertices of ``groups`` and ``colours`` are checked as the ``rows`` of
+    :func:`propagate`.
     """
-    marked = SearchInstance(walk, graph, frozenset(marked), 0.0).marked
+    marked = _marked_vertices(marked, graph.n)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (graph.n,):
         raise ValueError("state dimension does not match the graph")
     keys = [np.isin(np.arange(graph.n), _group_vertices(c, graph.n)) for c in colours]
-    keys.append(np.isin(np.arange(graph.n), sorted(marked)))
+    keys.append(np.isin(np.arange(graph.n), marked))
     part = equitable_partition(graph, np.stack([*keys, psi0.real, psi0.imag], axis=1))
     sizes = part.sizes.astype(float)
     shares = np.zeros((sizes.size, len(groups)))
@@ -312,49 +271,8 @@ def search_quotient(
         shares[:, g] = np.bincount(part.cells[_group_vertices(group, graph.n)],
                                    minlength=sizes.size) / sizes
     _, first = np.unique(part.cells, return_index=True)
-    return SearchQuotient(walk_matrix(part, walk), np.unique(part.cells[sorted(marked)]),
+    return SearchQuotient(walk_matrix(part, walk), np.unique(part.cells[marked]),
                           np.sqrt(sizes) * psi0[first], shares)
-
-
-def quotient_search(
-    graph: Graph,
-    walk: WalkKind,
-    marked: Iterable[int],
-    psi0: np.ndarray,
-    groups: Sequence[Iterable[int]],
-) -> Callable[[float, Sequence[float] | np.ndarray], np.ndarray]:
-    """Probability mass of each vertex group along a search, evolved in its quotient.
-
-    The partition and quotient walk matrix of :func:`search_quotient` are
-    built once here. The returned ``masses(gamma, times)`` diagonalises the
-    ``c x c`` quotient search Hamiltonian with :func:`eig_hermitian` per
-    call and returns shape ``(len(times), len(groups))``
-    (:meth:`SearchQuotient.masses`); nothing of size ``n x c`` is formed.
-    Gamma is checked as by :class:`SearchInstance`.
-    """
-    return search_quotient(graph, walk, marked, psi0, groups).masses
-
-
-def quotient_overlaps(
-    graph: Graph,
-    walk: WalkKind,
-    marked: Iterable[int],
-    probe: np.ndarray,
-    left: Iterable[int],
-    right: Iterable[int],
-    gammas: Sequence[float],
-) -> list[OverlapRow]:
-    """:func:`overlap_profile` of the search's own levels, from its quotient.
-
-    The partition is that of :func:`search_quotient` (``probe`` in the
-    start state's place), coloured also by the ``left`` and ``right``
-    groups, whose masses the rows report. Its quotient's levels are those
-    of the search: on a complete bipartite layout, the class model on the
-    nonempty classes. Each gamma diagonalises only the ``c x c`` quotient;
-    any graph is accepted.
-    """
-    sides = [_group_vertices(group, graph.n) for group in (left, right)]
-    return search_quotient(graph, walk, marked, probe, sides, sides).levels(gammas)
 
 
 def propagate(
@@ -470,15 +388,6 @@ def _propagated(
     return split.phases(decomp.eigenvalues) @ (basis * coeffs).T
 
 
-def success_probability(psi: np.ndarray, marked: Iterable[int]) -> float:
-    """Total probability mass of ``psi`` on the marked vertices."""
-    psi = np.asarray(psi)
-    idx = sorted(int(i) for i in marked)
-    if idx and (idx[0] < 0 or idx[-1] >= psi.size):
-        raise ValueError("marked vertex out of range")
-    return float(np.sum(np.abs(psi[idx]) ** 2))
-
-
 def uniform_state(n: int) -> np.ndarray:
     """Uniform superposition over ``n`` vertices."""
     if n < 1:
@@ -549,14 +458,15 @@ def overlap_profile(
     run's stack is diagonalized by one :func:`eig_hermitian` call, and the
     rows report the lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n`` of
     each rate: ``|<probe|psi_n>|^2``, the probability mass of ``psi_n`` on
-    the left- and right-marked basis states, and the eigenvalue. The
-    ``overlaps`` command passes the quotient of the search's partition
-    (:meth:`SearchQuotient.levels`): on a bipartite layout, the class model
-    on the nonempty classes, 4x4 at most. Exactly tied levels keep
-    ``np.linalg.eigh``'s order. Levels that split by less than ``eigh``'s
-    accuracy (about machine epsilon times the Hamiltonian's scale; on a
-    bipartite layout, a with b and c with d as gamma -> 0) are a
-    near-degenerate pair: ``eigh`` may return any basis of their span, so
+    the left- and right-marked basis states, and the eigenvalue. Each side
+    is read as a set of distinct basis states, checked as the ``rows`` of
+    :func:`propagate`. The ``overlaps`` command passes the quotient of the
+    search's partition (:meth:`SearchQuotient.levels`): on a bipartite
+    layout, the class model on the nonempty classes, 4x4 at most. Exactly
+    tied levels keep ``np.linalg.eigh``'s order. Levels that split by less
+    than ``eigh``'s accuracy (about machine epsilon times the Hamiltonian's
+    scale; on a bipartite layout, a with b and c with d as gamma -> 0) are
+    a near-degenerate pair: ``eigh`` may return any basis of their span, so
     the rows of each level depend on the basis (on the cell order, for one)
     and only their sums over the pair are determined. Rows are ordered by
     the given gamma sequence and then by ``n``.
@@ -567,8 +477,7 @@ def overlap_profile(
     probe = np.asarray(probe, dtype=complex)
     if abs(np.linalg.norm(probe) - 1.0) > 1e-8:
         raise ValueError("probe state must be normalized")
-    left = np.array([int(i) for i in left_marked], dtype=np.intp)
-    right = np.array([int(i) for i in right_marked], dtype=np.intp)
+    left, right = (_group_vertices(side, probe.size) for side in (left_marked, right_marked))
     rows: list[OverlapRow] = []
     for run in _rate_runs(rates, probe.size):
         rows += _levels(build_hamiltonians(run), run, probe, left, right)

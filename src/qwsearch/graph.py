@@ -1,4 +1,10 @@
-"""Simple undirected graphs and the matrices that generate walks on them."""
+"""Simple undirected graphs as edge arrays, and their equitable partitions.
+
+A graph is a sorted ``(m, 2)`` array of its edges. Walks on it are
+generated on the cells of an equitable partition
+(:func:`~qwsearch.evolve.walk_matrix`), never as a matrix over all vertex
+pairs.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +17,6 @@ __all__ = [
     "Graph",
     "BipartiteSpec",
     "complete_bipartite",
-    "adjacency_matrix",
-    "degree_matrix",
-    "laplacian",
-    "signless_laplacian",
     "read_edge_list",
     "EquitablePartition",
     "equitable_partition",
@@ -178,38 +180,6 @@ def complete_bipartite(spec: BipartiteSpec) -> tuple[Graph, frozenset[int]]:
         range(spec.n1, spec.n1 + spec.k2)
     )
     return graph, marked
-
-
-def _degrees(g: Graph) -> np.ndarray:
-    return np.bincount(g.edges.ravel(), minlength=g.n).astype(float)
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense adjacency matrix: ``A[i, j] = 1`` iff ``{i, j}`` is an edge."""
-    a = np.zeros((g.n, g.n), dtype=float)
-    u, v = np.asarray(g.edges).T
-    a[u, v] = 1.0
-    a[v, u] = 1.0
-    return a
-
-
-def degree_matrix(g: Graph) -> np.ndarray:
-    """Diagonal matrix of vertex degrees."""
-    return np.diag(_degrees(g))
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Discrete Laplacian ``A - D`` (row sums are exactly zero)."""
-    out = adjacency_matrix(g)
-    out[np.diag_indices(g.n)] -= _degrees(g)
-    return out
-
-
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """Signless Laplacian ``A + D`` (entrywise nonnegative)."""
-    out = adjacency_matrix(g)
-    out[np.diag_indices(g.n)] += _degrees(g)
-    return out
 
 
 def read_edge_list(path: str | Path) -> Graph:

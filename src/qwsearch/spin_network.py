@@ -5,28 +5,27 @@ inside the one-excitation sector, exactly like a continuous-time quantum
 walk on the graph. Which walk appears depends on the coupling anisotropy:
 equal transverse couplings with ``jz = 0`` give the adjacency walk,
 ``jz = jx`` the Laplacian walk (up to an energy rezeroing), and ``jz = -jx``
-the signless-Laplacian walk. This module builds the one-excitation block
-directly from the edge array in ``O(n^2 + m)`` and certifies which walk it
-realizes, without building the exponential-size Hamiltonian.
+the signless-Laplacian walk. This module reads the one-excitation block
+off the edge array as one hopping amplitude and one energy per distinct
+degree, and certifies which walk it realizes by comparing those entries
+alone. It builds no ``n x n`` matrix and never the exponential-size
+Hamiltonian, so the certificate holds nothing that grows with ``n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .evolve import WalkKind
-from .graph import (
-    Graph,
-    adjacency_matrix,
-    laplacian,
-    signless_laplacian,
-)
+from .graph import Graph
 
 __all__ = [
     "CouplingConstants",
-    "single_excitation_hamiltonian",
+    "ExcitationBlock",
+    "single_excitation_block",
     "certify_walk_equivalence",
     "demo_graph",
 ]
@@ -48,27 +47,42 @@ class CouplingConstants:
                 raise ValueError(f"coupling {name} must be finite")
 
 
-def single_excitation_hamiltonian(g: Graph, j: CouplingConstants) -> np.ndarray:
-    """One-excitation block of the network's exchange Hamiltonian, built directly.
+class ExcitationBlock(NamedTuple):
+    """The one-excitation block of the exchange Hamiltonian, by its distinct entries.
+
+    ``hopping`` is the entry at each edge ``(u, v)`` (and ``(v, u)``);
+    every other off-diagonal entry is zero. ``energies[i]`` is the diagonal
+    entry at each vertex of degree ``degrees[i]``, the distinct degrees
+    ascending. Nothing in it grows with the vertex count.
+    """
+
+    hopping: float
+    degrees: np.ndarray
+    energies: np.ndarray
+
+
+def single_excitation_block(g: Graph, j: CouplingConstants) -> ExcitationBlock:
+    """One-excitation block of the network's exchange Hamiltonian, from the degrees.
 
     The Hamiltonian on the ``2^n`` spin states is ``H = -(1/2) sum_{u~v}
     (jx XuXv + jy YuYv + jz ZuZv)``, summed over the edges of ``g``. Row
     and column ``k`` of the block belong to the state with the single
-    flipped spin at vertex ``k``. On an edge ``(u, v)``,
-    ``XX + YY`` moves the excitation between ``u`` and ``v``, giving the
-    off-diagonal entry ``-(jx + jy) / 2``. ``ZZ`` is ``+1`` on the edges away
-    from the excitation and ``-1`` on the ``deg k`` edges at it, so the
-    diagonal is ``-(jz / 2) (m - 2 deg k)``, one rounding of an integer count.
-    The cost is ``O(n^2 + m)`` at any ``n``. The block equals the rows and
-    columns of ``H`` at the one-excitation states; the sector is invariant,
-    and the block is the whole dynamics in it, only when ``jx == jy``.
+    flipped spin at vertex ``k``. On an edge ``(u, v)``, ``XX + YY`` moves
+    the excitation between ``u`` and ``v``, giving the off-diagonal entry
+    ``-(jx + jy) / 2``. ``ZZ`` is ``+1`` on the edges away from the
+    excitation and ``-1`` on the ``deg k`` edges at it, so the diagonal is
+    ``-(jz / 2) (m - 2 deg k)``, one rounding of an integer count, and
+    depends on ``k`` only through its degree. The degrees are counted over
+    the edge array in ``O(m log m)``, with degree 0 added when an edge
+    misses some vertex. The block equals the rows and columns of ``H`` at
+    the one-excitation states; the sector is invariant, and the block is
+    the whole dynamics in it, only when ``jx == jy``.
     """
-    h = np.zeros((g.n, g.n))
-    u, v = g.edges.T
-    h[u, v] = h[v, u] = -0.5 * (j.jx + j.jy)
-    count = g.m - 2 * np.bincount(g.edges.ravel(), minlength=g.n)
-    h[np.diag_indices(g.n)] = -0.5 * j.jz * count
-    return h
+    touched, counts = np.unique(g.edges.ravel(), return_counts=True)
+    degrees = np.unique(counts)
+    if touched.size < g.n:
+        degrees = np.concatenate([[0], degrees])
+    return ExcitationBlock(-0.5 * (j.jx + j.jy), degrees, -0.5 * j.jz * (g.m - 2 * degrees))
 
 
 def certify_walk_equivalence(
@@ -76,41 +90,47 @@ def certify_walk_equivalence(
 ) -> tuple[tuple[WalkKind, ...], float]:
     """Classify which walks the spin network realizes on ``g``.
 
-    Compares the one-excitation block (:func:`single_excitation_hamiltonian`)
+    Compares the one-excitation block (:func:`single_excitation_block`)
     with the three candidate identities:
 
     - adjacency:          ``-gamma A``
     - Laplacian:          ``-gamma (L + (m / 2) I) = -gamma L - (gamma m / 2) I``
     - signless Laplacian: ``-gamma (Q - (m / 2) I) = -gamma Q + (gamma m / 2) I``
 
-    with ``gamma = jx``, ``L = A - D`` and ``m`` the edge count. Each
-    candidate is ``-gamma`` times a matrix of half-integers, so every entry
-    is one rounding, as in the block: a matching candidate deviates by
-    exactly 0.0 at any size. Returns the kinds within ``EQUIVALENCE_TOL``,
-    from the smallest deviation up (equal deviations in the order above),
-    and the smallest max entrywise deviation of the three. More than one
-    kind matches when the candidates coincide, as they do when every degree
-    is ``m / 2`` (the 4-cycle, K4, two disjoint edges, edgeless graphs).
-    Requires ``jx == jy``.
+    with ``gamma = jx``, ``L = A - D`` and ``m`` the edge count. Every
+    entry of both sides is fixed by the edges and the degrees, so only two
+    kinds of entry are compared: the hopping amplitude against ``-gamma``
+    (when there is an edge), and each distinct degree ``d``'s energy
+    against ``0``, ``-gamma (m / 2 - d)`` or ``-gamma (d - m / 2)``; the
+    zero entries agree. Each candidate entry is ``-gamma`` times a
+    half-integer, one rounding, as in the block: a matching candidate
+    deviates by exactly 0.0 at any size. The deviation is the one the
+    ``n x n`` matrices give, bit for bit, and nothing held grows with
+    ``n``. Returns the kinds within ``EQUIVALENCE_TOL``, from the smallest
+    deviation up (equal deviations in the order above), and the smallest
+    max entrywise deviation of the three. More than one kind matches when
+    the candidates coincide, as they do when every degree is ``m / 2``
+    (the 4-cycle, K4, two disjoint edges, edgeless graphs). Requires
+    ``jx == jy``.
     """
     if j.jx != j.jy:
         raise ValueError("walk equivalence requires jx == jy")
     gamma = j.jx
-    block = single_excitation_hamiltonian(g, j)
+    block = single_excitation_block(g, j)
+    degrees = block.degrees.astype(float)
     half_m = 0.5 * g.m
+    # each candidate's diagonal entry at degree d, before the factor -gamma
     candidates = (
-        (WalkKind.ADJACENCY, adjacency_matrix, 0.0),
-        (WalkKind.LAPLACIAN, laplacian, half_m),
-        (WalkKind.SIGNLESS_LAPLACIAN, signless_laplacian, -half_m),
+        (WalkKind.ADJACENCY, np.zeros_like(degrees)),
+        (WalkKind.LAPLACIAN, half_m - degrees),
+        (WalkKind.SIGNLESS_LAPLACIAN, degrees - half_m),
     )
+    # every candidate is -gamma at the edges
+    hops = [abs(-gamma - block.hopping)] if g.m else []
     deviations = []
-    for kind, matrix, shift in candidates:
-        # in place: the block and one candidate are the only n x n arrays held
-        target = matrix(g)
-        target[np.diag_indices(g.n)] += shift
-        target *= -gamma
-        target -= block
-        deviations.append((float(np.max(np.abs(target, out=target))), kind))
+    for kind, diagonal in candidates:
+        gaps = np.abs(diagonal * -gamma - block.energies)
+        deviations.append((float(np.max(np.concatenate([hops, gaps]))), kind))
     deviations.sort(key=lambda pair: pair[0])  # stable: ties keep the order above
     kinds = tuple(kind for dev, kind in deviations if dev <= EQUIVALENCE_TOL)
     return kinds, deviations[0][0]

@@ -1,9 +1,10 @@
 """Dense reference for the spin-network block: the full 2^n Heisenberg Hamiltonian.
 
-``qwsearch.spin_network`` builds the one-excitation block directly from the
-edge array. The tests compare that block with the one-excitation rows and
-columns of the exponential-size Hamiltonian built here from Kronecker
-products of Pauli matrices.
+``qwsearch.spin_network`` reads the one-excitation block off the edge array,
+as one hopping amplitude and one energy per distinct degree. The tests
+spread it into ``n x n`` (``dense_reference.spread_block``) and compare it
+with the one-excitation rows and columns of the exponential-size
+Hamiltonian built here from Kronecker products of Pauli matrices.
 """
 
 from functools import reduce

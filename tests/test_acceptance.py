@@ -41,14 +41,15 @@ from qwsearch.evolve import (
     eig_hermitian,
     first_peak,
     propagate,
-    search_hamiltonian,
     uniform_state,
 )
-from qwsearch.graph import BipartiteSpec, laplacian, signless_laplacian
-from qwsearch.spin_network import (
-    CouplingConstants,
-    demo_graph,
-    single_excitation_hamiltonian,
+from qwsearch.graph import BipartiteSpec
+from qwsearch.spin_network import CouplingConstants, demo_graph
+from dense_reference import (
+    adjacency_matrix,
+    laplacian,
+    signless_laplacian,
+    spread_block,
 )
 from spin_reference import heisenberg_hamiltonian, project_single_excitation
 
@@ -177,8 +178,6 @@ def test_criterion_4_spin_network_equivalences():
     gamma = 0.3
     eye = np.eye(g.n)
     shift = 0.5 * gamma * g.m * eye
-    from qwsearch.graph import adjacency_matrix
-
     cases = [
         ("jz/jx=0", CouplingConstants(gamma, gamma, 0.0), -gamma * adjacency_matrix(g)),
         ("jz/jx=1", CouplingConstants(gamma, gamma, gamma), -gamma * laplacian(g) - shift),
@@ -195,7 +194,8 @@ def test_criterion_4_spin_network_equivalences():
             heisenberg_hamiltonian(g, couplings), g.n
         )
         worst = max(worst, float(np.max(np.abs(projected - target))))
-        block = single_excitation_hamiltonian(g, couplings)
+        # the package's hopping amplitude and per-degree energies, spread into n x n
+        block = spread_block(g, couplings)
         block_gap = max(block_gap, float(np.max(np.abs(block - projected))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and block_gap <= 1e-10 and elapsed < 1.0

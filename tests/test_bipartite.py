@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, uncollapsed_propagate
+from dense_reference import SearchInstance, dense_walk_matrix, search_hamiltonian
 from qwsearch.bipartite import (
     ClosedFormPeak,
     CriticalSide,
@@ -33,7 +34,7 @@ from qwsearch.bipartite import (
     simulate_full,
     simulate_reduced,
 )
-from qwsearch.evolve import SearchInstance, WalkKind, eig_hermitian, search_hamiltonian
+from qwsearch.evolve import WalkKind, eig_hermitian
 from qwsearch.graph import BipartiteSpec, complete_bipartite, equitable_partition
 
 BENCH_SPEC = BipartiteSpec(512, 256, 3, 5)
@@ -74,11 +75,9 @@ def test_reduced_hamiltonian_matches_conjugated_full(walk, gamma):
 @given(bipartite_specs(), st.sampled_from(list(WalkKind)))
 @settings(max_examples=30, deadline=None)
 def test_reduced_walk_matrix_matches_conjugated_full(spec, walk):
-    from qwsearch.evolve import walk_matrix
-
     graph, _ = complete_bipartite(spec)
     iso = _brute_isometry(spec)
-    conjugated = iso.T @ walk_matrix(graph, walk) @ iso
+    conjugated = iso.T @ dense_walk_matrix(graph, walk) @ iso
     expected = reduced_walk_matrix(spec, walk)
     # the conjugation silently zeroes empty-class coordinates, same as ours
     assert np.max(np.abs(conjugated - expected)) <= 1e-9

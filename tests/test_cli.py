@@ -13,16 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs
+from dense_reference import SearchInstance, search_hamiltonian
 from qwsearch import cli, spin_network
 from qwsearch.bipartite import class_quotient, class_sizes
-from qwsearch.cli import SEARCH_CELL_BYTES, SPIN_CELL_BYTES, main
+from qwsearch.cli import SEARCH_CELL_BYTES, main
 from qwsearch.evolve import (
-    SearchInstance,
     WalkKind,
     eig_hermitian,
     first_peak,
     propagate,
-    search_hamiltonian,
     search_quotient,
     uniform_state,
 )
@@ -157,21 +156,44 @@ def test_verify_spin_certifies_a_14_vertex_path(capsys, tmp_path):
     ]
 
 
-def test_verify_spin_refuses_past_the_full_mode_cap(capsys, monkeypatch, tmp_path):
-    # the refusal comes before the certificate allocates its n x n arrays
-    def refuse(*args, **kwargs):
-        raise AssertionError("certificate built past the cap")
-
-    monkeypatch.setattr(cli, "certify_walk_equivalence", refuse)
-    path = tmp_path / "wide.txt"
-    path.write_text("2001 1\n0 1\n")
+def test_verify_spin_certifies_past_the_full_mode_cap(capsys, tmp_path):
+    # the certificate holds nothing of size n, so the search cap does not
+    # apply to it: a 2001-vertex path certifies as a 14-vertex one does
+    path = tmp_path / "path2001.txt"
+    path.write_text("2001 2000\n" + "".join(f"{i} {i + 1}\n" for i in range(2000)))
     code, out, err = run_cli(
         capsys, ["verify-spin", "--graph", str(path), "--jz-ratio", "-1"]
     )
-    assert (code, out) == (1, "")
-    assert "full mode caps at 2000 vertices, got 2001" in err
-    need = SPIN_CELL_BYTES * 2001**2
-    assert f"its dense 2001x2001 arrays need about {need} bytes (61 MiB)" in err
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "classification=signless",
+        "max_deviation=0.0",
+        "expected=signless",
+        "result=PASS",
+    ]
+
+
+def test_verify_spin_on_two_to_the_31_vertices_holds_under_a_mebibyte(capsys, tmp_path):
+    # three edges under a header of 2^31 vertices: nothing the command holds
+    # grows with n (a per-vertex count alone would take 16 GiB)
+    path = tmp_path / "huge.txt"
+    path.write_text("2147483648 3\n0 1\n1 2\n2147483646 2147483647\n")
+    argv = ["verify-spin", "--graph", str(path), "--jz-ratio", "-1", "--gamma", "0.3"]
+    run_cli(capsys, argv)  # warm: imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "classification=signless",
+        "max_deviation=0.0",
+        "expected=signless",
+        "result=PASS",
+    ]
+    assert peak < 2**20
 
 
 COINCIDING_GRAPHS = {
@@ -638,21 +660,20 @@ def test_full_sweeps_and_overlaps_diagonalise_only_the_quotient(
     assert solved(solves) == 11
     sweeps_and_simulate = len(solves)
 
-    # full overlaps forms no dense walk matrix either
-    def refuse(original):
-        def refused(*args, **kwargs):
-            raise AssertionError("dense n x n walk matrix built")
-
-        return refused
-
-    for name in ("adjacency_matrix", "laplacian", "signless_laplacian"):
-        _patch_everywhere(monkeypatch, "graph", name, refuse)
+    # full overlaps forms no dense walk matrix either: the package has no
+    # builder of one, and each walk matrix is the quotient's
+    for module in ("graph", "evolve", "bipartite", "spin_network", "cli"):
+        for name in ("adjacency_matrix", "degree_matrix", "laplacian", "signless_laplacian",
+                     "search_hamiltonian"):
+            assert not hasattr(importlib.import_module(f"qwsearch.{module}"), name)
+    walks = _count_calls(monkeypatch, "evolve", "walk_matrix")
     for walk in ("adjacency", "laplacian", "signless"):
         argv = ["overlaps", *layout, *SWEEP_GRID[2:], "--mode", "full", "--walk", walk]
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 4 * 5
     assert solved(solves[sweeps_and_simulate:]) == 15
+    assert [args[0].arcs.shape for args in walks] == [(4, 4)] * 3
 
 
 def test_edge_list_sweep_on_a_cycle_matches_the_dense_eigensolve(capsys, tmp_path):

@@ -7,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs, uncollapsed_propagate
+from dense_reference import (
+    SearchInstance,
+    dense_walk_matrix,
+    search_hamiltonian,
+    success_probability,
+)
 from qwsearch import evolve
 from qwsearch.bipartite import (
     CriticalSide,
@@ -22,17 +28,12 @@ from qwsearch.bipartite import (
 )
 from qwsearch.evolve import (
     EigenDecomposition,
-    SearchInstance,
     WalkKind,
     eig_hermitian,
     first_peak,
     overlap_profile,
     propagate,
-    quotient_overlaps,
-    quotient_search,
-    search_hamiltonian,
     search_quotient,
-    success_probability,
     uniform_state,
     walk_matrix,
 )
@@ -439,7 +440,7 @@ def test_quotient_propagation_matches_the_dense_eigensolve(graph, walk, gamma, d
     psi0 /= np.linalg.norm(psi0)
     groups = [[v] for v in range(graph.n)] + [sorted(marked)]
     times = np.linspace(0.0, 50.0, 201)
-    got = quotient_search(graph, walk, marked, psi0, groups)(gamma, times)
+    got = search_quotient(graph, walk, marked, psi0, groups).masses(gamma, times)
     dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma)))
     probs = np.abs(uncollapsed_propagate(dense, psi0, times)) ** 2
     want = np.column_stack([probs, probs[:, sorted(marked)].sum(axis=1)])
@@ -459,7 +460,7 @@ def _irregular10():
 @given(graphs(), st.sampled_from(list(WalkKind)))
 def test_discrete_quotient_walk_matrix_is_the_walk_matrix(graph, walk):
     part = equitable_partition(graph, np.arange(graph.n))
-    assert np.array_equal(walk_matrix(part, walk), walk_matrix(graph, walk))
+    assert np.array_equal(walk_matrix(part, walk), dense_walk_matrix(graph, walk))
 
 
 @pytest.mark.parametrize("walk", list(WalkKind))
@@ -469,9 +470,9 @@ def test_discrete_quotient_search_is_the_dense_search_bit_for_bit(walk):
     is_marked = np.isin(np.arange(graph.n), sorted(marked))
     assert equitable_partition(graph, is_marked).sizes.tolist() == [1] * 10
     singles = [[v] for v in range(graph.n)]
-    each = quotient_search(graph, walk, marked, psi0, [*singles, sorted(marked)])
-    together = quotient_search(graph, walk, marked, psi0, [sorted(marked)])
-    w = walk_matrix(graph, walk)
+    each = search_quotient(graph, walk, marked, psi0, [*singles, sorted(marked)]).masses
+    together = search_quotient(graph, walk, marked, psi0, [sorted(marked)]).masses
+    w = dense_walk_matrix(graph, walk)
     times = np.linspace(0.0, 60.0, 400)
     for gamma in (0.0, 0.05, 0.3, 1.7):
         dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w))
@@ -534,7 +535,7 @@ def test_permuted_layout_quotient_has_four_cells():
     assert np.max(np.abs(np.linalg.eigvalsh(h) - reduced)) <= 1e-12
     groups = [relabel[list(vertices)] for vertices in class_slices(spec)]
     times = np.linspace(0.0, 60.0, 241)
-    got = quotient_search(permuted, WalkKind.LAPLACIAN, images, psi0, groups)(0.03, times)
+    got = search_quotient(permuted, WalkKind.LAPLACIAN, images, psi0, groups).masses(0.03, times)
     want = simulate_reduced(spec, WalkKind.LAPLACIAN, InitialStateKind.UNIFORM, 0.03, times)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -543,16 +544,16 @@ def test_quotient_search_refuses_as_the_search_instance_does():
     graph = _irregular10()
     psi0 = uniform_state(10)
     with pytest.raises(ValueError, match="marked set must be nonempty"):
-        quotient_search(graph, WalkKind.LAPLACIAN, frozenset(), psi0, [[1]])
+        search_quotient(graph, WalkKind.LAPLACIAN, frozenset(), psi0, [[1]])
     with pytest.raises(ValueError, match="marked vertex out of range"):
-        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({10}), psi0, [[1]])
+        search_quotient(graph, WalkKind.LAPLACIAN, frozenset({10}), psi0, [[1]])
     with pytest.raises(ValueError, match="state dimension"):
-        quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0[:9], [[1]])
+        search_quotient(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0[:9], [[1]])
     # a group vertex is checked as a row of propagate is, with its message
     for group in ([10], [0, -1]):
         with pytest.raises(ValueError, match="^row index out of range$"):
-            quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1], group])
-    masses = quotient_search(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1]])
+            search_quotient(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1], group])
+    masses = search_quotient(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1]]).masses
     for gamma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
             masses(gamma, [0.0, 1.0])
@@ -729,7 +730,7 @@ def test_search_hamiltonian_reuses_a_given_walk_matrix():
     spec = BipartiteSpec(9, 5, 2, 1)
     graph, marked = complete_bipartite(spec)
     for kind in WalkKind:
-        w = walk_matrix(graph, kind)
+        w = dense_walk_matrix(graph, kind)
         kept = w.copy()
         for gamma in (0.0, 0.1, 0.37):
             inst = SearchInstance(kind, graph, marked, gamma)
@@ -871,6 +872,24 @@ def test_overlap_profile_requires_gammas_and_normalized_probe():
         overlap_profile(build, [0.1], 2.0 * probe, [0], [1])
 
 
+def test_overlap_profile_reads_each_side_as_a_set_of_basis_states():
+    # a negative index is refused rather than read from the end, an index
+    # past the probe is refused with propagate's message, and a repeated
+    # index counts its state once
+    spec = BipartiteSpec(8, 4, 1, 1)
+    build = _reduced_builder(spec, WalkKind.SIGNLESS_LAPLACIAN)
+    probe = initial_state(spec, InitialStateKind.UNIFORM)
+    for side in ([-1], [4], [0, 4]):
+        with pytest.raises(ValueError, match="^row index out of range$"):
+            overlap_profile(build, [0.1], probe, side, [1])
+        with pytest.raises(ValueError, match="^row index out of range$"):
+            overlap_profile(build, [0.1], probe, [0], side)
+    once = overlap_profile(build, [0.1, 0.3], probe, [0], [1, 2])
+    twice = overlap_profile(build, [0.1, 0.3], probe, [0, 0], np.array([2, 1, 2]))
+    assert twice == once
+    assert all(0.0 <= row.left_overlap <= 1.0 for row in twice)
+
+
 def test_overlap_completeness():
     spec = BipartiteSpec(512, 256, 3, 5)
     probe = initial_state(spec, InitialStateKind.UNIFORM)
@@ -914,7 +933,13 @@ def test_overlap_crossings_near_critical_rates():
 
 
 # ---------------------------------------------------------------------------
-# quotient_overlaps: the search's own levels, from its quotient
+# SearchQuotient.levels: the search's own levels, from its quotient
+
+
+def _side_levels(graph, walk, marked, probe, left, right, gammas):
+    """The ``overlaps`` rows: the levels of the search coloured also by its two sides."""
+    sides = [left, right]
+    return search_quotient(graph, walk, marked, probe, sides, sides).levels(gammas)
 
 
 def _layout_probes(spec):
@@ -929,14 +954,14 @@ def _layout_probes(spec):
 
 
 def _overlaps_and_dense(graph, walk, marked, probe, left, right, gammas):
-    """Rows of quotient_overlaps, the dense search and the rows' reader.
+    """Rows of :func:`_side_levels`, the dense search and the rows' reader.
 
     ``explicit(gamma)`` returns the dense Hamiltonian and ``(eigenvalue,
     unit vector)`` pairs: the eigenvectors of the search's quotient,
     spread evenly over each cell's vertices.
     """
-    rows = quotient_overlaps(graph, walk, marked, probe, left, right, gammas)
-    w = walk_matrix(graph, walk)
+    rows = _side_levels(graph, walk, marked, probe, left, right, gammas)
+    w = dense_walk_matrix(graph, walk)
     colours = [np.isin(np.arange(graph.n), vertices) for vertices in (sorted(marked), left, right)]
     part = equitable_partition(graph, np.stack([*colours, probe.real, probe.imag], axis=1))
     lift = np.zeros((graph.n, part.sizes.size))
@@ -1062,7 +1087,7 @@ def test_quotient_overlaps_take_any_graph():
         assert [row.n for row in rows] == [0, 1, 2, 3] * 2
         _assert_rows_match_simple_dense_levels(rows, explicit, observables)
     path = Graph(3, [(0, 1), (1, 2)])
-    rows = quotient_overlaps(path, WalkKind.LAPLACIAN, {1}, uniform_state(3), [0], [2], [0.2])
+    rows = _side_levels(path, WalkKind.LAPLACIAN, {1}, uniform_state(3), [0], [2], [0.2])
     assert [row.n for row in rows] == [0, 1, 2]
 
 
@@ -1070,12 +1095,12 @@ def test_quotient_overlaps_check_inputs_as_the_search_does():
     graph, marked = complete_bipartite(BipartiteSpec(4, 3, 1, 1))
     psi = uniform_state(7)
     with pytest.raises(ValueError, match="marked set must be nonempty"):
-        quotient_overlaps(graph, WalkKind.LAPLACIAN, set(), psi, [0], [4], [0.1])
+        _side_levels(graph, WalkKind.LAPLACIAN, set(), psi, [0], [4], [0.1])
     with pytest.raises(ValueError, match="state dimension"):
-        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, psi[:6], [0], [4], [0.1])
+        _side_levels(graph, WalkKind.LAPLACIAN, marked, psi[:6], [0], [4], [0.1])
     with pytest.raises(ValueError, match="^row index out of range$"):
-        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, psi, [0], [7], [0.1])
+        _side_levels(graph, WalkKind.LAPLACIAN, marked, psi, [0], [7], [0.1])
     with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
-        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, psi, [0], [4], [-0.1])
+        _side_levels(graph, WalkKind.LAPLACIAN, marked, psi, [0], [4], [-0.1])
     with pytest.raises(ValueError, match="probe state must be normalized"):
-        quotient_overlaps(graph, WalkKind.LAPLACIAN, marked, 2 * psi, [0], [4], [0.1])
+        _side_levels(graph, WalkKind.LAPLACIAN, marked, 2 * psi, [0], [4], [0.1])

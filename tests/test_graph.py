@@ -7,17 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs
+from dense_reference import adjacency_matrix, degree_matrix, laplacian, signless_laplacian
 from qwsearch import graph as graph_module
 from qwsearch.graph import (
     BipartiteSpec,
     Graph,
-    adjacency_matrix,
     complete_bipartite,
-    degree_matrix,
     equitable_partition,
-    laplacian,
     read_edge_list,
-    signless_laplacian,
 )
 from qwsearch.spin_network import demo_graph
 

@@ -4,27 +4,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from dense_reference import (
+    adjacency_matrix,
+    laplacian,
+    signless_laplacian,
+    spread_block,
+)
+from dense_reference import certify_walk_equivalence as dense_certificate
 from spin_reference import (
     heisenberg_hamiltonian,
     project_single_excitation,
     single_excitation_basis,
 )
 from qwsearch.evolve import WalkKind, eig_hermitian, propagate
-from qwsearch.graph import (
-    BipartiteSpec,
-    Graph,
-    complete_bipartite,
-    laplacian,
-    signless_laplacian,
-)
+from qwsearch.graph import BipartiteSpec, Graph, complete_bipartite
 from qwsearch.spin_network import (
     CouplingConstants,
     certify_walk_equivalence,
     demo_graph,
-    single_excitation_hamiltonian,
+    single_excitation_block,
 )
 
 couplings = st.floats(-2.0, 2.0, allow_nan=False)
+# every degree is m/2, so A, L + (m/2)I and Q - (m/2)I are one matrix
+COINCIDING = {
+    "C4": Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "K4": Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+    "2K2": Graph(4, [(0, 1), (2, 3)]),
+}
 
 
 def test_single_excitation_basis_orders_msb_first():
@@ -84,8 +91,6 @@ def test_projection_shape_mismatch():
 def test_projection_identities(gamma):
     """The three coupling ratios reduce to the three walk generators."""
     g = demo_graph()
-    from qwsearch.graph import adjacency_matrix
-
     eye = np.eye(g.n)
     shift = 0.5 * gamma * g.m * eye
     cases = [
@@ -202,7 +207,7 @@ ratios = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), couplings)
 def test_single_excitation_block_matches_dense_projection(g, gamma, ratio):
     j = CouplingConstants(gamma, gamma, ratio * gamma)
     dense = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
-    assert np.max(np.abs(single_excitation_hamiltonian(g, j) - dense)) <= 1e-12
+    assert np.max(np.abs(spread_block(g, j) - dense)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,7 +216,7 @@ def test_single_excitation_block_with_unequal_transverse_couplings(g, jx, jy, jz
     """The block is the projection for any couplings, invariant sector or not."""
     j = CouplingConstants(jx, jy, jz)
     dense = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
-    assert np.max(np.abs(single_excitation_hamiltonian(g, j) - dense)) <= 1e-12
+    assert np.max(np.abs(spread_block(g, j) - dense)) <= 1e-12
 
 
 def test_single_excitation_block_on_the_bench_shape():
@@ -224,7 +229,7 @@ def test_single_excitation_block_on_the_bench_shape():
     for ratio in (0.0, 1.0, -1.0, 0.5):
         j = CouplingConstants(gamma, gamma, ratio * gamma)
         dense = project_single_excitation(heisenberg_hamiltonian(g, j), g.n)
-        assert np.max(np.abs(single_excitation_hamiltonian(g, j) - dense)) <= 1e-12
+        assert np.max(np.abs(spread_block(g, j) - dense)) <= 1e-12
 
 
 def _dense_random_graph() -> Graph:
@@ -258,14 +263,8 @@ def test_matching_candidate_deviation_is_exactly_zero():
 
 @pytest.mark.parametrize(
     "g",
-    [
-        Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-        Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
-        Graph(4, [(0, 1), (2, 3)]),
-        Graph(4, []),
-        Graph(1, []),
-    ],
-    ids=["C4", "K4", "2K2", "edgeless4", "edgeless1"],
+    [*COINCIDING.values(), Graph(4, []), Graph(1, [])],
+    ids=[*COINCIDING, "edgeless4", "edgeless1"],
 )
 def test_coinciding_candidates_all_match(g):
     """Every degree is m/2, so A, L + (m/2)I and Q - (m/2)I are one matrix."""
@@ -279,3 +278,47 @@ def test_coinciding_candidates_all_match(g):
             WalkKind.SIGNLESS_LAPLACIAN,
         )
         assert deviation == 0.0
+
+spin_graphs = st.one_of(graphs(), st.sampled_from(list(COINCIDING.values())))
+gammas = st.one_of(st.sampled_from([0.0, -0.0, -0.3, 1.0, 1e150]), st.floats(-1e6, 1e6))
+ratios_checked = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spin_graphs, gammas, ratios_checked)
+def test_certificate_on_the_degrees_is_the_dense_certificate(g, gamma, ratio):
+    """The same kinds and the same deviation, to the last bit, as the n x n matrices give."""
+    j = CouplingConstants(gamma, gamma, ratio * gamma)
+    kinds, deviation = certify_walk_equivalence(g, j)
+    want_kinds, want_deviation = dense_certificate(g, j)
+    assert kinds == want_kinds
+    assert repr(deviation) == repr(want_deviation)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(1, []), Graph(4, []), demo_graph(), *COINCIDING.values()],
+    ids=["n1", "edgeless4", "demo", *COINCIDING],
+)
+def test_certificate_matches_the_dense_certificate_at_the_edges(g):
+    for gamma in (0.0, -0.45, 0.3, 7.0):
+        for ratio in (0.0, 1.0, -1.0, 0.5, 0.37):
+            j = CouplingConstants(gamma, gamma, ratio * gamma)
+            kinds, deviation = certify_walk_equivalence(g, j)
+            want_kinds, want_deviation = dense_certificate(g, j)
+            assert (kinds, repr(deviation)) == (want_kinds, repr(want_deviation)), (gamma, ratio)
+
+
+def test_single_excitation_block_lists_each_distinct_degree_once():
+    j = CouplingConstants(0.4, 0.4, -0.4)
+    block = single_excitation_block(demo_graph(), j)  # degrees 1, 3, 2, 2 and 0
+    assert block.hopping == -0.4
+    assert block.degrees.tolist() == [0, 1, 2, 3]
+    assert block.energies.tolist() == [0.2 * (4 - 2 * d) for d in (0, 1, 2, 3)]
+    # every vertex touched: no degree 0; no edge: degree 0 alone
+    cycle = single_excitation_block(COINCIDING["C4"], j)
+    assert cycle.degrees.tolist() == [2]
+    assert single_excitation_block(Graph(3, []), j).degrees.tolist() == [0]
+    # nothing in it grows with n: three edges on 2^31 vertices
+    huge = single_excitation_block(Graph(2**31, [(0, 1), (1, 2), (2**31 - 2, 2**31 - 1)]), j)
+    assert huge.degrees.tolist() == [0, 1, 2]
