@@ -33,7 +33,11 @@ samples, whose time grids split into blocks of 142 and 3, each with a
 short last block; reduced ``simulate`` and ``overlaps`` on (10^9, 1000, 3,
 5), where an array per vertex would not fit in memory; and
 ``verify-spin``, also on a 2001-vertex path and on three edges under a
-header of 2^31 vertices, past the search cap.
+header of 2^31 vertices, past the search cap; and ``--config``: a reduced
+``sweep-gamma`` with every flag in the file, the same run with one flag
+given on the command line as well, and a file naming an unknown walk. Config
+files, like graph files, are written to the temporary directory and named
+by placeholder. The table has 124 commands.
 """
 
 from __future__ import annotations
@@ -69,10 +73,23 @@ HUGE_HEADER = "{huge_header}"
 PERMUTED_MARKED = ",".join(str(5 * v % 72) for v in (0, 1, 2, 48, 49, 50, 51, 52))
 IRREGULAR_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                    (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
+# Config files written at capture time, by placeholder: every flag of a
+# reduced sweep-gamma on the small layout, keyed by destination name, and
+# a file naming a walk that does not exist.
+SWEEP_CONFIG = "{sweep_config}"
+BOGUS_WALK_CONFIG = "{bogus_walk_config}"
+SWEEP_FLAGS = [*SMALL, "--walk", "laplacian", "--init", "sq", "--mode", "reduced",
+               *SMALL_GRID, "--tmax", "60", "--samples", "300"]
 
 
-def _graph_files() -> dict[str, str]:
-    """Edge-list text of each placeholder graph."""
+def _config_text(flags: list[str]) -> str:
+    """Config-file text of ``flags``, one ``key=value`` line per flag."""
+    pairs = zip(flags[::2], flags[1::2])
+    return "".join(f"{flag[2:].replace('-', '_')}={value}\n" for flag, value in pairs)
+
+
+def _input_files() -> dict[str, str]:
+    """Text of each placeholder file: the edge lists, then the config files."""
     left, right = range(48), range(48, 72)
     permuted = sorted(tuple(sorted((5 * i % 72, 5 * j % 72))) for i in left for j in right)
     cycle = [(i, (i + 1) % 30) for i in range(30)]
@@ -84,6 +101,8 @@ def _graph_files() -> dict[str, str]:
         HYPERCUBE: "\n".join(["64 192", *(f"{i} {j}" for i, j in cube)]) + "\n",
         PATH2001: "\n".join(["2001 2000", *(f"{i} {i + 1}" for i in range(2000))]) + "\n",
         HUGE_HEADER: "2147483648 3\n0 1\n1 2\n2147483646 2147483647\n",
+        SWEEP_CONFIG: "# every flag of the run\n" + _config_text(SWEEP_FLAGS),
+        BOGUS_WALK_CONFIG: _config_text([*SMALL, "--walk", "bogus"]),
     }
 
 
@@ -182,6 +201,11 @@ def _commands() -> list[tuple[str, list[str]]]:
         for ratio in ("-1", "0.5"):
             rows.append((f"verify-spin-{tag}-{ratio}",
                          ["verify-spin", "--graph", path, "--jz-ratio", ratio, "--gamma", "0.3"]))
+    # a bad config value is refused as the same flag on the command line is
+    rows.append(("config-sweep", ["sweep-gamma", "--config", SWEEP_CONFIG]))
+    rows.append(("config-sweep-override",
+                 ["sweep-gamma", "--config", SWEEP_CONFIG, "--walk", "signless"]))
+    rows.append(("config-bogus-walk", ["sweep-gamma", "--config", BOGUS_WALK_CONFIG]))
     return rows
 
 
@@ -194,7 +218,7 @@ def capture(out: Path) -> None:
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for placeholder, text in _graph_files().items():
+        for placeholder, text in _input_files().items():
             path = Path(tmp) / f"{placeholder.strip('{}')}.txt"
             path.write_text(text)
             paths[placeholder] = str(path)

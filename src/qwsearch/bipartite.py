@@ -77,7 +77,13 @@ class InitialStateKind(enum.Enum):
 
 
 class CriticalSide(enum.Enum):
-    """Which critical jumping rate: 1/n1 targets left, 1/n2 targets right."""
+    """Which side a search at a critical jumping rate targets.
+
+    The signless walk targets the left side at ``1/n1`` and the right side
+    at ``1/n2``; the perturbative forms here are its own. The Laplacian
+    walk pairs the rates the other way: :func:`closed_form_peaks` runs its
+    left-target search at ``1/n2`` and its right-target search at ``1/n1``.
+    """
 
     LEFT = "left"
     RIGHT = "right"
@@ -229,7 +235,10 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
 
 
 def critical_gamma(spec: BipartiteSpec, side: CriticalSide) -> float:
-    """The jumping rate that makes the dynamics target the given side."""
+    """The signless walk's rate for ``side``, ``1/n1`` left and ``1/n2`` right.
+
+    The Laplacian walk targets the other side at each (:class:`CriticalSide`).
+    """
     return 1.0 / spec.n1 if side is CriticalSide.LEFT else 1.0 / spec.n2
 
 

@@ -49,17 +49,17 @@ FULL_MODE_CAP = 2000
 # layout, and bytes per vertex pair only on a graph without symmetry
 # (c = n), which sweeps and simulate accept. There a one-gamma edge-list
 # sweep of G(2000, 0.05) with the default 2000 samples peaks at 34.5
-# bytes per pair under tracemalloc (40.0 while the phase table's real
-# angles were held beside it, 48.0 while the table came from np.exp, 56.8
-# while eigh's eigenvectors were copied to phase-fixed complex arrays):
-# the walk matrix and eigenvectors (16) and, while propagate builds it,
-# the samples x c complex phase table (16 per entry). A sweep
-# diagonalises its rates in stacks of at most evolve.STACK_ENTRIES
-# entries, one rate at a time from c = 256 up, so a many-gamma sweep peaks
-# as a one-gamma sweep does (34.5 bytes per pair for 4 gammas on the
-# 2000-vertex path marked at one end). Full overlaps
+# bytes per pair under tracemalloc: the walk matrix and eigenvectors (16)
+# and, while propagate builds it, the samples x c complex phase table (16
+# per entry). A sweep diagonalises its rates in stacks of at most
+# evolve.STACK_ENTRIES entries, one rate at a time from c = 256 up, so a
+# many-gamma sweep peaks as a one-gamma sweep does (34.5 bytes per pair
+# for 4 gammas on the 2000-vertex path marked at one end). Full overlaps
 # runs on bipartite layouts only and reports the quotient's levels, so it
-# holds no dense n x n array.
+# holds no dense n x n array. The refusal still charges 56, an upper
+# bound from an older, larger peak, rather than being refitted to 34.5:
+# a byte budget of what each search holds is to replace this vertex cap
+# (ROADMAP.md, direction 9), and the figure goes with it.
 SEARCH_CELL_BYTES = 56
 DEFAULT_SAMPLES = 2000
 DEFAULT_GAMMA_COUNT = 200
@@ -116,31 +116,28 @@ def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
-    """Parse ``argv``, reading the ``--config`` file into the defaults.
+    """Parse ``argv``, with the values of its ``--config`` file ahead of its flags.
 
     The file may set any flag of any subcommand, keyed by its destination
-    name. The chosen subcommand takes the values of its own flags as string
-    defaults, which argparse converts with each flag's type and which flags
-    on the command line override; keys of other subcommands are ignored.
+    name. The chosen subcommand's keys go to argparse as ``--flag=value``
+    right after the subcommand, so each value is converted and checked as
+    its flag would be, and a flag on the command line, coming later,
+    overrides it; keys of other subcommands are ignored.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
-        (commands,) = (a.choices for a in parser._actions if a.dest == "command")
-        flags = {
-            name: {a.dest for a in p._actions} - {"help", "config"}
-            for name, p in commands.items()
-        }
-        values = load_config(args.config, set().union(*flags.values()))
-        own = {k: v for k, v in values.items() if k in flags[args.command]}
-        chosen = commands[args.command]
-        # the parser is shared by every call: put the defaults back afterwards
-        previous = {a.dest: a.default for a in chosen._actions if a.dest in own}
-        chosen.set_defaults(**own)
-        try:
-            args = parser.parse_args(argv)
-        finally:
-            chosen.set_defaults(**previous)
-    return args
+    if not args.config:
+        return args
+    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    flags = {
+        name: {a.dest: a.option_strings[0] for a in p._actions if a.dest not in ("help", "config")}
+        for name, p in commands.items()
+    }
+    values = load_config(args.config, set().union(*flags.values()))
+    own = flags[args.command]
+    at = argv.index(args.command) + 1
+    ahead = [f"{own[key]}={value}" for key, value in values.items() if key in own]
+    return parser.parse_args([*argv[:at], *ahead, *argv[at:]])
 
 
 def _parse_marked(text: str) -> frozenset[int]:
@@ -164,16 +161,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     marked = _parse_marked(opt("marked")) if opt("marked") is not None else None
 
-    # config-file values bypass argparse's choices, so check them here
-    walk, init, probe = opt("walk"), opt("init"), opt("probe")
-    for value, known, what in (
-        (walk, _WALKS, "walk kind"),
-        (init, _INITS, "initial state"),
-        (probe, _PROBES, "probe"),
-    ):
-        if value is not None and value not in known:
-            raise UsageError(f"unknown {what} {value!r}")
-
     gamma_min, gamma_max = opt("gamma_min"), opt("gamma_max")
     gamma_range = None
     if gamma_min is not None or gamma_max is not None:
@@ -184,12 +171,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     mode = opt("mode")
     if mode is None:
         mode = "full" if graph_path else "reduced"
-    if mode not in ("reduced", "full"):
-        raise UsageError(f"unknown mode {mode!r}")
 
     sweep_axis = opt("sweep")
-    if sweep_axis is not None and sweep_axis not in ("k1", "k2"):
-        raise UsageError("--sweep must be k1 or k2")
     sweep_range = None
     if sweep_axis is not None:
         if opt("sweep_min") is None or opt("sweep_max") is None:
@@ -200,9 +183,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         spec=spec,
         graph_path=graph_path,
         marked=marked,
-        walk=_WALKS.get(walk),
-        init=_INITS.get(init),
-        probe=probe,
+        walk=_WALKS.get(opt("walk")),
+        init=_INITS.get(opt("init")),
+        probe=opt("probe"),
         gamma=opt("gamma"),
         gamma_range=gamma_range,
         tmax=opt("tmax"),
@@ -436,13 +419,6 @@ def cmd_runtimes(cfg: RunConfig) -> int:
     return 0
 
 
-_EXPECTED_CLASS = {
-    0.0: WalkKind.ADJACENCY,
-    1.0: WalkKind.LAPLACIAN,
-    -1.0: WalkKind.SIGNLESS_LAPLACIAN,
-}
-
-
 def cmd_verify_spin(cfg: RunConfig) -> int:
     if cfg.jz_ratio is None:
         raise UsageError("verify-spin needs --jz-ratio")
@@ -451,7 +427,8 @@ def cmd_verify_spin(cfg: RunConfig) -> int:
     ratio = float(cfg.jz_ratio)
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=ratio * gamma)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
-    expected = _EXPECTED_CLASS.get(ratio)
+    # the walk W_r = A - r D with r = jz / jx, if it is one of the three
+    expected = next((kind for kind in WalkKind if kind.ratio == ratio), None)
     passed = expected in kinds
     # candidates that coincide all match; show the expected one among them
     kind = expected if passed else (kinds[0] if kinds else None)
@@ -559,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built on its first call.
 
-    Building it costs more than most commands; :func:`_parse_args` leaves
-    it as it found it.
+    Building it costs more than most commands; parsing leaves it as it
+    is, so no call sees another's config file.
     """
     return build_parser()
 

@@ -44,11 +44,20 @@ STACK_ENTRIES = 2**16
 
 
 class WalkKind(enum.Enum):
-    """Which graph matrix generates the continuous-time walk."""
+    """Which generator ``W_r = A - r D`` drives the walk; :attr:`ratio` is its ``r``.
+
+    The Laplacian ``A - D`` is ``r = 1``, the adjacency walk ``A`` is ``r =
+    0`` and the signless Laplacian ``A + D`` is ``r = -1``.
+    """
 
     LAPLACIAN = "laplacian"
     ADJACENCY = "adjacency"
     SIGNLESS_LAPLACIAN = "signless"
+
+    @property
+    def ratio(self) -> float:
+        """The walk's ``r`` in ``W_r = A - r D``: 1.0, 0.0 or -1.0."""
+        return {"laplacian": 1.0, "adjacency": 0.0, "signless": -1.0}[self.value]
 
 
 def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
@@ -63,11 +72,13 @@ def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarray:
-    """The ``c x c`` generator for ``kind`` (A, A - D, or A + D) on the cells of ``part``.
+    """The ``c x c`` generator ``W_r = A - r D`` of ``kind`` on the cells of ``part``.
 
     It acts on the normalised cell states: entries ``arcs[i, j] /
-    sqrt(sizes[i] sizes[j])``, and the cell degrees on the diagonal for the
-    Laplacians. On the discrete partition every size is 1, so it is the
+    sqrt(sizes[i] sizes[j])``, less ``r`` (:attr:`WalkKind.ratio`) times
+    the cell degree on the diagonal. Multiplying by 1, 0 or -1 is exact,
+    so the diagonal is what adding or subtracting the degree gives, bit
+    for bit. On the discrete partition every size is 1, so it is the
     graph's own ``n x n`` matrix, bit for bit.
     """
     # filled only where cells touch: a discrete partition has about 2m of n^2
@@ -75,12 +86,8 @@ def walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarray:
     out = np.zeros(part.arcs.shape)
     pairs = (part.sizes[rows] * part.sizes[cols]).astype(float)
     out[rows, cols] = part.arcs[rows, cols] / np.sqrt(pairs)
-    if kind is not WalkKind.ADJACENCY:
-        degrees = (part.arcs.sum(axis=1) // part.sizes).astype(float)
-        if kind is WalkKind.LAPLACIAN:
-            out[np.diag_indices_from(out)] -= degrees
-        else:
-            out[np.diag_indices_from(out)] += degrees
+    degrees = (part.arcs.sum(axis=1) // part.sizes).astype(float)
+    out[np.diag_indices_from(out)] -= kind.ratio * degrees
     return out
 
 
@@ -217,21 +224,26 @@ def _rate_runs(rates: np.ndarray, dim: int) -> list[np.ndarray]:
     return [rates[i : i + step] for i in range(0, rates.size, step)]
 
 
-def _group_vertices(group: Iterable[int], n: int) -> np.ndarray:
-    """Sorted distinct vertices of ``group``, checked as the ``rows`` of :func:`propagate`."""
-    vertices = np.unique(np.fromiter(group, dtype=np.intp))
-    if vertices.size and (vertices[0] < 0 or vertices[-1] >= n):
-        raise ValueError("row index out of range")
-    return vertices
+def _group_vertices(group: Iterable[int], n: int, what: str = "row index") -> np.ndarray:
+    """Sorted distinct vertices of ``group``, checked as the ``rows`` of :func:`propagate`.
+
+    ``ValueError`` for a vertex that is not an integer (a float, a string),
+    and ``"{what} out of range"`` for one outside ``[0, n)``, past int64 too.
+    """
+    vertices = list(group)
+    for v in vertices:
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(f"vertex {v!r} is not an integer")
+    if vertices and (min(vertices) < 0 or max(vertices) >= n):
+        raise ValueError(f"{what} out of range")
+    return np.unique(np.array(vertices, dtype=np.intp))
 
 
 def _marked_vertices(marked: Iterable[int], n: int) -> list[int]:
-    """Sorted distinct vertices of ``marked``; ``ValueError`` if empty or out of range."""
-    vertices = sorted({int(i) for i in marked})
+    """:func:`_group_vertices` of ``marked``, as a list; ``ValueError`` if empty."""
+    vertices = _group_vertices(marked, n, "marked vertex").tolist()
     if not vertices:
         raise ValueError("marked set must be nonempty")
-    if vertices[0] < 0 or vertices[-1] >= n:
-        raise ValueError("marked vertex out of range")
     return vertices
 
 

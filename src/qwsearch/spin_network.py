@@ -2,10 +2,11 @@
 
 A network of spin-1/2 particles coupled along the edges of a graph evolves,
 inside the one-excitation sector, exactly like a continuous-time quantum
-walk on the graph. Which walk appears depends on the coupling anisotropy:
-equal transverse couplings with ``jz = 0`` give the adjacency walk,
-``jz = jx`` the Laplacian walk (up to an energy rezeroing), and ``jz = -jx``
-the signless-Laplacian walk. This module reads the one-excitation block
+walk on the graph. With equal transverse couplings its one-excitation
+block is ``-jx (A - r D)`` up to an energy rezeroing, with ``r = jz / jx``,
+so the anisotropy picks the walk ``W_r`` (:class:`~qwsearch.evolve.WalkKind`):
+``jz = 0`` gives the adjacency walk, ``jz = jx`` the Laplacian walk and
+``jz = -jx`` the signless-Laplacian walk. This module reads the one-excitation block
 off the edge array as one hopping amplitude and one energy per distinct
 degree, and certifies which walk it realizes by comparing those entries
 alone. It builds no ``n x n`` matrix and never the exponential-size
@@ -91,17 +92,14 @@ def certify_walk_equivalence(
     """Classify which walks the spin network realizes on ``g``.
 
     Compares the one-excitation block (:func:`single_excitation_block`)
-    with the three candidate identities:
-
-    - adjacency:          ``-gamma A``
-    - Laplacian:          ``-gamma (L + (m / 2) I) = -gamma L - (gamma m / 2) I``
-    - signless Laplacian: ``-gamma (Q - (m / 2) I) = -gamma Q + (gamma m / 2) I``
-
-    with ``gamma = jx``, ``L = A - D`` and ``m`` the edge count. Every
-    entry of both sides is fixed by the edges and the degrees, so only two
-    kinds of entry are compared: the hopping amplitude against ``-gamma``
-    (when there is an edge), and each distinct degree ``d``'s energy
-    against ``0``, ``-gamma (m / 2 - d)`` or ``-gamma (d - m / 2)``; the
+    with ``-gamma (W_r + r (m / 2) I)`` for the adjacency, Laplacian and
+    signless walks, ``W_r = A - r D`` with ``r`` each walk's
+    :attr:`~qwsearch.evolve.WalkKind.ratio` (0, 1 and -1), ``gamma = jx``
+    and ``m`` the edge count. The shift ``-gamma r m / 2`` is a global
+    phase. Every entry of both sides is fixed by the edges and the
+    degrees, so only two kinds of entry are compared: the hopping
+    amplitude against ``-gamma`` (when there is an edge), and each
+    distinct degree ``d``'s energy against ``-gamma r (m / 2 - d)``; the
     zero entries agree. Each candidate entry is ``-gamma`` times a
     half-integer, one rounding, as in the block: a matching candidate
     deviates by exactly 0.0 at any size. The deviation is the one the
@@ -118,18 +116,13 @@ def certify_walk_equivalence(
     gamma = j.jx
     block = single_excitation_block(g, j)
     degrees = block.degrees.astype(float)
-    half_m = 0.5 * g.m
-    # each candidate's diagonal entry at degree d, before the factor -gamma
-    candidates = (
-        (WalkKind.ADJACENCY, np.zeros_like(degrees)),
-        (WalkKind.LAPLACIAN, half_m - degrees),
-        (WalkKind.SIGNLESS_LAPLACIAN, degrees - half_m),
-    )
+    offsets = 0.5 * g.m - degrees
     # every candidate is -gamma at the edges
     hops = [abs(-gamma - block.hopping)] if g.m else []
     deviations = []
-    for kind, diagonal in candidates:
-        gaps = np.abs(diagonal * -gamma - block.energies)
+    for kind in (WalkKind.ADJACENCY, WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN):
+        # the candidate's diagonal entry at degree d, before the factor -gamma
+        gaps = np.abs(kind.ratio * offsets * -gamma - block.energies)
         deviations.append((float(np.max(np.concatenate([hops, gaps]))), kind))
     deviations.sort(key=lambda pair: pair[0])  # stable: ties keep the order above
     kinds = tuple(kind for dev, kind in deviations if dev <= EQUIVALENCE_TOL)

@@ -1120,9 +1120,9 @@ def test_config_accepts_every_flag_name_and_nothing_else(capsys, tmp_path):
         ("n1=512\nthis line has no equals sign\n", "malformed config line"),
         ("n1=abc\n", "argument --n1: invalid int value: 'abc'"),
         ("n1=512\ntmax=fast\n", "argument --tmax: invalid float value: 'fast'"),
-        ("n1=512\nwalk=bogus\n", "unknown walk kind 'bogus'"),
-        ("n1=512\ninit=zz\n", "unknown initial state 'zz'"),
-        ("n1=512\nmode=half\n", "unknown mode 'half'"),
+        ("n1=512\nwalk=bogus\n", "argument --walk: invalid choice: 'bogus'"),
+        ("n1=512\ninit=zz\n", "argument --init: invalid choice: 'zz'"),
+        ("n1=512\nmode=half\n", "argument --mode: invalid choice: 'half'"),
     ],
     ids=["malformed", "bad-int", "bad-float", "bad-walk", "bad-init", "bad-mode"],
 )
@@ -1133,6 +1133,27 @@ def test_config_refusals_exit_1(capsys, tmp_path, text, message):
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *rest])
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--walk", "bogus"),
+        ("simulate", "--init", "zz"),
+        ("overlaps", "--probe", "xx"),
+        ("sweep-gamma", "--mode", "half"),
+        ("runtimes", "--sweep", "k3"),
+    ],
+    ids=["walk", "init", "probe", "mode", "sweep"],
+)
+def test_a_bad_config_value_is_refused_as_its_flag_is(capsys, tmp_path, command, flag, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text([*LAYOUT_48, flag, value]))
+    code, out, from_flag = run_cli(capsys, [command, *LAYOUT_48, flag, value])
+    assert (code, out) == (1, "")
+    assert from_flag.startswith(f"usage error: argument {flag}: invalid choice: '{value}'")
+    code, out, from_file = run_cli(capsys, [command, "--config", str(cfg)])
+    assert (code, out, from_file) == (1, "", from_flag)
 
 
 def test_a_config_file_does_not_leak_into_the_next_call(capsys, tmp_path):

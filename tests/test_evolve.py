@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -870,6 +871,29 @@ def test_overlap_profile_requires_gammas_and_normalized_probe():
         overlap_profile(build, [], probe, [0], [1])
     with pytest.raises(ValueError):
         overlap_profile(build, [0.1], 2.0 * probe, [0], [1])
+
+
+def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
+    # neither a float nor a string names a vertex, not even 1.5 or "1";
+    # an int past int64 is out of range, as any other vertex past n is
+    path = Graph(3, [(0, 1), (1, 2)])
+    search = functools.partial(search_quotient, path, WalkKind.LAPLACIAN)
+    psi0 = uniform_state(3)
+    for group, message in (([1.5], "vertex 1.5 is not an integer"),
+                           (["1"], "vertex '1' is not an integer"),
+                           ([2**70], "^row index out of range$")):
+        with pytest.raises(ValueError, match=message):
+            search([0], psi0, [group])
+        with pytest.raises(ValueError, match=message):
+            search([0], psi0, [[0]], [group])
+    with pytest.raises(ValueError, match="vertex 1.5 is not an integer"):
+        search([1.5], psi0, [[0]])
+    with pytest.raises(ValueError, match="vertex '2' is not an integer"):
+        search(["2"], psi0, [[0]])
+    # integer vertices of any integer type still pass
+    want = search([2], psi0, [[0, 2]]).masses(0.3, [1.0])
+    assert np.array_equal(search([np.int32(2)], psi0, [np.array([2, 0])]).masses(0.3, [1.0]),
+                          want)
 
 
 def test_overlap_profile_reads_each_side_as_a_set_of_basis_states():

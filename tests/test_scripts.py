@@ -34,7 +34,7 @@ def test_dataset_argv_parses(name, argv):
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 121
+    assert len(names) == len(set(names)) == 124
 
 
 @pytest.mark.parametrize(
