@@ -16,7 +16,9 @@ numeric field is compared by its deviation ``|a - b| / max(1, |a|, |b|)``,
 which is absolute for probabilities and relative for times and rates; any
 other field must be identical. It prints the worst deviation and where it
 is, and exits 1 when a non-numeric field, an exit status or a line count
-differs, or when the worst deviation exceeds ``--tol``.
+differs, or when the worst deviation exceeds ``--tol``. A run whose exit
+status or stderr differs is shown with both exit statuses and the first
+stderr line that differs.
 
 The table covers the README examples; reduced, full and edge-list
 ``simulate`` and ``sweep-gamma`` over the three walks (and, on layouts, the
@@ -37,7 +39,16 @@ header of 2^31 vertices, past the search cap; and ``--config``: a reduced
 ``sweep-gamma`` with every flag in the file, the same run with one flag
 given on the command line as well, and a file naming an unknown walk. Config
 files, like graph files, are written to the temporary directory and named
-by placeholder. The table has 124 commands.
+by placeholder. The front end's checks have rows too: each usage refusal
+(a probe side without marked vertices, a lone ``--gamma-min``, ``--sweep``
+without its bounds, a bad ``--marked`` list, no gamma at all, ``--init sq``
+and ``--mode reduced`` on an edge list, the full-mode cap on K_{2000,200},
+and a run with two faults, of which the layout is named first);
+``runtimes`` without ``--sweep`` and with ``--sweep k2`` (in range, out of
+range, and with a skipped row); and flags that another flag excludes:
+``--marked`` with a layout (also from a config file), ``--gamma`` with a
+gamma range, and sweep bounds without ``--sweep``. The table has 144
+commands.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -74,10 +86,11 @@ PERMUTED_MARKED = ",".join(str(5 * v % 72) for v in (0, 1, 2, 48, 49, 50, 51, 52
 IRREGULAR_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                    (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
 # Config files written at capture time, by placeholder: every flag of a
-# reduced sweep-gamma on the small layout, keyed by destination name, and
-# a file naming a walk that does not exist.
+# reduced sweep-gamma on the small layout, keyed by destination name; a
+# file naming a walk that does not exist; and a layout with a marked list.
 SWEEP_CONFIG = "{sweep_config}"
 BOGUS_WALK_CONFIG = "{bogus_walk_config}"
+LAYOUT_MARKED_CONFIG = "{layout_marked_config}"
 SWEEP_FLAGS = [*SMALL, "--walk", "laplacian", "--init", "sq", "--mode", "reduced",
                *SMALL_GRID, "--tmax", "60", "--samples", "300"]
 
@@ -103,6 +116,7 @@ def _input_files() -> dict[str, str]:
         HUGE_HEADER: "2147483648 3\n0 1\n1 2\n2147483646 2147483647\n",
         SWEEP_CONFIG: "# every flag of the run\n" + _config_text(SWEEP_FLAGS),
         BOGUS_WALK_CONFIG: _config_text([*SMALL, "--walk", "bogus"]),
+        LAYOUT_MARKED_CONFIG: _config_text([*SMALL, "--marked", "7", *SMALL_GRID]),
     }
 
 
@@ -206,6 +220,53 @@ def _commands() -> list[tuple[str, list[str]]]:
     rows.append(("config-sweep-override",
                  ["sweep-gamma", "--config", SWEEP_CONFIG, "--walk", "signless"]))
     rows.append(("config-bogus-walk", ["sweep-gamma", "--config", BOGUS_WALK_CONFIG]))
+    # the front end's usage refusals, each on its own
+    edges = ["--graph", IRREGULAR, "--gamma", "0.05", "--tmax", "60"]
+    empty_a = ["--n1=10", "--n2=7", "--k1=0", "--k2=3"]
+    rows += [
+        ("refuse-probe-ml-k1-0", ["overlaps", *empty_a, "--probe", "ml", *SMALL_GRID]),
+        ("refuse-probe-mr-k2-0", ["overlaps", "--n1", "4", "--n2", "3", "--k1", "1",
+                                  "--k2", "0", "--probe", "mr", *SMALL_GRID]),
+        ("refuse-gamma-min-alone", ["sweep-gamma", *SMALL, "--gamma-min", "0.01"]),
+        ("refuse-sweep-without-bounds", ["runtimes", *SMALL, "--sweep", "k1"]),
+        ("refuse-bad-marked", ["simulate", *edges, "--marked", "1,x"]),
+        ("refuse-no-gamma", ["sweep-gamma", *SMALL, "--tmax", "60"]),
+        ("refuse-edges-init-sq", ["simulate", *edges, "--marked", "0,6", "--init", "sq"]),
+        ("refuse-edges-mode-reduced",
+         ["simulate", *edges, "--marked", "0,6", "--mode", "reduced"]),
+        ("refuse-full-cap-2000-200", ["simulate", "--n1", "2000", "--n2", "200", "--k1", "3",
+                                      "--k2", "5", "--mode", "full", "--gamma", "0.001",
+                                      "--tmax", "10"]),
+        # two faults: the half layout is named before the missing --gamma
+        ("refuse-two-faults", ["simulate", "--n1", "48", "--tmax", "5"]),
+    ]
+    # runtimes on one row, and swept over k2: in range, past n2, and from
+    # k2 = 0 on a layout with k1 = 0, whose first row is skipped
+    rows += [
+        ("runtimes-single", ["runtimes", *SMALL]),
+        ("runtimes-sweep-k2", ["runtimes", "--n1", "1024", "--n2", "256", "--k1", "8",
+                               "--k2", "1", "--sweep", "k2", "--sweep-min", "1",
+                               "--sweep-max", "40"]),
+        ("refuse-runtimes-sweep-k2-range", ["runtimes", *SMALL, "--sweep", "k2",
+                                            "--sweep-min", "0", "--sweep-max", "25"]),
+        ("runtimes-sweep-k2-skip", ["runtimes", *empty_a, "--sweep", "k2",
+                                    "--sweep-min", "0", "--sweep-max", "7"]),
+    ]
+    # flags that another flag excludes: a layout fixes its marked vertices,
+    # --gamma and a gamma range are two grids, and sweep bounds need --sweep
+    rows += [
+        ("conflict-layout-marked-simulate", ["simulate", *SMALL, "--marked", "7",
+                                             "--gamma", "0.0208", "--tmax", "60",
+                                             "--samples", "400"]),
+        ("conflict-layout-marked-sweep", ["sweep-gamma", *SMALL, "--marked", "7", *SMALL_GRID]),
+        ("conflict-layout-marked-config", ["sweep-gamma", "--config", LAYOUT_MARKED_CONFIG]),
+        ("conflict-gamma-and-range-sweep",
+         ["sweep-gamma", *SMALL, "--gamma", "0.5", *SMALL_GRID]),
+        ("conflict-gamma-and-range-overlaps",
+         ["overlaps", *SMALL, "--gamma", "0.5", *SMALL_GRID]),
+        ("conflict-sweep-bounds-without-sweep",
+         ["runtimes", *SMALL, "--sweep-min", "1", "--sweep-max", "4"]),
+    ]
     return rows
 
 
@@ -263,6 +324,24 @@ def _field_pairs(before: str, after: str):
             yield line, field, a, b
 
 
+def _run_difference(a: dict, b: dict) -> str | None:
+    """How two runs' argv, exit status or stderr differ; ``None`` if they do not.
+
+    Names both exit statuses and the first stderr line that differs.
+    """
+    if a["argv"] != b["argv"]:
+        return "argv differ"
+    if (a["exit"], a["stderr"]) == (b["exit"], b["stderr"]):
+        return None
+    text = f"exit {a['exit']} against {b['exit']}"
+    lines = itertools.zip_longest(a["stderr"].splitlines(keepends=True),
+                                  b["stderr"].splitlines(keepends=True), fillvalue="")
+    for line, (x, y) in enumerate(lines, start=1):
+        if x != y:
+            return f"{text}; stderr line {line}: {x!r} against {y!r}"
+    return text
+
+
 def compare(before: Path, after: Path, tol: float) -> int:
     runs_a = {r["name"]: r for r in json.loads(before.read_text())["commands"]}
     runs_b = {r["name"]: r for r in json.loads(after.read_text())["commands"]}
@@ -271,8 +350,9 @@ def compare(before: Path, after: Path, tol: float) -> int:
     worst, where, identical, changed = 0.0, "", 0, 0
     for name in [name for name in runs_a if name in runs_b]:
         a, b = runs_a[name], runs_b[name]
-        if (a["argv"], a["exit"], a["stderr"]) != (b["argv"], b["exit"], b["stderr"]):
-            problems.append(f"{name}: argv, exit status or stderr differ")
+        difference = _run_difference(a, b)
+        if difference is not None:
+            problems.append(f"{name}: {difference}")
             continue
         if a["stdout"] == b["stdout"]:
             identical += 1

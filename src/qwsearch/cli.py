@@ -4,9 +4,13 @@ Subcommands: ``simulate`` (success-probability curves), ``sweep-gamma``
 (peak success versus jumping rate), ``overlaps`` (eigenvector overlap
 profiles), ``runtimes`` (runtime comparison across walks), ``verify-spin``
 (spin-network walk-equivalence check). Parameters come from flags or a flat
-``key=value`` config file; flags override the file. Exit status is 0 on
-success, 1 for usage or validation errors or when memory runs out, and 2
-when ``verify-spin`` finds a mismatch.
+``key=value`` config file; flags override the file. Each handler reads the
+parsed namespace, after :func:`_checked` has refused the combinations that
+no one flag's check sees: a half layout, a layout with ``--graph`` or
+``--marked``, ``--gamma`` with a gamma range, and sweep bounds without
+``--sweep`` (or ``--sweep`` without them). Exit status is 0 on success, 1
+for usage or validation errors or when memory runs out, and 2 when
+``verify-spin`` finds a mismatch.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -36,10 +39,10 @@ from .evolve import (
     search_quotient,
     uniform_state,
 )
-from .graph import BipartiteSpec, Graph, complete_bipartite, read_edge_list
+from .graph import BipartiteSpec, complete_bipartite, read_edge_list
 from .spin_network import CouplingConstants, certify_walk_equivalence, demo_graph
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 FULL_MODE_CAP = 2000
 # Bytes per vertex pair of the dense n x n arrays a command holds at its
@@ -64,34 +67,11 @@ SEARCH_CELL_BYTES = 56
 DEFAULT_SAMPLES = 2000
 DEFAULT_GAMMA_COUNT = 200
 
-_WALKS = {kind.value: kind for kind in WalkKind}
-_INITS = {kind.value: kind for kind in InitialStateKind}
 _PROBES = ("s", "sq", "ml", "mr")
 
 
 class UsageError(Exception):
     """Bad flags or config values; maps to exit status 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged parameters of one subcommand invocation (``None``: no such flag)."""
-
-    spec: BipartiteSpec | None = None
-    graph_path: str | None = None
-    marked: frozenset[int] | None = None
-    walk: WalkKind | None = None
-    init: InitialStateKind | None = None
-    probe: str | None = None
-    gamma: float | None = None
-    gamma_range: tuple[float, float, int] | None = None
-    tmax: float | None = None
-    samples: int | None = None
-    mode: str = "reduced"
-    out: str | None = None
-    sweep_axis: str | None = None
-    sweep_range: tuple[int, int] | None = None
-    jz_ratio: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -140,71 +120,51 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     return parser.parse_args([*argv[:at], *ahead, *argv[at:]])
 
 
-def _parse_marked(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad --marked list {text!r}") from exc
+def _checked(args: argparse.Namespace) -> None:
+    """Refuse the flag combinations that no one flag's check sees.
 
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
+    Sets ``args.spec`` to the layout (``None`` without one), ``args.marked``
+    to the set that ``--marked`` lists, and ``args.mode`` to its default:
+    full mode for an edge list, else reduced.
+    """
     opt = vars(args).get  # None for flags the subcommand does not have
     sides = [opt(name) for name in ("n1", "n2", "k1", "k2")]
-    graph_path = opt("graph")
-    spec = None
+    args.spec = None
     if any(v is not None for v in sides):
         if any(v is None for v in sides):
             raise UsageError("a bipartite layout needs all of --n1 --n2 --k1 --k2")
-        if graph_path is not None:
+        if opt("graph") is not None:
             raise UsageError("give either --n1/--n2/--k1/--k2 or --graph, not both")
-        spec = BipartiteSpec(*sides)
+        args.spec = BipartiteSpec(*sides)
 
-    marked = _parse_marked(opt("marked")) if opt("marked") is not None else None
+    if opt("marked") is not None:
+        try:
+            args.marked = frozenset(int(tok) for tok in args.marked.split(",") if tok.strip())
+        except ValueError as exc:
+            raise UsageError(f"bad --marked list {args.marked!r}") from exc
 
-    gamma_min, gamma_max = opt("gamma_min"), opt("gamma_max")
-    gamma_range = None
-    if gamma_min is not None or gamma_max is not None:
-        if gamma_min is None or gamma_max is None:
-            raise UsageError("--gamma-min and --gamma-max go together")
-        gamma_range = (gamma_min, gamma_max, opt("gamma_count"))
+    grid = opt("gamma_min"), opt("gamma_max")
+    if (grid[0] is None) != (grid[1] is None):
+        raise UsageError("--gamma-min and --gamma-max go together")
 
-    mode = opt("mode")
-    if mode is None:
-        mode = "full" if graph_path else "reduced"
+    if opt("mode") is None:
+        args.mode = "full" if opt("graph") else "reduced"
 
-    sweep_axis = opt("sweep")
-    sweep_range = None
-    if sweep_axis is not None:
-        if opt("sweep_min") is None or opt("sweep_max") is None:
-            raise UsageError("--sweep needs --sweep-min and --sweep-max")
-        sweep_range = (opt("sweep_min"), opt("sweep_max"))
+    bounds = opt("sweep_min"), opt("sweep_max")
+    if opt("sweep") is not None and None in bounds:
+        raise UsageError("--sweep needs --sweep-min and --sweep-max")
 
-    return RunConfig(
-        spec=spec,
-        graph_path=graph_path,
-        marked=marked,
-        walk=_WALKS.get(opt("walk")),
-        init=_INITS.get(opt("init")),
-        probe=opt("probe"),
-        gamma=opt("gamma"),
-        gamma_range=gamma_range,
-        tmax=opt("tmax"),
-        samples=opt("samples"),
-        mode=mode,
-        out=opt("out"),
-        sweep_axis=sweep_axis,
-        sweep_range=sweep_range,
-        jz_ratio=opt("jz_ratio"),
-    )
+    # flags that another flag makes meaningless
+    if args.spec is not None and opt("marked") is not None:
+        raise UsageError("--marked needs --graph; a layout marks k1 and k2 vertices")
+    if opt("gamma") is not None and grid != (None, None):
+        raise UsageError("give either --gamma or --gamma-min/--gamma-max, not both")
+    if opt("sweep") is None and bounds != (None, None):
+        raise UsageError("--sweep-min and --sweep-max need --sweep")
 
 
 # ---------------------------------------------------------------------------
 # CSV helpers
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -215,20 +175,20 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _time_grid(cfg: RunConfig) -> np.ndarray:
-    tmax = cfg.tmax
+def _time_grid(args: argparse.Namespace) -> np.ndarray:
+    tmax = args.tmax
     if tmax is None:
-        if cfg.spec is None:
+        if args.spec is None:
             raise UsageError("--tmax is required for edge-list instances")
-        table = runtime_table(cfg.spec).as_ordered()
+        table = runtime_table(args.spec).as_ordered()
         tmax = 2.0 * max(t for _, t in table if t is not None)
     if not np.isfinite(tmax):
         raise UsageError(f"--tmax must be finite, got {tmax!r}")
     if tmax <= 0:
         raise UsageError("--tmax must be positive")
-    if cfg.samples < 2:
+    if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    return np.linspace(0.0, float(tmax), cfg.samples)
+    return np.linspace(0.0, float(tmax), args.samples)
 
 
 def _check_full_cap(n: int) -> None:
@@ -241,12 +201,12 @@ def _check_full_cap(n: int) -> None:
         )
 
 
-def _gamma_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.gamma_range is None:
-        if cfg.gamma is not None:
-            return np.array([float(cfg.gamma)])
+def _gamma_grid(args: argparse.Namespace) -> np.ndarray:
+    lo, hi, count = args.gamma_min, args.gamma_max, args.gamma_count
+    if lo is None:
+        if args.gamma is not None:
+            return np.array([args.gamma])
         raise UsageError("a gamma range (or a single --gamma) is required")
-    lo, hi, count = cfg.gamma_range
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise UsageError(f"gamma bounds must be finite, got {lo!r} and {hi!r}")
     if count < 1:
@@ -256,68 +216,57 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _full_search(cfg: RunConfig) -> tuple[Graph, frozenset[int]]:
-    """Graph and marked set of a full-space run, built once per command.
+def _search(
+    args: argparse.Namespace, state: np.ndarray | None = None, sides: bool = False
+) -> SearchQuotient:
+    """The quotient a command evolves, built once per command.
 
-    The graph is the complete bipartite layout or the edge list; either is
-    refused past the cap before any per-vertex-pair array is built.
+    On a layout its groups are the classes (a, b, c, d) and it starts from
+    the class-basis ``state`` (default: the ``--init`` state). ``--mode``
+    chooses only where the partition comes from: reduced mode writes the
+    class partition down (:func:`~qwsearch.bipartite.class_quotient`),
+    full mode builds the graph and refines the marked set and the state on
+    it (:func:`~qwsearch.evolve.search_quotient`), with ``sides`` also the
+    classes a and b. Both give the same quotient, up to the cell order. On
+    an edge list, which runs in full mode from the uniform state only, its
+    one group is the marked set. Either graph is refused past the cap before
+    any per-vertex-pair array is built.
     """
-    if cfg.spec is not None:
-        _check_full_cap(cfg.spec.n)
-        return complete_bipartite(cfg.spec)
-    if cfg.init is not InitialStateKind.UNIFORM:
+    spec, walk = args.spec, WalkKind(args.walk)
+    if spec is not None:
+        if state is None:
+            state = initial_state(spec, InitialStateKind(args.init))
+        if args.mode == "reduced":
+            return class_quotient(spec, walk, state)
+        _check_full_cap(spec.n)
+        graph, marked = complete_bipartite(spec)
+        classes = class_slices(spec)
+        psi0 = reduced_to_full(spec, state)
+        return search_quotient(graph, walk, marked, psi0, classes, classes[:2] if sides else ())
+    if InitialStateKind(args.init) is not InitialStateKind.UNIFORM:
         raise UsageError("edge-list instances support only --init s")
-    if cfg.mode != "full":
+    if args.mode != "full":
         raise UsageError("edge-list instances run in full mode only")
-    graph = read_edge_list(cfg.graph_path)
+    graph = read_edge_list(args.graph)
     _check_full_cap(graph.n)
-    return graph, cfg.marked if cfg.marked is not None else frozenset({0})
-
-
-def _layout_quotient(cfg: RunConfig, state: np.ndarray, sides: bool = False) -> SearchQuotient:
-    """The layout's search from the class-basis ``state``, groups the classes (a, b, c, d).
-
-    ``--mode`` chooses only where the partition comes from: reduced mode
-    writes the class partition down
-    (:func:`~qwsearch.bipartite.class_quotient`), full mode builds the
-    graph and refines the marked set and the state on it
-    (:func:`~qwsearch.evolve.search_quotient`), with ``sides`` also the
-    classes a and b. Both give the same quotient, up to the cell order.
-    """
-    spec = cfg.spec
-    if cfg.mode == "reduced":
-        return class_quotient(spec, cfg.walk, state)
-    graph, marked = _full_search(cfg)
-    classes = class_slices(spec)
-    psi0 = reduced_to_full(spec, state)
-    return search_quotient(graph, cfg.walk, marked, psi0, classes, classes[:2] if sides else ())
-
-
-def _search(cfg: RunConfig) -> SearchQuotient:
-    """The quotient that ``simulate`` and ``sweep-gamma`` evolve, built once per command.
-
-    Its groups are the classes (a, b, c, d) of a layout, or the marked set
-    of an edge list.
-    """
-    if cfg.spec is not None:
-        return _layout_quotient(cfg, initial_state(cfg.spec, cfg.init))
-    graph, marked = _full_search(cfg)
-    return search_quotient(graph, cfg.walk, marked, uniform_state(graph.n), [sorted(marked)])
+    marked = args.marked if args.marked is not None else frozenset({0})
+    return search_quotient(graph, walk, marked, uniform_state(graph.n), [sorted(marked)])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.gamma is None:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.gamma is None:
         raise UsageError("simulate needs a single --gamma")
-    if cfg.spec is None and cfg.graph_path is None:
+    if args.spec is None and args.graph is None:
         raise UsageError("simulate needs a bipartite layout or --graph")
-    times = _time_grid(cfg)
-    masses = _search(cfg).masses(float(cfg.gamma), times)
-    # Python floats: their repr is _fmt's, and a + b rounds as NumPy's sum
-    if cfg.spec is None:
+    times = _time_grid(args)
+    masses = _search(args).masses(args.gamma, times)
+    # Python floats: repr gives their shortest round-trip form, and a + b
+    # rounds as NumPy's sum
+    if args.spec is None:
         rows = zip(times.tolist(), masses[:, 0].tolist())
         lines = ["t,p_success", *(f"{t!r},{p!r}" for t, p in rows)]
     else:
@@ -325,44 +274,39 @@ def cmd_simulate(cfg: RunConfig) -> int:
         for t, row in zip(times.tolist(), masses):
             a, b, c, d = row.tolist()
             lines.append(f"{t!r},{a + b!r},{a!r},{b!r},{c!r},{d!r}")
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
-def cmd_sweep_gamma(cfg: RunConfig) -> int:
-    if cfg.spec is None and cfg.graph_path is None:
+def cmd_sweep_gamma(args: argparse.Namespace) -> int:
+    if args.spec is None and args.graph is None:
         raise UsageError("sweep-gamma needs a bipartite layout or --graph")
-    gammas = _gamma_grid(cfg)
-    times = _time_grid(cfg)
+    gammas = _gamma_grid(args)
+    times = _time_grid(args)
     lines = ["gamma,t_peak,p_peak"]
-    search = _search(cfg)
+    search = _search(args)
     # one group holds the success: classes a and b of a layout, or an edge
     # list's marked set, so only the marked cells are propagated
     search = search._replace(shares=search.shares[:, :2].sum(axis=1, keepdims=True))
     for gamma, masses in zip(gammas.tolist(), search.sweep(gammas, times)):
         t_peak, p_peak = first_peak(times, masses[:, 0])
         lines.append(f"{gamma!r},{t_peak!r},{p_peak!r}")
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
-def _probe_state(cfg: RunConfig) -> np.ndarray:
+def _probe_state(args: argparse.Namespace) -> np.ndarray:
     """Reduced-basis probe vector for the overlaps subcommand."""
-    spec = cfg.spec
-    if cfg.probe == "s":
-        return initial_state(spec, InitialStateKind.UNIFORM)
-    if cfg.probe == "sq":
-        return initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR)
-    if cfg.probe == "ml":
-        if spec.k1 < 1:
-            raise UsageError("probe ml needs k1 >= 1")
-        return np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    if spec.k2 < 1:
-        raise UsageError("probe mr needs k2 >= 1")
-    return np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    spec, probe = args.spec, args.probe
+    if probe in ("s", "sq"):
+        return initial_state(spec, InitialStateKind(probe))
+    side = ("ml", "mr").index(probe)  # class a or b
+    if (spec.k1, spec.k2)[side] < 1:
+        raise UsageError(f"probe {probe} needs k{side + 1} >= 1")
+    return np.eye(4, dtype=complex)[side]
 
 
-def cmd_overlaps(cfg: RunConfig) -> int:
+def cmd_overlaps(args: argparse.Namespace) -> int:
     """Overlap rows of the search's four lowest levels per gamma.
 
     The levels are those of the quotient of the search's partition, read
@@ -370,61 +314,53 @@ def cmd_overlaps(cfg: RunConfig) -> int:
     on the layout's nonempty classes, in both modes, so an empty class adds
     no level and no ``n x n`` matrix is formed.
     """
-    if cfg.spec is None:
+    if args.spec is None:
         raise UsageError("overlaps needs a bipartite layout")
-    gammas = _gamma_grid(cfg)
-    rows = _layout_quotient(cfg, _probe_state(cfg), sides=True).levels(gammas)
-    # the rows hold Python floats, whose repr is _fmt's
+    gammas = _gamma_grid(args)
+    rows = _search(args, _probe_state(args), sides=True).levels(gammas)
+    # the rows hold Python floats, whose repr is their shortest round-trip form
     lines = ["gamma,n,S_n,L_n,R_n"]
     lines += [f"{g!r},{n},{s!r},{left!r},{right!r}" for g, n, s, left, right, _ in rows]
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
-def cmd_runtimes(cfg: RunConfig) -> int:
-    if cfg.spec is None:
+def cmd_runtimes(args: argparse.Namespace) -> int:
+    if args.spec is None:
         raise UsageError("runtimes needs a bipartite layout")
-    spec = cfg.spec
-    if cfg.sweep_axis is None:
+    spec = args.spec
+    if args.sweep is None:
         values = [spec.k1]
     else:
-        lo, hi = cfg.sweep_range
-        cap = spec.n1 if cfg.sweep_axis == "k1" else spec.n2
+        lo, hi = args.sweep_min, args.sweep_max
+        cap = spec.n1 if args.sweep == "k1" else spec.n2
         if lo < 0 or hi < lo or hi > cap:
             raise UsageError(f"sweep range must satisfy 0 <= min <= max <= {cap}")
         values = list(range(lo, hi + 1))
     lines = ["sweep_key,t_La,t_Lb,t_A,t_Qa,t_Qb,fastest,near_regular_flag"]
     for value in values:
-        if cfg.sweep_axis == "k2":
-            k1, k2 = spec.k1, value
-        elif cfg.sweep_axis == "k1":
-            k1, k2 = value, spec.k2
-        else:
-            k1, k2 = spec.k1, spec.k2
+        # without --sweep, value is k1
+        k1, k2 = (spec.k1, value) if args.sweep == "k2" else (value, spec.k2)
         if k1 + k2 == 0:
-            print(
-                f"warning: skipping sweep_key={value}: no marked vertices",
-                file=sys.stderr,
-            )
+            print(f"warning: skipping sweep_key={value}: no marked vertices", file=sys.stderr)
             continue
         regime = fastest_regime(BipartiteSpec(spec.n1, spec.n2, k1, k2))
-        runtimes = [
-            "" if t is None else _fmt(t) for _, t in regime.runtimes.as_ordered()
-        ]
+        # the runtimes are Python floats, so repr is their shortest form
+        runtimes = ["" if t is None else repr(t) for _, t in regime.runtimes.as_ordered()]
         lines.append(
             f"{value},{','.join(runtimes)},{regime.fastest.value},"
             f"{1 if regime.near_regular else 0}"
         )
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
-def cmd_verify_spin(cfg: RunConfig) -> int:
-    if cfg.jz_ratio is None:
+def cmd_verify_spin(args: argparse.Namespace) -> int:
+    if args.jz_ratio is None:
         raise UsageError("verify-spin needs --jz-ratio")
-    gamma = float(cfg.gamma) if cfg.gamma is not None else 1.0
-    graph = read_edge_list(cfg.graph_path) if cfg.graph_path else demo_graph()
-    ratio = float(cfg.jz_ratio)
+    gamma = args.gamma if args.gamma is not None else 1.0
+    graph = read_edge_list(args.graph) if args.graph else demo_graph()
+    ratio = args.jz_ratio
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=ratio * gamma)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
     # the walk W_r = A - r D with r = jz / jx, if it is one of the three
@@ -433,7 +369,7 @@ def cmd_verify_spin(cfg: RunConfig) -> int:
     # candidates that coincide all match; show the expected one among them
     kind = expected if passed else (kinds[0] if kinds else None)
     print(f"classification={kind.value if kind else 'other'}")
-    print(f"max_deviation={_fmt(deviation)}")
+    print(f"max_deviation={deviation!r}")
     print(f"expected={expected.value if expected else 'none'}")
     print(f"result={'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
@@ -464,7 +400,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k2", type=int)
     p.add_argument("--graph", help="edge-list file: 'n m' header then 'i j' lines")
     p.add_argument("--marked", help="comma-separated marked vertices (edge-list runs)")
-    p.add_argument("--walk", choices=sorted(_WALKS), default="signless")
+    p.add_argument("--walk", choices=sorted(kind.value for kind in WalkKind), default="signless")
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -499,14 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     _add_io_flags(p)
     _add_time_flags(p)
-    p.add_argument("--init", choices=sorted(_INITS), default="s")
+    p.add_argument("--init", choices=sorted(kind.value for kind in InitialStateKind), default="s")
     p.add_argument("--gamma", type=float)
 
     p = sub.add_parser("sweep-gamma", help="peak success probability per gamma")
     _add_instance_flags(p)
     _add_io_flags(p)
     _add_time_flags(p)
-    p.add_argument("--init", choices=sorted(_INITS), default="s")
+    p.add_argument("--init", choices=sorted(kind.value for kind in InitialStateKind), default="s")
     _add_gamma_range_flags(p)
 
     p = sub.add_parser("overlaps", help="eigenvector overlap profile per gamma")
@@ -545,10 +481,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(_shared_parser(), argv)
-        cfg = _build_config(args)
+        _checked(args)
         # looked up per call, not bound into the shared parser
         handler = globals()["cmd_" + args.command.replace("-", "_")]
-        return handler(cfg)
+        return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

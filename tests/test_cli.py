@@ -966,6 +966,22 @@ def test_runtimes_rejects_out_of_range_sweep(capsys):
     assert code == 1
 
 
+def test_runtimes_sweeps_k2_with_k1_fixed(capsys):
+    layout = ["--n1", "10", "--n2", "7", "--k1", "0"]
+    argv = ["runtimes", *layout, "--k2", "3", "--sweep", "k2", "--sweep-min", "0",
+            "--sweep-max", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "warning: skipping sweep_key=0: no marked vertices\n")
+    header, rows = parse_csv(out)
+    assert header[0] == "sweep_key"
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    # each row is the one-row table of (10, 7, 0, k2), keyed there by k1 = 0
+    for row in rows:
+        code, single, _ = run_cli(capsys, ["runtimes", *layout, "--k2", row[0]])
+        assert code == 0
+        assert parse_csv(single)[1] == [["0", *row[1:]]]
+
+
 # ---------------------------------------------------------------------------
 # config files and reproducibility
 
@@ -1160,8 +1176,16 @@ def test_a_config_file_does_not_leak_into_the_next_call(capsys, tmp_path):
     # main keeps one parser for the process; the first call's config-file
     # defaults must be gone by the second call
     assert cli._shared_parser() is cli._shared_parser()
+    # marked=1 is legal on an edge list and refused with a layout, so a
+    # leak would make the layout run below exit 1
+    graph = tmp_path / "path4.txt"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n")
+    edges = tmp_path / "edges.cfg"
+    edges.write_text(f"graph={graph}\nmarked=1\ngamma=0.5\ntmax=2\nsamples=20\n")
+    code, _, _ = run_cli(capsys, ["simulate", "--config", str(edges)])
+    assert code == 0
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_config_text(CONFIG_RUNS["simulate"]) + "marked=1\n")
+    cfg.write_text(_config_text(CONFIG_RUNS["simulate"]))
     code, _, _ = run_cli(capsys, ["simulate", "--config", str(cfg)])
     assert code == 0
     argv = ["simulate", *FIG_FLAGS, "--gamma", "0.003", "--tmax", "30", "--samples", "40"]
@@ -1210,6 +1234,57 @@ def test_non_finite_time_and_gamma_bounds_are_usage_errors(capsys, argv, message
         warnings.simplefilter("error")  # no NumPy RuntimeWarning on the way out
         code, out, err = run_cli(capsys, [*argv, *LAYOUT_48])
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["overlaps", "--n1", "10", "--n2", "7", "--k1", "0", "--k2", "3", "--probe", "ml",
+          "--gamma", "0.01"], "probe ml needs k1 >= 1"),
+        (["overlaps", "--n1", "4", "--n2", "3", "--k1", "1", "--k2", "0", "--probe", "mr",
+          "--gamma", "0.01"], "probe mr needs k2 >= 1"),
+        (["sweep-gamma", *LAYOUT_48, "--gamma-max", "0.02"],
+         "--gamma-min and --gamma-max go together"),
+        (["runtimes", *LAYOUT_48, "--sweep", "k2", "--sweep-min", "1"],
+         "--sweep needs --sweep-min and --sweep-max"),
+        # the list is read before it is refused for coming with a layout
+        (["simulate", *LAYOUT_48, "--marked", "1,x", "--gamma", "0.1"],
+         "bad --marked list '1,x'"),
+        (["sweep-gamma", *LAYOUT_48, "--tmax", "5"],
+         "a gamma range (or a single --gamma) is required"),
+    ],
+    ids=["probe-ml", "probe-mr", "gamma-max-alone", "sweep-min-alone", "bad-marked",
+         "no-gamma"],
+)
+def test_usage_refusals_name_the_fault(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", *LAYOUT_48, "--marked", "7", "--gamma", "0.02", "--tmax", "5"],
+         "--marked needs --graph; a layout marks k1 and k2 vertices"),
+        (["sweep-gamma", *LAYOUT_48, "--marked", "7", "--gamma-min", "0.01",
+          "--gamma-max", "0.02"], "--marked needs --graph; a layout marks k1 and k2 vertices"),
+        (["sweep-gamma", *LAYOUT_48, "--gamma", "0.5", "--gamma-min", "0.01",
+          "--gamma-max", "0.02"], "give either --gamma or --gamma-min/--gamma-max, not both"),
+        (["overlaps", *LAYOUT_48, "--gamma", "0.5", "--gamma-min", "0.01",
+          "--gamma-max", "0.02"], "give either --gamma or --gamma-min/--gamma-max, not both"),
+        (["runtimes", *LAYOUT_48, "--sweep-min", "1", "--sweep-max", "4"],
+         "--sweep-min and --sweep-max need --sweep"),
+    ],
+    ids=["simulate-layout-marked", "sweep-layout-marked", "sweep-gamma-and-range",
+         "overlaps-gamma-and-range", "runtimes-bounds-without-sweep"],
+)
+def test_a_flag_that_another_flag_excludes_is_refused(capsys, tmp_path, argv, message):
+    # each would otherwise be dropped without a word
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text(argv[1:]))
+    assert run_cli(capsys, [argv[0], "--config", str(cfg)]) == (code, out, err)
 
 
 def test_csv_output_is_byte_identical_across_runs(capsys, tmp_path):

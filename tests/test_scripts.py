@@ -34,7 +34,7 @@ def test_dataset_argv_parses(name, argv):
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 124
+    assert len(names) == len(set(names)) == 144
 
 
 @pytest.mark.parametrize(
@@ -74,3 +74,11 @@ def test_capture_compare_reports_deviation_and_mismatch(tmp_path, capsys):
     )
     assert CAPTURE.compare(before, undefined, tol=1e-9) == 1
     assert "'0.5' against 'nan'" in capsys.readouterr().out
+    refused = json.loads(before.read_text())
+    refused["commands"][1].update(exit=1, stdout="", stderr="usage error: bad\n")
+    (tmp_path / "e.json").write_text(json.dumps(refused))
+    assert CAPTURE.compare(before, tmp_path / "e.json", tol=1e-9) == 1
+    assert (
+        "mismatch: spin: exit 0 against 1; stderr line 1: '' against 'usage error: bad\\n'"
+        in capsys.readouterr().out
+    )
