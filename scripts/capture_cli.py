@@ -45,10 +45,11 @@ without its bounds, a bad ``--marked`` list, no gamma at all, ``--init sq``
 and ``--mode reduced`` on an edge list, the full-mode cap on K_{2000,200},
 and a run with two faults, of which the layout is named first);
 ``runtimes`` without ``--sweep`` and with ``--sweep k2`` (in range, out of
-range, and with a skipped row); and flags that another flag excludes:
-``--marked`` with a layout (also from a config file), ``--gamma`` with a
-gamma range, and sweep bounds without ``--sweep``. The table has 144
-commands.
+range, and with a skipped row), and with ``--walk``, which it does not
+take; and flags that another flag excludes: ``--marked`` with a layout
+(also from a config file), ``--gamma`` with a gamma range, sweep bounds
+without ``--sweep``, and ``--gamma-count`` beside ``--gamma`` (on
+``sweep-gamma`` and ``overlaps``) or alone. The table has 148 commands.
 """
 
 from __future__ import annotations
@@ -266,7 +267,15 @@ def _commands() -> list[tuple[str, list[str]]]:
          ["overlaps", *SMALL, "--gamma", "0.5", *SMALL_GRID]),
         ("conflict-sweep-bounds-without-sweep",
          ["runtimes", *SMALL, "--sweep-min", "1", "--sweep-max", "4"]),
+        ("conflict-gamma-and-count-sweep",
+         ["sweep-gamma", *SMALL, "--gamma", "0.02", "--gamma-count", "0", "--tmax", "5",
+          "--samples", "5"]),
+        ("conflict-gamma-and-count-overlaps",
+         ["overlaps", *SMALL, "--gamma", "0.02", "--gamma-count", "3"]),
+        ("refuse-gamma-count-alone", ["sweep-gamma", *SMALL, "--gamma-count", "7"]),
     ]
+    # runtimes reads no walk, so argparse refuses the flag
+    rows.append(("refuse-runtimes-walk", ["runtimes", *SMALL, "--walk", "laplacian"]))
     return rows
 
 

@@ -19,7 +19,6 @@ from .evolve import (
     WalkKind,
     eig_hermitian,
     first_peak,
-    overlap_profile,
     propagate,
     uniform_state,
     walk_matrix,

@@ -15,6 +15,7 @@ walks.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from collections.abc import Sequence
@@ -269,27 +270,30 @@ def asymptotic_eigensystem_h0(
 
 
 @dataclass(frozen=True)
-class DegenerateEigensystem:
-    """Perturbation-lifted eigenpairs at a critical rate, plus the gap.
+class DegenerateEigensystem(EigenDecomposition):
+    """Perturbation-lifted eigensystem at a critical rate, plus the gap.
 
-    ``pairs`` holds four (vector, eigenvalue) tuples sorted by eigenvalue
-    ascending; ``delta_e`` is the splitting of the lifted doublet, which
-    sets the runtime ``pi / delta_e``. Returned at first order by
-    :func:`degenerate_correction` and at next order by
+    The eigenvalues ascend, and the eigenvectors are the columns in the
+    class basis (a, b, c, d). ``delta_e`` is the splitting of the lifted
+    doublet, which sets the runtime ``pi / delta_e``. Returned at first
+    order by :func:`degenerate_correction` and at next order by
     :func:`next_order_correction`.
     """
 
-    pairs: tuple[tuple[np.ndarray, float], ...]
     delta_e: float
+
+
+def _sorted_system(pairs: list[tuple[np.ndarray, float]], delta_e: float) -> DegenerateEigensystem:
+    """The eigensystem of ``(vector, eigenvalue)`` pairs, stably sorted by eigenvalue."""
+    vectors, values = zip(*sorted(pairs, key=lambda pair: pair[1]))
+    return DegenerateEigensystem(np.array(values), np.column_stack(vectors), delta_e)
 
 
 def _mirrored(system: DegenerateEigensystem) -> DegenerateEigensystem:
     """A left-critical eigensystem of the partite-swapped layout, read as the
     right-critical one of the original: classes (a, b, c, d) trade places
     pairwise."""
-    perm = [1, 0, 3, 2]
-    pairs = tuple((vec[perm], val) for vec, val in system.pairs)
-    return DegenerateEigensystem(pairs=pairs, delta_e=system.delta_e)
+    return dataclasses.replace(system, eigenvectors=system.eigenvectors[[1, 0, 3, 2]])
 
 
 def _check_left_doublet(spec: BipartiteSpec) -> None:
@@ -341,8 +345,7 @@ def degenerate_correction(
         (e_b, -2.0),
         (v, 0.0),
     ]
-    pairs.sort(key=lambda pair: pair[1])
-    return DegenerateEigensystem(pairs=tuple(pairs), delta_e=2.0 * half_gap)
+    return _sorted_system(pairs, 2.0 * half_gap)
 
 
 def closed_form_runtime(spec: BipartiteSpec, side: CriticalSide) -> float:
@@ -466,7 +469,7 @@ def next_order_correction(
     levels into the doublet states and the doublet into the far levels,
     which is the beat on the success envelope.
 
-    ``pairs`` are sorted ascending as in :func:`degenerate_correction` and
+    The eigenvalues ascend as in :func:`degenerate_correction` and
     ``delta_e`` is the doublet splitting. Eigenvalues are off the exact
     4x4 ones by O((k/n)^2) and eigenvectors by O(k/n). The right-critical
     case is the partite-swapped mirror. The expansion needs a marked
@@ -510,10 +513,7 @@ def next_order_correction(
     pairs = [(basis[:, :2] @ vec, value) for vec, value in doublet] + [
         (basis[:, 2:] @ vec, value) for vec, value in far
     ]
-    pairs.sort(key=lambda pair: pair[1])
-    return DegenerateEigensystem(
-        pairs=tuple(pairs), delta_e=doublet[1][1] - doublet[0][1]
-    )
+    return _sorted_system(pairs, doublet[1][1] - doublet[0][1])
 
 
 def next_order_probabilities(
@@ -537,12 +537,8 @@ def next_order_probabilities(
         )
         return pb, pa, pd, pc
     system = next_order_correction(spec, CriticalSide.LEFT)
-    decomp = EigenDecomposition(
-        np.array([value for _, value in system.pairs]),
-        np.column_stack([vec for vec, _ in system.pairs]),
-    )
     t = np.asarray(t, dtype=float)
-    states = propagate(decomp, initial_state(spec, start), t.reshape(-1))
+    states = propagate(system, initial_state(spec, start), t.reshape(-1))
     probs = (np.abs(states) ** 2).reshape(t.shape + (4,))
     if t.ndim == 0:
         return tuple(float(p) for p in probs)

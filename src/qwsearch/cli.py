@@ -7,10 +7,10 @@ profiles), ``runtimes`` (runtime comparison across walks), ``verify-spin``
 ``key=value`` config file; flags override the file. Each handler reads the
 parsed namespace, after :func:`_checked` has refused the combinations that
 no one flag's check sees: a half layout, a layout with ``--graph`` or
-``--marked``, ``--gamma`` with a gamma range, and sweep bounds without
-``--sweep`` (or ``--sweep`` without them). Exit status is 0 on success, 1
-for usage or validation errors or when memory runs out, and 2 when
-``verify-spin`` finds a mismatch.
+``--marked``, ``--gamma`` with a gamma range, ``--gamma-count`` without
+one, and sweep bounds without ``--sweep`` (or ``--sweep`` without them).
+Exit status is 0 on success, 1 for usage or validation errors or when
+memory runs out, and 2 when ``verify-spin`` finds a mismatch.
 """
 
 from __future__ import annotations
@@ -161,6 +161,8 @@ def _checked(args: argparse.Namespace) -> None:
         raise UsageError("give either --gamma or --gamma-min/--gamma-max, not both")
     if opt("sweep") is None and bounds != (None, None):
         raise UsageError("--sweep-min and --sweep-max need --sweep")
+    if opt("gamma_count") is not None and grid == (None, None):
+        raise UsageError("--gamma-count needs --gamma-min and --gamma-max")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,8 @@ def _check_full_cap(n: int) -> None:
 
 
 def _gamma_grid(args: argparse.Namespace) -> np.ndarray:
-    lo, hi, count = args.gamma_min, args.gamma_max, args.gamma_count
+    lo, hi = args.gamma_min, args.gamma_max
+    count = DEFAULT_GAMMA_COUNT if args.gamma_count is None else args.gamma_count
     if lo is None:
         if args.gamma is not None:
             return np.array([args.gamma])
@@ -309,10 +312,10 @@ def _probe_state(args: argparse.Namespace) -> np.ndarray:
 def cmd_overlaps(args: argparse.Namespace) -> int:
     """Overlap rows of the search's four lowest levels per gamma.
 
-    The levels are those of the quotient of the search's partition, read
-    with :meth:`~qwsearch.evolve.SearchQuotient.levels`: the class model
-    on the layout's nonempty classes, in both modes, so an empty class adds
-    no level and no ``n x n`` matrix is formed.
+    The rows are :meth:`~qwsearch.evolve.SearchQuotient.levels` of the
+    search from the probe, its sides the classes a and b: the class model
+    on the layout's nonempty classes, in both modes, so an empty class
+    adds no level and no ``n x n`` matrix is formed.
     """
     if args.spec is None:
         raise UsageError("overlaps needs a bipartite layout")
@@ -400,6 +403,9 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k2", type=int)
     p.add_argument("--graph", help="edge-list file: 'n m' header then 'i j' lines")
     p.add_argument("--marked", help="comma-separated marked vertices (edge-list runs)")
+
+
+def _add_walk_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--walk", choices=sorted(kind.value for kind in WalkKind), default="signless")
 
 
@@ -422,9 +428,7 @@ def _add_gamma_range_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--gamma-min", dest="gamma_min", type=float)
     p.add_argument("--gamma-max", dest="gamma_max", type=float)
-    p.add_argument(
-        "--gamma-count", dest="gamma_count", type=int, default=DEFAULT_GAMMA_COUNT
-    )
+    p.add_argument("--gamma-count", dest="gamma_count", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="success-probability curve over time")
     _add_instance_flags(p)
+    _add_walk_flag(p)
     _add_io_flags(p)
     _add_time_flags(p)
     p.add_argument("--init", choices=sorted(kind.value for kind in InitialStateKind), default="s")
@@ -440,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-gamma", help="peak success probability per gamma")
     _add_instance_flags(p)
+    _add_walk_flag(p)
     _add_io_flags(p)
     _add_time_flags(p)
     p.add_argument("--init", choices=sorted(kind.value for kind in InitialStateKind), default="s")
@@ -447,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlaps", help="eigenvector overlap profile per gamma")
     _add_instance_flags(p)
+    _add_walk_flag(p)
     _add_io_flags(p)
     p.add_argument("--mode", choices=["reduced", "full"])
     p.add_argument("--probe", choices=list(_PROBES), default="s")

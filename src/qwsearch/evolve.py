@@ -4,9 +4,10 @@ A search on a graph is run on the normalised cell states of the coarsest
 equitable partition that its marked set and start respect
 (:func:`search_quotient`): a ``c x c`` walk matrix and Hamiltonian, where
 ``c`` is the cell count, four on a complete bipartite layout and ``n``
-only on a graph without symmetry. On top of it sit the checked Hermitian
-eigendecomposition, the spectral propagator, peak finding and the
-eigenvector overlap table.
+only on a graph without symmetry. The quotient evolves its start with
+the spectral propagator (:meth:`SearchQuotient.masses`) and reads its own
+eigenvector overlap table (:meth:`SearchQuotient.levels`), both on the
+checked Hermitian eigendecomposition; peak finding reads the curves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,11 +32,10 @@ __all__ = [
     "uniform_state",
     "first_peak",
     "OverlapRow",
-    "overlap_profile",
 ]
 
 HERMITICITY_TOL = 1e-10
-OVERLAP_EIGENVECTORS = 4  # lowest eigenvectors reported per gamma by overlap_profile
+OVERLAP_EIGENVECTORS = 4  # lowest levels reported per gamma by SearchQuotient.levels
 # Rates are diagonalised together in runs whose Hamiltonian stack holds at
 # most this many entries (512 KiB of float64): a reduced 4x4 sweep is one
 # eigh call, and a quotient of 256 cells or more (c = n on a graph without
@@ -159,6 +159,8 @@ class SearchQuotient(NamedTuple):
     in group ``g``. :func:`search_quotient` finds it by refining a graph,
     :func:`~qwsearch.bipartite.class_quotient` writes it down for a
     complete bipartite layout; nothing in it grows with the vertex count.
+    :meth:`masses` evolves the state, and :meth:`levels` reads the
+    overlap table, probed by the state on the sides in groups 0 and 1.
     """
 
     walk: np.ndarray
@@ -212,10 +214,49 @@ class SearchQuotient(NamedTuple):
         (masses,) = self.sweep([gamma], times)
         return masses
 
-    def levels(self, gammas: Sequence[float]) -> list[OverlapRow]:
-        """:func:`overlap_profile` of the quotient; groups 0 and 1 are its sides."""
+    def levels(self, gammas: Sequence[float] | np.ndarray) -> list[OverlapRow]:
+        """Eigenvector overlap table across jumping rates.
+
+        The rates are diagonalised in runs (see ``STACK_ENTRIES``), one
+        :func:`eig_hermitian` call on each run's stack of
+        :meth:`hamiltonian`, and the rows report the lowest
+        ``OVERLAP_EIGENVECTORS`` levels ``psi_n`` of each rate:
+        ``|<state|psi_n>|^2``, the mass of ``psi_n`` on the cells that meet
+        group 0 (the left side) and on those that meet group 1 (the right
+        side), and the eigenvalue. The ``overlaps`` command reads it on the
+        search's partition: on a bipartite layout, the class model on the
+        nonempty classes, 4x4 at most. Exactly tied levels keep
+        ``np.linalg.eigh``'s order. Levels that split by less than
+        ``eigh``'s accuracy (about machine epsilon times the Hamiltonian's
+        scale; on a bipartite layout, a with b and c with d as gamma -> 0)
+        are a near-degenerate pair: ``eigh`` may return any basis of their
+        span, so the rows of each level depend on the basis (on the cell
+        order, for one) and only their sums over the pair are determined.
+        Rows are ordered by the given gamma sequence and then by ``n``.
+        """
+        rates = np.fromiter(gammas, dtype=float)
+        if not rates.size:
+            raise ValueError("gamma list must be nonempty")
+        if abs(np.linalg.norm(self.state) - 1.0) > 1e-8:
+            raise ValueError("probe state must be normalized")
         left, right = (np.flatnonzero(self.shares[:, g]) for g in (0, 1))
-        return overlap_profile(self.hamiltonian, gammas, self.state, left, right)
+        rows: list[OverlapRow] = []
+        for run in _rate_runs(rates, self.state.size):
+            stack = eig_hermitian(self.hamiltonian(run))
+            count = min(OVERLAP_EIGENVECTORS, stack.dim)
+            vectors = stack.eigenvectors[..., :count]
+            # one level per row, its cells contiguous: each side's mass is
+            # summed in the order np.sum takes over that level's own entries
+            weights = np.ascontiguousarray(np.swapaxes(np.abs(vectors) ** 2, -1, -2))
+            left_mass, right_mass = (weights[..., side].sum(axis=-1).tolist()
+                                     for side in (left, right))
+            values = stack.eigenvalues[:, :count].tolist()
+            for g, gamma in enumerate(run.tolist()):
+                for n in range(count):
+                    s_overlap = float(np.abs(np.vdot(self.state, vectors[g, :, n])) ** 2)
+                    rows.append(OverlapRow(gamma, n, s_overlap, left_mass[g][n],
+                                           right_mass[g][n], values[g][n]))
+        return rows
 
 
 def _rate_runs(rates: np.ndarray, dim: int) -> list[np.ndarray]:
@@ -454,67 +495,3 @@ class OverlapRow(NamedTuple):
     right_overlap: float
     eigenvalue: float
 
-
-def overlap_profile(
-    build_hamiltonians: Callable[[np.ndarray], np.ndarray],
-    gammas: Sequence[float] | np.ndarray,
-    probe: np.ndarray,
-    left_marked: Sequence[int],
-    right_marked: Sequence[int],
-) -> list[OverlapRow]:
-    """Eigenvector overlap table across jumping rates.
-
-    ``build_hamiltonians`` maps a 1-D float array of rates to the stack of
-    their Hamiltonians, shape ``(len(rates), d, d)`` with ``d`` the length
-    of ``probe``. The rates go to it in runs (see ``STACK_ENTRIES``), each
-    run's stack is diagonalized by one :func:`eig_hermitian` call, and the
-    rows report the lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n`` of
-    each rate: ``|<probe|psi_n>|^2``, the probability mass of ``psi_n`` on
-    the left- and right-marked basis states, and the eigenvalue. Each side
-    is read as a set of distinct basis states, checked as the ``rows`` of
-    :func:`propagate`. The ``overlaps`` command passes the quotient of the
-    search's partition (:meth:`SearchQuotient.levels`): on a bipartite
-    layout, the class model on the nonempty classes, 4x4 at most. Exactly
-    tied levels keep ``np.linalg.eigh``'s order. Levels that split by less
-    than ``eigh``'s accuracy (about machine epsilon times the Hamiltonian's
-    scale; on a bipartite layout, a with b and c with d as gamma -> 0) are
-    a near-degenerate pair: ``eigh`` may return any basis of their span, so
-    the rows of each level depend on the basis (on the cell order, for one)
-    and only their sums over the pair are determined. Rows are ordered by
-    the given gamma sequence and then by ``n``.
-    """
-    rates = np.fromiter(gammas, dtype=float)
-    if not rates.size:
-        raise ValueError("gamma list must be nonempty")
-    probe = np.asarray(probe, dtype=complex)
-    if abs(np.linalg.norm(probe) - 1.0) > 1e-8:
-        raise ValueError("probe state must be normalized")
-    left, right = (_group_vertices(side, probe.size) for side in (left_marked, right_marked))
-    rows: list[OverlapRow] = []
-    for run in _rate_runs(rates, probe.size):
-        rows += _levels(build_hamiltonians(run), run, probe, left, right)
-    return rows
-
-
-def _levels(
-    hamiltonians: np.ndarray, rates: np.ndarray, probe: np.ndarray, left: np.ndarray,
-    right: np.ndarray
-) -> list[OverlapRow]:
-    """The :func:`overlap_profile` rows of one run of rates and its stack of Hamiltonians."""
-    if np.shape(hamiltonians)[:-2] != rates.shape:
-        raise ValueError("build_hamiltonians must give one matrix per gamma")
-    stack = eig_hermitian(hamiltonians)
-    count = min(OVERLAP_EIGENVECTORS, stack.dim)
-    vectors = stack.eigenvectors[..., :count]
-    # one level per row, its basis states contiguous: each side's mass is
-    # summed in the order np.sum takes over that level's own entries
-    weights = np.ascontiguousarray(np.swapaxes(np.abs(vectors) ** 2, -1, -2))
-    left_mass, right_mass = (weights[..., side].sum(axis=-1).tolist() for side in (left, right))
-    values = stack.eigenvalues[:, :count].tolist()
-    rows = []
-    for g, gamma in enumerate(rates.tolist()):
-        for n in range(count):
-            s_overlap = float(np.abs(np.vdot(probe, vectors[g, :, n])) ** 2)
-            rows.append(OverlapRow(gamma, n, s_overlap, left_mass[g][n], right_mass[g][n],
-                                   values[g][n]))
-    return rows

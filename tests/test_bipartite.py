@@ -269,12 +269,10 @@ def test_numeric_eigensystem_converges_to_correction():
         h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 1.0 / spec.n1)
         numeric = eig_hermitian(h)
         exact = degenerate_correction(spec, CriticalSide.LEFT)
-        value_err = np.max(
-            np.abs(numeric.eigenvalues - np.array([e for _, e in exact.pairs]))
-        )
+        value_err = np.max(np.abs(numeric.eigenvalues - exact.eigenvalues))
         overlap_err = max(
-            1.0 - abs(np.vdot(vec, numeric.eigenvectors[:, i])) ** 2
-            for i, (vec, _) in enumerate(exact.pairs)
+            1.0 - abs(np.vdot(exact.eigenvectors[:, i], numeric.eigenvectors[:, i])) ** 2
+            for i in range(4)
         )
         errors.append(max(value_err, overlap_err))
     assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -328,9 +326,9 @@ def test_next_order_eigensystem_matches_exact_at_bench_layout():
         gamma = critical_gamma(BENCH_SPEC, side)
         exact = eig_hermitian(reduced_hamiltonian(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, gamma))
         system = next_order_correction(BENCH_SPEC, side)
-        vectors = np.column_stack([vec for vec, _ in system.pairs])
+        vectors = system.eigenvectors
         assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) < 1e-14
-        assert np.max(np.abs(exact.eigenvalues - [e for _, e in system.pairs])) < 2e-4
+        assert np.max(np.abs(exact.eigenvalues - system.eigenvalues)) < 2e-4
         assert system.delta_e == pytest.approx(
             _doublet_gap(side, exact.eigenvalues), rel=2e-4
         )
@@ -344,12 +342,13 @@ def test_next_order_eigensystem_matches_exact_at_bench_layout():
 
 def test_next_order_right_is_swapped_left():
     for spec in (BENCH_SPEC, SMALL_SPEC, BipartiteSpec(40, 300, 7, 2)):
-        right = next_order_correction(spec, CriticalSide.RIGHT)
-        left = next_order_correction(spec.swapped(), CriticalSide.LEFT)
-        assert right.delta_e == left.delta_e
-        for (r_vec, r_val), (l_vec, l_val) in zip(right.pairs, left.pairs):
-            assert r_val == l_val
-            assert np.array_equal(r_vec, l_vec[[1, 0, 3, 2]])
+        # both orders mirror through one row permutation of the eigenvectors
+        for correction in (next_order_correction, degenerate_correction):
+            right = correction(spec, CriticalSide.RIGHT)
+            left = correction(spec.swapped(), CriticalSide.LEFT)
+            assert right.delta_e == left.delta_e
+            assert np.array_equal(right.eigenvalues, left.eigenvalues)
+            assert np.array_equal(right.eigenvectors, left.eigenvectors[[1, 0, 3, 2]])
         for start in InitialStateKind:
             for t in (0.0, 7.3, np.linspace(0.0, 50.0, 11)):
                 r = next_order_probabilities(spec, start, CriticalSide.RIGHT, t)

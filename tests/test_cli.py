@@ -1274,9 +1274,18 @@ def test_usage_refusals_name_the_fault(capsys, argv, message):
           "--gamma-max", "0.02"], "give either --gamma or --gamma-min/--gamma-max, not both"),
         (["runtimes", *LAYOUT_48, "--sweep-min", "1", "--sweep-max", "4"],
          "--sweep-min and --sweep-max need --sweep"),
+        (["sweep-gamma", *LAYOUT_48, "--gamma", "0.02", "--gamma-count", "0", "--tmax", "5"],
+         "--gamma-count needs --gamma-min and --gamma-max"),
+        (["overlaps", *LAYOUT_48, "--gamma", "0.02", "--gamma-count", "3"],
+         "--gamma-count needs --gamma-min and --gamma-max"),
+        (["sweep-gamma", *LAYOUT_48, "--gamma-count", "7", "--tmax", "5"],
+         "--gamma-count needs --gamma-min and --gamma-max"),
+        (["overlaps", *LAYOUT_48, "--gamma-count", "7"],
+         "--gamma-count needs --gamma-min and --gamma-max"),
     ],
     ids=["simulate-layout-marked", "sweep-layout-marked", "sweep-gamma-and-range",
-         "overlaps-gamma-and-range", "runtimes-bounds-without-sweep"],
+         "overlaps-gamma-and-range", "runtimes-bounds-without-sweep", "sweep-gamma-and-count",
+         "overlaps-gamma-and-count", "sweep-count-alone", "overlaps-count-alone"],
 )
 def test_a_flag_that_another_flag_excludes_is_refused(capsys, tmp_path, argv, message):
     # each would otherwise be dropped without a word
@@ -1285,6 +1294,18 @@ def test_a_flag_that_another_flag_excludes_is_refused(capsys, tmp_path, argv, me
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_config_text(argv[1:]))
     assert run_cli(capsys, [argv[0], "--config", str(cfg)]) == (code, out, err)
+
+
+def test_runtimes_takes_no_walk(capsys, tmp_path):
+    # runtimes reads no walk, so the flag is refused rather than dropped;
+    # a walk key in a config file is another subcommand's and is ignored
+    code, out, err = run_cli(capsys, ["runtimes", *LAYOUT_48, "--walk", "laplacian"])
+    assert (code, out, err) == (1, "", "usage error: unrecognized arguments: --walk laplacian\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text([*LAYOUT_48, "--walk", "laplacian"]))
+    from_file = run_cli(capsys, ["runtimes", "--config", str(cfg)])
+    assert from_file == run_cli(capsys, ["runtimes", *LAYOUT_48])
+    assert from_file[0] == 0
 
 
 def test_csv_output_is_byte_identical_across_runs(capsys, tmp_path):

@@ -32,7 +32,6 @@ from qwsearch.evolve import (
     WalkKind,
     eig_hermitian,
     first_peak,
-    overlap_profile,
     propagate,
     search_quotient,
     uniform_state,
@@ -265,7 +264,7 @@ def test_eig_matches_asymptotic_doublet_at_large_size():
     spec = BipartiteSpec(2**14, 2**13, 3, 5)
     h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 1.0 / spec.n1)
     numeric = eig_hermitian(h).eigenvalues
-    exact = np.array([e for _, e in degenerate_correction(spec, CriticalSide.LEFT).pairs])
+    exact = degenerate_correction(spec, CriticalSide.LEFT).eigenvalues
     rel = np.abs(numeric - exact) / np.maximum(np.abs(exact), 1.0)
     assert np.max(rel) < 1e-2
 
@@ -856,21 +855,16 @@ def test_first_peak_validates():
 
 
 # ---------------------------------------------------------------------------
-# overlap_profile
+# SearchQuotient.levels: the overlap table on the class model
 
 
-def _reduced_builder(spec, walk):
-    return lambda gamma: reduced_hamiltonian(spec, walk, gamma)
-
-
-def test_overlap_profile_requires_gammas_and_normalized_probe():
+def test_levels_require_gammas_and_normalized_probe():
     spec = BipartiteSpec(8, 4, 1, 1)
-    build = _reduced_builder(spec, WalkKind.SIGNLESS_LAPLACIAN)
     probe = initial_state(spec, InitialStateKind.UNIFORM)
-    with pytest.raises(ValueError):
-        overlap_profile(build, [], probe, [0], [1])
-    with pytest.raises(ValueError):
-        overlap_profile(build, [0.1], 2.0 * probe, [0], [1])
+    with pytest.raises(ValueError, match="^gamma list must be nonempty$"):
+        class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, probe).levels([])
+    with pytest.raises(ValueError, match="^probe state must be normalized$"):
+        class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, 2.0 * probe).levels([0.1])
 
 
 def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
@@ -896,34 +890,10 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
                           want)
 
 
-def test_overlap_profile_reads_each_side_as_a_set_of_basis_states():
-    # a negative index is refused rather than read from the end, an index
-    # past the probe is refused with propagate's message, and a repeated
-    # index counts its state once
-    spec = BipartiteSpec(8, 4, 1, 1)
-    build = _reduced_builder(spec, WalkKind.SIGNLESS_LAPLACIAN)
-    probe = initial_state(spec, InitialStateKind.UNIFORM)
-    for side in ([-1], [4], [0, 4]):
-        with pytest.raises(ValueError, match="^row index out of range$"):
-            overlap_profile(build, [0.1], probe, side, [1])
-        with pytest.raises(ValueError, match="^row index out of range$"):
-            overlap_profile(build, [0.1], probe, [0], side)
-    once = overlap_profile(build, [0.1, 0.3], probe, [0], [1, 2])
-    twice = overlap_profile(build, [0.1, 0.3], probe, [0, 0], np.array([2, 1, 2]))
-    assert twice == once
-    assert all(0.0 <= row.left_overlap <= 1.0 for row in twice)
-
-
 def test_overlap_completeness():
     spec = BipartiteSpec(512, 256, 3, 5)
     probe = initial_state(spec, InitialStateKind.UNIFORM)
-    rows = overlap_profile(
-        _reduced_builder(spec, WalkKind.SIGNLESS_LAPLACIAN),
-        [0.001, 0.002, 0.004],
-        probe,
-        [0],
-        [1],
-    )
+    rows = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, probe).levels([0.001, 0.002, 0.004])
     for gamma in (0.001, 0.002, 0.004):
         total = sum(r.s_overlap for r in rows if r.gamma == gamma)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -934,11 +904,11 @@ def test_overlap_crossings_near_critical_rates():
     rates: near 0.002 the first/second excited overlaps cross, near 0.004
     the ground/first excited overlaps cross."""
     spec = BipartiteSpec(512, 256, 3, 5)
-    probe = initial_state(spec, InitialStateKind.UNIFORM)
-    build = _reduced_builder(spec, WalkKind.SIGNLESS_LAPLACIAN)
+    search = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN,
+                            initial_state(spec, InitialStateKind.UNIFORM))
 
     def s_at(gamma):
-        rows = overlap_profile(build, [gamma], probe, [0], [1])
+        rows = search.levels([gamma])
         return [r.s_overlap for r in rows]
 
     low = np.linspace(0.0015, 0.0025, 41)
@@ -1082,7 +1052,7 @@ def test_quotient_overlaps_order_exact_ties():
     gammas = [0.0, 0.01, 0.05, 0.15, 0.3]
     for walk in WalkKind:
         rows, _, _ = _layout_overlaps(spec, walk, uniform, gammas)
-        reduced = overlap_profile(_reduced_builder(spec, walk), gammas, uniform, [0], [1])
+        reduced = class_quotient(spec, walk, uniform).levels(gammas)
         assert len(rows) == len(reduced) == 4 * len(gammas)
         for gamma in gammas:
             got = [row for row in rows if row.gamma == gamma]

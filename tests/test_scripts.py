@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qwsearch.cli import build_parser
+from qwsearch.cli import UsageError, build_parser
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -34,13 +34,21 @@ def test_dataset_argv_parses(name, argv):
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 144
+    assert len(names) == len(set(names)) == 148
+
+
+# the rows that the parser itself must refuse: a flag the subcommand lacks
+PARSER_REFUSALS = {"refuse-runtimes-walk": "unrecognized arguments: --walk laplacian"}
 
 
 @pytest.mark.parametrize(
     "name, argv", CAPTURE.COMMANDS, ids=[name for name, _ in CAPTURE.COMMANDS]
 )
 def test_capture_argv_parses(name, argv):
+    if name in PARSER_REFUSALS:
+        with pytest.raises(UsageError, match=f"^{PARSER_REFUSALS[name]}$"):
+            build_parser().parse_args(argv)
+        return
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
 
