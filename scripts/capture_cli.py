@@ -23,33 +23,36 @@ stderr line that differs.
 The table covers the README examples; reduced, full and edge-list
 ``simulate`` and ``sweep-gamma`` over the three walks (and, on layouts, the
 three start states; the edge lists include graphs whose search quotient is
-smaller than the graph but which are not bipartite layouts); reduced and
-full ``overlaps`` over the three walks and four probes; full mode on the
-(512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma`` and
-``overlaps``) and on K_{6,6} with two marked vertices per side, whose classes a
-and b share one cell of the sweep's quotient (``overlaps`` colours the sides
-apart); reduced and full ``overlaps`` on layouts with an empty class; reduced
-``sweep-gamma`` at the edges of the crest scan (two and three samples, and a
-window too short for a crest); reduced ``sweep-gamma`` at 20,000 and 7
-samples, whose time grids split into blocks of 142 and 3, each with a
+smaller than the graph but which are not bipartite layouts, and one list of
+over 16 KiB in shuffled order with reversed pairs and a repeated line);
+reduced and full ``overlaps`` over the three walks and four probes; full
+mode on the (512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma``
+and ``overlaps``) and on K_{6,6} with two marked vertices per side, whose
+classes a and b share one cell of the sweep's quotient (``overlaps`` colours
+the sides apart); reduced and full ``overlaps`` on layouts with an empty
+class; reduced ``sweep-gamma`` at the edges of the crest scan (two and three
+samples, and a window too short for a crest); reduced and full
+``sweep-gamma`` with every vertex marked on (1, 1, 1, 1) and (5, 3, 5, 3),
+whose curves are flat up to rounding; reduced ``sweep-gamma`` at 20,000 and
+7 samples, whose time grids split into blocks of 142 and 3, each with a
 short last block; reduced ``simulate`` and ``overlaps`` on (10^9, 1000, 3,
-5), where an array per vertex would not fit in memory; and
-``verify-spin``, also on a 2001-vertex path and on three edges under a
-header of 2^31 vertices, past the search cap; and ``--config``: a reduced
-``sweep-gamma`` with every flag in the file, the same run with one flag
-given on the command line as well, and a file naming an unknown walk. Config
-files, like graph files, are written to the temporary directory and named
-by placeholder. The front end's checks have rows too: each usage refusal
-(a probe side without marked vertices, a lone ``--gamma-min``, ``--sweep``
-without its bounds, a bad ``--marked`` list, no gamma at all, ``--init sq``
-and ``--mode reduced`` on an edge list, the full-mode cap on K_{2000,200},
-and a run with two faults, of which the layout is named first);
-``runtimes`` without ``--sweep`` and with ``--sweep k2`` (in range, out of
-range, and with a skipped row), and with ``--walk``, which it does not
-take; and flags that another flag excludes: ``--marked`` with a layout
-(also from a config file), ``--gamma`` with a gamma range, sweep bounds
-without ``--sweep``, and ``--gamma-count`` beside ``--gamma`` (on
-``sweep-gamma`` and ``overlaps``) or alone. The table has 148 commands.
+5), where an array per vertex would not fit in memory; and ``verify-spin``,
+also on a 2001-vertex path and on three edges under a header of 2^31
+vertices, past the search cap; and ``--config``: a reduced ``sweep-gamma``
+with every flag in the file, the same run with one flag given on the command
+line as well, and a file naming an unknown walk. Config files, like graph
+files, are written to the temporary directory and named by placeholder. The
+front end's checks have rows too: each usage refusal (a probe side without
+marked vertices, a lone ``--gamma-min``, ``--sweep`` without its bounds, a
+bad ``--marked`` list, no gamma at all, ``--init sq`` and ``--mode reduced``
+on an edge list, the full-mode cap on K_{2000,200}, and a run with two
+faults, of which the layout is named first); ``runtimes`` without
+``--sweep`` and with ``--sweep k2`` (in range, out of range, and with a
+skipped row), and with ``--walk``, which it does not take; and flags that
+another flag excludes: ``--marked`` with a layout (also from a config file),
+``--gamma`` with a gamma range, sweep bounds without ``--sweep``, and
+``--gamma-count`` beside ``--gamma`` (on ``sweep-gamma`` and ``overlaps``)
+or alone. The table has 158 commands.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ import io
 import itertools
 import json
 import math
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -74,18 +78,28 @@ SMALL_GRID = ["--gamma-min", "0.01", "--gamma-max", "0.06", "--gamma-count", "8"
 # Edge-list graphs written at capture time, by placeholder: K_{48,24} with
 # vertex v relabelled 5v mod 72 (marked: the images of its classes a and b),
 # a 10-vertex graph with unequal degrees (no symmetry: its search quotient
-# is the whole graph), and, marked at vertex 0, the cycle C_30 (16 cells)
-# and the hypercube Q_6 (7 cells, one per Hamming weight); for verify-spin,
-# the path on 2001 vertices and three edges on 2^31 vertices.
+# is the whole graph), and, marked at vertex 0, the cycle C_30 (16 cells),
+# the hypercube Q_6 (7 cells, one per Hamming weight) and the hypercube Q_9
+# (10 cells) listed in a seeded shuffle, about half the pairs reversed and
+# one line twice: over 16 KiB, so NumPy's bulk reader takes it, and the
+# only list that the graph has to sort (the others are canonical); for
+# verify-spin, the path on 2001 vertices and three edges on 2^31 vertices.
 PERMUTED = "{permuted_k48_24}"
 IRREGULAR = "{irregular10}"
 CYCLE = "{cycle30}"
 HYPERCUBE = "{hypercube6}"
+SHUFFLED_CUBE = "{shuffled_hypercube9}"
 PATH2001 = "{path2001}"
 HUGE_HEADER = "{huge_header}"
 PERMUTED_MARKED = ",".join(str(5 * v % 72) for v in (0, 1, 2, 48, 49, 50, 51, 52))
 IRREGULAR_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                    (6, 7), (7, 8), (8, 9), (9, 4), (2, 7)]
+# the searches run on the edge lists: name, graph and marked vertices
+EDGE_SEARCHES = (("permuted", PERMUTED, PERMUTED_MARKED),
+                 ("irregular", IRREGULAR, "0,6"),
+                 ("cycle30", CYCLE, "0"),
+                 ("hypercube6", HYPERCUBE, "0"),
+                 ("shuffled-hypercube9", SHUFFLED_CUBE, "0"))
 # Config files written at capture time, by placeholder: every flag of a
 # reduced sweep-gamma on the small layout, keyed by destination name; a
 # file naming a walk that does not exist; and a layout with a marked list.
@@ -102,17 +116,33 @@ def _config_text(flags: list[str]) -> str:
     return "".join(f"{flag[2:].replace('-', '_')}={value}\n" for flag, value in pairs)
 
 
+def _hypercube(d: int) -> list[tuple[int, int]]:
+    """Edges of the d-cube: vertices joined when they differ in one bit."""
+    return [(v, v | 1 << b) for v in range(2**d) for b in range(d) if not v >> b & 1]
+
+
+def _shuffled(edges: list[tuple[int, int]], seed: int) -> list[tuple[int, int]]:
+    """``edges`` in a seeded random order, about half reversed, one listed twice."""
+    rng = random.Random(seed)
+    rows = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+    rows.insert(rng.randrange(len(rows)), rows[rng.randrange(len(rows))])
+    rng.shuffle(rows)
+    return rows
+
+
 def _input_files() -> dict[str, str]:
     """Text of each placeholder file: the edge lists, then the config files."""
     left, right = range(48), range(48, 72)
     permuted = sorted(tuple(sorted((5 * i % 72, 5 * j % 72))) for i in left for j in right)
     cycle = [(i, (i + 1) % 30) for i in range(30)]
-    cube = [(v, v | 1 << b) for v in range(64) for b in range(6) if not v >> b & 1]
+    shuffled_cube = _shuffled(_hypercube(9), seed=9)
     return {
         PERMUTED: "\n".join(["72 1152", *(f"{i} {j}" for i, j in permuted)]) + "\n",
         IRREGULAR: "\n".join(["10 13", *(f"{i} {j}" for i, j in IRREGULAR_EDGES)]) + "\n",
         CYCLE: "\n".join(["30 30", *(f"{i} {j}" for i, j in cycle)]) + "\n",
-        HYPERCUBE: "\n".join(["64 192", *(f"{i} {j}" for i, j in cube)]) + "\n",
+        HYPERCUBE: "\n".join(["64 192", *(f"{i} {j}" for i, j in _hypercube(6))]) + "\n",
+        SHUFFLED_CUBE: "\n".join([f"512 {len(shuffled_cube)}",
+                                  *(f"{i} {j}" for i, j in shuffled_cube)]) + "\n",
         PATH2001: "\n".join(["2001 2000", *(f"{i} {i + 1}" for i in range(2000))]) + "\n",
         HUGE_HEADER: "2147483648 3\n0 1\n1 2\n2147483646 2147483647\n",
         SWEEP_CONFIG: "# every flag of the run\n" + _config_text(SWEEP_FLAGS),
@@ -147,10 +177,7 @@ def _commands() -> list[tuple[str, list[str]]]:
                 rows.append((f"overlaps-{mode}-{walk}-{probe}",
                              ["overlaps", *SMALL, "--walk", walk, "--probe", probe,
                               "--mode", mode, *SMALL_GRID]))
-    for name, path, marked in (("permuted", PERMUTED, PERMUTED_MARKED),
-                               ("irregular", IRREGULAR, "0,6"),
-                               ("cycle30", CYCLE, "0"),
-                               ("hypercube6", HYPERCUBE, "0")):
+    for name, path, marked in EDGE_SEARCHES:
         for walk in WALKS:
             flags = ["--graph", path, "--marked", marked, "--walk", walk, "--tmax", "60"]
             rows.append((f"simulate-edges-{name}-{walk}",
@@ -194,6 +221,16 @@ def _commands() -> list[tuple[str, list[str]]]:
                         ("monotone", ["--tmax", "0.5"])):
         rows.append((f"sweep-crest-{tag}",
                      ["sweep-gamma", *SMALL, "--walk", "signless", *window, *SMALL_GRID]))
+    # every vertex marked: p(t) is 1 up to rounding, and the peak is the
+    # first sample, not a crest of the rounding noise
+    for layout, init in (((1, 1, 1, 1), "sq"), ((5, 3, 5, 3), "s")):
+        flags = [f"--{key}={value}" for key, value in zip(("n1", "n2", "k1", "k2"), layout)]
+        tag = "-".join(map(str, layout))
+        for mode in ("reduced", "full"):
+            rows.append((f"sweep-all-marked-{tag}-{mode}",
+                         ["sweep-gamma", *flags, "--init", init, "--mode", mode,
+                          "--gamma-min", "0.05", "--gamma-max", "0.5", "--gamma-count", "5",
+                          "--tmax", "10", "--samples", "50"]))
     # propagate's anchor-and-offset split of the time grid: 20,000 samples
     # in blocks of 142 (the last one short), and 7 samples in blocks of 3
     for samples in ("20000", "7"):

@@ -36,6 +36,10 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_EIGENVECTORS = 4  # lowest levels reported per gamma by SearchQuotient.levels
+# A sampled curve whose range is within this fraction of its maximum is flat
+# up to rounding (p(t) = 1 when every vertex is marked), and first_peak
+# reports its first sample instead of a crest of the rounding noise.
+FLAT_TOL = 1e-10
 # Rates are diagonalised together in runs whose Hamiltonian stack holds at
 # most this many entries (512 KiB of float64): a reduced 4x4 sweep is one
 # eigh call, and a quotient of 256 cells or more (c = n on a graph without
@@ -271,13 +275,18 @@ def _group_vertices(group: Iterable[int], n: int, what: str = "row index") -> np
     ``ValueError`` for a vertex that is not an integer (a float, a string),
     and ``"{what} out of range"`` for one outside ``[0, n)``, past int64 too.
     """
-    vertices = list(group)
-    for v in vertices:
-        if not isinstance(v, (int, np.integer)):
-            raise ValueError(f"vertex {v!r} is not an integer")
-    if vertices and (min(vertices) < 0 or max(vertices) >= n):
+    vertices = group if isinstance(group, np.ndarray) else list(group)
+    array = np.asarray(vertices)
+    if array.dtype.kind not in "biu" or array.ndim != 1:
+        # no integer vector to NumPy: a float or string vertex (named here),
+        # no vertex at all, or an int past int64 (held as an object)
+        for v in vertices:
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"vertex {v!r} is not an integer")
+        array = np.array(vertices, dtype=object)
+    if array.size and (array.min() < 0 or array.max() >= n):
         raise ValueError(f"{what} out of range")
-    return np.unique(np.array(vertices, dtype=np.intp))
+    return np.unique(array.astype(np.intp))
 
 
 def _marked_vertices(marked: Iterable[int], n: int) -> list[int]:
@@ -470,14 +479,19 @@ def first_peak(
     ripple far below the real peak. Instead, this scans for the earliest
     local crest whose quadratically refined height comes within 0.1% of the
     global maximum (so equal-height revivals resolve to the first one), and
-    falls back to the global maximum sample for flat or monotone curves.
+    falls back to the global maximum sample for monotone curves. A curve
+    whose maximum and minimum differ by at most ``FLAT_TOL`` times the
+    maximum is flat up to rounding: its first sample is returned.
     Returns ``(t_peak, value_peak)``.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("times and values must be matching nonempty 1-D arrays")
-    cutoff = 0.999 * float(np.max(v))
+    top = float(v.max())
+    if top - float(v.min()) <= FLAT_TOL * abs(top):
+        return float(t[0]), float(v[0])
+    cutoff = 0.999 * top
     crests = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
     for i in crests.tolist():
         peak_t, peak_v = _refine_crest(t, v, i)

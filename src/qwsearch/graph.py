@@ -1,7 +1,7 @@
 """Simple undirected graphs as edge arrays, and their equitable partitions.
 
-A graph is a sorted ``(m, 2)`` array of its edges. Walks on it are
-generated on the cells of an equitable partition
+A graph is a sorted ``(m, 2)`` array of its edges, stored column by
+column. Walks on it are generated on the cells of an equitable partition
 (:func:`~qwsearch.evolve.walk_matrix`), never as a matrix over all vertex
 pairs.
 """
@@ -38,9 +38,12 @@ class _EdgeArray(np.ndarray):
 def _canonical_edges(edges, n: int) -> _EdgeArray:
     """Validate vertex pairs and return them sorted, deduplicated, ``u < v``.
 
-    Input that is already canonical (every ``u < v``, rows strictly
-    increasing) is checked and copied once; anything else is sorted by the
-    key ``u * n + v``.
+    The pairs are copied once into the two columns of the result, each
+    one contiguous block, and every check reads those columns. Input that
+    is already canonical (every ``u < v``, rows strictly increasing) is
+    kept as copied. Anything else is sorted in place as one array of the
+    keys ``u * n + v`` (smaller end first), a key equal to the one before
+    it is dropped, and ``divmod`` writes the keys back into the columns.
     """
     listed = edges if isinstance(edges, np.ndarray) else list(edges)
     pairs = np.asarray(listed)
@@ -51,26 +54,52 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
     if pairs.dtype.kind not in "iu" or (pairs.dtype.kind == "u" and pairs.max() > _INT64.max):
         _refuse_past_int64(listed.tolist() if isinstance(listed, np.ndarray) else listed, n)
         raise ValueError("edge endpoints must be integers")
-    u, v = pairs.astype(np.int64, copy=False).T
-    ordered = bool(np.all(u < v))
-    lo, hi = (u, v) if ordered else (np.minimum(u, v), np.maximum(u, v))
-    loops = u == v
-    bad = loops | (lo < 0) | (hi >= n)
+    columns = np.empty((2, len(pairs)), dtype=np.int64)
+    columns.T[...] = pairs
+    u, v = columns
+    _refuse_bad_endpoints(u, v, n)
+    if not _is_canonical(u, v):
+        # min(u, v) * n + max(u, v), with max = u + v - min: no temporary
+        keys = np.minimum(u, v)
+        keys *= n - 1
+        keys += u
+        keys += v
+        keys.sort()
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        if not fresh.all():
+            keys = keys[fresh]
+            del u, v, columns  # freed before the shorter columns are allocated
+            columns = np.empty((2, keys.size), dtype=np.int64)
+        np.divmod(keys, n, out=(columns[0], columns[1]))
+    out = columns.T.view(_EdgeArray)
+    out.flags.writeable = False
+    return out
+
+
+def _is_canonical(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether every ``u < v`` and the rows ``(u, v)`` strictly increase: sorted, no pair twice."""
+    if not (np.all(u < v) and np.all(u[1:] >= u[:-1])):
+        return False
+    # u never falls, so a row rises where u rises or else v does
+    rising = u[1:] > u[:-1]
+    rising |= v[1:] > v[:-1]
+    return bool(rising.all())
+
+
+def _refuse_bad_endpoints(u: np.ndarray, v: np.ndarray, n: int) -> None:
+    """Name the first self-loop or out-of-range edge of the columns ``u`` and ``v``."""
+    bad = u == v
+    # a negative endpoint reads as a uint64 past every vertex count
+    bad |= u.view(np.uint64) >= n
+    bad |= v.view(np.uint64) >= n
     if bad.any():
         first = int(np.argmax(bad))
-        if loops[first]:
+        if u[first] == v[first]:
             raise ValueError(f"self-loop at vertex {u[first]}")
         edge = (int(u[first]), int(v[first]))
         raise ValueError(f"edge {edge!r} out of range for n={n}")
-    # rows strictly increasing in (u, v): sorted, and no pair twice
-    if ordered and np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))):
-        out = np.array(pairs, dtype=np.int64).view(_EdgeArray)
-    else:
-        keys = np.sort(lo * n + hi)
-        keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0: keeps the first
-        out = np.stack([keys // n, keys % n], axis=1).view(_EdgeArray)
-    out.flags.writeable = False
-    return out
 
 
 def _refuse_past_int64(rows, n: int) -> None:
@@ -96,8 +125,10 @@ class Graph:
     ``edges`` accepts any collection of vertex pairs and is stored as a
     read-only ``(m, 2)`` int64 array: each row ``(u, v)`` has ``u < v``,
     rows are sorted lexicographically and duplicates (``(0, 1)`` and
-    ``(1, 0)`` alike) are kept once. Self-loops and out-of-range endpoints
-    are rejected. Graphs compare and hash by ``n`` and the edge array.
+    ``(1, 0)`` alike) are kept once. The array is column-major: ``edges.T``
+    is a C-contiguous ``(2, m)`` array, so each column is one block.
+    Self-loops and out-of-range endpoints are rejected. Graphs compare and
+    hash by ``n`` and the edge array's values, whatever the input's layout.
     """
 
     n: int
@@ -171,11 +202,12 @@ def complete_bipartite(spec: BipartiteSpec) -> tuple[Graph, frozenset[int]]:
     left vertices plus the first ``k2`` right vertices (a fixed layout: by
     symmetry the search dynamics do not depend on which vertices are marked).
     """
-    # filled in canonical order, so the graph checks it instead of sorting it
-    edges = np.empty((spec.n1, spec.n2, 2), dtype=np.int64)
-    edges[:, :, 0] = np.arange(spec.n1)[:, None]
-    edges[:, :, 1] = np.arange(spec.n1, spec.n)
-    graph = Graph(spec.n, edges.reshape(-1, 2))
+    # the two columns, filled in canonical order, so the graph checks them
+    # instead of sorting them
+    columns = np.empty((2, spec.n1, spec.n2), dtype=np.int64)
+    columns[0] = np.arange(spec.n1)[:, None]
+    columns[1] = np.arange(spec.n1, spec.n)
+    graph = Graph(spec.n, columns.reshape(2, -1).T)
     marked = frozenset(range(spec.k1)) | frozenset(
         range(spec.n1, spec.n1 + spec.k2)
     )
@@ -306,36 +338,45 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
 
     ``colours`` holds one key per vertex, shape ``(n,)`` or ``(n, k)`` (rows
     compared exactly). Colour refinement starts from the classes of equal
-    keys and splits each cell by the multiset of its vertices' neighbour
-    cells until no cell splits; a round that splits nothing ends it, so
-    there are at most ``n`` rounds (about ``n / 2`` on a path marked at one
-    end). Each round is one pass over the ``m`` edges as stored, with no
-    arc array and no sort longer than ``n``: the smaller ends are sorted,
-    so their sums are one ``reduceat`` over their runs, and the larger ends
-    add theirs in place. Each round splits cells exactly by cell id, and
-    compares the multisets by the top bits (at least 32) of a 64-bit sum
-    of mixed cell ids; the sums wrap, so they do not depend on the order
-    of the edges. Equal multisets always agree there, so vertices that
-    share a cell of the answer are never split; the exact check of the
-    result certifies that no two of its cells were merged by a hash
-    collision (it raises ``ValueError`` if one ever were). A graph without
-    symmetry gets the discrete partition, cell ``i`` = vertex ``i``.
+    keys and equal degree (the degree is constant on the cells of every
+    equitable partition, so the answer is the same as from the keys alone)
+    and splits each cell by the multiset of its vertices' neighbour cells
+    until no cell splits; a round that splits nothing ends it, so there are
+    at most ``n`` rounds (about ``n / 2`` on a path marked at one end; one
+    on K_{n1,n2} with ``n1 != n2`` marked by class, whose classes the keys
+    and degrees already are). Each round is one pass
+    over the two edge columns, with no arc array and no sort longer than
+    ``n``: the smaller ends are sorted, so their sums are one ``reduceat``
+    over their runs, and the larger ends add theirs in place. Each round
+    splits cells exactly by cell id, and compares the multisets by the top
+    bits (at least 32) of a 64-bit sum of mixed cell ids; the sums wrap, so
+    they do not depend on the order of the edges. Equal multisets always
+    agree there, so vertices that share a cell of the answer are never
+    split; the exact check of the result certifies that no two of its cells
+    were merged by a hash collision (it raises ``ValueError`` if one ever
+    were). A graph without symmetry gets the discrete partition, in which
+    cell ``i`` is vertex ``i``.
     """
     keys = np.asarray(colours)
     if keys.shape[:1] != (g.n,) or keys.ndim > 2:
         raise ValueError("colours must hold one key (or one key row) per vertex")
-    # the classes of equal key rows, numbered in the rows' lexicographic
-    # order: one stable sort by the columns, then a split wherever a row
-    # differs from the one before it (== on each key, so 0.0 equals -0.0)
-    rows = keys.reshape(g.n, -1)
-    order = np.lexsort(rows.T[::-1]) if rows.size else np.arange(g.n)
-    ranked = rows[order]
-    cells = np.empty(g.n, dtype=np.intp)
-    cells[order[0]] = 0
-    cells[order[1:]] = np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))
-    count = int(cells.max()) + 1
+    # the classes of equal degree and key rows, numbered in lexicographic
+    # order: one stable sort by the degree and the columns, then a split
+    # wherever a vertex differs from the one before it (== on each key, so
+    # 0.0 equals -0.0)
     u, v = np.asarray(g.edges).T
     bounds = np.searchsorted(u, np.arange(g.n + 1))  # u == w on bounds[w] .. bounds[w+1]-1
+    # the degree: each vertex's run in the sorted u, and its count in v
+    degree = np.diff(bounds) + np.bincount(v, minlength=g.n)
+    rows = keys.reshape(g.n, -1)
+    order = np.lexsort([*rows.T[::-1], degree])
+    ranked, ranked_degree = rows[order], degree[order]
+    split = np.any(ranked[1:] != ranked[:-1], axis=1)
+    split |= ranked_degree[1:] != ranked_degree[:-1]
+    cells = np.empty(g.n, dtype=np.intp)
+    cells[order[0]] = 0
+    cells[order[1:]] = np.cumsum(split)
+    count = int(cells.max()) + 1
     heads = np.flatnonzero(np.diff(bounds))
     starts = bounds[heads]
     mixed = _mix(np.arange(g.n))  # cell ids stay below n

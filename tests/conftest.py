@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies and reference formulas for the test suite."""
+"""Shared hypothesis strategies, reference formulas and script loading for the test suite."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,6 +29,17 @@ def bipartite_specs(draw, max_side: int = 48) -> BipartiteSpec:
     if k1 + k2 == 0:
         k1 = 1
     return BipartiteSpec(n1, n2, k1, k2)
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """The module ``scripts/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def uncollapsed_propagate(decomp, psi0, times, rows=None):

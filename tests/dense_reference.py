@@ -4,7 +4,8 @@
 quotient of its equitable partition (``qwsearch.evolve.search_quotient``),
 and the spin certificate compares one hopping amplitude and one energy per
 distinct degree (``qwsearch.spin_network``). The tests check both against
-the dense matrices built here straight from the edge array.
+the dense matrices built here straight from the edge array, and the
+partition against the textbook refinement on the adjacency matrix.
 """
 
 from __future__ import annotations
@@ -49,6 +50,30 @@ def signless_laplacian(g: Graph) -> np.ndarray:
     out = adjacency_matrix(g)
     out[np.diag_indices(g.n)] += _degrees(g)
     return out
+
+
+def _first_seen_ids(rows) -> np.ndarray:
+    """Number the distinct rows of ``rows`` 0, 1, ... in order of first occurrence."""
+    ids: dict = {}
+    return np.array([ids.setdefault(tuple(row), len(ids)) for row in rows.tolist()])
+
+
+def refined_cells(g: Graph, colours) -> list[int]:
+    """The coarsest equitable partition on which ``colours`` is constant, by naive refinement.
+
+    Starts from the classes of equal colour rows (no degree seed) and splits
+    every cell by its vertices' neighbour counts in each cell, read off the
+    dense adjacency matrix, until nothing splits. ``cells[v]`` is the cell
+    of vertex ``v``, cells numbered in the order of their smallest vertex.
+    """
+    a = adjacency_matrix(g)
+    cells = _first_seen_ids(np.asarray(colours).reshape(g.n, -1))
+    while True:
+        counts = a @ (cells[:, None] == np.arange(cells.max() + 1))
+        fresh = _first_seen_ids(np.column_stack([cells, counts]))
+        if fresh.max() == cells.max():
+            return fresh.tolist()
+        cells = fresh
 
 
 def dense_walk_matrix(g: Graph, kind: WalkKind) -> np.ndarray:

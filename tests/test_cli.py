@@ -760,6 +760,24 @@ def test_sweep_gamma_single_point(capsys):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("layout, init", [((1, 1, 1, 1), "sq"), ((5, 3, 5, 3), "s")],
+                         ids=["1-1-1-1-sq", "5-3-5-3-s"])
+def test_sweep_gamma_with_every_vertex_marked_peaks_at_the_start(capsys, mode, layout, init):
+    # p(t) = 1 up to rounding: a crest of the rounding noise is no peak
+    flags = [f"--{key}={value}" for key, value in zip(("n1", "n2", "k1", "k2"), layout)]
+    code, out, err = run_cli(
+        capsys,
+        ["sweep-gamma", *flags, "--gamma-min", "0.05", "--gamma-max", "0.5",
+         "--gamma-count", "5", "--tmax", "10", "--samples", "50", "--init", init,
+         "--mode", mode],
+    )
+    assert (code, err) == (0, "")
+    _, rows = parse_floats(out)
+    assert rows[:, 1].tolist() == [0.0] * 5
+    assert np.max(np.abs(rows[:, 2] - 1.0)) <= 1e-14
+
+
 def test_sweep_gamma_rejects_bad_range(capsys):
     code, _, err = run_cli(
         capsys,

@@ -28,6 +28,7 @@ from qwsearch.bipartite import (
     simulate_reduced,
 )
 from qwsearch.evolve import (
+    FLAT_TOL,
     EigenDecomposition,
     WalkKind,
     eig_hermitian,
@@ -773,6 +774,16 @@ def test_first_peak_flat_curve_returns_first_sample():
     assert (t_peak, v_peak) == (0.0, 0.25)
 
 
+def test_first_peak_of_a_curve_flat_up_to_rounding_is_its_first_sample():
+    # every vertex marked: p(t) is 1 up to rounding, and its crests are noise
+    t = np.linspace(0.0, 10.0, 50)
+    noise = np.random.default_rng(3).integers(-4, 5, size=50) * 2.0**-53
+    assert first_peak(t, 1.0 + noise) == (0.0, 1.0 + noise[0])
+    # a ripple well above rounding is still a curve with crests
+    ripple = 1.0 - 1e-6 * np.cos(t)
+    assert first_peak(t, ripple)[0] == pytest.approx(np.pi, abs=0.01)
+
+
 def test_first_peak_monotone_returns_endpoint():
     t = np.linspace(0.0, 1.0, 10)
     t_peak, _ = first_peak(t, t**2)
@@ -798,7 +809,10 @@ def _first_peak_loop(times, values):
     """The crest scan as a loop over every sample: the reference for first_peak."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    cutoff = 0.999 * float(np.max(v))
+    top = float(np.max(v))
+    if top - float(np.min(v)) <= FLAT_TOL * abs(top):
+        return float(t[0]), float(v[0])
+    cutoff = 0.999 * top
     for i in range(1, v.size - 1):
         if v[i] >= v[i - 1] and v[i] > v[i + 1]:
             denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
@@ -822,6 +836,8 @@ _CURVES = st.one_of(
     st.lists(_LEVELS, min_size=1, max_size=12),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
     st.integers(1, 30).map(lambda n: [0.5] * n),
+    st.lists(st.sampled_from([1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9]),
+             min_size=1, max_size=12),
     st.integers(1, 30).map(lambda n: list(np.linspace(0.0, 1.0, n))),
     st.integers(1, 30).map(lambda n: list(np.linspace(1.0, 0.0, n))),
 )

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bipartite_specs, graphs
-from dense_reference import adjacency_matrix, degree_matrix, laplacian, signless_laplacian
+from conftest import bipartite_specs, graphs, load_script
+from dense_reference import (
+    adjacency_matrix,
+    degree_matrix,
+    laplacian,
+    refined_cells,
+    signless_laplacian,
+)
 from qwsearch import graph as graph_module
 from qwsearch.graph import (
     BipartiteSpec,
@@ -189,6 +195,65 @@ def test_complete_bipartite_peak_memory_is_about_two_edge_arrays():
         tracemalloc.stop()
     # the filled array and the graph's copy of it, plus boolean checks
     assert peak <= 2.5 * g.edges.nbytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_bipartite(BipartiteSpec(5, 3, 1, 1))[0],
+    lambda: Graph(5, [(3, 1), (0, 4), (1, 3), (2, 0)]),
+    lambda: Graph(5, np.array([[0, 2], [0, 4], [1, 3]])),
+    lambda: Graph(5, np.asfortranarray([[0, 2], [0, 4], [1, 3]])),
+    lambda: Graph(5, [(0, 1), (0, 1)]),
+    lambda: Graph(5, [(0, 1)]),
+    lambda: Graph(5, []),
+], ids=["complete-bipartite", "unsorted-list", "canonical-rows", "canonical-columns",
+        "duplicated", "one-edge", "edgeless"])
+def test_edge_array_is_read_only_and_column_major(build):
+    g = build()
+    assert g.edges.shape == (g.m, 2)
+    assert g.edges.dtype == np.int64
+    assert not g.edges.flags.writeable
+    assert g.edges.T.flags.c_contiguous
+    u, v = g.edges.T
+    assert u.flags.c_contiguous and v.flags.c_contiguous
+
+
+def test_graphs_from_any_input_layout_compare_and_hash_equal():
+    rows = np.array([[0, 3], [1, 2], [1, 4], [2, 4]])
+    inputs = {
+        "row-major": rows,
+        "column-major": np.asfortranarray(rows),
+        "reversed-pairs": rows[:, ::-1],
+        "shuffled": rows[[2, 0, 3, 1]],
+        "duplicated": np.concatenate([rows, rows[::-1, ::-1]]),
+        "int32": rows.astype(np.int32),
+        "uint64": rows.astype(np.uint64),
+        "list": [tuple(row) for row in rows.tolist()],
+        "frozenset": frozenset(map(tuple, rows[:, ::-1].tolist())),
+    }
+    graphs = {name: Graph(5, edges) for name, edges in inputs.items()}
+    want = graphs["row-major"]
+    for name, g in graphs.items():
+        assert g == want, name
+        assert hash(g) == hash(want), name
+        assert g.edges.tobytes() == rows.tobytes(), name
+    assert len(set(graphs.values())) == 1
+
+
+def test_reading_a_shuffled_bench_edge_list_peaks_at_four_edge_arrays(tmp_path):
+    # K_{512,256} relabelled at random: 131,072 lines that NumPy's bulk
+    # reader parses and the graph sorts. The parsed rows, the graph's two
+    # columns and the sort keys (half an array) are all that may coexist.
+    path = tmp_path / "k512_256.txt"
+    path.write_text(_permuted_complete_bipartite_text(512, 256))
+    read_edge_list(path)
+    tracemalloc.start()
+    try:
+        g = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 512 * 256
+    assert peak <= 4 * g.edges.nbytes
 
 
 def test_demo_graph_matrices():
@@ -412,24 +477,6 @@ def test_edge_list_parse_matches_a_line_by_line_reader(tmp_path, monkeypatch, te
 # equitable partitions
 
 
-def _reference_partition(g, colours):
-    """Colour refinement on exact tuples; cells numbered by smallest vertex."""
-    neighbours = [[] for _ in range(g.n)]
-    for u, v in g.edges.tolist():
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    colour = list(colours)
-    while True:
-        ids = {}
-        fresh = [
-            ids.setdefault((colour[v], tuple(sorted(colour[w] for w in neighbours[v]))), len(ids))
-            for v in range(g.n)
-        ]
-        if len(ids) == len(set(colour)):
-            return fresh
-        colour = fresh
-
-
 def _cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -448,10 +495,41 @@ def _marked_at(n, *vertices):
 def test_equitable_partition_matches_exact_refinement(g, data):
     colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
     part = equitable_partition(g, np.array(colours))
-    assert part.cells.tolist() == _reference_partition(g, colours)
+    assert part.cells.tolist() == refined_cells(g, colours)
     assert part.sizes.tolist() == np.bincount(part.cells).tolist()
     assert np.array_equal(part.arcs, part.arcs.T)
     assert part.arcs.sum() == 2 * g.m
+
+
+CAPTURE = load_script("capture_cli")
+CAPTURE_LAYOUTS = [(512, 256, 3, 5), (48, 24, 3, 5), (6, 6, 2, 2), (1, 2, 1, 1), (10, 7, 0, 3),
+                   (5, 3, 5, 3), (1, 1, 1, 1)]
+
+
+def _capture_searches(tmp_path):
+    """(graph, marked vertices) of each edge-list search and layout of the capture table."""
+    texts = CAPTURE._input_files()
+    for _, placeholder, marked in CAPTURE.EDGE_SEARCHES:
+        path = tmp_path / f"{placeholder.strip('{}')}.txt"
+        path.write_text(texts[placeholder])
+        yield read_edge_list(path), [int(v) for v in marked.split(",")]
+    for layout in CAPTURE_LAYOUTS:
+        g, marked = complete_bipartite(BipartiteSpec(*layout))
+        yield g, sorted(marked)
+
+
+def test_degree_seeded_refinement_is_the_naive_refinement_on_the_capture_graphs(tmp_path):
+    # C_30, Q_6, the shuffled Q_9, irregular10, the relabelled K_{48,24} and
+    # the layouts, marked as the capture marks them, alone and beside a
+    # colouring of the first vertices (as overlaps colours a side)
+    searched = 0
+    for g, marked in _capture_searches(tmp_path):
+        colours = _marked_at(g.n, *marked)
+        sides = np.column_stack([colours, np.arange(g.n) < g.n // 3])
+        for keys in (colours, sides):
+            assert equitable_partition(g, keys).cells.tolist() == refined_cells(g, keys)
+        searched += 1
+    assert searched == len(CAPTURE.EDGE_SEARCHES) + len(CAPTURE_LAYOUTS)
 
 
 def test_equitable_partition_of_symmetric_searches():

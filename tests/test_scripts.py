@@ -1,23 +1,13 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
+from conftest import load_script
+from qwsearch import graph
 from qwsearch.cli import UsageError, build_parser
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-RUNS = _load("run_datasets").RUNS
-CAPTURE = _load("capture_cli")
+RUNS = load_script("run_datasets").RUNS
+CAPTURE = load_script("capture_cli")
 
 
 def test_dataset_outputs_are_distinct():
@@ -34,7 +24,21 @@ def test_dataset_argv_parses(name, argv):
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 148
+    assert len(names) == len(set(names)) == 158
+
+
+def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
+    # the only capture input that NumPy's bulk reader takes and the graph
+    # has to sort: the rows as read are out of order, reversed and repeated
+    text = CAPTURE._input_files()[CAPTURE.SHUFFLED_CUBE]
+    path = tmp_path / "cube.txt"
+    path.write_text(text)
+    assert len(text) >= graph._BULK_CHARS
+    rows = graph._plain_rows(path, text)[1:]
+    assert not graph._is_canonical(*rows.T.copy())
+    cube = graph.read_edge_list(path)
+    assert cube == graph.Graph(512, CAPTURE._hypercube(9))
+    assert len(rows) == cube.m + 1
 
 
 # the rows that the parser itself must refuse: a flag the subcommand lacks
