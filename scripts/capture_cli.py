@@ -47,12 +47,13 @@ marked vertices, a lone ``--gamma-min``, ``--sweep`` without its bounds, a
 bad ``--marked`` list, no gamma at all, ``--init sq`` and ``--mode reduced``
 on an edge list, the full-mode cap on K_{2000,200}, and a run with two
 faults, of which the layout is named first); ``runtimes`` without
-``--sweep`` and with ``--sweep k2`` (in range, out of range, and with a
-skipped row), and with ``--walk``, which it does not take; and flags that
-another flag excludes: ``--marked`` with a layout (also from a config file),
-``--gamma`` with a gamma range, sweep bounds without ``--sweep``, and
+``--sweep`` (also on (10, 7, 3, 7), (40, 300, 7, 2), (6, 6, 2, 2) and
+(10^9, 1000, 3, 5)) and with ``--sweep k2`` (in range, out of range, and
+with a skipped row), and with ``--walk``, which it does not take; and flags
+that another flag excludes: ``--marked`` with a layout (also from a config
+file), ``--gamma`` with a gamma range, sweep bounds without ``--sweep``, and
 ``--gamma-count`` beside ``--gamma`` (on ``sweep-gamma`` and ``overlaps``)
-or alone. The table has 158 commands.
+or alone. The table has 162 commands.
 """
 
 from __future__ import annotations
@@ -279,9 +280,14 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("refuse-two-faults", ["simulate", "--n1", "48", "--tmax", "5"]),
     ]
     # runtimes on one row, and swept over k2: in range, past n2, and from
-    # k2 = 0 on a layout with k1 = 0, whose first row is skipped
+    # k2 = 0 on a layout with k1 = 0, whose first row is skipped; single rows
+    # on odd and reversed sides, equal sides, and sides whose products pass 2^53
     rows += [
         ("runtimes-single", ["runtimes", *SMALL]),
+        *((f"runtimes-single-{n1}-{n2}",
+           ["runtimes", "--n1", n1, "--n2", n2, "--k1", k1, "--k2", k2])
+          for n1, n2, k1, k2 in (("10", "7", "3", "7"), ("40", "300", "7", "2"),
+                                 ("6", "6", "2", "2"), ("1000000000", "1000", "3", "5"))),
         ("runtimes-sweep-k2", ["runtimes", "--n1", "1024", "--n2", "256", "--k1", "8",
                                "--k2", "1", "--sweep", "k2", "--sweep-min", "1",
                                "--sweep-max", "40"]),

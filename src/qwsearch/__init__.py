@@ -38,7 +38,6 @@ from .bipartite import (
     InitialStateKind,
     RegimeClassification,
     RuntimeTable,
-    Target,
     asymptotic_eigensystem_h0,
     class_sizes,
     class_slices,

@@ -6,11 +6,12 @@ left unmarked (c), right unmarked (d). This module writes these classes
 down as an equitable partition in closed form, whose quotient search runs
 through the same engine (:class:`~qwsearch.evolve.SearchQuotient`) as the
 partition that colour refinement finds in the built graph. On top of it
-sit the reduced 4x4 operators, the three canonical initial states, the
-asymptotic eigensystems at the two critical jumping rates ``1/n1`` and
-``1/n2``, the closed-form class probabilities, their next-order
-finite-size corrections, and the runtime comparison across the three
-walks.
+sit the reduced 4x4 operators, the three canonical initial states, and
+the leading-order theory: each walk's critical rate for a targeted side,
+and the runtimes and first-order gaps at it, all from one level crossing
+of ``W_r = A - r D`` (:func:`critical_gamma`, :func:`runtime_table`).
+The signless walk also has asymptotic eigensystems, closed-form class
+probabilities and their next-order finite-size corrections there.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "CLASS_NAMES",
     "InitialStateKind",
     "CriticalSide",
-    "Target",
     "FastestWalk",
     "ClosedFormPeak",
     "RuntimeTable",
@@ -78,24 +78,14 @@ class InitialStateKind(enum.Enum):
 
 
 class CriticalSide(enum.Enum):
-    """Which side a search at a critical jumping rate targets.
+    """The side whose marked vertices a search at a critical rate targets.
 
-    The signless walk targets the left side at ``1/n1`` and the right side
-    at ``1/n2``; the perturbative forms here are its own. The Laplacian
-    walk pairs the rates the other way: :func:`closed_form_peaks` runs its
-    left-target search at ``1/n2`` and its right-target search at ``1/n1``.
+    It means the same for every walk; :func:`critical_gamma` gives each
+    walk's rate for it.
     """
 
     LEFT = "left"
     RIGHT = "right"
-
-
-class Target(enum.Enum):
-    """Where a closed-form evolution deposits its success probability."""
-
-    LEFT_MARKED = "left_marked"
-    RIGHT_MARKED = "right_marked"
-    MIXED = "mixed"
 
 
 class FastestWalk(enum.Enum):
@@ -235,12 +225,39 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
     return np.repeat(amps / np.sqrt(np.maximum(sizes, 1)), sizes)
 
 
-def critical_gamma(spec: BipartiteSpec, side: CriticalSide) -> float:
-    """The signless walk's rate for ``side``, ``1/n1`` left and ``1/n2`` right.
+def _crossing(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> float:
+    """``g = sqrt(r^2 (n1 - n2)^2 / 4 + n1 n2) - r (n1 - n2) / 2``, ``side`` read as the left.
 
-    The Laplacian walk targets the other side at each (:class:`CriticalSide`).
+    ``r`` is the walk's ratio. At ``gamma = 1/g`` the marked level ``-1 +
+    gamma r n2`` crosses the lower level of the unmarked (c, d) block.
     """
-    return 1.0 / spec.n1 if side is CriticalSide.LEFT else 1.0 / spec.n2
+    n1, n2 = (spec.n1, spec.n2) if side is CriticalSide.LEFT else (spec.n2, spec.n1)
+    half = 0.5 * walk.ratio * (n1 - n2)
+    root = math.sqrt(half * half + float(n1 * n2))
+    # the same g, without the cancellation of root - half when half > 0
+    return root - half if half <= 0.0 else float(n1 * n2) / (root + half)
+
+
+def _runtime(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> float | None:
+    """Leading-order ``(pi/2) sqrt((g^2 + n1 n2) / (k1 n2))``, ``None`` if ``k1 == 0``.
+
+    ``g`` is :func:`_crossing`'s, and ``side`` is read as the left.
+    """
+    left = side is CriticalSide.LEFT
+    n1, n2, k1 = (spec.n1, spec.n2, spec.k1) if left else (spec.n2, spec.n1, spec.k2)
+    if k1 < 1:
+        return None
+    g = _crossing(spec, walk, side)
+    return 0.5 * math.pi * math.sqrt((g * g + float(n1 * n2)) / (k1 * float(n2)))
+
+
+def critical_gamma(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> float:
+    """``walk``'s rate for ``side``, ``1/g`` of :func:`_crossing`.
+
+    Signless ``1/n1`` left and ``1/n2`` right, Laplacian ``1/n2`` left and
+    ``1/n1`` right, adjacency ``1/sqrt(n1 n2)`` on both sides.
+    """
+    return 1.0 / _crossing(spec, walk, side)
 
 
 def asymptotic_eigensystem_h0(
@@ -261,12 +278,7 @@ def asymptotic_eigensystem_h0(
     e_b = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     u = np.array([0.0, 0.0, math.sqrt(n2), math.sqrt(n1)], dtype=complex) / math.sqrt(n)
     v = np.array([0.0, 0.0, math.sqrt(n1), -math.sqrt(n2)], dtype=complex) / math.sqrt(n)
-    return [
-        (e_a, -1.0 - gamma * n2),
-        (e_b, -1.0 - gamma * n1),
-        (u, -gamma * n),
-        (v, 0.0),
-    ]
+    return [(e_a, -1.0 - gamma * n2), (e_b, -1.0 - gamma * n1), (u, -gamma * n), (v, 0.0)]
 
 
 @dataclass(frozen=True)
@@ -305,20 +317,15 @@ def _check_left_doublet(spec: BipartiteSpec) -> None:
 
 
 def energy_gap(spec: BipartiteSpec, side: CriticalSide) -> float:
-    """First-order splitting of the degenerate doublet at the critical rate.
+    """First-order splitting ``pi / closed_form_runtime`` of the signless doublet.
 
-    This is the n -> infinity gap ``2 sqrt(k1 n2 / (n1 n))`` (left side).
-    The exact 4x4 doublet is slightly narrower at finite size (0.98569 of
-    this value on ``(512, 256, 3, 5)``); :func:`next_order_correction`
-    carries the next-order gap. Every first-order form derives from this
-    gap, so all of them raise ``ValueError`` without a marked vertex on the
-    target side or at ``n1 == n2``, where the ``b`` level joins the doublet.
+    This is the n -> infinity gap ``2 sqrt(k1 n2 / (n1 n))`` (left side);
+    the exact 4x4 one is 0.98569 of it on ``(512, 256, 3, 5)``, and
+    :func:`next_order_correction` carries it. Every first-order form derives
+    from the runtime, so all raise ``ValueError`` without a marked vertex on
+    the target side or at ``n1 == n2``, where ``b`` joins the doublet.
     """
-    if side is CriticalSide.RIGHT:
-        return energy_gap(spec.swapped(), CriticalSide.LEFT)
-    _check_left_doublet(spec)
-    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
-    return 2.0 * math.sqrt(spec.k1 * n2 / (n1 * n))
+    return math.pi / closed_form_runtime(spec, side)
 
 
 def degenerate_correction(
@@ -338,7 +345,8 @@ def degenerate_correction(
     half_gap = 0.5 * energy_gap(spec, CriticalSide.LEFT)
     n1, n2 = float(spec.n1), float(spec.n2)
     base = -1.0 - n2 / n1
-    e_a, e_b, u, v = (vec for vec, _ in asymptotic_eigensystem_h0(spec, 1.0 / n1))
+    gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
+    e_a, e_b, u, v = (vec for vec, _ in asymptotic_eigensystem_h0(spec, gamma))
     pairs = [
         ((e_a + u) / math.sqrt(2.0), base - half_gap),
         ((e_a - u) / math.sqrt(2.0), base + half_gap),
@@ -349,14 +357,15 @@ def degenerate_correction(
 
 
 def closed_form_runtime(spec: BipartiteSpec, side: CriticalSide) -> float:
-    """Leading-order search time ``pi / delta_e`` from the first-order gap.
+    """Leading-order time of the signless search of ``side``: ``t_qa`` or ``t_qb``.
 
     This is the n -> infinity time of the success maximum. At finite size
     the first numeric maximum lands later (36.66 against 35.54 on
     ``(512, 256, 3, 5)`` from the uniform start); the curves of
     :func:`next_order_probabilities` locate it.
     """
-    return math.pi / energy_gap(spec, side)
+    _check_left_doublet(spec if side is CriticalSide.LEFT else spec.swapped())
+    return _runtime(spec, WalkKind.SIGNLESS_LAPLACIAN, side)
 
 
 def closed_form_probabilities(
@@ -390,9 +399,7 @@ def closed_form_probabilities(
     if start is InitialStateKind.ADJACENCY_EIGENVECTOR:
         raise ValueError("no closed form for the adjacency eigenvector start")
     if side is CriticalSide.RIGHT:
-        pa, pb, pc, pd = closed_form_probabilities(
-            spec.swapped(), start, CriticalSide.LEFT, t
-        )
+        pa, pb, pc, pd = closed_form_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)
         return pb, pa, pd, pc
     gap = energy_gap(spec, CriticalSide.LEFT)
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
@@ -403,7 +410,6 @@ def closed_form_probabilities(
     if start is InitialStateKind.UNIFORM:
         cross = np.cos(half) * np.cos((1.0 + n2 / n1) * t)
         pa = (4.0 * n1 * n2 / n**2) * sin2
-        pb = np.zeros_like(pa)
         pc = (
             (4.0 * n1 * n2**2 / n**3) * cos2
             + (4.0 * n1 * n2 * (n1 - n2) / n**3) * cross
@@ -415,13 +421,9 @@ def closed_form_probabilities(
             + n2 * (n1 - n2) ** 2 / n**3
         )
     else:
-        pa = sin2
-        pb = np.zeros_like(pa)
-        pc = (n2 / n) * cos2
-        pd = (n1 / n) * cos2
-    if pa.ndim == 0:
-        return float(pa), float(pb), float(pc), float(pd)
-    return pa, pb, pc, pd
+        pa, pc, pd = sin2, (n2 / n) * cos2, (n1 / n) * cos2
+    probs = (pa, np.zeros_like(pa), pc, pd)
+    return tuple(map(float, probs)) if pa.ndim == 0 else probs
 
 
 def _symmetric_2x2(
@@ -492,7 +494,8 @@ def next_order_correction(
             [0.0, y, 0.0, -x],
         ]
     )
-    h_class = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 1.0 / n1)
+    gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
+    h_class = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, gamma)
     h = frame.T @ h_class @ frame
     eye, zero = np.eye(2), np.zeros((2, 2))
     centre = 0.5 * (h[0, 0] + h[1, 1])
@@ -532,17 +535,13 @@ def next_order_probabilities(
     exact partite-swapped mirror.
     """
     if side is CriticalSide.RIGHT:
-        pa, pb, pc, pd = next_order_probabilities(
-            spec.swapped(), start, CriticalSide.LEFT, t
-        )
+        pa, pb, pc, pd = next_order_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)
         return pb, pa, pd, pc
     system = next_order_correction(spec, CriticalSide.LEFT)
     t = np.asarray(t, dtype=float)
     states = propagate(system, initial_state(spec, start), t.reshape(-1))
-    probs = (np.abs(states) ** 2).reshape(t.shape + (4,))
-    if t.ndim == 0:
-        return tuple(float(p) for p in probs)
-    return tuple(probs[..., i] for i in range(4))
+    probs = np.moveaxis((np.abs(states) ** 2).reshape(t.shape + (4,)), -1, 0)
+    return tuple(map(float, probs)) if t.ndim == 0 else tuple(probs)
 
 
 @dataclass(frozen=True)
@@ -554,46 +553,43 @@ class ClosedFormPeak:
     gamma_critical: float
     runtime: float
     peak_success: float
-    target: Target
+    target: CriticalSide | None  # None: the adjacency walk's mixed target
 
 
 def closed_form_peaks(spec: BipartiteSpec) -> list[ClosedFormPeak]:
     """Asymptotic runtime/success records for all walk and start pairings.
 
-    Laplacian search from the uniform state is deterministic toward one
-    partite set per critical rate; adjacency search has a single critical
-    rate and reaches certainty only from its own eigenvector; the signless
-    walk mirrors the Laplacian's two rates but reaches certainty only from
-    the signless eigenvector. Runtimes come from :func:`runtime_table`;
-    rows whose runtime is undefined (no marked vertices on the targeted
-    side) are omitted.
+    Laplacian search from the uniform state is deterministic toward the
+    targeted side; adjacency search has one critical rate for both sides,
+    puts its success on both, and reaches certainty only from its own
+    eigenvector; the signless walk reaches certainty only from the signless
+    eigenvector. Rates come from :func:`critical_gamma` and runtimes from
+    :func:`runtime_table`; rows whose runtime is undefined (no marked
+    vertices on the targeted side) are omitted.
     """
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
     s = InitialStateKind.UNIFORM
     sa = InitialStateKind.ADJACENCY_EIGENVECTOR
     sq = InitialStateKind.SIGNLESS_EIGENVECTOR
-    left, right = Target.LEFT_MARKED, Target.RIGHT_MARKED
+    left, right = CriticalSide.LEFT, CriticalSide.RIGHT
     signless = WalkKind.SIGNLESS_LAPLACIAN
     signless_peaks = [(s, 4.0 * n1 * n2 / n**2), (sq, 1.0)]
     adjacency_peaks = [(s, 0.5 + math.sqrt(n1 * n2) / n), (sa, 1.0)]
-    # per runtime: walk, jumping rate, target, and (start, peak) of each row
+    # per runtime: walk, targeted side (None: both), and (start, peak) of each row
     setups = {
-        FastestWalk.LAPLACIAN_LEFT: (WalkKind.LAPLACIAN, 1.0 / n2, left, [(s, 1.0)]),
-        FastestWalk.LAPLACIAN_RIGHT: (WalkKind.LAPLACIAN, 1.0 / n1, right, [(s, 1.0)]),
-        FastestWalk.ADJACENCY: (
-            WalkKind.ADJACENCY, 1.0 / math.sqrt(n1 * n2), Target.MIXED, adjacency_peaks
-        ),
-        FastestWalk.SIGNLESS_LEFT: (signless, 1.0 / n1, left, signless_peaks),
-        FastestWalk.SIGNLESS_RIGHT: (signless, 1.0 / n2, right, signless_peaks),
+        FastestWalk.LAPLACIAN_LEFT: (WalkKind.LAPLACIAN, left, [(s, 1.0)]),
+        FastestWalk.LAPLACIAN_RIGHT: (WalkKind.LAPLACIAN, right, [(s, 1.0)]),
+        FastestWalk.ADJACENCY: (WalkKind.ADJACENCY, None, adjacency_peaks),
+        FastestWalk.SIGNLESS_LEFT: (signless, left, signless_peaks),
+        FastestWalk.SIGNLESS_RIGHT: (signless, right, signless_peaks),
     }
     rows: list[ClosedFormPeak] = []
     for label, runtime in runtime_table(spec).as_ordered():
         if runtime is not None:
-            walk, rate, target, peaks = setups[label]
-            rows.extend(
-                ClosedFormPeak(walk, start, rate, runtime, peak, target)
-                for start, peak in peaks
-            )
+            walk, side, peaks = setups[label]
+            rate = critical_gamma(spec, walk, side or left)  # adjacency: the same on both
+            rows += [ClosedFormPeak(walk, start, rate, runtime, peak, side)
+                     for start, peak in peaks]
     return rows
 
 
@@ -621,19 +617,20 @@ class RuntimeTable:
 def runtime_table(spec: BipartiteSpec) -> RuntimeTable:
     """Runtimes of the five deterministic search algorithms.
 
-    ``t_la``/``t_lb`` need a marked vertex on the targeted side, as do
-    ``t_qa``/``t_qb``; missing entries are reported as ``None`` rather
-    than infinity.
+    The Laplacian and signless entries are :func:`_runtime`, ``None``
+    (not infinity) without a marked vertex on the targeted side. ``t_a`` is
+    the adjacency walk's three-level runtime.
     """
-    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
-    k1, k2 = float(spec.k1), float(spec.k2)
-    half_pi = 0.5 * math.pi
-    t_la = half_pi * math.sqrt(n / k1) if spec.k1 >= 1 else None
-    t_lb = half_pi * math.sqrt(n / k2) if spec.k2 >= 1 else None
-    t_a = (math.pi / math.sqrt(2.0)) * math.sqrt(n1 * n2 / (k2 * n1 + k1 * n2))
-    t_qa = half_pi * math.sqrt(n1 * n / (k1 * n2)) if spec.k1 >= 1 else None
-    t_qb = half_pi * math.sqrt(n2 * n / (k2 * n1)) if spec.k2 >= 1 else None
-    return RuntimeTable(t_la=t_la, t_lb=t_lb, t_a=t_a, t_qa=t_qa, t_qb=t_qb)
+    n1, n2, k1, k2 = float(spec.n1), float(spec.n2), float(spec.k1), float(spec.k2)
+    laplacian, signless = WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN
+    left, right = CriticalSide.LEFT, CriticalSide.RIGHT
+    return RuntimeTable(
+        t_la=_runtime(spec, laplacian, left),
+        t_lb=_runtime(spec, laplacian, right),
+        t_a=(math.pi / math.sqrt(2.0)) * math.sqrt(n1 * n2 / (k2 * n1 + k1 * n2)),
+        t_qa=_runtime(spec, signless, left),
+        t_qb=_runtime(spec, signless, right),
+    )
 
 
 @dataclass(frozen=True)
@@ -668,11 +665,7 @@ def fastest_regime(spec: BipartiteSpec) -> RegimeClassification:
     table = runtime_table(spec)
     defined = [(label, value) for label, value in table.as_ordered() if value is not None]
     best = min(value for _, value in defined)
-    fastest = next(
-        label
-        for label, value in defined
-        if value <= best * (1.0 + RUNTIME_TIE_RTOL)
-    )
+    fastest = next(label for label, value in defined if value <= best * (1.0 + RUNTIME_TIE_RTOL))
     # thresholds on the larger side's marked count, from the layout with
     # that side on the left
     axis, thresholds = None, None

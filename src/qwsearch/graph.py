@@ -8,6 +8,7 @@ pairs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,10 +221,10 @@ def read_edge_list(path: str | Path) -> Graph:
     Format: a header line ``n m`` followed by ``m`` lines ``i j`` with
     0-based endpoints. Blank lines and trailing whitespace are ignored.
     """
-    text = Path(path).read_text()
-    rows = _plain_rows(path, text)
+    rows = _plain_rows(path)
     if rows is not None:
         return Graph(int(rows[0, 0]), rows[1:])
+    text = Path(path).read_text()
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
@@ -241,26 +242,32 @@ def read_edge_list(path: str | Path) -> Graph:
     return Graph(n, _parse_edges(path, lines[1:], n))
 
 
-# Files of only these bytes split into lines at "\n" alone, as str.splitlines
-# splits them, so NumPy's reader sees the lines read_edge_list sees.
-_PLAIN_BYTES = b"0123456789 \t\n"
-# Below this many characters, NumPy's opening of a path costs more than the
-# line list it saves (about 2,000 edges).
+# Files of only these bytes split into the lines that str.splitlines gives,
+# so NumPy's reader sees the lines read_edge_list sees: it reads text with
+# universal newlines, where "\r\n" and "\r" end a line as "\n" does.
+_PLAIN_BYTES = b"0123456789 \t\r\n"
+# Below this many bytes, NumPy's opening of a path costs more than the line
+# list it saves (about 2,000 edges).
 _BULK_CHARS = 1 << 14
 
 
-def _plain_rows(path: str | Path, text: str) -> np.ndarray | None:
-    """Header and edge rows of the edge list ``text`` read from ``path``, or ``None``.
+def _plain_rows(path: str | Path) -> np.ndarray | None:
+    """Header and edge rows of the edge list at ``path``, or ``None``.
 
-    A long file of plain bytes is read again by NumPy in chunks, which skips
-    blank lines. Its rows are taken only when every line holds two integers
-    and their count matches the header's ``m``. Anything else returns
-    ``None``, and the line-by-line reader gives its own result or message.
+    A long file of plain bytes is read by NumPy in chunks, which skips
+    blank lines; the file's bytes are dropped before that. Its rows are
+    taken only when every line holds two integers and their count matches
+    the header's ``m``. Anything else returns ``None``, and the line-by-line
+    reader gives its own result or message.
     """
-    if len(text) < _BULK_CHARS or text.encode().translate(None, _PLAIN_BYTES):
+    if os.stat(path).st_size < _BULK_CHARS:
         return None
-    if text.isspace():  # NumPy would warn that the file holds no data
+    data = Path(path).read_bytes()
+    if data.translate(None, _PLAIN_BYTES):
         return None
+    if data.isspace():  # NumPy would warn that the file holds no data
+        return None
+    del data
     try:
         rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:

@@ -84,9 +84,8 @@ def test_criterion_1_uniform_start_left_critical_peak():
     t_star, p_star = _next_order_peak(
         BENCH_SPEC, InitialStateKind.UNIFORM, CriticalSide.LEFT, t_inf
     )
-    t_peak, p_peak = _reduced_peak(
-        BENCH_SPEC, InitialStateKind.UNIFORM, critical_gamma(BENCH_SPEC, CriticalSide.LEFT), t_inf
-    )
+    gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
+    t_peak, p_peak = _reduced_peak(BENCH_SPEC, InitialStateKind.UNIFORM, gamma, t_inf)
     elapsed = time.perf_counter() - start
     ok = abs(p_peak - p_star) <= 0.02 and abs(t_peak - t_star) <= 1.0 and elapsed < 1.0
     _report(
@@ -107,9 +106,8 @@ def test_criterion_2_uniform_start_right_critical_peak():
     t_star, p_star = _next_order_peak(
         BENCH_SPEC, InitialStateKind.UNIFORM, CriticalSide.RIGHT, t_inf
     )
-    t_peak, p_peak = _reduced_peak(
-        BENCH_SPEC, InitialStateKind.UNIFORM, critical_gamma(BENCH_SPEC, CriticalSide.RIGHT), t_inf
-    )
+    gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.RIGHT)
+    t_peak, p_peak = _reduced_peak(BENCH_SPEC, InitialStateKind.UNIFORM, gamma, t_inf)
     elapsed = time.perf_counter() - start
     ok = abs(p_peak - p_star) <= 0.02 and abs(t_peak - t_star) <= 0.5 and elapsed < 1.0
     _report(
@@ -132,14 +130,14 @@ def test_criterion_3_deterministic_search_from_signless_eigenvector():
         t_peak, p_peak = _reduced_peak(
             BENCH_SPEC,
             InitialStateKind.SIGNLESS_EIGENVECTOR,
-            critical_gamma(BENCH_SPEC, side),
+            critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side),
             t_star,
         )
         results.append((side.value, t_peak, p_peak, t_star, window))
     # independent full-space oracle bounds the finite-size shortfall
     oracle_gap = 0.0
     for side in CriticalSide:
-        gamma = critical_gamma(SMALL_SPEC, side)
+        gamma = critical_gamma(SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
         t_star = closed_form_runtime(SMALL_SPEC, side)
         times = np.linspace(0.0, 2.0 * t_star, 2000)
         reduced = simulate_reduced(
@@ -238,7 +236,7 @@ def test_criterion_5_full_vs_reduced_oracle_equivalence():
 def test_criterion_6_closed_form_vs_numeric():
     t_star = closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT)
     times = np.linspace(0.0, t_star, 2000)
-    gamma = critical_gamma(BENCH_SPEC, CriticalSide.LEFT)
+    gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     deviations, leading = {}, {}
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
         numeric = simulate_reduced(

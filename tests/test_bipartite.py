@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, uncollapsed_propagate
@@ -12,7 +12,7 @@ from qwsearch.bipartite import (
     CriticalSide,
     FastestWalk,
     InitialStateKind,
-    Target,
+    RuntimeTable,
     asymptotic_eigensystem_h0,
     class_partition,
     class_sizes,
@@ -233,11 +233,13 @@ def test_reduced_to_full_rejects_amplitude_on_empty_class():
 
 
 def test_h0_degeneracies_at_critical_rates():
-    pairs = asymptotic_eigensystem_h0(BENCH_SPEC, critical_gamma(BENCH_SPEC, CriticalSide.LEFT))
+    gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
+    pairs = asymptotic_eigensystem_h0(BENCH_SPEC, gamma)
     values = [e for _, e in pairs]
     assert values[0] == pytest.approx(values[2], abs=1e-14)  # a vs u
     assert values[1] != pytest.approx(values[2], abs=1e-6)
-    pairs = asymptotic_eigensystem_h0(BENCH_SPEC, critical_gamma(BENCH_SPEC, CriticalSide.RIGHT))
+    gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.RIGHT)
+    pairs = asymptotic_eigensystem_h0(BENCH_SPEC, gamma)
     values = [e for _, e in pairs]
     assert values[1] == pytest.approx(values[2], abs=1e-14)  # b vs u
     mid = 0.5 * (1 / BENCH_SPEC.n1 + 1 / BENCH_SPEC.n2)
@@ -293,7 +295,7 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
     gap_errors, s_errors, sq_errors = [], [], []
     for p in range(9, 16):
         spec = BipartiteSpec(2**p, 2 ** (p - 1), 3, 5)
-        gamma = critical_gamma(spec, side)
+        gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, side)
         h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, gamma)
         exact_gap = _doublet_gap(side, eig_hermitian(h).eigenvalues)
         gap_errors.append(
@@ -323,7 +325,7 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
 
 def test_next_order_eigensystem_matches_exact_at_bench_layout():
     for side in CriticalSide:
-        gamma = critical_gamma(BENCH_SPEC, side)
+        gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
         exact = eig_hermitian(reduced_hamiltonian(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, gamma))
         system = next_order_correction(BENCH_SPEC, side)
         vectors = system.eigenvectors
@@ -482,13 +484,124 @@ def test_runtime_partite_swap_is_exact():
 def test_runtime_formulas():
     table = runtime_table(BipartiteSpec(1024, 256, 8, 5))
     n, n1, n2 = 1280.0, 1024.0, 256.0
-    assert table.t_la == pytest.approx(0.5 * math.pi * math.sqrt(n / 8))
-    assert table.t_lb == pytest.approx(0.5 * math.pi * math.sqrt(n / 5))
-    assert table.t_a == pytest.approx(
-        math.pi / math.sqrt(2) * math.sqrt(n1 * n2 / (5 * n1 + 8 * n2))
+    assert table.t_la == 0.5 * math.pi * math.sqrt(n / 8)
+    assert table.t_lb == 0.5 * math.pi * math.sqrt(n / 5)
+    assert table.t_a == math.pi / math.sqrt(2) * math.sqrt(n1 * n2 / (5 * n1 + 8 * n2))
+    assert table.t_qa == 0.5 * math.pi * math.sqrt(n1 * n / (8 * n2))
+    assert table.t_qb == 0.5 * math.pi * math.sqrt(n2 * n / (5 * n1))
+
+
+def _hand_written_runtimes(spec):
+    """The five runtimes, each walk's closed form written out on its own."""
+    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
+    k1, k2 = float(spec.k1), float(spec.k2)
+    half_pi = 0.5 * math.pi
+    return RuntimeTable(
+        t_la=half_pi * math.sqrt(n / k1) if spec.k1 >= 1 else None,
+        t_lb=half_pi * math.sqrt(n / k2) if spec.k2 >= 1 else None,
+        t_a=(math.pi / math.sqrt(2.0)) * math.sqrt(n1 * n2 / (k2 * n1 + k1 * n2)),
+        t_qa=half_pi * math.sqrt(n1 * n / (k1 * n2)) if spec.k1 >= 1 else None,
+        t_qb=half_pi * math.sqrt(n2 * n / (k2 * n1)) if spec.k2 >= 1 else None,
     )
-    assert table.t_qa == pytest.approx(0.5 * math.pi * math.sqrt(n1 * n / (8 * n2)))
-    assert table.t_qb == pytest.approx(0.5 * math.pi * math.sqrt(n2 * n / (5 * n1)))
+
+
+def _hand_written_rates(spec):
+    """Each walk's critical rate per targeted side, written out on its own."""
+    n1, n2 = float(spec.n1), float(spec.n2)
+    adjacency = 1.0 / math.sqrt(n1 * n2)
+    left, right = CriticalSide.LEFT, CriticalSide.RIGHT
+    return {
+        (WalkKind.LAPLACIAN, left): 1.0 / n2,
+        (WalkKind.LAPLACIAN, right): 1.0 / n1,
+        (WalkKind.ADJACENCY, left): adjacency,
+        (WalkKind.ADJACENCY, right): adjacency,
+        (WalkKind.SIGNLESS_LAPLACIAN, left): 1.0 / n1,
+        (WalkKind.SIGNLESS_LAPLACIAN, right): 1.0 / n2,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_specs(max_side=2**25))
+@example(BipartiteSpec(48, 24, 3, 5))
+@example(BipartiteSpec(10, 7, 3, 7))
+@example(BipartiteSpec(40, 300, 7, 2))
+def test_crossing_reproduces_the_hand_written_forms_bit_for_bit(spec):
+    """With every product of side sizes below 2^53, the one crossing ``g``
+    gives each walk's rate and runtime exactly as its own closed form does,
+    and the signless runtime is ``t_qa``/``t_qb`` itself."""
+    table = runtime_table(spec)
+    assert table == _hand_written_runtimes(spec)
+    rates = _hand_written_rates(spec)
+    for (walk, side), rate in rates.items():
+        assert critical_gamma(spec, walk, side) == rate
+    for row in closed_form_peaks(spec):
+        assert row.gamma_critical == rates[(row.walk, row.target or CriticalSide.LEFT)]
+    for side, runtime in ((CriticalSide.LEFT, table.t_qa), (CriticalSide.RIGHT, table.t_qb)):
+        if runtime is not None and spec.n1 != spec.n2:
+            assert closed_form_runtime(spec, side) == runtime
+
+
+@pytest.mark.parametrize("n1, n2", [(10**9, 1000), (2**40, 1), (2**60, 3), (3, 2**60)])
+def test_critical_rates_keep_full_precision_on_lopsided_layouts(n1, n2):
+    """Where ``r (n1 - n2) / 2`` dwarfs ``n1 n2`` the crossing is found
+    without cancellation, so the rates stay within rounding of 1/n1 and 1/n2
+    past 2^53 (the difference of the two large terms is 0.0 on (2^60, 3))."""
+    spec = BipartiteSpec(n1, n2, 1, 1)
+    laplacian, signless = WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN
+    for walk, side, rate in [
+        (laplacian, CriticalSide.LEFT, 1 / n2),
+        (laplacian, CriticalSide.RIGHT, 1 / n1),
+        (signless, CriticalSide.LEFT, 1 / n1),
+        (signless, CriticalSide.RIGHT, 1 / n2),
+    ]:
+        assert critical_gamma(spec, walk, side) == pytest.approx(rate, rel=1e-15, abs=0)
+
+
+def _min_gap_runtime(spec, walk, side, steps=60):
+    """``pi / gap`` at the exact 4x4's narrowest avoided crossing near ``critical_gamma``.
+
+    The gap is between the two adjacent levels that carry the most weight
+    on the targeted side's marked class at the critical rate; a
+    golden-section search finds its minimum within 25 % of that rate.
+    """
+    rate = critical_gamma(spec, walk, side)
+    values, vectors = np.linalg.eigh(reduced_hamiltonian(spec, walk, rate))
+    weight = np.abs(vectors[0 if side is CriticalSide.LEFT else 1]) ** 2
+    level = int(np.argmax(weight[:-1] + weight[1:]))
+
+    def gap(gamma):
+        return np.diff(np.linalg.eigvalsh(reduced_hamiltonian(spec, walk, gamma)))[level]
+
+    lo, hi = 0.75 * rate, 1.25 * rate
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(steps):
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if gap(a) < gap(b):
+            hi = b
+        else:
+            lo = a
+    return math.pi / gap(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("side", list(CriticalSide))
+@pytest.mark.parametrize("walk", [WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN])
+def test_two_level_runtimes_approach_the_exact_min_gap_time(walk, side):
+    """On (2^p, 2^(p-1), 3, 5) the tabled runtime of each two-level search
+    approaches ``pi / gap`` at the exact 4x4's avoided crossing, with an
+    error that falls about as 1/n."""
+    errors = []
+    for p in range(6, 15, 2):
+        spec = BipartiteSpec(2**p, 2 ** (p - 1), 3, 5)
+        table = runtime_table(spec)
+        tabled = {
+            (WalkKind.LAPLACIAN, CriticalSide.LEFT): table.t_la,
+            (WalkKind.LAPLACIAN, CriticalSide.RIGHT): table.t_lb,
+            (WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT): table.t_qa,
+            (WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.RIGHT): table.t_qb,
+        }[(walk, side)]
+        errors.append(abs(_min_gap_runtime(spec, walk, side) - tabled) / tabled)
+    assert all(b < a / 3 for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-3, errors
 
 
 def test_runtime_absent_entries_are_none():
@@ -600,22 +713,22 @@ def test_closed_form_peaks_table():
     rows = closed_form_peaks(BENCH_SPEC)
     assert len(rows) == 8
     by_key = {(r.walk, r.start, r.target): r for r in rows}
-    lap_left = by_key[(WalkKind.LAPLACIAN, InitialStateKind.UNIFORM, Target.LEFT_MARKED)]
+    lap_left = by_key[(WalkKind.LAPLACIAN, InitialStateKind.UNIFORM, CriticalSide.LEFT)]
     assert lap_left.gamma_critical == pytest.approx(1 / 256)  # opposite-side rate
     assert lap_left.peak_success == 1.0
     sig_uniform = by_key[
-        (WalkKind.SIGNLESS_LAPLACIAN, InitialStateKind.UNIFORM, Target.LEFT_MARKED)
+        (WalkKind.SIGNLESS_LAPLACIAN, InitialStateKind.UNIFORM, CriticalSide.LEFT)
     ]
     assert sig_uniform.gamma_critical == pytest.approx(1 / 512)
     assert sig_uniform.peak_success == pytest.approx(4 * 512 * 256 / 768**2)
     assert sig_uniform.runtime == pytest.approx(35.54, abs=0.01)
-    adj = by_key[(WalkKind.ADJACENCY, InitialStateKind.UNIFORM, Target.MIXED)]
+    adj = by_key[(WalkKind.ADJACENCY, InitialStateKind.UNIFORM, None)]
     assert adj.peak_success == pytest.approx(0.5 + math.sqrt(512 * 256) / 768)
     deterministic = by_key[
         (
             WalkKind.SIGNLESS_LAPLACIAN,
             InitialStateKind.SIGNLESS_EIGENVECTOR,
-            Target.RIGHT_MARKED,
+            CriticalSide.RIGHT,
         )
     ]
     assert deterministic.peak_success == 1.0
@@ -625,9 +738,9 @@ def test_closed_form_peaks_table():
 def test_closed_form_peaks_skips_undefined_rows():
     rows = closed_form_peaks(BipartiteSpec(16, 8, 0, 3))
     targets = [r.target for r in rows]
-    assert Target.LEFT_MARKED not in targets
-    assert targets.count(Target.RIGHT_MARKED) == 3
-    assert targets.count(Target.MIXED) == 2
+    assert CriticalSide.LEFT not in targets
+    assert targets.count(CriticalSide.RIGHT) == 3
+    assert targets.count(None) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +800,7 @@ def test_numeric_agreement_with_closed_form_at_scale():
     renormalized doublet gap; the beat on the envelope adds about 0.02."""
     t_star = closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT)
     times = np.linspace(0.0, t_star, 2000)
-    gamma = critical_gamma(BENCH_SPEC, CriticalSide.LEFT)
+    gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
         numeric = simulate_reduced(
             BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, start, gamma, times

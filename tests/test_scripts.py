@@ -24,7 +24,7 @@ def test_dataset_argv_parses(name, argv):
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 158
+    assert len(names) == len(set(names)) == 162
 
 
 def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
@@ -34,7 +34,7 @@ def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
     path = tmp_path / "cube.txt"
     path.write_text(text)
     assert len(text) >= graph._BULK_CHARS
-    rows = graph._plain_rows(path, text)[1:]
+    rows = graph._plain_rows(path)[1:]
     assert not graph._is_canonical(*rows.T.copy())
     cube = graph.read_edge_list(path)
     assert cube == graph.Graph(512, CAPTURE._hypercube(9))
