@@ -46,7 +46,6 @@ from .bipartite import (
     closed_form_runtime,
     critical_gamma,
     degenerate_correction,
-    energy_gap,
     fastest_regime,
     initial_state,
     next_order_correction,
@@ -54,9 +53,8 @@ from .bipartite import (
     reduced_hamiltonian,
     reduced_to_full,
     reduced_walk_matrix,
+    refined_class_quotient,
     runtime_table,
-    simulate_full,
-    simulate_reduced,
 )
 
 __version__ = "0.1.0"

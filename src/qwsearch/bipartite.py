@@ -3,13 +3,14 @@
 By symmetry, search on a complete bipartite graph confines the dynamics to
 the span of four uniform class states: left marked (a), right marked (b),
 left unmarked (c), right unmarked (d). This module writes these classes
-down as an equitable partition in closed form, whose quotient search runs
-through the same engine (:class:`~qwsearch.evolve.SearchQuotient`) as the
-partition that colour refinement finds in the built graph. On top of it
-sit the reduced 4x4 operators, the three canonical initial states, and
-the leading-order theory: each walk's critical rate for a targeted side,
-and the runtimes and first-order gaps at it, all from one level crossing
-of ``W_r = A - r D`` (:func:`critical_gamma`, :func:`runtime_table`).
+down as an equitable partition in closed form (:func:`class_quotient`);
+its search runs through the same engine as the one on the partition that
+colour refinement finds in the built graph (:func:`refined_class_quotient`),
+the model's cross-check. On top of it sit the reduced 4x4 operators, the
+three canonical initial states, and the leading-order theory: each walk's
+critical rate for a targeted side, and the runtimes and first-order gaps
+at it, all from one level crossing of ``W_r = A - r D``
+(:func:`critical_gamma`, :func:`runtime_table`).
 The signless walk also has asymptotic eigensystems, closed-form class
 probabilities and their next-order finite-size corrections there.
 """
@@ -47,6 +48,7 @@ __all__ = [
     "class_slices",
     "class_partition",
     "class_quotient",
+    "refined_class_quotient",
     "reduced_walk_matrix",
     "reduced_hamiltonian",
     "initial_state",
@@ -54,7 +56,6 @@ __all__ = [
     "critical_gamma",
     "asymptotic_eigensystem_h0",
     "degenerate_correction",
-    "energy_gap",
     "closed_form_runtime",
     "closed_form_probabilities",
     "next_order_correction",
@@ -62,8 +63,6 @@ __all__ = [
     "closed_form_peaks",
     "runtime_table",
     "fastest_regime",
-    "simulate_reduced",
-    "simulate_full",
 ]
 
 CLASS_NAMES = ("a", "b", "c", "d")
@@ -135,6 +134,23 @@ def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> Se
     active = np.flatnonzero(class_sizes(spec))
     return SearchQuotient(walk_matrix(class_partition(spec), walk), np.flatnonzero(active < 2),
                           np.asarray(state, dtype=complex)[active], np.eye(4)[active])
+
+
+def refined_class_quotient(
+    spec: BipartiteSpec, walk: WalkKind, state: np.ndarray, sides: bool = False
+) -> SearchQuotient:
+    """The search of :func:`class_quotient`, its partition refined in the built graph.
+
+    The cross-check of the class model: colour refinement of K_{n1,n2} and
+    the lifted ``state`` finds the cells (:func:`~qwsearch.evolve.search_quotient`),
+    one per nonempty class or per pair of classes that swapping the sides
+    fixes; ``sides`` also colours classes a and b apart. Its groups are the
+    four classes.
+    """
+    graph, marked = complete_bipartite(spec)
+    classes = class_slices(spec)
+    return search_quotient(graph, walk, marked, reduced_to_full(spec, state), classes,
+                           classes[:2] if sides else ())
 
 
 def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:
@@ -316,18 +332,6 @@ def _check_left_doublet(spec: BipartiteSpec) -> None:
         raise ValueError("equal sides put the b level on the critical doublet")
 
 
-def energy_gap(spec: BipartiteSpec, side: CriticalSide) -> float:
-    """First-order splitting ``pi / closed_form_runtime`` of the signless doublet.
-
-    This is the n -> infinity gap ``2 sqrt(k1 n2 / (n1 n))`` (left side);
-    the exact 4x4 one is 0.98569 of it on ``(512, 256, 3, 5)``, and
-    :func:`next_order_correction` carries it. Every first-order form derives
-    from the runtime, so all raise ``ValueError`` without a marked vertex on
-    the target side or at ``n1 == n2``, where ``b`` joins the doublet.
-    """
-    return math.pi / closed_form_runtime(spec, side)
-
-
 def degenerate_correction(
     spec: BipartiteSpec, side: CriticalSide
 ) -> DegenerateEigensystem:
@@ -339,10 +343,12 @@ def degenerate_correction(
     ``-1 - n2/n1 -/+ sqrt(k1 n2 / (n1 n))``, while ``b`` (eigenvalue -2)
     and ``v`` (eigenvalue 0) are unchanged. The right-critical case is the
     partite-swapped mirror image.
+    ``delta_e`` is ``pi / closed_form_runtime`` (the exact 4x4 gap is 0.98569
+    of it on ``(512, 256, 3, 5)``), and this refuses what the runtime refuses.
     """
     if side is CriticalSide.RIGHT:
         return _mirrored(degenerate_correction(spec.swapped(), CriticalSide.LEFT))
-    half_gap = 0.5 * energy_gap(spec, CriticalSide.LEFT)
+    half_gap = 0.5 * (math.pi / closed_form_runtime(spec, CriticalSide.LEFT))
     n1, n2 = float(spec.n1), float(spec.n2)
     base = -1.0 - n2 / n1
     gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
@@ -392,7 +398,8 @@ def closed_form_probabilities(
         p_a = sin^2(dE t / 2),  p_b = 0,
         p_c = (n2 / n) cos^2(dE t / 2),  p_d = (n1 / n) cos^2(dE t / 2)
 
-    with ``dE`` the critical-gap splitting. The right-critical case is the
+    with ``dE = pi / closed_form_runtime`` the critical-gap splitting of
+    :func:`degenerate_correction`. The right-critical case is the
     partite-swapped mirror. The four probabilities sum to one for every t.
     Only the uniform and signless starts have closed forms here.
     """
@@ -401,7 +408,7 @@ def closed_form_probabilities(
     if side is CriticalSide.RIGHT:
         pa, pb, pc, pd = closed_form_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)
         return pb, pa, pd, pc
-    gap = energy_gap(spec, CriticalSide.LEFT)
+    gap = math.pi / closed_form_runtime(spec, CriticalSide.LEFT)
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
     t = np.asarray(t, dtype=float)
     half = 0.5 * gap * t
@@ -685,41 +692,3 @@ def fastest_regime(spec: BipartiteSpec) -> RegimeClassification:
         threshold_axis=axis,
         thresholds=thresholds,
     )
-
-
-def simulate_reduced(
-    spec: BipartiteSpec,
-    walk: WalkKind,
-    start: InitialStateKind,
-    gamma: float,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Numeric class probabilities from the search on :func:`class_quotient`.
-
-    Returns shape ``(len(times), 4)``; rows sum to one.
-    """
-    return class_quotient(spec, walk, initial_state(spec, start)).masses(gamma, times)
-
-
-def simulate_full(
-    spec: BipartiteSpec,
-    walk: WalkKind,
-    start: InitialStateKind,
-    gamma: float,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Numeric class probabilities from the full vertex-space dynamics.
-
-    The independent cross-check of :func:`simulate_reduced`: builds the
-    whole complete bipartite graph and lets
-    :func:`~qwsearch.evolve.search_quotient` find its partition by colour
-    refinement of the edge array, not from :func:`class_partition`. The
-    evolution runs in that quotient (one cell per nonempty class, or per
-    pair of classes where swapping the sides fixes the layout), and each
-    class's mass is read from the cells it meets, so no array grows with
-    ``n`` beyond the graph and the start state. Returns shape
-    ``(len(times), 4)``.
-    """
-    graph, marked = complete_bipartite(spec)
-    psi0 = reduced_to_full(spec, initial_state(spec, start))
-    return search_quotient(graph, walk, marked, psi0, class_slices(spec)).masses(gamma, times)

@@ -26,9 +26,8 @@ import numpy as np
 from .bipartite import (
     InitialStateKind,
     class_quotient,
-    class_slices,
     initial_state,
-    reduced_to_full,
+    refined_class_quotient,
     runtime_table,
     fastest_regime,
 )
@@ -39,7 +38,7 @@ from .evolve import (
     search_quotient,
     uniform_state,
 )
-from .graph import BipartiteSpec, complete_bipartite, read_edge_list
+from .graph import BipartiteSpec, read_edge_list
 from .spin_network import CouplingConstants, certify_walk_equivalence, demo_graph
 
 __all__ = ["main", "entry"]
@@ -228,12 +227,12 @@ def _search(
     the class-basis ``state`` (default: the ``--init`` state). ``--mode``
     chooses only where the partition comes from: reduced mode writes the
     class partition down (:func:`~qwsearch.bipartite.class_quotient`),
-    full mode builds the graph and refines the marked set and the state on
-    it (:func:`~qwsearch.evolve.search_quotient`), with ``sides`` also the
-    classes a and b. Both give the same quotient, up to the cell order. On
-    an edge list, which runs in full mode from the uniform state only, its
-    one group is the marked set. Either graph is refused past the cap before
-    any per-vertex-pair array is built.
+    full mode finds it in the built graph
+    (:func:`~qwsearch.bipartite.refined_class_quotient`, with ``sides``
+    colouring classes a and b apart). Both give the same quotient, up to
+    the cell order. On an edge list, which runs in full mode from the
+    uniform state only, its one group is the marked set. Either graph is
+    refused past the cap before any per-vertex-pair array is built.
     """
     spec, walk = args.spec, WalkKind(args.walk)
     if spec is not None:
@@ -242,10 +241,7 @@ def _search(
         if args.mode == "reduced":
             return class_quotient(spec, walk, state)
         _check_full_cap(spec.n)
-        graph, marked = complete_bipartite(spec)
-        classes = class_slices(spec)
-        psi0 = reduced_to_full(spec, state)
-        return search_quotient(graph, walk, marked, psi0, classes, classes[:2] if sides else ())
+        return refined_class_quotient(spec, walk, state, sides)
     if InitialStateKind(args.init) is not InitialStateKind.UNIFORM:
         raise UsageError("edge-list instances support only --init s")
     if args.mode != "full":

@@ -54,14 +54,15 @@ class WalkKind(enum.Enum):
     0`` and the signless Laplacian ``A + D`` is ``r = -1``.
     """
 
-    LAPLACIAN = "laplacian"
-    ADJACENCY = "adjacency"
-    SIGNLESS_LAPLACIAN = "signless"
+    LAPLACIAN = ("laplacian", 1.0)
+    ADJACENCY = ("adjacency", 0.0)
+    SIGNLESS_LAPLACIAN = ("signless", -1.0)
 
-    @property
-    def ratio(self) -> float:
-        """The walk's ``r`` in ``W_r = A - r D``: 1.0, 0.0 or -1.0."""
-        return {"laplacian": 1.0, "adjacency": 0.0, "signless": -1.0}[self.value]
+    def __new__(cls, value: str, ratio: float) -> WalkKind:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.ratio = ratio
+        return member
 
 
 def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import pytest
 from qwsearch.bipartite import (
     CriticalSide,
     InitialStateKind,
+    class_quotient,
     closed_form_probabilities,
     closed_form_runtime,
     critical_gamma,
@@ -31,9 +32,8 @@ from qwsearch.bipartite import (
     reduced_hamiltonian,
     reduced_to_full,
     reduced_walk_matrix,
+    refined_class_quotient,
     runtime_table,
-    simulate_full,
-    simulate_reduced,
 )
 from qwsearch.cli import main
 from qwsearch.evolve import (
@@ -67,7 +67,8 @@ def _peak_grid(t_star):
 
 def _reduced_peak(spec, start, gamma, t_star):
     times = _peak_grid(t_star)
-    probs = simulate_reduced(spec, WalkKind.SIGNLESS_LAPLACIAN, start, gamma, times)
+    state = initial_state(spec, start)
+    probs = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, state).masses(gamma, times)
     return first_peak(times, probs[:, 0] + probs[:, 1])
 
 
@@ -140,14 +141,13 @@ def test_criterion_3_deterministic_search_from_signless_eigenvector():
         gamma = critical_gamma(SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
         t_star = closed_form_runtime(SMALL_SPEC, side)
         times = np.linspace(0.0, 2.0 * t_star, 2000)
-        reduced = simulate_reduced(
-            SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN,
-            InitialStateKind.SIGNLESS_EIGENVECTOR, gamma, times,
-        )
-        full = simulate_full(
-            SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN,
-            InitialStateKind.SIGNLESS_EIGENVECTOR, gamma, times,
-        )
+        state = initial_state(SMALL_SPEC, InitialStateKind.SIGNLESS_EIGENVECTOR)
+        reduced = class_quotient(
+            SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, state
+        ).masses(gamma, times)
+        full = refined_class_quotient(
+            SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, state
+        ).masses(gamma, times)
         _, p_reduced = first_peak(times, reduced[:, 0] + reduced[:, 1])
         _, p_full = first_peak(times, full[:, 0] + full[:, 1])
         oracle_gap = max(oracle_gap, abs(p_reduced - p_full))
@@ -212,14 +212,11 @@ def test_criterion_5_full_vs_reduced_oracle_equivalence():
     start = time.perf_counter()
     times = np.arange(0.0, 50.0001, 0.1)
     worst = 0.0
+    state = initial_state(SMALL_SPEC, InitialStateKind.UNIFORM)
     for walk in WalkKind:
         for gamma in (1 / 9, 1 / 5, 0.07):
-            reduced = simulate_reduced(
-                SMALL_SPEC, walk, InitialStateKind.UNIFORM, gamma, times
-            )
-            full = simulate_full(
-                SMALL_SPEC, walk, InitialStateKind.UNIFORM, gamma, times
-            )
+            reduced = class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
+            full = refined_class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
             worst = max(worst, float(np.max(np.abs(reduced - full))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -239,9 +236,9 @@ def test_criterion_6_closed_form_vs_numeric():
     gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     deviations, leading = {}, {}
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
-        numeric = simulate_reduced(
-            BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, start, gamma, times
-        )[:, 0]
+        numeric = class_quotient(
+            BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, initial_state(BENCH_SPEC, start)
+        ).masses(gamma, times)[:, 0]
         closed = next_order_probabilities(BENCH_SPEC, start, CriticalSide.LEFT, times)[0]
         asymptotic = closed_form_probabilities(BENCH_SPEC, start, CriticalSide.LEFT, times)[0]
         deviations[start.value] = float(np.max(np.abs(numeric - closed)))

@@ -15,6 +15,7 @@ from qwsearch.bipartite import (
     RuntimeTable,
     asymptotic_eigensystem_h0,
     class_partition,
+    class_quotient,
     class_sizes,
     class_slices,
     closed_form_peaks,
@@ -22,7 +23,6 @@ from qwsearch.bipartite import (
     closed_form_runtime,
     critical_gamma,
     degenerate_correction,
-    energy_gap,
     fastest_regime,
     initial_state,
     next_order_correction,
@@ -30,9 +30,8 @@ from qwsearch.bipartite import (
     reduced_hamiltonian,
     reduced_to_full,
     reduced_walk_matrix,
+    refined_class_quotient,
     runtime_table,
-    simulate_full,
-    simulate_reduced,
 )
 from qwsearch.evolve import WalkKind, eig_hermitian
 from qwsearch.graph import BipartiteSpec, complete_bipartite, equitable_partition
@@ -261,7 +260,7 @@ def test_degenerate_correction_requires_marked_side():
     with pytest.raises(ValueError):
         degenerate_correction(spec, CriticalSide.LEFT)
     with pytest.raises(ValueError):
-        energy_gap(spec, CriticalSide.LEFT)
+        closed_form_runtime(spec, CriticalSide.LEFT)
 
 
 def test_numeric_eigensystem_converges_to_correction():
@@ -309,7 +308,9 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
             (InitialStateKind.UNIFORM, s_errors),
             (InitialStateKind.SIGNLESS_EIGENVECTOR, sq_errors),
         ):
-            numeric = simulate_reduced(spec, WalkKind.SIGNLESS_LAPLACIAN, start, gamma, times)
+            numeric = class_quotient(
+                spec, WalkKind.SIGNLESS_LAPLACIAN, initial_state(spec, start)
+            ).masses(gamma, times)
             errors.append(
                 tuple(
                     np.max(np.abs(np.stack(form(spec, start, side, times), axis=1) - numeric))
@@ -382,7 +383,7 @@ def test_first_order_forms_refuse_equal_sides():
     # first-order forms refuse it, with next_order_correction's message
     spec = BipartiteSpec(8, 8, 2, 3)
     for side in CriticalSide:
-        for form in (energy_gap, degenerate_correction, closed_form_runtime):
+        for form in (degenerate_correction, closed_form_runtime):
             with pytest.raises(ValueError, match="equal sides"):
                 form(spec, side)
         for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
@@ -464,7 +465,7 @@ def test_partite_swap_symmetry_is_exact(spec, start, t):
     assert right[1] == swapped[0]
     assert right[2] == swapped[3]
     assert right[3] == swapped[2]
-    assert energy_gap(spec, CriticalSide.RIGHT) == energy_gap(
+    assert closed_form_runtime(spec, CriticalSide.RIGHT) == closed_form_runtime(
         spec.swapped(), CriticalSide.LEFT
     )
 
@@ -749,15 +750,37 @@ def test_closed_form_peaks_skips_undefined_rows():
 
 def test_full_and_reduced_class_probabilities_agree():
     times = np.arange(0.0, 50.0001, 0.1)
+    state = initial_state(SMALL_SPEC, InitialStateKind.UNIFORM)
     for walk in WalkKind:
         for gamma in (1 / 9, 1 / 5, 0.07):
-            reduced = simulate_reduced(
-                SMALL_SPEC, walk, InitialStateKind.UNIFORM, gamma, times
-            )
-            full = simulate_full(
-                SMALL_SPEC, walk, InitialStateKind.UNIFORM, gamma, times
-            )
+            reduced = class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
+            full = refined_class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
             assert np.max(np.abs(reduced - full)) <= 1e-9
+
+
+@pytest.mark.parametrize("walk", list(WalkKind), ids=lambda w: w.value)
+def test_refined_class_quotient_finds_the_class_quotient(walk):
+    # K_{6,6} with two marked vertices per side is fixed by swapping the
+    # sides: refinement merges a with b and c with d unless sides colours
+    # the two sides apart
+    spec = BipartiteSpec(6, 6, 2, 2)
+    times = np.linspace(0.0, 40.0, 161)
+    gammas = [1.0 / 6.0, 0.07, 0.3]
+    for start in InitialStateKind:
+        state = initial_state(spec, start)
+        written = class_quotient(spec, walk, state)
+        for sides, cells in ((False, 2), (True, 4)):
+            refined = refined_class_quotient(spec, walk, state, sides)
+            assert refined.state.size == cells
+            for gamma in gammas:
+                got, want = refined.masses(gamma, times), written.masses(gamma, times)
+                assert np.max(np.abs(got - want)) <= 1e-12
+        got = refined_class_quotient(spec, walk, state, sides=True).levels(gammas)
+        want = written.levels(gammas)
+        assert [(row.gamma, row.n) for row in got] == [(row.gamma, row.n) for row in want]
+        for mine, theirs in zip(got, want):
+            assert abs(mine.left_overlap - theirs.left_overlap) <= 1e-12
+            assert abs(mine.right_overlap - theirs.right_overlap) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -782,7 +805,8 @@ def test_simulate_full_matches_the_uncollapsed_class_curves(spec):
                 want = class_probabilities(
                     spec, uncollapsed_propagate(decomp, psi0, times)
                 )
-                got = simulate_full(spec, walk, start, gamma, times)
+                state = initial_state(spec, start)
+                got = refined_class_quotient(spec, walk, state).masses(gamma, times)
                 assert got.shape == (times.size, 4)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -802,9 +826,9 @@ def test_numeric_agreement_with_closed_form_at_scale():
     times = np.linspace(0.0, t_star, 2000)
     gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
-        numeric = simulate_reduced(
-            BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, start, gamma, times
-        )
+        numeric = class_quotient(
+            BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, initial_state(BENCH_SPEC, start)
+        ).masses(gamma, times)
         closed = closed_form_probabilities(BENCH_SPEC, start, CriticalSide.LEFT, times)[0]
         assert np.max(np.abs(numeric[:, 0] - closed)) <= 0.10
 
@@ -816,7 +840,6 @@ def test_success_is_suppressed_between_critical_rates():
     gamma = 0.5 * (1 / BENCH_SPEC.n1 + 1 / BENCH_SPEC.n2)
     t_hi = 3.0 * runtime_table(BENCH_SPEC).t_qa
     times = np.linspace(0.0, t_hi, 2000)
-    probs = simulate_reduced(
-        BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, InitialStateKind.UNIFORM, gamma, times
-    )
+    state = initial_state(BENCH_SPEC, InitialStateKind.UNIFORM)
+    probs = class_quotient(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, state).masses(gamma, times)
     assert np.max(probs[:, 0] + probs[:, 1]) < 0.5

@@ -25,7 +25,6 @@ from qwsearch.bipartite import (
     initial_state,
     reduced_hamiltonian,
     reduced_to_full,
-    simulate_reduced,
 )
 from qwsearch.evolve import (
     FLAT_TOL,
@@ -537,7 +536,8 @@ def test_permuted_layout_quotient_has_four_cells():
     groups = [relabel[list(vertices)] for vertices in class_slices(spec)]
     times = np.linspace(0.0, 60.0, 241)
     got = search_quotient(permuted, WalkKind.LAPLACIAN, images, psi0, groups).masses(0.03, times)
-    want = simulate_reduced(spec, WalkKind.LAPLACIAN, InitialStateKind.UNIFORM, 0.03, times)
+    state = initial_state(spec, InitialStateKind.UNIFORM)
+    want = class_quotient(spec, WalkKind.LAPLACIAN, state).masses(0.03, times)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
