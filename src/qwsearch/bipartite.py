@@ -144,13 +144,14 @@ def refined_class_quotient(
     The cross-check of the class model: colour refinement of K_{n1,n2} and
     the lifted ``state`` finds the cells (:func:`~qwsearch.evolve.search_quotient`),
     one per nonempty class or per pair of classes that swapping the sides
-    fixes; ``sides`` also colours classes a and b apart. Its groups are the
-    four classes.
+    fixes; ``sides`` also colours the two sides apart, which keeps every
+    class apart. Its groups are the four classes.
     """
     graph, marked = complete_bipartite(spec)
-    classes = class_slices(spec)
-    return search_quotient(graph, walk, marked, reduced_to_full(spec, state), classes,
-                           classes[:2] if sides else ())
+    # with the sides coloured (not classes a and b alone), refinement starts
+    # from the classes themselves, and its first round splits nothing
+    return search_quotient(graph, walk, marked, reduced_to_full(spec, state),
+                           class_slices(spec), [range(spec.n1)] if sides else ())
 
 
 def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:

@@ -229,7 +229,7 @@ def _search(
     class partition down (:func:`~qwsearch.bipartite.class_quotient`),
     full mode finds it in the built graph
     (:func:`~qwsearch.bipartite.refined_class_quotient`, with ``sides``
-    colouring classes a and b apart). Both give the same quotient, up to
+    colouring the two sides apart). Both give the same quotient, up to
     the cell order. On an edge list, which runs in full mode from the
     uniform state only, its one group is the marked set. Either graph is
     refused past the cap before any per-vertex-pair array is built.

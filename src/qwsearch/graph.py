@@ -24,9 +24,11 @@ __all__ = [
 ]
 
 
-# edges are sorted by the int64 key u * n + v, which must not overflow
+# edges are sorted by the key u * n + v, which must not overflow int64; while
+# n * n fits int32 the keys are int32, which sort in about half the time
 _MAX_VERTICES = 2**31
 _INT64 = np.iinfo(np.int64)
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class _EdgeArray(np.ndarray):
@@ -40,11 +42,15 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
     """Validate vertex pairs and return them sorted, deduplicated, ``u < v``.
 
     The pairs are copied once into the two columns of the result, each
-    one contiguous block, and every check reads those columns. Input that
-    is already canonical (every ``u < v``, rows strictly increasing) is
-    kept as copied. Anything else is sorted in place as one array of the
-    keys ``u * n + v`` (smaller end first), a key equal to the one before
-    it is dropped, and ``divmod`` writes the keys back into the columns.
+    one contiguous block, and every check reads those columns. ``u < v``
+    is tested once; when every row passes, two reductions (``u.min() >=
+    0`` and ``v.max() < n``) validate the range, and only input that fails
+    them is searched for its first bad row, to name it. Input that is
+    already canonical (every ``u < v``, rows strictly increasing) is kept
+    as copied. Anything else is sorted as one array of the keys ``u * n +
+    v`` (smaller end first), int32 whenever ``n * n`` fits it, a key equal
+    to the one before it is dropped, and the keys are written back into
+    the columns as ``u = key // n`` and ``v = key - u * n``.
     """
     listed = edges if isinstance(edges, np.ndarray) else list(edges)
     pairs = np.asarray(listed)
@@ -58,10 +64,13 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
     columns = np.empty((2, len(pairs)), dtype=np.int64)
     columns.T[...] = pairs
     u, v = columns
-    _refuse_bad_endpoints(u, v, n)
-    if not _is_canonical(u, v):
+    ordered = bool(np.all(u < v))
+    # with every u < v, u >= 0 and v < n hold each endpoint in range
+    if not (ordered and (u.size == 0 or (u.min() >= 0 and v.max() < n))):
+        _refuse_bad_endpoints(u, v, n)
+    if not (ordered and _rows_increase(u, v)):
         # min(u, v) * n + max(u, v), with max = u + v - min: no temporary
-        keys = np.minimum(u, v)
+        keys = np.minimum(u, v, dtype=np.int32 if n * n <= _INT32_MAX else np.int64)
         keys *= n - 1
         keys += u
         keys += v
@@ -73,7 +82,9 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
             keys = keys[fresh]
             del u, v, columns  # freed before the shorter columns are allocated
             columns = np.empty((2, keys.size), dtype=np.int64)
-        np.divmod(keys, n, out=(columns[0], columns[1]))
+        np.floor_divide(keys, n, out=columns[0])
+        np.multiply(columns[0], n, out=columns[1])
+        np.subtract(keys, columns[1], out=columns[1])
     out = columns.T.view(_EdgeArray)
     out.flags.writeable = False
     return out
@@ -81,7 +92,12 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
 
 def _is_canonical(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether every ``u < v`` and the rows ``(u, v)`` strictly increase: sorted, no pair twice."""
-    if not (np.all(u < v) and np.all(u[1:] >= u[:-1])):
+    return bool(np.all(u < v)) and _rows_increase(u, v)
+
+
+def _rows_increase(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the rows ``(u, v)`` strictly increase in lexicographic order."""
+    if not np.all(u[1:] >= u[:-1]):
         return False
     # u never falls, so a row rises where u rises or else v does
     rising = u[1:] > u[:-1]
@@ -332,12 +348,41 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _first_vertex_order(labels: np.ndarray) -> np.ndarray:
-    """Relabel ``labels`` (any integers) 0, 1, ... in order of first occurrence."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
+def _first_vertex_rank(cells: np.ndarray, count: int) -> np.ndarray:
+    """``rank[i]``: the number of cell ``i`` (ids ``0 .. count-1``) in order of its first vertex."""
+    _, first = np.unique(cells, return_index=True)
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(count)
+    return rank
+
+
+def _neighbour_table(u: np.ndarray, v: np.ndarray, cells: np.ndarray, count: int) -> np.ndarray:
+    """``table[w, j]``: how many neighbours vertex ``w`` has in cell ``j``, an ``n x count`` array.
+
+    Two ``bincount`` passes over the edge columns, one per end of each edge.
+    """
+    n = cells.size
+    keys = np.multiply(u, count)
+    keys += cells[v]
+    table = np.bincount(keys, minlength=n * count)
+    np.multiply(v, count, out=keys)
+    keys += cells[u]
+    table += np.bincount(keys, minlength=n * count)
+    return table.reshape(n, count)
+
+
+def _hashed_signature(u: np.ndarray, v: np.ndarray, mixed_cell: np.ndarray,
+                      heads: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each vertex's wrapping sum of ``mixed_cell`` over its neighbours, one pass over the edges.
+
+    ``u`` is sorted, so its ends sum their runs in one ``reduceat`` (``heads``
+    are the vertices that start a run, ``starts`` the run starts); the ``v``
+    ends add theirs in place.
+    """
+    signature = np.zeros(mixed_cell.size, dtype=np.uint64)
+    signature[heads] = np.add.reduceat(mixed_cell[v], starts)
+    np.add.at(signature, v, mixed_cell[u])
+    return signature
 
 
 def equitable_partition(g: Graph, colours) -> EquitablePartition:
@@ -348,19 +393,27 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
     keys and equal degree (the degree is constant on the cells of every
     equitable partition, so the answer is the same as from the keys alone)
     and splits each cell by the multiset of its vertices' neighbour cells
-    until no cell splits; a round that splits nothing ends it, so there are
-    at most ``n`` rounds (about ``n / 2`` on a path marked at one end; one
-    on K_{n1,n2} with ``n1 != n2`` marked by class, whose classes the keys
-    and degrees already are). Each round is one pass
-    over the two edge columns, with no arc array and no sort longer than
-    ``n``: the smaller ends are sorted, so their sums are one ``reduceat``
-    over their runs, and the larger ends add theirs in place. Each round
-    splits cells exactly by cell id, and compares the multisets by the top
-    bits (at least 32) of a 64-bit sum of mixed cell ids; the sums wrap, so
-    they do not depend on the order of the edges. Equal multisets always
-    agree there, so vertices that share a cell of the answer are never
-    split; the exact check of the result certifies that no two of its cells
-    were merged by a hash collision (it raises ``ValueError`` if one ever
+    until no cell splits; a round that splits nothing ends it, and so does
+    a round that leaves every vertex in a cell of its own, so there are at
+    most ``n`` rounds (about ``n / 2`` on a path marked at one end; one on
+    K_{n1,n2} marked by class, whose classes the keys and degrees already
+    are). Each round splits cells exactly by cell id, and compares the
+    multisets by the top bits (at least 32) of a 64-bit wrapping sum of
+    mixed cell ids, which does not depend on the order of the edges. Equal
+    multisets always agree there, so vertices that share a cell of the
+    answer are never split.
+
+    The first round is exact when its ``n x c`` table of neighbour counts
+    per cell is no larger than the ``2m`` arcs (the size up to which
+    :func:`_checked_partition` counts the same table): it counts the table
+    with two ``bincount`` passes and takes each vertex's sum from its row
+    as ``sum_j table[w, j] * mix(j)``, the wrapping sum a hashed round
+    forms, so it splits exactly what a hashed round would. If it splits
+    nothing, the table certifies the answer, and the check reads it instead
+    of counting again. Any other round is one hashed pass over the two
+    edge columns, with no arc array and no sort longer than ``n``. The
+    exact check of the result certifies that no two of its cells were
+    merged by a hash collision (it raises ``ValueError`` if one ever
     were). A graph without symmetry gets the discrete partition, in which
     cell ``i`` is vertex ``i``.
     """
@@ -387,11 +440,14 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
     heads = np.flatnonzero(np.diff(bounds))
     starts = bounds[heads]
     mixed = _mix(np.arange(g.n))  # cell ids stay below n
-    while u.size:
-        mixed_cell = mixed[cells]
-        signature = np.zeros(g.n, dtype=np.uint64)
-        signature[heads] = np.add.reduceat(mixed_cell[v], starts)
-        np.add.at(signature, v, mixed_cell[u])
+    # the first round's exact table, kept while no round has split
+    table = _neighbour_table(u, v, cells, count) if g.n * count <= 2 * g.m else None
+    while u.size and count < g.n:  # the discrete partition cannot split
+        if table is None:
+            signature = _hashed_signature(u, v, mixed[cells], heads, starts)
+        else:
+            # the same wrapping sum: nonnegative int64 counts read as uint64
+            signature = table.view(np.uint64) @ mixed[:count]
         # the cell id in the high bits, the signature's top bits below it:
         # vertices of different cells never share a key
         bits = np.uint64(count.bit_length())
@@ -404,23 +460,29 @@ def equitable_partition(g: Graph, colours) -> EquitablePartition:
         fresh[order[1:]] = np.cumsum(split)
         if int(fresh[order[-1]]) + 1 == count:
             break
-        cells, count = fresh, int(fresh[order[-1]]) + 1
-    return _checked_partition(g, _first_vertex_order(cells))
+        cells, count, table = fresh, int(fresh[order[-1]]) + 1, None
+    rank = _first_vertex_rank(cells, count)
+    if table is not None:
+        table = table[:, np.argsort(rank)]  # its columns renumbered with the cells
+    return _checked_partition(g, rank[cells], table)
 
 
-def _checked_partition(g: Graph, cells: np.ndarray) -> EquitablePartition:
+def _checked_partition(g: Graph, cells: np.ndarray,
+                       counts: np.ndarray | None = None) -> EquitablePartition:
     """The partition of ``g`` into ``cells``; ``ValueError`` unless it is equitable.
 
     Exact integer check: each vertex's count of neighbours in each cell,
     times its cell's size, must equal the arc count between the two cells,
     which is the sum of those counts over the vertex's cell. When the
     ``n x c`` table of the counts is no larger than the ``2m`` arcs, the
-    whole table is counted and compared, zeros included. Past that, only
-    the (vertex, neighbour cell) pairs that occur are counted, by one sort
-    of ``2m`` keys; the counts of a cell's vertices then sum to the arc
-    count only if every vertex of the cell touches the other cell, so no
-    vertex can miss a cell its cell touches. Either way the check holds
-    one ``c x c`` array and no array over the ``2m`` arcs but those keys.
+    whole table is compared, zeros included; ``counts``, if given, is that
+    table (as :func:`_neighbour_table` counts it for these ``cells``), and
+    is read instead of counted again. Past that size, only the (vertex,
+    neighbour cell) pairs that occur are counted, by one sort of ``2m``
+    keys; the counts of a cell's vertices then sum to the arc count only if
+    every vertex of the cell touches the other cell, so no vertex can miss
+    a cell its cell touches. Either way the check holds one ``c x c`` array
+    and no array over the ``2m`` arcs but those keys.
     """
     cells = np.asarray(cells, dtype=np.intp)
     count = int(cells.max()) + 1
@@ -428,9 +490,7 @@ def _checked_partition(g: Graph, cells: np.ndarray) -> EquitablePartition:
     u, v = np.asarray(g.edges).T
     arcs = np.zeros((count, count), dtype=np.int64)
     if g.n * count <= 2 * g.m:
-        per = np.bincount(u * count + cells[v], minlength=g.n * count)
-        per += np.bincount(v * count + cells[u], minlength=g.n * count)
-        per = per.reshape(g.n, count)
+        per = _neighbour_table(u, v, cells, count) if counts is None else counts
         np.add.at(arcs, cells, per)
         per *= sizes[cells, None]
         equitable = np.array_equal(per, arcs[cells])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs, load_script
@@ -15,6 +15,8 @@ from dense_reference import (
     signless_laplacian,
 )
 from qwsearch import graph as graph_module
+from qwsearch.bipartite import InitialStateKind, initial_state, refined_class_quotient
+from qwsearch.evolve import WalkKind
 from qwsearch.graph import (
     BipartiteSpec,
     Graph,
@@ -182,6 +184,29 @@ def test_canonical_input_is_checked_and_copied():
     assert np.array_equal(Graph(4, [(0, 1), (0, 1), (2, 3)]).edges, [[0, 1], [2, 3]])
     with pytest.raises(ValueError, match=r"edge \(2, 4\) out of range for n=4"):
         Graph(4, [(0, 1), (2, 4)])
+
+
+@pytest.mark.parametrize("n", [46340, 46341, 46342])
+def test_sort_keys_either_side_of_the_int32_boundary(n):
+    # 46340 is the last vertex count with n * n in int32, so the sort takes
+    # int32 keys u * n + v there and int64 keys from 46341 on; at 46342 the
+    # largest key, (n - 2) * n + n - 1, would not fit int32 either
+    int32_max = np.iinfo(np.int32).max
+    assert 46340 ** 2 <= int32_max < 46341 ** 2
+    assert 46341 * 46339 + 46340 <= int32_max < 46342 * 46340 + 46341
+    rng = random.Random(n)
+    top = n - 1
+    pairs = [(top, top - 1), (0, top), (top - 2, top), (1, 2), (top - 1, 0)]
+    pairs += [(rng.randrange(top), top) for _ in range(200)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+    pairs = [(a, b) for a, b in pairs if a != b]
+    rows = pairs + [(b, a) for a, b in pairs[::3]] + pairs[::5]  # reversed and repeated
+    rng.shuffle(rows)
+    want = sorted({(min(a, b), max(a, b)) for a, b in rows})
+    g = Graph(n, rows)
+    assert g.edges.tolist() == [list(edge) for edge in want]
+    assert g.edges.dtype == np.int64
+    assert Graph(n, rows[::-1]) == g
 
 
 def test_complete_bipartite_peak_memory_is_about_two_edge_arrays():
@@ -493,9 +518,20 @@ def _marked_at(n, *vertices):
     return colours
 
 
-@given(graphs(), st.data())
-def test_equitable_partition_matches_exact_refinement(g, data):
-    colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+@st.composite
+def _coloured_graphs(draw):
+    g = draw(graphs())
+    return g, draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+
+
+@given(_coloured_graphs())
+# first rounds counted exactly (n c <= 2 m): C_6 and Q_9 marked at a vertex
+# split there, K_{3,2} uncoloured is already equitable and splits nothing
+@example((_cycle(6), [1, 0, 0, 0, 0, 0]))
+@example((_hypercube(9), [1] + [0] * 511))
+@example((complete_bipartite(BipartiteSpec(3, 2, 1, 0))[0], [0] * 5))
+def test_equitable_partition_matches_exact_refinement(case):
+    g, colours = case
     part = equitable_partition(g, np.array(colours))
     assert part.cells.tolist() == refined_cells(g, colours)
     assert part.sizes.tolist() == np.bincount(part.cells).tolist()
@@ -610,6 +646,80 @@ def test_a_hash_collision_is_caught_not_returned(monkeypatch):
     monkeypatch.setattr(graph_module, "_mix", lambda x: np.zeros(len(x), dtype=np.uint64))
     with pytest.raises(ValueError, match="not equitable"):
         equitable_partition(Graph(4, [(0, 1), (1, 2), (2, 3)]), _marked_at(4, 0))
+
+
+def _spy_on_refinement(monkeypatch):
+    """Counts, while the test runs, of first-round tables, hashed rounds and checks that recount."""
+    seen = {"tables": 0, "hashed": 0, "recounts": 0}
+    table, hashed, checked = (graph_module._neighbour_table, graph_module._hashed_signature,
+                              graph_module._checked_partition)
+
+    def count_table(*args):
+        seen["tables"] += 1
+        return table(*args)
+
+    def count_hashed(*args):
+        seen["hashed"] += 1
+        return hashed(*args)
+
+    def count_recount(g, cells, counts=None):
+        seen["recounts"] += counts is None
+        return checked(g, cells, counts)
+
+    monkeypatch.setattr(graph_module, "_neighbour_table", count_table)
+    monkeypatch.setattr(graph_module, "_hashed_signature", count_hashed)
+    monkeypatch.setattr(graph_module, "_checked_partition", count_recount)
+    return seen
+
+
+def test_a_collision_in_an_exact_first_round_is_refused_by_its_own_table(monkeypatch):
+    # C_6 marked at 0 counts its first round exactly (n c = 12 = 2 m); with
+    # every signature equal that round splits nothing, and the check reads
+    # the round's table, in which vertex 1 touches the marked cell and
+    # vertex 3 does not
+    monkeypatch.setattr(graph_module, "_mix", lambda x: np.zeros(len(x), dtype=np.uint64))
+    seen = _spy_on_refinement(monkeypatch)
+    with pytest.raises(ValueError, match="not equitable"):
+        equitable_partition(_cycle(6), _marked_at(6, 0))
+    assert seen == {"tables": 1, "hashed": 0, "recounts": 0}
+
+
+@pytest.mark.parametrize("sides", [False, True], ids=["sweep", "sides"])
+@pytest.mark.parametrize("start", [InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("layout", [(48, 24, 3, 5), (6, 6, 2, 2)], ids=str)
+def test_layout_refinement_is_one_exact_round_that_its_check_reads(monkeypatch, layout, start,
+                                                                   sides):
+    # the start cells (marked set, state, sides and degree) are already the
+    # answer: the classes, or pairs of them on the swap-symmetric K_{6,6}
+    # without sides; the exact first round splits nothing and its table is
+    # the certificate
+    spec = BipartiteSpec(*layout)
+    seen = _spy_on_refinement(monkeypatch)
+    quotient = refined_class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN,
+                                      initial_state(spec, start), sides)
+    assert seen == {"tables": 1, "hashed": 0, "recounts": 0}
+    assert quotient.state.size == (4 if sides or layout[0] != layout[1] else 2)
+
+
+def test_a_refinement_that_splits_after_its_exact_round_recounts(monkeypatch):
+    # Q_9 marked at 0: the exact first round splits off the neighbours of
+    # 0, hashed rounds find the ten weights, and the check counts afresh
+    seen = _spy_on_refinement(monkeypatch)
+    part = equitable_partition(_hypercube(9), _marked_at(512, 0))
+    assert part.sizes.tolist() == [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
+    assert seen["tables"] == 1
+    assert seen["hashed"] > 0
+    assert seen["recounts"] == 1
+
+
+def test_refinement_ends_at_the_discrete_partition(monkeypatch):
+    # the path 0-1-2-3 marked at 0 is discrete after one hashed round; a
+    # partition of single vertices cannot split, so no round confirms it
+    seen = _spy_on_refinement(monkeypatch)
+    part = equitable_partition(Graph(4, [(0, 1), (1, 2), (2, 3)]), _marked_at(4, 0))
+    assert part.cells.tolist() == [0, 1, 2, 3]
+    assert seen == {"tables": 0, "hashed": 1, "recounts": 1}
 
 
 def _neighbour_counts(g, cells):
