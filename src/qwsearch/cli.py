@@ -67,6 +67,9 @@ DEFAULT_SAMPLES = 2000
 DEFAULT_GAMMA_COUNT = 200
 
 _PROBES = ("s", "sq", "ml", "mr")
+# The walk W_r = A - r D of each ratio r; -0.0 finds the adjacency walk,
+# as it hashes and compares as 0.0.
+_WALK_OF_RATIO = {kind.ratio: kind for kind in WalkKind}
 
 
 class UsageError(Exception):
@@ -363,14 +366,16 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=ratio * gamma)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
     # the walk W_r = A - r D with r = jz / jx, if it is one of the three
-    expected = next((kind for kind in WalkKind if kind.ratio == ratio), None)
+    expected = _WALK_OF_RATIO.get(ratio)
     passed = expected in kinds
     # candidates that coincide all match; show the expected one among them
     kind = expected if passed else (kinds[0] if kinds else None)
-    print(f"classification={kind.value if kind else 'other'}")
-    print(f"max_deviation={deviation!r}")
-    print(f"expected={expected.value if expected else 'none'}")
-    print(f"result={'PASS' if passed else 'FAIL'}")
+    sys.stdout.write(
+        f"classification={kind.value if kind else 'other'}\n"
+        f"max_deviation={deviation!r}\n"
+        f"expected={expected.value if expected else 'none'}\n"
+        f"result={'PASS' if passed else 'FAIL'}\n"
+    )
     return 0 if passed else 2
 
 

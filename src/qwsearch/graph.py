@@ -240,7 +240,8 @@ def read_edge_list(path: str | Path) -> Graph:
     rows = _plain_rows(path)
     if rows is not None:
         return Graph(int(rows[0, 0]), rows[1:])
-    text = Path(path).read_text()
+    with open(path) as f:
+        text = f.read()
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")

@@ -15,6 +15,7 @@ Hamiltonian, so the certificate holds nothing that grows with ``n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 EQUIVALENCE_TOL = 1e-10
+# The candidate walks in the order that breaks ties, and their ratios r as
+# a column: one row of the certificate each.
+_CANDIDATES = (WalkKind.ADJACENCY, WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN)
+_RATIOS = np.array([[kind.ratio] for kind in _CANDIDATES])
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ class CouplingConstants:
 
     def __post_init__(self) -> None:
         for name in ("jx", "jy", "jz"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"coupling {name} must be finite")
 
 
@@ -100,31 +105,34 @@ def certify_walk_equivalence(
     degrees, so only two kinds of entry are compared: the hopping
     amplitude against ``-gamma`` (when there is an edge), and each
     distinct degree ``d``'s energy against ``-gamma r (m / 2 - d)``; the
-    zero entries agree. Each candidate entry is ``-gamma`` times a
-    half-integer, one rounding, as in the block: a matching candidate
-    deviates by exactly 0.0 at any size. The deviation is the one the
-    ``n x n`` matrices give, bit for bit, and nothing held grows with
-    ``n``. Returns the kinds within ``EQUIVALENCE_TOL``, from the smallest
-    deviation up (equal deviations in the order above), and the smallest
-    max entrywise deviation of the three. More than one kind matches when
-    the candidates coincide, as they do when every degree is ``m / 2``
-    (the 4-cycle, K4, two disjoint edges, edgeless graphs). Requires
-    ``jx == jy``.
+    zero entries agree. One array expression over candidates x distinct
+    entries compares them for all three walks: a row per walk, the hopping
+    gap in the first column and the gap at each distinct degree after it,
+    each row's max that walk's deviation. Each candidate entry is
+    ``-gamma`` times a half-integer, one rounding, as in the block: a
+    matching candidate deviates by exactly 0.0 at any size. The deviation
+    is the one the ``n x n`` matrices give, bit for bit, and nothing held
+    grows with ``n``. Returns the kinds within ``EQUIVALENCE_TOL``, from
+    the smallest deviation up (equal deviations in the order above), and
+    the smallest max entrywise deviation of the three. More than one kind
+    matches when the candidates coincide, as they do when every degree is
+    ``m / 2`` (the 4-cycle, K4, two disjoint edges, edgeless graphs).
+    Requires ``jx == jy``.
     """
     if j.jx != j.jy:
         raise ValueError("walk equivalence requires jx == jy")
     gamma = j.jx
     block = single_excitation_block(g, j)
-    degrees = block.degrees.astype(float)
-    offsets = 0.5 * g.m - degrees
-    # every candidate is -gamma at the edges
-    hops = [abs(-gamma - block.hopping)] if g.m else []
-    deviations = []
-    for kind in (WalkKind.ADJACENCY, WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN):
-        # the candidate's diagonal entry at degree d, before the factor -gamma
-        gaps = np.abs(kind.ratio * offsets * -gamma - block.energies)
-        deviations.append((float(np.max(np.concatenate([hops, gaps]))), kind))
-    deviations.sort(key=lambda pair: pair[0])  # stable: ties keep the order above
+    offsets = 0.5 * g.m - block.degrees
+    hops = 1 if g.m else 0
+    gaps = np.empty((len(_CANDIDATES), hops + offsets.size))
+    if hops:  # every candidate is -gamma at the edges
+        gaps[:, 0] = abs(-gamma - block.hopping)
+    # each candidate's diagonal entry at degree d is r (m / 2 - d) times -gamma
+    np.abs(_RATIOS * offsets * -gamma - block.energies, out=gaps[:, hops:])
+    deviations = sorted(  # stable: ties keep the order above
+        zip(np.max(gaps, axis=1).tolist(), _CANDIDATES), key=lambda pair: pair[0]
+    )
     kinds = tuple(kind for dev, kind in deviations if dev <= EQUIVALENCE_TOL)
     return kinds, deviations[0][0]
 

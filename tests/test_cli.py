@@ -240,6 +240,14 @@ def test_verify_spin_exit_codes(capsys):
     assert code == 0
     assert "classification=adjacency" in out
 
+    # -0.0 == 0.0, so the ratio -0.0 expects the adjacency walk too
+    code, out, _ = run_cli(capsys, ["verify-spin", "--jz-ratio", "-0.0", "--gamma", "0.3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "classification=adjacency" in lines
+    assert "expected=adjacency" in lines
+    assert "result=PASS" in lines
+
     code, out, _ = run_cli(capsys, ["verify-spin", "--jz-ratio", "0.37"])
     assert code == 2
     assert "classification=other" in out

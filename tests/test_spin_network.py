@@ -134,8 +134,17 @@ def test_certify_rejects_anisotropic_transverse():
 
 
 def test_coupling_constants_must_be_finite():
-    with pytest.raises(ValueError):
-        CouplingConstants(np.inf, 1.0, 0.0)
+    for name in ("jx", "jy", "jz"):
+        for value in (np.inf, -np.inf, np.nan):
+            values = {"jx": 1.0, "jy": 1.0, "jz": 0.0, name: value}
+            with pytest.raises(ValueError, match=f"^coupling {name} must be finite$"):
+                CouplingConstants(**values)
+    # finite NumPy scalars are taken as they are
+    for dtype in (np.float32, np.float64):
+        j = CouplingConstants(dtype(0.5), dtype(0.5), dtype(-0.5))
+        assert (j.jx, j.jy, j.jz) == (0.5, 0.5, -0.5)
+        kinds, deviation = certify_walk_equivalence(demo_graph(), j)
+        assert (kinds, deviation) == ((WalkKind.SIGNLESS_LAPLACIAN,), 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,15 +306,25 @@ def test_certificate_on_the_degrees_is_the_dense_certificate(g, gamma, ratio):
 
 @pytest.mark.parametrize(
     "g",
-    [Graph(1, []), Graph(4, []), demo_graph(), *COINCIDING.values()],
-    ids=["n1", "edgeless4", "demo", *COINCIDING],
+    [
+        Graph(1, []),
+        Graph(4, []),
+        demo_graph(),
+        *COINCIDING.values(),
+        Graph(9, [(0, k) for k in range(1, 9)]),
+    ],
+    ids=["n1", "edgeless4", "demo", *COINCIDING, "star8"],
 )
 def test_certificate_matches_the_dense_certificate_at_the_edges(g):
-    for gamma in (0.0, -0.45, 0.3, 7.0):
+    # from 5e307 up some entries overflow to inf, and some gaps are inf -
+    # inf = NaN (at the star's hub, where a matching candidate's other gaps
+    # are 0): each row's max keeps them as the matrices' max does
+    for gamma in (0.0, -0.45, 0.3, 7.0, 1e308, -1e308, 5e307, -5e307):
         for ratio in (0.0, 1.0, -1.0, 0.5, 0.37):
             j = CouplingConstants(gamma, gamma, ratio * gamma)
-            kinds, deviation = certify_walk_equivalence(g, j)
-            want_kinds, want_deviation = dense_certificate(g, j)
+            with np.errstate(over="ignore", invalid="ignore"):
+                kinds, deviation = certify_walk_equivalence(g, j)
+                want_kinds, want_deviation = dense_certificate(g, j)
             assert (kinds, repr(deviation)) == (want_kinds, repr(want_deviation)), (gamma, ratio)
 
 
