@@ -43,16 +43,13 @@ from .bipartite import (
     class_slices,
     closed_form_peaks,
     closed_form_probabilities,
-    closed_form_runtime,
     critical_gamma,
     degenerate_correction,
     fastest_regime,
     initial_state,
     next_order_correction,
     next_order_probabilities,
-    reduced_hamiltonian,
     reduced_to_full,
-    reduced_walk_matrix,
     refined_class_quotient,
     runtime_table,
 )

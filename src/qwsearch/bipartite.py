@@ -6,13 +6,15 @@ left unmarked (c), right unmarked (d). This module writes these classes
 down as an equitable partition in closed form (:func:`class_quotient`);
 its search runs through the same engine as the one on the partition that
 colour refinement finds in the built graph (:func:`refined_class_quotient`),
-the model's cross-check. On top of it sit the reduced 4x4 operators, the
-three canonical initial states, and the leading-order theory: each walk's
-critical rate for a targeted side, and the runtimes and first-order gaps
-at it, all from one level crossing of ``W_r = A - r D``
-(:func:`critical_gamma`, :func:`runtime_table`).
-The signless walk also has asymptotic eigensystems, closed-form class
-probabilities and their next-order finite-size corrections there.
+the model's cross-check; its ``walk`` and ``hamiltonian(gamma)`` are the
+reduced operators on the nonempty classes. On top of it sit the three
+canonical initial states and the leading-order theory: each walk's
+critical rate for a targeted side and its runtime there, both from one
+level crossing of ``W_r = A - r D`` (:func:`critical_gamma`,
+:func:`runtime_table`). The signless walk also has asymptotic
+eigensystems, whose first-order gap is ``pi / t_qa`` (``pi / t_qb`` on
+the right), closed-form class probabilities and their next-order
+finite-size corrections there.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +50,11 @@ __all__ = [
     "class_partition",
     "class_quotient",
     "refined_class_quotient",
-    "reduced_walk_matrix",
-    "reduced_hamiltonian",
     "initial_state",
     "reduced_to_full",
     "critical_gamma",
     "asymptotic_eigensystem_h0",
     "degenerate_correction",
-    "closed_form_runtime",
     "closed_form_probabilities",
     "next_order_correction",
     "next_order_probabilities",
@@ -154,38 +152,6 @@ def refined_class_quotient(
                            class_slices(spec), [range(spec.n1)] if sides else ())
 
 
-def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:
-    """A class-quotient matrix, or a stack of them, in the fixed (a, b, c, d) 4x4.
-
-    Rows and columns of empty classes are zero.
-    """
-    active = np.flatnonzero(class_sizes(spec))
-    out = np.zeros((*matrix.shape[:-2], 4, 4))
-    out[..., active[:, None], active] = matrix
-    return out
-
-
-def reduced_walk_matrix(spec: BipartiteSpec, walk: WalkKind) -> np.ndarray:
-    """The walk generator on the class states: :func:`class_partition`'s quotient in 4x4.
-
-    The adjacency block couples each left class to each right class with
-    weight ``sqrt(size_i * size_j)``; the degree part is ``diag(n2, n1,
-    n2, n1)``.
-    """
-    return _embedded(spec, walk_matrix(class_partition(spec), walk))
-
-
-def reduced_hamiltonian(
-    spec: BipartiteSpec, walk: WalkKind, gamma: float | Sequence[float] | np.ndarray
-) -> np.ndarray:
-    """Reduced 4x4 search Hamiltonian ``-gamma W - diag(1, 1, 0, 0)`` of :func:`class_quotient`.
-
-    A 1-D sequence of rates gives the stack of their Hamiltonians.
-    """
-    # the Hamiltonian does not read the state
-    return _embedded(spec, class_quotient(spec, walk, np.zeros(4)).hamiltonian(gamma))
-
-
 def initial_state(spec: BipartiteSpec, kind: InitialStateKind) -> np.ndarray:
     """One of the three canonical start states, in the class basis.
 
@@ -242,29 +208,26 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
     return np.repeat(amps / np.sqrt(np.maximum(sizes, 1)), sizes)
 
 
-def _crossing(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> float:
-    """``g = sqrt(r^2 (n1 - n2)^2 / 4 + n1 n2) - r (n1 - n2) / 2``, ``side`` read as the left.
+def _crossing(n1: int, n2: int, ratio: float) -> float:
+    """``g = sqrt(r^2 (n1 - n2)^2 / 4 + n1 n2) - r (n1 - n2) / 2``, ``n1`` the target side.
 
     ``r`` is the walk's ratio. At ``gamma = 1/g`` the marked level ``-1 +
     gamma r n2`` crosses the lower level of the unmarked (c, d) block.
     """
-    n1, n2 = (spec.n1, spec.n2) if side is CriticalSide.LEFT else (spec.n2, spec.n1)
-    half = 0.5 * walk.ratio * (n1 - n2)
+    half = 0.5 * ratio * (n1 - n2)
     root = math.sqrt(half * half + float(n1 * n2))
     # the same g, without the cancellation of root - half when half > 0
     return root - half if half <= 0.0 else float(n1 * n2) / (root + half)
 
 
-def _runtime(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> float | None:
+def _runtime(n1: int, n2: int, k1: int, ratio: float) -> float | None:
     """Leading-order ``(pi/2) sqrt((g^2 + n1 n2) / (k1 n2))``, ``None`` if ``k1 == 0``.
 
-    ``g`` is :func:`_crossing`'s, and ``side`` is read as the left.
+    ``g`` is :func:`_crossing`'s, and ``n1`` and ``k1`` are the target side's.
     """
-    left = side is CriticalSide.LEFT
-    n1, n2, k1 = (spec.n1, spec.n2, spec.k1) if left else (spec.n2, spec.n1, spec.k2)
     if k1 < 1:
         return None
-    g = _crossing(spec, walk, side)
+    g = _crossing(n1, n2, ratio)
     return 0.5 * math.pi * math.sqrt((g * g + float(n1 * n2)) / (k1 * float(n2)))
 
 
@@ -274,7 +237,8 @@ def critical_gamma(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> f
     Signless ``1/n1`` left and ``1/n2`` right, Laplacian ``1/n2`` left and
     ``1/n1`` right, adjacency ``1/sqrt(n1 n2)`` on both sides.
     """
-    return 1.0 / _crossing(spec, walk, side)
+    n1, n2 = (spec.n1, spec.n2) if side is CriticalSide.LEFT else (spec.n2, spec.n1)
+    return 1.0 / _crossing(n1, n2, walk.ratio)
 
 
 def asymptotic_eigensystem_h0(
@@ -333,6 +297,15 @@ def _check_left_doublet(spec: BipartiteSpec) -> None:
         raise ValueError("equal sides put the b level on the critical doublet")
 
 
+def _first_order_gap(spec: BipartiteSpec) -> float:
+    """``pi / t_qa``: the left-critical doublet's splitting at first order.
+
+    It refuses what :func:`_check_left_doublet` refuses.
+    """
+    _check_left_doublet(spec)
+    return math.pi / _runtime(spec.n1, spec.n2, spec.k1, WalkKind.SIGNLESS_LAPLACIAN.ratio)
+
+
 def degenerate_correction(
     spec: BipartiteSpec, side: CriticalSide
 ) -> DegenerateEigensystem:
@@ -344,12 +317,14 @@ def degenerate_correction(
     ``-1 - n2/n1 -/+ sqrt(k1 n2 / (n1 n))``, while ``b`` (eigenvalue -2)
     and ``v`` (eigenvalue 0) are unchanged. The right-critical case is the
     partite-swapped mirror image.
-    ``delta_e`` is ``pi / closed_form_runtime`` (the exact 4x4 gap is 0.98569
-    of it on ``(512, 256, 3, 5)``), and this refuses what the runtime refuses.
+    ``delta_e`` is ``pi / t_qa`` (``pi / t_qb`` on the right) of
+    :func:`runtime_table` (the exact 4x4 gap is 0.98569 of it on ``(512,
+    256, 3, 5)``). It refuses layouts without a marked vertex on the
+    target side, and equal sides.
     """
     if side is CriticalSide.RIGHT:
         return _mirrored(degenerate_correction(spec.swapped(), CriticalSide.LEFT))
-    half_gap = 0.5 * (math.pi / closed_form_runtime(spec, CriticalSide.LEFT))
+    half_gap = 0.5 * _first_order_gap(spec)
     n1, n2 = float(spec.n1), float(spec.n2)
     base = -1.0 - n2 / n1
     gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
@@ -361,18 +336,6 @@ def degenerate_correction(
         (v, 0.0),
     ]
     return _sorted_system(pairs, 2.0 * half_gap)
-
-
-def closed_form_runtime(spec: BipartiteSpec, side: CriticalSide) -> float:
-    """Leading-order time of the signless search of ``side``: ``t_qa`` or ``t_qb``.
-
-    This is the n -> infinity time of the success maximum. At finite size
-    the first numeric maximum lands later (36.66 against 35.54 on
-    ``(512, 256, 3, 5)`` from the uniform start); the curves of
-    :func:`next_order_probabilities` locate it.
-    """
-    _check_left_doublet(spec if side is CriticalSide.LEFT else spec.swapped())
-    return _runtime(spec, WalkKind.SIGNLESS_LAPLACIAN, side)
 
 
 def closed_form_probabilities(
@@ -399,7 +362,7 @@ def closed_form_probabilities(
         p_a = sin^2(dE t / 2),  p_b = 0,
         p_c = (n2 / n) cos^2(dE t / 2),  p_d = (n1 / n) cos^2(dE t / 2)
 
-    with ``dE = pi / closed_form_runtime`` the critical-gap splitting of
+    with ``dE = pi / t_qa`` the critical-gap splitting of
     :func:`degenerate_correction`. The right-critical case is the
     partite-swapped mirror. The four probabilities sum to one for every t.
     Only the uniform and signless starts have closed forms here.
@@ -409,7 +372,7 @@ def closed_form_probabilities(
     if side is CriticalSide.RIGHT:
         pa, pb, pc, pd = closed_form_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)
         return pb, pa, pd, pc
-    gap = math.pi / closed_form_runtime(spec, CriticalSide.LEFT)
+    gap = _first_order_gap(spec)
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
     t = np.asarray(t, dtype=float)
     half = 0.5 * gap * t
@@ -449,6 +412,14 @@ def _inverse_sqrt_2x2(m: np.ndarray) -> np.ndarray:
     """``m^(-1/2)`` of a symmetric positive-definite 2x2 matrix."""
     pairs = _symmetric_2x2(m[0, 0], m[0, 1], m[1, 1])
     return sum(np.outer(vec, vec) / math.sqrt(value) for vec, value in pairs)
+
+
+def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:
+    """A class-quotient matrix in the fixed (a, b, c, d) 4x4, zero on the empty classes."""
+    active = np.flatnonzero(class_sizes(spec))
+    out = np.zeros((4, 4))
+    out[active[:, None], active] = matrix
+    return out
 
 
 def next_order_correction(
@@ -503,7 +474,10 @@ def next_order_correction(
         ]
     )
     gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
-    h_class = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, gamma)
+    # the Hamiltonian does not read the state
+    h_class = _embedded(
+        spec, class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(gamma)
+    )
     h = frame.T @ h_class @ frame
     eye, zero = np.eye(2), np.zeros((2, 2))
     centre = 0.5 * (h[0, 0] + h[1, 1])
@@ -627,17 +601,20 @@ def runtime_table(spec: BipartiteSpec) -> RuntimeTable:
 
     The Laplacian and signless entries are :func:`_runtime`, ``None``
     (not infinity) without a marked vertex on the targeted side. ``t_a`` is
-    the adjacency walk's three-level runtime.
+    the adjacency walk's three-level runtime. Each is the n -> infinity
+    time of the success maximum; at finite size the first numeric maximum
+    lands later (36.66 against ``t_qa`` = 35.54 on ``(512, 256, 3, 5)``
+    from the uniform start), and :func:`next_order_probabilities` locates it.
     """
-    n1, n2, k1, k2 = float(spec.n1), float(spec.n2), float(spec.k1), float(spec.k2)
-    laplacian, signless = WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN
-    left, right = CriticalSide.LEFT, CriticalSide.RIGHT
+    n1, n2, k1, k2 = spec.n1, spec.n2, spec.k1, spec.k2
+    laplacian, signless = WalkKind.LAPLACIAN.ratio, WalkKind.SIGNLESS_LAPLACIAN.ratio
+    f1, f2 = float(n1), float(n2)
     return RuntimeTable(
-        t_la=_runtime(spec, laplacian, left),
-        t_lb=_runtime(spec, laplacian, right),
-        t_a=(math.pi / math.sqrt(2.0)) * math.sqrt(n1 * n2 / (k2 * n1 + k1 * n2)),
-        t_qa=_runtime(spec, signless, left),
-        t_qb=_runtime(spec, signless, right),
+        t_la=_runtime(n1, n2, k1, laplacian),
+        t_lb=_runtime(n2, n1, k2, laplacian),
+        t_a=(math.pi / math.sqrt(2.0)) * math.sqrt(f1 * f2 / (float(k2) * f1 + float(k1) * f2)),
+        t_qa=_runtime(n1, n2, k1, signless),
+        t_qb=_runtime(n2, n1, k2, signless),
     )
 
 
@@ -681,9 +658,11 @@ def fastest_regime(spec: BipartiteSpec) -> RegimeClassification:
         axis = "k1" if spec.n1 > spec.n2 else "k2"
         wide = spec if spec.n1 > spec.n2 else spec.swapped()
         n1, n2, n = float(wide.n1), float(wide.n2), float(wide.n)
+        # the difference of the ints: past 2^53 unequal sides can round to one float
+        gap = float(wide.n1 - wide.n2)
         thresholds = (
-            wide.k2 * n1 * (n1 - n2) / (n2 * n),
-            wide.k2 * n1 * n / (n2 * (n1 - n2)),
+            wide.k2 * n1 * gap / (n2 * n),
+            wide.k2 * n1 * n / (n2 * gap),
         )
     near_regular = abs(spec.n1 - spec.n2) < math.sqrt(spec.n)
     return RegimeClassification(

@@ -102,9 +102,11 @@ def _oracle_shifted(
     """``-gamma * w`` with 1 subtracted at each ``marked`` diagonal entry.
 
     A 1-D array of rates gives the stack of their matrices, shape
-    ``(len(gamma), *w.shape)``.
+    ``(len(gamma), *w.shape)``. A product past the float range is
+    infinite, which :func:`eig_hermitian` refuses.
     """
-    h = -np.asarray(gamma)[..., None, None] * w
+    with np.errstate(over="ignore"):
+        h = -np.asarray(gamma)[..., None, None] * w
     h[..., marked, marked] -= 1.0
     return h
 
@@ -132,22 +134,28 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix or a stack of them: ``eigh``'s arrays.
 
     ``h`` has shape ``(d, d)`` or ``(..., d, d)``. Each matrix is checked
-    to be Hermitian to within ``HERMITICITY_TOL`` of its own largest entry
-    (the message names the deviation of the first that is not), then the
-    whole stack goes to one ``eigh`` call, whose output is returned
-    unchanged: ascending eigenvalues and orthonormal eigenvector columns
-    (real for a real ``h``), each matrix's bit for bit as its own call
-    would give them. Each column is fixed only up to a phase (a sign for
-    real input), and an exactly degenerate eigenspace gets whichever
-    orthonormal basis LAPACK finds. Repeated calls on the same input in one
-    process return the same arrays; another NumPy or LAPACK build may
-    choose other phases or bases.
+    to have finite entries (the message names the largest entry of the
+    first that has not: ``inf`` or ``nan``) and to be Hermitian to within
+    ``HERMITICITY_TOL`` of its own largest entry (the message names the
+    deviation of the first that is not), then the whole stack goes to one
+    ``eigh`` call, whose output is returned unchanged: ascending
+    eigenvalues and orthonormal eigenvector columns (real for a real
+    ``h``), each matrix's bit for bit as its own call would give them.
+    Each column is fixed only up to a phase (a sign for real input), and
+    an exactly degenerate eigenspace gets whichever orthonormal basis
+    LAPACK finds. Repeated calls on the same input in one process return
+    the same arrays; another NumPy or LAPACK build may choose other phases
+    or bases.
     """
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("matrix must be square")
     entries = (-2, -1)
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=entries, initial=0.0))
+    # the largest entry is finite only if every entry is
+    scale = np.max(np.abs(h), axis=entries, initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ValueError(f"matrix has a non-finite entry ({scale[~np.isfinite(scale)][0]:g})")
+    scale = np.maximum(1.0, scale)
     deviation = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=entries, initial=0.0)
     failed = deviation > HERMITICITY_TOL * scale
     if failed.any():

@@ -9,6 +9,7 @@ pairs.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,11 +89,6 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
     out = columns.T.view(_EdgeArray)
     out.flags.writeable = False
     return out
-
-
-def _is_canonical(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether every ``u < v`` and the rows ``(u, v)`` strictly increase: sorted, no pair twice."""
-    return bool(np.all(u < v)) and _rows_increase(u, v)
 
 
 def _rows_increase(u: np.ndarray, v: np.ndarray) -> bool:
@@ -178,6 +174,8 @@ class BipartiteSpec:
 
     ``n1`` and ``n2`` are the partite-set sizes, ``k1`` and ``k2`` how many
     vertices of each set are marked. At least one vertex must be marked.
+    The closed forms read ``n1 n2`` as a float, so it must not pass the
+    largest one.
     """
 
     n1: int
@@ -188,6 +186,8 @@ class BipartiteSpec:
     def __post_init__(self) -> None:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("partite sets must be nonempty")
+        if self.n1 * self.n2 > sys.float_info.max:
+            raise ValueError("partite sets too large: n1 * n2 passes the largest float")
         if not (0 <= self.k1 <= self.n1 and 0 <= self.k2 <= self.n2):
             raise ValueError("marked counts must satisfy 0 <= k_i <= n_i")
         if self.k1 + self.k2 < 1:

@@ -24,14 +24,11 @@ from qwsearch.bipartite import (
     InitialStateKind,
     class_quotient,
     closed_form_probabilities,
-    closed_form_runtime,
     critical_gamma,
     fastest_regime,
     initial_state,
     next_order_probabilities,
-    reduced_hamiltonian,
     reduced_to_full,
-    reduced_walk_matrix,
     refined_class_quotient,
     runtime_table,
 )
@@ -80,7 +77,7 @@ def _next_order_peak(spec, start, side, t_star):
 
 def test_criterion_1_uniform_start_left_critical_peak():
     start = time.perf_counter()
-    t_inf = closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT)  # 35.54
+    t_inf = runtime_table(BENCH_SPEC).t_qa  # 35.54
     p_inf = 4 * 512 * 256 / 768**2  # 0.889
     t_star, p_star = _next_order_peak(
         BENCH_SPEC, InitialStateKind.UNIFORM, CriticalSide.LEFT, t_inf
@@ -102,7 +99,7 @@ def test_criterion_1_uniform_start_left_critical_peak():
 
 def test_criterion_2_uniform_start_right_critical_peak():
     start = time.perf_counter()
-    t_inf = closed_form_runtime(BENCH_SPEC, CriticalSide.RIGHT)  # 13.77
+    t_inf = runtime_table(BENCH_SPEC).t_qb  # 13.77
     p_inf = 4 * 512 * 256 / 768**2
     t_star, p_star = _next_order_peak(
         BENCH_SPEC, InitialStateKind.UNIFORM, CriticalSide.RIGHT, t_inf
@@ -126,8 +123,10 @@ def test_criterion_3_deterministic_search_from_signless_eigenvector():
     # "near" the predicted time is pinned to +-2.5 (about half a beat
     # period); the asymptotic value 1 is checked as >= 0.95 at desk scale
     results = []
-    for side, window in ((CriticalSide.LEFT, 2.5), (CriticalSide.RIGHT, 2.5)):
-        t_star = closed_form_runtime(BENCH_SPEC, side)
+    table = runtime_table(BENCH_SPEC)
+    for side, window, t_star in (
+        (CriticalSide.LEFT, 2.5, table.t_qa), (CriticalSide.RIGHT, 2.5, table.t_qb)
+    ):
         t_peak, p_peak = _reduced_peak(
             BENCH_SPEC,
             InitialStateKind.SIGNLESS_EIGENVECTOR,
@@ -137,9 +136,9 @@ def test_criterion_3_deterministic_search_from_signless_eigenvector():
         results.append((side.value, t_peak, p_peak, t_star, window))
     # independent full-space oracle bounds the finite-size shortfall
     oracle_gap = 0.0
-    for side in CriticalSide:
+    table = runtime_table(SMALL_SPEC)
+    for side, t_star in ((CriticalSide.LEFT, table.t_qa), (CriticalSide.RIGHT, table.t_qb)):
         gamma = critical_gamma(SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
-        t_star = closed_form_runtime(SMALL_SPEC, side)
         times = np.linspace(0.0, 2.0 * t_star, 2000)
         state = initial_state(SMALL_SPEC, InitialStateKind.SIGNLESS_EIGENVECTOR)
         reduced = class_quotient(
@@ -231,7 +230,7 @@ def test_criterion_5_full_vs_reduced_oracle_equivalence():
 
 
 def test_criterion_6_closed_form_vs_numeric():
-    t_star = closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT)
+    t_star = runtime_table(BENCH_SPEC).t_qa
     times = np.linspace(0.0, t_star, 2000)
     gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     deviations, leading = {}, {}
@@ -302,14 +301,15 @@ def test_criterion_8_initial_state_eigenvector_identities():
         s = initial_state(spec, InitialStateKind.UNIFORM)
         s_a = initial_state(spec, InitialStateKind.ADJACENCY_EIGENVECTOR)
         s_q = initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR)
-        lap = reduced_walk_matrix(spec, WalkKind.LAPLACIAN)
-        adj = reduced_walk_matrix(spec, WalkKind.ADJACENCY)
-        sig = reduced_walk_matrix(spec, WalkKind.SIGNLESS_LAPLACIAN)
+        # each start on the nonempty classes, where the class quotient acts
+        lap = class_quotient(spec, WalkKind.LAPLACIAN, s)
+        adj = class_quotient(spec, WalkKind.ADJACENCY, s_a)
+        sig = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, s_q)
         worst = max(
             worst,
-            float(np.max(np.abs(lap @ s))),
-            float(np.max(np.abs(adj @ s_a - math.sqrt(n1 * n2) * s_a))),
-            float(np.max(np.abs(sig @ s_q - spec.n * s_q))),
+            float(np.max(np.abs(lap.walk @ lap.state))),
+            float(np.max(np.abs(adj.walk @ adj.state - math.sqrt(n1 * n2) * adj.state))),
+            float(np.max(np.abs(sig.walk @ sig.state - spec.n * sig.state))),
         )
     ok = worst <= 1e-10
     _report(
@@ -343,8 +343,8 @@ def test_criterion_9_property_suite(tmp_path):
         np.max(np.abs(stepwise - propagate(decomp, psi0, [14.8])[0]))
     )
     # gamma=0 probability invariance at 1e-10
-    h0 = reduced_hamiltonian(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, 0.0)
     psi = initial_state(BENCH_SPEC, InitialStateKind.UNIFORM)
+    h0 = class_quotient(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, psi).hamiltonian(0.0)
     p0 = np.abs(psi) ** 2
     gamma0_dev = 0.0
     for t in (0.5, 5.0, 50.0):

@@ -27,7 +27,11 @@ def test_package_imports_only_exported_names():
         assert [alias.name for alias in node.names if alias.name not in exported] == []
 
 
-@pytest.mark.parametrize("name", ["simulate_full", "simulate_reduced", "energy_gap"])
+@pytest.mark.parametrize(
+    "name",
+    ["simulate_full", "simulate_reduced", "energy_gap",
+     "closed_form_runtime", "reduced_walk_matrix", "reduced_hamiltonian"],
+)
 def test_removed_wrappers_are_gone(name):
     assert not hasattr(qwsearch, name)
     assert not hasattr(qwsearch.bipartite, name)

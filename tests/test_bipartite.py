@@ -20,16 +20,13 @@ from qwsearch.bipartite import (
     class_slices,
     closed_form_peaks,
     closed_form_probabilities,
-    closed_form_runtime,
     critical_gamma,
     degenerate_correction,
     fastest_regime,
     initial_state,
     next_order_correction,
     next_order_probabilities,
-    reduced_hamiltonian,
     reduced_to_full,
-    reduced_walk_matrix,
     refined_class_quotient,
     runtime_table,
 )
@@ -68,7 +65,9 @@ def test_reduced_hamiltonian_matches_conjugated_full(walk, gamma):
     h_full = search_hamiltonian(SearchInstance(walk, graph, marked, gamma))
     iso = _brute_isometry(SMALL_SPEC)
     conjugated = iso.T @ h_full @ iso
-    assert np.max(np.abs(conjugated - reduced_hamiltonian(SMALL_SPEC, walk, gamma))) <= 1e-12
+    # every class of SMALL_SPEC is nonempty: the quotient is the full 4x4
+    reduced = class_quotient(SMALL_SPEC, walk, np.zeros(4)).hamiltonian(gamma)
+    assert np.max(np.abs(conjugated - reduced)) <= 1e-12
 
 
 @given(bipartite_specs(), st.sampled_from(list(WalkKind)))
@@ -77,16 +76,17 @@ def test_reduced_walk_matrix_matches_conjugated_full(spec, walk):
     graph, _ = complete_bipartite(spec)
     iso = _brute_isometry(spec)
     conjugated = iso.T @ dense_walk_matrix(graph, walk) @ iso
-    expected = reduced_walk_matrix(spec, walk)
-    # the conjugation silently zeroes empty-class coordinates, same as ours
-    assert np.max(np.abs(conjugated - expected)) <= 1e-9
+    expected = class_quotient(spec, walk, np.zeros(4)).walk
+    # the conjugation zeroes empty-class coordinates; the quotient has none
+    active = np.flatnonzero(class_sizes(spec))
+    assert np.max(np.abs(conjugated[np.ix_(active, active)] - expected)) <= 1e-9
 
 
 def test_all_marked_layout_collapses_to_marked_block():
     spec = BipartiteSpec(3, 4, 3, 4)
-    h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 0.2)
-    assert not h[2:, :].any()
-    assert not h[:, 2:].any()
+    h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(0.2)
+    # the unmarked classes c and d are empty: only a and b have a level
+    assert h.shape == (2, 2)
     assert h[0, 1] == pytest.approx(-0.2 * math.sqrt(12))
 
 
@@ -152,14 +152,14 @@ def test_class_partition_counts_past_int64():
     part = class_partition(spec)
     assert part.cells is None
     assert part.arcs.sum() == 2 * spec.n1 * spec.n2
-    w = reduced_walk_matrix(spec, WalkKind.SIGNLESS_LAPLACIAN)
+    w = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).walk
     assert np.diag(w).tolist() == [spec.n2, spec.n1, spec.n2, spec.n1]
     assert w[2, 3] == pytest.approx(math.sqrt(spec.unmarked1 * spec.unmarked2), rel=1e-15)
 
 
 def test_reduced_hamiltonian_rejects_bad_gamma():
     with pytest.raises(ValueError):
-        reduced_hamiltonian(BENCH_SPEC, WalkKind.ADJACENCY, -0.1)
+        class_quotient(BENCH_SPEC, WalkKind.ADJACENCY, np.zeros(4)).hamiltonian(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +180,13 @@ def test_initial_states_are_walk_eigenvectors(spec):
     s_q = initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR)
     for state in (s, s_a, s_q):
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
-    lap = reduced_walk_matrix(spec, WalkKind.LAPLACIAN)
-    adj = reduced_walk_matrix(spec, WalkKind.ADJACENCY)
-    sig = reduced_walk_matrix(spec, WalkKind.SIGNLESS_LAPLACIAN)
-    assert np.max(np.abs(lap @ s)) <= 1e-10
-    assert np.max(np.abs(adj @ s_a - math.sqrt(spec.n1 * spec.n2) * s_a)) <= 1e-10
-    assert np.max(np.abs(sig @ s_q - spec.n * s_q)) <= 1e-10
+    # each start on the nonempty classes, where the class quotient acts
+    lap = class_quotient(spec, WalkKind.LAPLACIAN, s)
+    adj = class_quotient(spec, WalkKind.ADJACENCY, s_a)
+    sig = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, s_q)
+    assert np.max(np.abs(lap.walk @ lap.state)) <= 1e-10
+    assert np.max(np.abs(adj.walk @ adj.state - math.sqrt(spec.n1 * spec.n2) * adj.state)) <= 1e-10
+    assert np.max(np.abs(sig.walk @ sig.state - spec.n * sig.state)) <= 1e-10
 
 
 def test_equal_sides_make_all_starts_coincide():
@@ -252,23 +253,21 @@ def test_degenerate_correction_fig_instance():
     assert math.pi / left.delta_e == pytest.approx(35.54, abs=0.01)
     right = degenerate_correction(BENCH_SPEC, CriticalSide.RIGHT)
     assert math.pi / right.delta_e == pytest.approx(13.77, abs=0.01)
-    assert closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT) == math.pi / left.delta_e
+    assert runtime_table(BENCH_SPEC).t_qa == math.pi / left.delta_e
 
 
 def test_degenerate_correction_requires_marked_side():
     spec = BipartiteSpec(8, 8, 0, 2)
     with pytest.raises(ValueError):
         degenerate_correction(spec, CriticalSide.LEFT)
-    with pytest.raises(ValueError):
-        closed_form_runtime(spec, CriticalSide.LEFT)
 
 
 def test_numeric_eigensystem_converges_to_correction():
     errors = []
     for p in range(9, 15):
         spec = BipartiteSpec(2**p, 2 ** (p - 1), 3, 5)
-        h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 1.0 / spec.n1)
-        numeric = eig_hermitian(h)
+        quotient = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4))
+        numeric = eig_hermitian(quotient.hamiltonian(1.0 / spec.n1))
         exact = degenerate_correction(spec, CriticalSide.LEFT)
         value_err = np.max(np.abs(numeric.eigenvalues - exact.eigenvalues))
         overlap_err = max(
@@ -295,7 +294,7 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
     for p in range(9, 16):
         spec = BipartiteSpec(2**p, 2 ** (p - 1), 3, 5)
         gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, side)
-        h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, gamma)
+        h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(gamma)
         exact_gap = _doublet_gap(side, eig_hermitian(h).eigenvalues)
         gap_errors.append(
             tuple(
@@ -303,7 +302,9 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
                 for correction in (next_order_correction, degenerate_correction)
             )
         )
-        times = np.linspace(0.0, 2.0 * closed_form_runtime(spec, side), 2000)
+        table = runtime_table(spec)
+        runtime = table.t_qa if side is CriticalSide.LEFT else table.t_qb
+        times = np.linspace(0.0, 2.0 * runtime, 2000)
         for start, errors in (
             (InitialStateKind.UNIFORM, s_errors),
             (InitialStateKind.SIGNLESS_EIGENVECTOR, sq_errors),
@@ -327,7 +328,8 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
 def test_next_order_eigensystem_matches_exact_at_bench_layout():
     for side in CriticalSide:
         gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
-        exact = eig_hermitian(reduced_hamiltonian(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, gamma))
+        quotient = class_quotient(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4))
+        exact = eig_hermitian(quotient.hamiltonian(gamma))
         system = next_order_correction(BENCH_SPEC, side)
         vectors = system.eigenvectors
         assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) < 1e-14
@@ -383,9 +385,8 @@ def test_first_order_forms_refuse_equal_sides():
     # first-order forms refuse it, with next_order_correction's message
     spec = BipartiteSpec(8, 8, 2, 3)
     for side in CriticalSide:
-        for form in (degenerate_correction, closed_form_runtime):
-            with pytest.raises(ValueError, match="equal sides"):
-                form(spec, side)
+        with pytest.raises(ValueError, match="equal sides"):
+            degenerate_correction(spec, side)
         for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
             with pytest.raises(ValueError, match="equal sides"):
                 closed_form_probabilities(spec, start, side, 1.0)
@@ -435,7 +436,7 @@ def test_closed_form_time_zero_matches_asymptotic_start():
 
 
 def test_closed_form_peak_values():
-    t_star = closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT)
+    t_star = runtime_table(BENCH_SPEC).t_qa
     pa, pb, pc, pd = closed_form_probabilities(
         BENCH_SPEC, InitialStateKind.UNIFORM, CriticalSide.LEFT, t_star
     )
@@ -465,9 +466,7 @@ def test_partite_swap_symmetry_is_exact(spec, start, t):
     assert right[1] == swapped[0]
     assert right[2] == swapped[3]
     assert right[3] == swapped[2]
-    assert closed_form_runtime(spec, CriticalSide.RIGHT) == closed_form_runtime(
-        spec.swapped(), CriticalSide.LEFT
-    )
+    assert runtime_table(spec).t_qb == runtime_table(spec.swapped()).t_qa
 
 
 def test_runtime_partite_swap_is_exact():
@@ -529,7 +528,7 @@ def _hand_written_rates(spec):
 def test_crossing_reproduces_the_hand_written_forms_bit_for_bit(spec):
     """With every product of side sizes below 2^53, the one crossing ``g``
     gives each walk's rate and runtime exactly as its own closed form does,
-    and the signless runtime is ``t_qa``/``t_qb`` itself."""
+    and the first-order gap is ``pi / t_qa`` (``pi / t_qb``) itself."""
     table = runtime_table(spec)
     assert table == _hand_written_runtimes(spec)
     rates = _hand_written_rates(spec)
@@ -539,7 +538,7 @@ def test_crossing_reproduces_the_hand_written_forms_bit_for_bit(spec):
         assert row.gamma_critical == rates[(row.walk, row.target or CriticalSide.LEFT)]
     for side, runtime in ((CriticalSide.LEFT, table.t_qa), (CriticalSide.RIGHT, table.t_qb)):
         if runtime is not None and spec.n1 != spec.n2:
-            assert closed_form_runtime(spec, side) == runtime
+            assert degenerate_correction(spec, side).delta_e == math.pi / runtime
 
 
 @pytest.mark.parametrize("n1, n2", [(10**9, 1000), (2**40, 1), (2**60, 3), (3, 2**60)])
@@ -566,12 +565,13 @@ def _min_gap_runtime(spec, walk, side, steps=60):
     golden-section search finds its minimum within 25 % of that rate.
     """
     rate = critical_gamma(spec, walk, side)
-    values, vectors = np.linalg.eigh(reduced_hamiltonian(spec, walk, rate))
+    quotient = class_quotient(spec, walk, np.zeros(4))
+    values, vectors = np.linalg.eigh(quotient.hamiltonian(rate))
     weight = np.abs(vectors[0 if side is CriticalSide.LEFT else 1]) ** 2
     level = int(np.argmax(weight[:-1] + weight[1:]))
 
     def gap(gamma):
-        return np.diff(np.linalg.eigvalsh(reduced_hamiltonian(spec, walk, gamma)))[level]
+        return np.diff(np.linalg.eigvalsh(quotient.hamiltonian(gamma)))[level]
 
     lo, hi = 0.75 * rate, 1.25 * rate
     shrink = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -822,7 +822,7 @@ def test_numeric_agreement_with_closed_form_at_scale():
     (512, 256, 3, 5); the measured gap is 0.073 (s) and 0.081 (sq). Most
     of it is the O(k/n) detuning of a from the unmarked level and the
     renormalized doublet gap; the beat on the envelope adds about 0.02."""
-    t_star = closed_form_runtime(BENCH_SPEC, CriticalSide.LEFT)
+    t_star = runtime_table(BENCH_SPEC).t_qa
     times = np.linspace(0.0, t_star, 2000)
     gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):

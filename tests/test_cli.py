@@ -1262,6 +1262,36 @@ def test_non_finite_time_and_gamma_bounds_are_usage_errors(capsys, argv, message
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma", "overlaps"])
+def test_a_rate_whose_hamiltonian_overflows_is_refused(capsys, command):
+    # -gamma W passes the float range at gamma = 1e306 on (512, 256, 3, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy RuntimeWarning on the way out
+        code, out, err = run_cli(capsys, [command, *FIG_FLAGS, "--gamma", "1e306"])
+    assert (code, out, err) == (1, "", "error: matrix has a non-finite entry (inf)\n")
+
+
+@pytest.mark.parametrize("sides", [(10**400, 256), (10**200, 3 * 10**200)],
+                         ids=["400-digit-n1", "1e200-by-3e200"])
+@pytest.mark.parametrize("command", ["runtimes", "simulate", "sweep-gamma", "overlaps"])
+def test_a_layout_past_the_float_range_is_refused(capsys, command, sides):
+    # n1 n2 past the largest float: refused before any side is read as a float
+    argv = [command, "--n1", str(sides[0]), "--n2", str(sides[1]), "--k1", "3", "--k2", "5"]
+    if command != "runtimes":
+        argv += ["--gamma", "0.01"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: partite sets too large: n1 * n2 passes the largest float\n"
+
+
+def test_runtimes_on_unequal_sides_that_round_to_one_float(capsys):
+    # past 2^53 the sides 2^60 and 2^60 + 2 are one float; their difference is not zero
+    argv = ["runtimes", "--n1", str(2**60), "--n2", str(2**60 + 2), "--k1", "1", "--k2", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",adjacency,1")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

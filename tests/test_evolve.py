@@ -23,7 +23,6 @@ from qwsearch.bipartite import (
     class_slices,
     degenerate_correction,
     initial_state,
-    reduced_hamiltonian,
     reduced_to_full,
 )
 from qwsearch.evolve import (
@@ -258,11 +257,29 @@ def test_stacked_eig_refuses_a_non_hermitian_member_by_its_own_scale():
     assert empty.eigenvalues.shape == (0, 4) and empty.eigenvectors.shape == (0, 4, 4)
 
 
+@pytest.mark.parametrize(
+    "entry, named",
+    [(np.inf, "inf"), (-np.inf, "inf"), (np.nan, "nan"), (complex(0, np.inf), "inf")],
+    ids=["inf", "minus-inf", "nan", "complex-inf"],
+)
+def test_eig_refuses_non_finite_entries_by_name(entry, named):
+    # an infinite entry and its transpose differ by nan, which the
+    # Hermiticity test alone lets through
+    h = np.eye(3, dtype=complex if isinstance(entry, complex) else float)
+    h[1, 2], h[2, 1] = entry, np.conj(entry)
+    message = rf"^matrix has a non-finite entry \({named}\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on it
+        for bad in (h, np.stack([np.eye(3), h, np.eye(3)]), h[None, None]):
+            with pytest.raises(ValueError, match=message):
+                eig_hermitian(bad)
+
+
 def test_eig_matches_asymptotic_doublet_at_large_size():
     # oracle: the perturbation-theory eigenvalues at the left critical rate,
     # which the numeric 4x4 approaches as the layout grows
     spec = BipartiteSpec(2**14, 2**13, 3, 5)
-    h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 1.0 / spec.n1)
+    h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(1.0 / spec.n1)
     numeric = eig_hermitian(h).eigenvalues
     exact = degenerate_correction(spec, CriticalSide.LEFT).eigenvalues
     rel = np.abs(numeric - exact) / np.maximum(np.abs(exact), 1.0)
@@ -330,8 +347,8 @@ def test_evolve_reaches_predicted_success_at_runtime():
     # the (512, 256, 3, 5) benchmark near its left critical rate: at the
     # predicted runtime the success probability sits at the predicted peak
     spec = BipartiteSpec(512, 256, 3, 5)
-    h = reduced_hamiltonian(spec, WalkKind.SIGNLESS_LAPLACIAN, 0.002)
     psi0 = initial_state(spec, InitialStateKind.UNIFORM)
+    h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, psi0).hamiltonian(0.002)
     psi = propagate(h, psi0, [35.54])[0]
     p = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
     assert p == pytest.approx(0.889, abs=0.02)
@@ -490,7 +507,8 @@ def _layout_quotient_checks(spec, walk, start, gamma):
     part, h = _quotient(graph, walk, marked, psi0, gamma)
     values = np.linalg.eigvalsh(h)
     active = [i for i, size in enumerate(class_sizes(spec)) if size]
-    reduced = np.linalg.eigvalsh(reduced_hamiltonian(spec, walk, gamma)[np.ix_(active, active)])
+    # the class quotient is on the nonempty classes
+    reduced = np.linalg.eigvalsh(class_quotient(spec, walk, np.zeros(4)).hamiltonian(gamma))
     if (spec.n1, spec.k1) == (spec.n2, spec.k2):
         # swapping the sides fixes the search: a with b, c with d share a cell,
         # and the quotient keeps the swap-symmetric half of the spectrum
@@ -531,7 +549,8 @@ def test_permuted_layout_quotient_has_four_cells():
     psi0 = uniform_state(72)
     part, h = _quotient(permuted, WalkKind.LAPLACIAN, images, psi0, 0.03)
     assert part.sizes.size == 4
-    reduced = np.linalg.eigvalsh(reduced_hamiltonian(spec, WalkKind.LAPLACIAN, 0.03))
+    quotient = class_quotient(spec, WalkKind.LAPLACIAN, np.zeros(4))
+    reduced = np.linalg.eigvalsh(quotient.hamiltonian(0.03))
     assert np.max(np.abs(np.linalg.eigvalsh(h) - reduced)) <= 1e-12
     groups = [relabel[list(vertices)] for vertices in class_slices(spec)]
     times = np.linspace(0.0, 60.0, 241)
