@@ -28,8 +28,8 @@ over 16 KiB in shuffled order with reversed pairs and a repeated line);
 reduced and full ``overlaps`` over the three walks and four probes; full
 mode on the (512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma``
 and ``overlaps``) and on K_{6,6} with two marked vertices per side, whose
-classes a and b share one cell of the sweep's quotient (``overlaps`` colours
-the sides apart); reduced and full ``overlaps`` on layouts with an empty
+search swapping the sides fixes (its classes colour the refinement, so a and
+b keep a cell each); reduced and full ``overlaps`` on layouts with an empty
 class; reduced ``sweep-gamma`` at the edges of the crest scan (two and three
 samples, and a window too short for a crest); reduced and full
 ``sweep-gamma`` with every vertex marked on (1, 1, 1, 1) and (5, 3, 5, 3),
@@ -196,7 +196,7 @@ def _commands() -> list[tuple[str, list[str]]]:
                      ["overlaps", *BENCH, "--walk", "signless", "--probe", init,
                       "--mode", "full", "--gamma-min", "0.0011", "--gamma-max", "0.0055",
                       "--gamma-count", "4"]))
-    # swapping the sides fixes this layout: a with b and c with d share a cell
+    # swapping the sides fixes this layout; only the classes keep a from b
     swapsym = ["--n1", "6", "--n2", "6", "--k1", "2", "--k2", "2", "--mode", "full"]
     rows.append(("simulate-full-swapsym",
                  ["simulate", *swapsym, "--gamma", "0.15", "--tmax", "30", "--samples", "400"]))

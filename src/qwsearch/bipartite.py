@@ -37,7 +37,6 @@ from .evolve import (
 from .graph import BipartiteSpec, EquitablePartition, complete_bipartite
 
 __all__ = [
-    "CLASS_NAMES",
     "InitialStateKind",
     "CriticalSide",
     "FastestWalk",
@@ -62,9 +61,6 @@ __all__ = [
     "runtime_table",
     "fastest_regime",
 ]
-
-CLASS_NAMES = ("a", "b", "c", "d")
-
 
 class InitialStateKind(enum.Enum):
     """The three canonical start states for bipartite search."""
@@ -135,21 +131,18 @@ def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> Se
 
 
 def refined_class_quotient(
-    spec: BipartiteSpec, walk: WalkKind, state: np.ndarray, sides: bool = False
+    spec: BipartiteSpec, walk: WalkKind, state: np.ndarray
 ) -> SearchQuotient:
     """The search of :func:`class_quotient`, its partition refined in the built graph.
 
-    The cross-check of the class model: colour refinement of K_{n1,n2} and
-    the lifted ``state`` finds the cells (:func:`~qwsearch.evolve.search_quotient`),
-    one per nonempty class or per pair of classes that swapping the sides
-    fixes; ``sides`` also colours the two sides apart, which keeps every
-    class apart. Its groups are the four classes.
+    The cross-check of the class model: colour refinement of K_{n1,n2}, the
+    lifted ``state`` and its groups, the four classes, finds the cells
+    (:func:`~qwsearch.evolve.search_quotient`), one per nonempty class in
+    the vertex order a, c, b, d. Refinement starts from the classes
+    themselves, and its first round splits nothing.
     """
     graph, marked = complete_bipartite(spec)
-    # with the sides coloured (not classes a and b alone), refinement starts
-    # from the classes themselves, and its first round splits nothing
-    return search_quotient(graph, walk, marked, reduced_to_full(spec, state),
-                           class_slices(spec), [range(spec.n1)] if sides else ())
+    return search_quotient(graph, walk, marked, reduced_to_full(spec, state), class_slices(spec))
 
 
 def initial_state(spec: BipartiteSpec, kind: InitialStateKind) -> np.ndarray:
@@ -216,6 +209,8 @@ def _crossing(n1: int, n2: int, ratio: float) -> float:
     """
     half = 0.5 * ratio * (n1 - n2)
     root = math.sqrt(half * half + float(n1 * n2))
+    if math.isinf(root):  # half * half past the float range
+        root = math.hypot(half, math.sqrt(float(n1 * n2)))
     # the same g, without the cancellation of root - half when half > 0
     return root - half if half <= 0.0 else float(n1 * n2) / (root + half)
 
@@ -228,7 +223,10 @@ def _runtime(n1: int, n2: int, k1: int, ratio: float) -> float | None:
     if k1 < 1:
         return None
     g = _crossing(n1, n2, ratio)
-    return 0.5 * math.pi * math.sqrt((g * g + float(n1 * n2)) / (k1 * float(n2)))
+    square = g * g + float(n1 * n2)
+    if math.isinf(square):  # g * g past the float range
+        return 0.5 * math.pi * math.hypot(g, math.sqrt(float(n1 * n2))) / math.sqrt(k1 * float(n2))
+    return 0.5 * math.pi * math.sqrt(square / (k1 * float(n2)))
 
 
 def critical_gamma(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> float:
@@ -601,18 +599,22 @@ def runtime_table(spec: BipartiteSpec) -> RuntimeTable:
 
     The Laplacian and signless entries are :func:`_runtime`, ``None``
     (not infinity) without a marked vertex on the targeted side. ``t_a`` is
-    the adjacency walk's three-level runtime. Each is the n -> infinity
-    time of the success maximum; at finite size the first numeric maximum
-    lands later (36.66 against ``t_qa`` = 35.54 on ``(512, 256, 3, 5)``
-    from the uniform start), and :func:`next_order_probabilities` locates it.
+    the adjacency walk's three-level runtime. Every entry is finite, even
+    past ``n1 = 10^154``. Each is the n -> infinity time of the success
+    maximum; at finite size the first numeric maximum lands later (36.66
+    against ``t_qa`` = 35.54 on ``(512, 256, 3, 5)`` from the uniform
+    start), and :func:`next_order_probabilities` locates it.
     """
     n1, n2, k1, k2 = spec.n1, spec.n2, spec.k1, spec.k2
     laplacian, signless = WalkKind.LAPLACIAN.ratio, WalkKind.SIGNLESS_LAPLACIAN.ratio
     f1, f2 = float(n1), float(n2)
+    marked = float(k2) * f1 + float(k1) * f2
+    # past the float range, each term of the sum divided by n1 n2 first
+    harmonic = f1 * f2 / marked if math.isfinite(marked) else 1.0 / (k2 / f2 + k1 / f1)
     return RuntimeTable(
         t_la=_runtime(n1, n2, k1, laplacian),
         t_lb=_runtime(n2, n1, k2, laplacian),
-        t_a=(math.pi / math.sqrt(2.0)) * math.sqrt(f1 * f2 / (float(k2) * f1 + float(k1) * f2)),
+        t_a=(math.pi / math.sqrt(2.0)) * math.sqrt(harmonic),
         t_qa=_runtime(n1, n2, k1, signless),
         t_qb=_runtime(n2, n1, k2, signless),
     )
@@ -664,6 +666,9 @@ def fastest_regime(spec: BipartiteSpec) -> RegimeClassification:
             wide.k2 * n1 * gap / (n2 * n),
             wide.k2 * n1 * n / (n2 * gap),
         )
+        if not all(map(math.isfinite, thresholds)):  # a product past the float range
+            ratio = wide.k2 * (n1 / n2)
+            thresholds = (ratio * (gap / n), ratio * (n / gap))
     near_regular = abs(spec.n1 - spec.n2) < math.sqrt(spec.n)
     return RegimeClassification(
         fastest=fastest,

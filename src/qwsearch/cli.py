@@ -221,21 +221,19 @@ def _gamma_grid(args: argparse.Namespace) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _search(
-    args: argparse.Namespace, state: np.ndarray | None = None, sides: bool = False
-) -> SearchQuotient:
+def _search(args: argparse.Namespace, state: np.ndarray | None = None) -> SearchQuotient:
     """The quotient a command evolves, built once per command.
 
     On a layout its groups are the classes (a, b, c, d) and it starts from
     the class-basis ``state`` (default: the ``--init`` state). ``--mode``
     chooses only where the partition comes from: reduced mode writes the
     class partition down (:func:`~qwsearch.bipartite.class_quotient`),
-    full mode finds it in the built graph
-    (:func:`~qwsearch.bipartite.refined_class_quotient`, with ``sides``
-    colouring the two sides apart). Both give the same quotient, up to
-    the cell order. On an edge list, which runs in full mode from the
-    uniform state only, its one group is the marked set. Either graph is
-    refused past the cap before any per-vertex-pair array is built.
+    full mode finds it in the built graph, its refinement coloured by the
+    classes (:func:`~qwsearch.bipartite.refined_class_quotient`). Both give
+    the same quotient, up to the cell order. On an edge list, which runs
+    in full mode from the uniform state only, its one group is the marked
+    set. Either graph is refused past the cap before any per-vertex-pair
+    array is built.
     """
     spec, walk = args.spec, WalkKind(args.walk)
     if spec is not None:
@@ -244,7 +242,7 @@ def _search(
         if args.mode == "reduced":
             return class_quotient(spec, walk, state)
         _check_full_cap(spec.n)
-        return refined_class_quotient(spec, walk, state, sides)
+        return refined_class_quotient(spec, walk, state)
     if InitialStateKind(args.init) is not InitialStateKind.UNIFORM:
         raise UsageError("edge-list instances support only --init s")
     if args.mode != "full":
@@ -319,7 +317,7 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
     if args.spec is None:
         raise UsageError("overlaps needs a bipartite layout")
     gammas = _gamma_grid(args)
-    rows = _search(args, _probe_state(args), sides=True).levels(gammas)
+    rows = _search(args, _probe_state(args)).levels(gammas)
     # the rows hold Python floats, whose repr is their shortest round-trip form
     lines = ["gamma,n,S_n,L_n,R_n"]
     lines += [f"{g!r},{n},{s!r},{left!r},{right!r}" for g, n, s, left, right, _ in rows]

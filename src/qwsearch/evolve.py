@@ -1,7 +1,7 @@
 """Search on the quotient of an equitable partition, and exact spectral time evolution.
 
 A search on a graph is run on the normalised cell states of the coarsest
-equitable partition that its marked set and start respect
+equitable partition that its marked set, start and groups respect
 (:func:`search_quotient`): a ``c x c`` walk matrix and Hamiltonian, where
 ``c`` is the cell count, four on a complete bipartite layout and ``n``
 only on a graph without symmetry. The quotient evolves its start with
@@ -168,12 +168,13 @@ class SearchQuotient(NamedTuple):
 
     ``walk`` is the partition's ``c x c`` quotient walk matrix, ``marked``
     the cells of the marked vertices, ``state`` the start (or probe) on the
-    cell states and ``shares[i, g]`` the fraction of cell ``i``'s vertices
-    in group ``g``. :func:`search_quotient` finds it by refining a graph,
-    :func:`~qwsearch.bipartite.class_quotient` writes it down for a
-    complete bipartite layout; nothing in it grows with the vertex count.
+    cell states and ``shares[i, g]`` 1 if cell ``i`` is part of group ``g``
+    and 0 if not: each group is a union of cells. :func:`search_quotient`
+    finds it by refining a graph, :func:`~qwsearch.bipartite.class_quotient`
+    writes it down for a complete bipartite layout; nothing in it grows
+    with the vertex count.
     :meth:`masses` evolves the state, and :meth:`levels` reads the
-    overlap table, probed by the state on the sides in groups 0 and 1.
+    overlap table, probed by the state on the cells of groups 0 and 1.
     """
 
     walk: np.ndarray
@@ -219,9 +220,8 @@ class SearchQuotient(NamedTuple):
     def masses(self, gamma: float, times: Sequence[float] | np.ndarray) -> np.ndarray:
         """Mass of each group at each time, shape ``(len(times), groups)``.
 
-        The state is uniform on every cell, so group ``g`` holds ``sum_i
-        |q_i(t)|^2 shares[i, g]``, also where a group takes part of a cell.
-        Only the cells that meet a group are propagated. This is
+        Group ``g`` holds ``sum_i |q_i(t)|^2 shares[i, g]``, the mass of
+        its cells. Only the cells of some group are propagated. This is
         :meth:`sweep` of the one rate.
         """
         (masses,) = self.sweep([gamma], times)
@@ -234,11 +234,11 @@ class SearchQuotient(NamedTuple):
         :func:`eig_hermitian` call on each run's stack of
         :meth:`hamiltonian`, and the rows report the lowest
         ``OVERLAP_EIGENVECTORS`` levels ``psi_n`` of each rate:
-        ``|<state|psi_n>|^2``, the mass of ``psi_n`` on the cells that meet
-        group 0 (the left side) and on those that meet group 1 (the right
-        side), and the eigenvalue. The ``overlaps`` command reads it on the
-        search's partition: on a bipartite layout, the class model on the
-        nonempty classes, 4x4 at most. Exactly tied levels keep
+        ``|<state|psi_n>|^2``, the mass of ``psi_n`` on the cells of group 0
+        and on those of group 1, and the eigenvalue. The ``overlaps``
+        command reads it on a bipartite layout, whose groups 0 and 1 are
+        the marked classes a and b: the class model on the nonempty
+        classes, 4x4 at most. Exactly tied levels keep
         ``np.linalg.eigh``'s order. Levels that split by less than
         ``eigh``'s accuracy (about machine epsilon times the Hamiltonian's
         scale; on a bipartite layout, a with b and c with d as gamma -> 0)
@@ -312,38 +312,34 @@ def search_quotient(
     marked: Iterable[int],
     psi0: np.ndarray,
     groups: Sequence[Iterable[int]],
-    colours: Sequence[Iterable[int]] = (),
 ) -> SearchQuotient:
     """The quotient of a search on ``graph``, found by colour refinement.
 
     Search from ``psi0`` stays in the span of the normalised cell states of
     the coarsest equitable partition of ``graph`` on which the marked set,
-    ``psi0`` and membership of each vertex group in ``colours`` are
-    constant (Godsil & Royle, *Algebraic Graph Theory*, ch. 9). On
-    K_{n1,n2} its cells are the nonempty vertex classes, or half of them
-    when swapping the sides fixes the search and no colour tells the sides
-    apart. A graph without symmetry gets the discrete partition, whose
-    quotient is the search Hamiltonian itself. The start on the cells is
-    ``q0[i] = sqrt(|cell i|) psi0[v_i]`` (``v_i`` any vertex of cell
-    ``i``). The marked set must be a nonempty set of vertices, and the
-    vertices of ``groups`` and ``colours`` are checked as the ``rows`` of
-    :func:`propagate`.
+    ``psi0`` and membership of each vertex group in ``groups`` are
+    constant (Godsil & Royle, *Algebraic Graph Theory*, ch. 9), so every
+    group is a union of cells. On K_{n1,n2} with the classes as groups its
+    cells are the nonempty classes. A graph without symmetry gets the
+    discrete partition, whose quotient is the search Hamiltonian itself.
+    The start on the cells is ``q0[i] = sqrt(|cell i|) psi0[v_i]`` and
+    ``shares[i, g]`` is 1 if ``v_i`` is in group ``g`` and 0 if not
+    (``v_i`` the first vertex of cell ``i``). The marked set must be a
+    nonempty set of vertices, and the vertices of ``groups`` are checked
+    as the ``rows`` of :func:`propagate`.
     """
     marked = _marked_vertices(marked, graph.n)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (graph.n,):
         raise ValueError("state dimension does not match the graph")
-    keys = [np.isin(np.arange(graph.n), _group_vertices(c, graph.n)) for c in colours]
-    keys.append(np.isin(np.arange(graph.n), marked))
-    part = equitable_partition(graph, np.stack([*keys, psi0.real, psi0.imag], axis=1))
-    sizes = part.sizes.astype(float)
-    shares = np.zeros((sizes.size, len(groups)))
+    members = np.zeros((graph.n, len(groups)), dtype=bool)
     for g, group in enumerate(groups):
-        shares[:, g] = np.bincount(part.cells[_group_vertices(group, graph.n)],
-                                   minlength=sizes.size) / sizes
+        members[_group_vertices(group, graph.n), g] = True
+    is_marked = np.isin(np.arange(graph.n), marked)
+    part = equitable_partition(graph, np.column_stack([members, is_marked, psi0.real, psi0.imag]))
     _, first = np.unique(part.cells, return_index=True)
     return SearchQuotient(walk_matrix(part, walk), np.unique(part.cells[marked]),
-                          np.sqrt(sizes) * psi0[first], shares)
+                          np.sqrt(part.sizes) * psi0[first], members[first].astype(float))
 
 
 def propagate(

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies, reference formulas and script loading for the test suite."""
+"""Shared hypothesis strategies, reference formulas, checks and script loading for the tests."""
 
 import importlib.util
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from qwsearch.bipartite import class_quotient, class_sizes
 from qwsearch.graph import BipartiteSpec, Graph
 
 
@@ -52,3 +53,14 @@ def uncollapsed_propagate(decomp, psi0, times, rows=None):
     coeffs = decomp.eigenvectors.conj().T @ np.asarray(psi0, dtype=complex)
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), decomp.eigenvalues))
     return (phases * coeffs) @ basis.T
+
+
+def assert_is_the_class_walk(spec, refined, walk):
+    """``refined`` has one cell per nonempty class of ``spec``, in the vertex
+    order a, c, b, d, and its walk is :func:`class_quotient`'s after that
+    permutation."""
+    cells = [c for c in (0, 2, 1, 3) if class_sizes(spec)[c]]
+    order = np.argsort(cells)  # the refined cell of each class, in class order
+    assert refined.state.size == len(cells)
+    written = class_quotient(spec, walk, np.zeros(4)).walk
+    assert np.array_equal(refined.walk[np.ix_(order, order)], written)

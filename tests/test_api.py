@@ -30,7 +30,7 @@ def test_package_imports_only_exported_names():
 @pytest.mark.parametrize(
     "name",
     ["simulate_full", "simulate_reduced", "energy_gap",
-     "closed_form_runtime", "reduced_walk_matrix", "reduced_hamiltonian"],
+     "closed_form_runtime", "reduced_walk_matrix", "reduced_hamiltonian", "CLASS_NAMES"],
 )
 def test_removed_wrappers_are_gone(name):
     assert not hasattr(qwsearch, name)

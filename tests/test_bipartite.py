@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bipartite_specs, uncollapsed_propagate
+from conftest import assert_is_the_class_walk, bipartite_specs, uncollapsed_propagate
 from dense_reference import SearchInstance, dense_walk_matrix, search_hamiltonian
 from qwsearch.bipartite import (
     ClosedFormPeak,
@@ -123,7 +124,7 @@ def test_refined_layout_partition_is_the_class_partition(spec, data):
     graph, marked = complete_bipartite(spec)
     vertices = np.arange(spec.n)
     is_marked = np.isin(vertices, sorted(marked))
-    # overlaps colouring: marked set, probe and the sides a and b
+    # coloured by the marked set, a probe and the classes a and b
     probes = [initial_state(spec, InitialStateKind.UNIFORM),
               initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR),
               *np.eye(4, dtype=complex)[[i for i in (0, 1) if class_sizes(spec)[i]]]]
@@ -133,8 +134,8 @@ def test_refined_layout_partition_is_the_class_partition(spec, data):
     sizes, arcs = _in_refined_order(spec)
     assert np.array_equal(refined.sizes, sizes)
     assert np.array_equal(refined.arcs, arcs)
-    # sweep colouring: marked set and start; a swap-symmetric search merges
-    # a with b and c with d
+    # coloured by the marked set and start alone, with no group: a
+    # swap-symmetric search merges a with b and c with d
     start = initial_state(spec, data.draw(st.sampled_from(list(InitialStateKind))))
     psi = reduced_to_full(spec, start)
     refined = equitable_partition(graph, np.stack([is_marked, psi.real, psi.imag], 1))
@@ -649,6 +650,12 @@ def test_fastest_regime_thresholds_and_flag():
     assert not regime.near_regular
     assert fastest_regime(BipartiteSpec(100, 101, 3, 5)).near_regular
     assert fastest_regime(BipartiteSpec(50, 50, 3, 5)).thresholds is None
+    # past 10^154 the products k2 n1 (n1 - n2) and n2 n pass the float range
+    for spec, axis in ((BipartiteSpec(10**160, 10**140, 1, 1), "k1"),
+                       (BipartiteSpec(10**140, 10**160, 1, 1), "k2")):
+        regime = fastest_regime(spec)
+        assert regime.threshold_axis == axis
+        assert regime.thresholds == pytest.approx((1e20, 1e20), rel=1e-14)
 
 
 def test_adjacency_beats_signless_left_when_left_is_larger():
@@ -760,22 +767,22 @@ def test_full_and_reduced_class_probabilities_agree():
 
 @pytest.mark.parametrize("walk", list(WalkKind), ids=lambda w: w.value)
 def test_refined_class_quotient_finds_the_class_quotient(walk):
-    # K_{6,6} with two marked vertices per side is fixed by swapping the
-    # sides: refinement merges a with b and c with d unless sides colours
-    # the two sides apart
-    spec = BipartiteSpec(6, 6, 2, 2)
+    # swapping the sides fixes these searches; the classes colour the
+    # refinement, so a and b, and c and d, stay apart all the same
     times = np.linspace(0.0, 40.0, 161)
     gammas = [1.0 / 6.0, 0.07, 0.3]
-    for start in InitialStateKind:
+    for spec, start in itertools.product(
+        [BipartiteSpec(6, 6, 2, 2), BipartiteSpec(2, 2, 1, 1), BipartiteSpec(5, 5, 5, 5)],
+        InitialStateKind,
+    ):
         state = initial_state(spec, start)
         written = class_quotient(spec, walk, state)
-        for sides, cells in ((False, 2), (True, 4)):
-            refined = refined_class_quotient(spec, walk, state, sides)
-            assert refined.state.size == cells
-            for gamma in gammas:
-                got, want = refined.masses(gamma, times), written.masses(gamma, times)
-                assert np.max(np.abs(got - want)) <= 1e-12
-        got = refined_class_quotient(spec, walk, state, sides=True).levels(gammas)
+        refined = refined_class_quotient(spec, walk, state)
+        assert_is_the_class_walk(spec, refined, walk)
+        for gamma in gammas:
+            got, want = refined.masses(gamma, times), written.masses(gamma, times)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        got = refined.levels(gammas)
         want = written.levels(gammas)
         assert [(row.gamma, row.n) for row in got] == [(row.gamma, row.n) for row in want]
         for mine, theirs in zip(got, want):
@@ -792,7 +799,7 @@ def test_refined_class_quotient_finds_the_class_quotient(walk):
 def test_simulate_full_matches_the_uncollapsed_class_curves(spec):
     # reference: class sums of the len(times) x n amplitudes from the
     # spectral form with one phase per eigenvalue; the layouts include
-    # empty classes c and b, and classes a and b sharing one cell
+    # empty classes c and b, and one that swapping the sides fixes
     graph, marked = complete_bipartite(spec)
     times = np.linspace(0.0, 80.0, 321)
     for walk in WalkKind:

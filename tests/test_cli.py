@@ -1284,6 +1284,42 @@ def test_a_layout_past_the_float_range_is_refused(capsys, command, sides):
     assert err == "error: partite sets too large: n1 * n2 passes the largest float\n"
 
 
+HALF_PI = 0.5 * np.pi
+
+
+@pytest.mark.parametrize(
+    "layout, runtimes, fastest",
+    [
+        # n1^2 and (n1 - n2)^2 / 4 pass the float range; n1 n2 = 1e300 does not
+        ((10**160, 10**140, 1, 1),
+         [HALF_PI * 1e80, HALF_PI * 1e80, HALF_PI * np.sqrt(2.0) * 1e70, HALF_PI * 1e90,
+          HALF_PI * 1e70], "signless_right"),
+        # g^2 + n1 n2 = 2e308 and k2 n1 + k1 n2 = 2e308 pass it
+        ((10**154,) * 4, [HALF_PI * np.sqrt(2.0)] * 2 + [HALF_PI] + [HALF_PI * np.sqrt(2.0)] * 2,
+         "adjacency"),
+    ],
+    ids=["1e160-by-1e140", "1e154-all-marked"],
+)
+def test_runtimes_whose_plain_forms_pass_the_float_range_are_finite(capsys, layout, runtimes,
+                                                                    fastest):
+    argv = ["runtimes", *(f"--{key}={value}" for key, value in zip(("n1", "n2", "k1", "k2"),
+                                                                    layout))]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert [float(t) for t in row[1:6]] == pytest.approx(runtimes, rel=1e-14)
+    assert row[6] == fastest
+
+
+def test_simulate_without_tmax_runs_to_twice_a_runtime_past_the_float_range(capsys):
+    # the default window is twice t_Qa = (pi/2) 1e90, whose plain form overflows
+    argv = ["simulate", "--n1", str(10**160), "--n2", str(10**140), "--k1", "1", "--k2", "1",
+            "--gamma", "0.1", "--samples", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[-1].split(",")[0]) == pytest.approx(np.pi * 1e90, rel=1e-14)
+
+
 def test_runtimes_on_unequal_sides_that_round_to_one_float(capsys):
     # past 2^53 the sides 2^60 and 2^60 + 2 are one float; their difference is not zero
     argv = ["runtimes", "--n1", str(2**60), "--n2", str(2**60 + 2), "--k1", "1", "--k2", "1"]

@@ -455,15 +455,20 @@ def test_quotient_propagation_matches_the_dense_eigensolve(graph, walk, gamma, d
     psi0 = np.array(data.draw(st.lists(st.sampled_from(values), min_size=graph.n,
                                        max_size=graph.n)), dtype=complex)
     psi0 /= np.linalg.norm(psi0)
-    groups = [[v] for v in range(graph.n)] + [sorted(marked)]
+    # the groups are the cells of the search's own partition and the marked
+    # set, unions of its cells, so the search stays on the collapsed quotient
+    part, h = _quotient(graph, walk, marked, psi0, gamma)
+    groups = [np.flatnonzero(part.cells == c) for c in np.unique(part.cells)] + [sorted(marked)]
     times = np.linspace(0.0, 50.0, 201)
-    got = search_quotient(graph, walk, marked, psi0, groups).masses(gamma, times)
+    search = search_quotient(graph, walk, marked, psi0, groups)
+    assert search.walk.shape == (len(groups) - 1,) * 2
+    got = search.masses(gamma, times)
     dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma)))
     probs = np.abs(uncollapsed_propagate(dense, psi0, times)) ** 2
-    want = np.column_stack([probs, probs[:, sorted(marked)].sum(axis=1)])
+    want = np.column_stack([probs[:, group].sum(axis=1) for group in groups])
     assert got.shape == want.shape
     # the quotient spectrum is part of the dense one
-    quotient_values = np.linalg.eigvalsh(_quotient(graph, walk, marked, psi0, gamma)[1])
+    quotient_values = np.linalg.eigvalsh(h)
     assert np.max(np.abs(quotient_values[:, None] - dense.eigenvalues).min(axis=1)) <= 1e-12
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -914,7 +919,7 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
         with pytest.raises(ValueError, match=message):
             search([0], psi0, [group])
         with pytest.raises(ValueError, match=message):
-            search([0], psi0, [[0]], [group])
+            search([0], psi0, [[0], group])
     with pytest.raises(ValueError, match="vertex 1.5 is not an integer"):
         search([1.5], psi0, [[0]])
     with pytest.raises(ValueError, match="vertex '2' is not an integer"):
@@ -966,9 +971,8 @@ def test_overlap_crossings_near_critical_rates():
 
 
 def _side_levels(graph, walk, marked, probe, left, right, gammas):
-    """The ``overlaps`` rows: the levels of the search coloured also by its two sides."""
-    sides = [left, right]
-    return search_quotient(graph, walk, marked, probe, sides, sides).levels(gammas)
+    """The ``overlaps`` rows: the levels of the search whose groups are its two sides."""
+    return search_quotient(graph, walk, marked, probe, [left, right]).levels(gammas)
 
 
 def _layout_probes(spec):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bipartite_specs, graphs, load_script
+from conftest import assert_is_the_class_walk, bipartite_specs, graphs, load_script
 from dense_reference import (
     adjacency_matrix,
     degree_matrix,
@@ -15,8 +15,13 @@ from dense_reference import (
     signless_laplacian,
 )
 from qwsearch import graph as graph_module
-from qwsearch.bipartite import InitialStateKind, initial_state, refined_class_quotient
-from qwsearch.evolve import WalkKind
+from qwsearch.bipartite import (
+    InitialStateKind,
+    initial_state,
+    reduced_to_full,
+    refined_class_quotient,
+)
+from qwsearch.evolve import WalkKind, search_quotient
 from qwsearch.graph import (
     BipartiteSpec,
     Graph,
@@ -559,7 +564,7 @@ def _capture_searches(tmp_path):
 def test_degree_seeded_refinement_is_the_naive_refinement_on_the_capture_graphs(tmp_path):
     # C_30, Q_6, the shuffled Q_9, irregular10, the relabelled K_{48,24} and
     # the layouts, marked as the capture marks them, alone and beside a
-    # colouring of the first vertices (as overlaps colours a side)
+    # colouring of the first vertices (as a search's group colours it)
     searched = 0
     for g, marked in _capture_searches(tmp_path):
         colours = _marked_at(g.n, *marked)
@@ -684,22 +689,35 @@ def test_a_collision_in_an_exact_first_round_is_refused_by_its_own_table(monkeyp
     assert seen == {"tables": 1, "hashed": 0, "recounts": 0}
 
 
-@pytest.mark.parametrize("sides", [False, True], ids=["sweep", "sides"])
+@pytest.mark.parametrize("groups", ["sweep", "sides"])
 @pytest.mark.parametrize("start", [InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR],
                          ids=lambda s: s.value)
-@pytest.mark.parametrize("layout", [(48, 24, 3, 5), (6, 6, 2, 2)], ids=str)
+@pytest.mark.parametrize("layout", [(48, 24, 3, 5), (6, 6, 2, 2), (2, 2, 1, 1), (5, 5, 5, 5)],
+                         ids=str)
 def test_layout_refinement_is_one_exact_round_that_its_check_reads(monkeypatch, layout, start,
-                                                                   sides):
-    # the start cells (marked set, state, sides and degree) are already the
-    # answer: the classes, or pairs of them on the swap-symmetric K_{6,6}
-    # without sides; the exact first round splits nothing and its table is
-    # the certificate
+                                                                   groups):
+    # the start cells (marked set, state, groups and degree) are already
+    # the answer, the classes, also on the swap-symmetric layouts, whether
+    # the groups are the four classes (as a sweep reports them) or the two
+    # sides; the exact first round splits nothing and its table is the
+    # certificate. K_{2,2} marked once a side starts discrete, so no round
+    # runs, and with n c = 16 > 2 m no table is counted: the check counts
+    # its own
     spec = BipartiteSpec(*layout)
+    state = initial_state(spec, start)
     seen = _spy_on_refinement(monkeypatch)
-    quotient = refined_class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN,
-                                      initial_state(spec, start), sides)
-    assert seen == {"tables": 1, "hashed": 0, "recounts": 0}
-    assert quotient.state.size == (4 if sides or layout[0] != layout[1] else 2)
+    if groups == "sweep":
+        quotient = refined_class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, state)
+    else:
+        graph, marked = complete_bipartite(spec)
+        quotient = search_quotient(graph, WalkKind.SIGNLESS_LAPLACIAN, marked,
+                                   reduced_to_full(spec, state),
+                                   [range(spec.n1), range(spec.n1, spec.n)])
+    if layout == (2, 2, 1, 1):
+        assert seen == {"tables": 0, "hashed": 0, "recounts": 1}
+    else:
+        assert seen == {"tables": 1, "hashed": 0, "recounts": 0}
+    assert_is_the_class_walk(spec, quotient, WalkKind.SIGNLESS_LAPLACIAN)
 
 
 def test_a_refinement_that_splits_after_its_exact_round_recounts(monkeypatch):
