@@ -1,21 +1,18 @@
 """Command-line front end emitting CSV datasets for search experiments.
 
-Subcommands: ``simulate`` (success-probability curves), ``sweep-gamma``
-(peak success versus jumping rate), ``overlaps`` (eigenvector overlap
-profiles), ``runtimes`` (runtime comparison across walks), ``verify-spin``
-(spin-network walk-equivalence check). Parameters come from flags or a flat
-``key=value`` config file; flags override the file. Each handler reads the
-parsed namespace, after :func:`_checked` has refused the combinations that
-no one flag's check sees: a half layout, a layout with ``--graph`` or
-``--marked``, ``--gamma`` with a gamma range, ``--gamma-count`` without
-one, and sweep bounds without ``--sweep`` (or ``--sweep`` without them).
-Exit status is 0 on success, 1 for usage or validation errors or when
-memory runs out, and 2 when ``verify-spin`` finds a mismatch.
+Subcommands: simulate (success-probability curves), sweep-gamma (peak
+success versus jumping rate), overlaps (eigenvector overlap profiles),
+runtimes (runtime comparison across walks) and verify-spin (spin-network
+walk-equivalence check). Parameters come from flags or a flat key=value
+config file, keyed by the flag's name with _ for -; flags override the
+file. Exit status is 0 on success, 1 for usage or validation errors or when
+memory runs out, and 2 when verify-spin finds a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from functools import cache
@@ -100,8 +97,9 @@ def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
     """Parse ``argv``, with the values of its ``--config`` file ahead of its flags.
 
-    The file may set any flag of any subcommand, keyed by its destination
-    name. The chosen subcommand's keys go to argparse as ``--flag=value``
+    The file may set any flag of any subcommand but ``--config``, keyed as
+    the rows of ``_FLAGS`` name it: the flag without its dashes, ``_`` for
+    ``-``. The chosen subcommand's keys go to argparse as ``--flag=value``
     right after the subcommand, so each value is converted and checked as
     its flag would be, and a flag on the command line, coming later,
     overrides it; keys of other subcommands are ignored.
@@ -110,13 +108,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
-    flags = {
-        name: {a.dest: a.option_strings[0] for a in p._actions if a.dest not in ("help", "config")}
-        for name, p in commands.items()
-    }
-    values = load_config(args.config, set().union(*flags.values()))
-    own = flags[args.command]
+    keys = {flag: flag[2:].replace("-", "_") for flag, _, _ in _FLAGS}
+    values = load_config(args.config, set(keys.values()) - {"config"})
+    own = {keys[flag]: flag for flag, commands, _ in _FLAGS if args.command in commands}
     at = argv.index(args.command) + 1
     ahead = [f"{own[key]}={value}" for key, value in values.items() if key in own]
     return parser.parse_args([*argv[:at], *ahead, *argv[at:]])
@@ -125,9 +119,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
 def _checked(args: argparse.Namespace) -> None:
     """Refuse the flag combinations that no one flag's check sees.
 
-    Sets ``args.spec`` to the layout (``None`` without one), ``args.marked``
-    to the set that ``--marked`` lists, and ``args.mode`` to its default:
-    full mode for an edge list, else reduced.
+    They are a half layout, a layout with ``--graph`` or ``--marked``,
+    ``--gamma`` with a gamma range, ``--gamma-count`` without one, and sweep
+    bounds without ``--sweep`` (or ``--sweep`` without them); each handler
+    reads the parsed namespace after this check. Sets ``args.spec`` to the
+    layout (``None`` without one), ``args.marked`` to the set that
+    ``--marked`` lists, and ``args.mode`` to its default: full mode for an
+    edge list, else reduced.
     """
     opt = vars(args).get  # None for flags the subcommand does not have
     sides = [opt(name) for name in ("n1", "n2", "k1", "k2")]
@@ -361,7 +359,13 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
     gamma = args.gamma if args.gamma is not None else 1.0
     graph = read_edge_list(args.graph) if args.graph else demo_graph()
     ratio = args.jz_ratio
-    couplings = CouplingConstants(jx=gamma, jy=gamma, jz=ratio * gamma)
+    jz = ratio * gamma
+    # named as the user gave them; CouplingConstants would name jx and jz
+    for name, value in (("--gamma", gamma), ("--jz-ratio", ratio),
+                        ("--jz-ratio times --gamma", jz)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
+    couplings = CouplingConstants(jx=gamma, jy=gamma, jz=jz)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
     # the walk W_r = A - r D with r = jz / jx, if it is one of the three
     expected = _WALK_OF_RATIO.get(ratio)
@@ -395,82 +399,56 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
-    p.add_argument("--graph", help="edge-list file: 'n m' header then 'i j' lines")
-    p.add_argument("--marked", help="comma-separated marked vertices (edge-list runs)")
-
-
-def _add_walk_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--walk", choices=sorted(kind.value for kind in WalkKind), default="signless")
-
-
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value file; flags override it")
-
-
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    _add_config_flag(p)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-
-
-def _add_time_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--mode", choices=["reduced", "full"])
-
-
-def _add_gamma_range_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma-min", dest="gamma_min", type=float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
-    p.add_argument("--gamma-count", dest="gamma_count", type=int)
+_COMMANDS = {
+    "simulate": "success-probability curve over time",
+    "sweep-gamma": "peak success probability per gamma",
+    "overlaps": "eigenvector overlap profile per gamma",
+    "runtimes": "runtime table and fastest-walk labels",
+    "verify-spin": "certify the spin-network walk class",
+}
+_SEARCHES = ("simulate", "sweep-gamma", "overlaps")
+_LAYOUTS = (*_SEARCHES, "runtimes")
+_CURVES = ("simulate", "sweep-gamma")
+_RATES = ("sweep-gamma", "overlaps")
+# One row per flag: the flag, the subcommands that take it, and its
+# add_argument keywords. Each subcommand's help lists its flags in table
+# order, and a config key is the flag's name with _ for -, as argparse's
+# dest is. --graph has two help texts, so two rows, sharing one key.
+_FLAGS = (
+    ("--n1", _LAYOUTS, dict(type=int)),
+    ("--n2", _LAYOUTS, dict(type=int)),
+    ("--k1", _LAYOUTS, dict(type=int)),
+    ("--k2", _LAYOUTS, dict(type=int)),
+    ("--graph", _LAYOUTS, dict(help="edge-list file: 'n m' header then 'i j' lines")),
+    ("--marked", _LAYOUTS, dict(help="comma-separated marked vertices (edge-list runs)")),
+    ("--walk", _SEARCHES, dict(choices=sorted(kind.value for kind in WalkKind), default="signless")),
+    ("--config", tuple(_COMMANDS), dict(help="flat key=value file; flags override it")),
+    ("--graph", ("verify-spin",), dict(help="edge-list file (default: builtin demo graph)")),
+    ("--out", _LAYOUTS, dict(help="CSV output path (default: stdout)")),
+    ("--tmax", _CURVES, dict(type=float)),
+    ("--samples", _CURVES, dict(type=int, default=DEFAULT_SAMPLES)),
+    ("--mode", _SEARCHES, dict(choices=["reduced", "full"])),
+    ("--init", _CURVES, dict(choices=sorted(kind.value for kind in InitialStateKind), default="s")),
+    ("--probe", ("overlaps",), dict(choices=_PROBES, default="s")),
+    ("--sweep", ("runtimes",), dict(choices=["k1", "k2"])),
+    ("--sweep-min", ("runtimes",), dict(type=int)),
+    ("--sweep-max", ("runtimes",), dict(type=int)),
+    ("--jz-ratio", ("verify-spin",), dict(type=float)),
+    ("--gamma", (*_SEARCHES, "verify-spin"), dict(type=float)),
+    ("--gamma-min", _RATES, dict(type=float)),
+    ("--gamma-max", _RATES, dict(type=float)),
+    ("--gamma-count", _RATES, dict(type=int)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwsearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="success-probability curve over time")
-    _add_instance_flags(p)
-    _add_walk_flag(p)
-    _add_io_flags(p)
-    _add_time_flags(p)
-    p.add_argument("--init", choices=sorted(kind.value for kind in InitialStateKind), default="s")
-    p.add_argument("--gamma", type=float)
-
-    p = sub.add_parser("sweep-gamma", help="peak success probability per gamma")
-    _add_instance_flags(p)
-    _add_walk_flag(p)
-    _add_io_flags(p)
-    _add_time_flags(p)
-    p.add_argument("--init", choices=sorted(kind.value for kind in InitialStateKind), default="s")
-    _add_gamma_range_flags(p)
-
-    p = sub.add_parser("overlaps", help="eigenvector overlap profile per gamma")
-    _add_instance_flags(p)
-    _add_walk_flag(p)
-    _add_io_flags(p)
-    p.add_argument("--mode", choices=["reduced", "full"])
-    p.add_argument("--probe", choices=list(_PROBES), default="s")
-    _add_gamma_range_flags(p)
-
-    p = sub.add_parser("runtimes", help="runtime table and fastest-walk labels")
-    _add_instance_flags(p)
-    _add_io_flags(p)
-    p.add_argument("--sweep", choices=["k1", "k2"])
-    p.add_argument("--sweep-min", dest="sweep_min", type=int)
-    p.add_argument("--sweep-max", dest="sweep_max", type=int)
-
-    p = sub.add_parser("verify-spin", help="certify the spin-network walk class")
-    _add_config_flag(p)
-    p.add_argument("--graph", help="edge-list file (default: builtin demo graph)")
-    p.add_argument("--jz-ratio", dest="jz_ratio", type=float)
-    p.add_argument("--gamma", type=float)
-
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, commands, kwargs in _FLAGS:
+            if command in commands:
+                p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -16,7 +16,7 @@ from conftest import bipartite_specs
 from dense_reference import SearchInstance, search_hamiltonian
 from qwsearch import cli, spin_network
 from qwsearch.bipartite import class_quotient, class_sizes
-from qwsearch.cli import SEARCH_CELL_BYTES, main
+from qwsearch.cli import SEARCH_CELL_BYTES, UsageError, build_parser, main
 from qwsearch.evolve import (
     WalkKind,
     eig_hermitian,
@@ -252,6 +252,23 @@ def test_verify_spin_exit_codes(capsys):
     assert code == 2
     assert "classification=other" in out
     assert "result=FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--jz-ratio", "1", "--gamma", "inf"], "--gamma must be finite, got inf"),
+        (["--jz-ratio", "-1", "--gamma", "-inf"], "--gamma must be finite, got -inf"),
+        (["--jz-ratio", "nan"], "--jz-ratio must be finite, got nan"),
+        # the ratio and the rate are finite, but jz = ratio * gamma is not
+        (["--jz-ratio", "1e308", "--gamma", "10"],
+         "--jz-ratio times --gamma must be finite, got inf"),
+    ],
+    ids=["gamma-inf", "gamma-minus-inf", "ratio-nan", "product-overflows"],
+)
+def test_verify_spin_names_the_flag_whose_coupling_is_not_finite(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["verify-spin", *argv])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_verify_spin_has_no_out_flag(capsys, tmp_path):
@@ -1398,6 +1415,59 @@ def test_runtimes_takes_no_walk(capsys, tmp_path):
     from_file = run_cli(capsys, ["runtimes", "--config", str(cfg)])
     assert from_file == run_cli(capsys, ["runtimes", *LAYOUT_48])
     assert from_file[0] == 0
+
+
+# Each flag: a value it accepts, that value as parsed, and the subcommands
+# that take it. Written out rather than read from the parser, so that a
+# flag given to the wrong subcommand fails here.
+FLAG_MATRIX = {
+    "--n1": ("3", 3, "simulate sweep-gamma overlaps runtimes"),
+    "--n2": ("4", 4, "simulate sweep-gamma overlaps runtimes"),
+    "--k1": ("1", 1, "simulate sweep-gamma overlaps runtimes"),
+    "--k2": ("2", 2, "simulate sweep-gamma overlaps runtimes"),
+    "--graph": ("g.txt", "g.txt", "simulate sweep-gamma overlaps runtimes verify-spin"),
+    "--marked": ("0,2", "0,2", "simulate sweep-gamma overlaps runtimes"),
+    "--walk": ("laplacian", "laplacian", "simulate sweep-gamma overlaps"),
+    "--config": ("c.cfg", "c.cfg", "simulate sweep-gamma overlaps runtimes verify-spin"),
+    "--out": ("o.csv", "o.csv", "simulate sweep-gamma overlaps runtimes"),
+    "--tmax": ("1.5", 1.5, "simulate sweep-gamma"),
+    "--samples": ("7", 7, "simulate sweep-gamma"),
+    "--mode": ("full", "full", "simulate sweep-gamma overlaps"),
+    "--init": ("sq", "sq", "simulate sweep-gamma"),
+    "--probe": ("ml", "ml", "overlaps"),
+    "--sweep": ("k2", "k2", "runtimes"),
+    "--sweep-min": ("1", 1, "runtimes"),
+    "--sweep-max": ("2", 2, "runtimes"),
+    "--jz-ratio": ("-1", -1.0, "verify-spin"),
+    "--gamma": ("0.5", 0.5, "simulate sweep-gamma overlaps verify-spin"),
+    "--gamma-min": ("0.1", 0.1, "sweep-gamma overlaps"),
+    "--gamma-max": ("0.2", 0.2, "sweep-gamma overlaps"),
+    "--gamma-count": ("3", 3, "sweep-gamma overlaps"),
+}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_MATRIX))
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma", "overlaps", "runtimes",
+                                     "verify-spin"])
+def test_each_subcommand_takes_its_flags_and_refuses_the_rest(command, flag):
+    text, value, takers = FLAG_MATRIX[flag]
+    argv = [command, f"{flag}={text}"]
+    if command in takers.split():
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+    else:
+        with pytest.raises(UsageError) as refusal:
+            build_parser().parse_args(argv)
+        assert str(refusal.value) == f"unrecognized arguments: {flag}={text}"
+
+
+def test_top_level_help_is_plain_user_text(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qwsearch ")
+    assert "``" not in out and ":func:" not in out
 
 
 def test_csv_output_is_byte_identical_across_runs(capsys, tmp_path):
