@@ -123,11 +123,13 @@ def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> Se
     """The search from the class-basis ``state`` on :func:`class_partition`.
 
     Its groups are the four classes (a, b, c, d); an empty class is a
-    group that no cell meets.
+    group that no cell meets. ``state`` is checked as
+    :func:`reduced_to_full` checks it: four amplitudes, none on an empty
+    class.
     """
     active = np.flatnonzero(class_sizes(spec))
     return SearchQuotient(walk_matrix(class_partition(spec), walk), np.flatnonzero(active < 2),
-                          np.asarray(state, dtype=complex)[active], np.eye(4)[active])
+                          _class_state(spec, state)[active], np.eye(4)[active])
 
 
 def refined_class_quotient(
@@ -191,14 +193,23 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
     ``1/sqrt(class size)`` weights, preserving the norm. Amplitude on an
     empty class is rejected.
     """
-    reduced = np.asarray(reduced, dtype=complex)
-    if reduced.shape != (4,):
-        raise ValueError("reduced state must have four amplitudes")
     sizes = np.array(class_sizes(spec))[[0, 2, 1, 3]]  # vertex order a, c, b, d
-    amps = reduced[[0, 2, 1, 3]]
-    if np.any(np.abs(amps[sizes == 0]) > 1e-12):
-        raise ValueError("nonzero amplitude on an empty vertex class")
+    amps = _class_state(spec, reduced)[[0, 2, 1, 3]]
     return np.repeat(amps / np.sqrt(np.maximum(sizes, 1)), sizes)
+
+
+def _class_state(spec: BipartiteSpec, state: np.ndarray) -> np.ndarray:
+    """``state`` as four complex class amplitudes, none of them on an empty class.
+
+    ``ValueError`` unless there are four, or if an empty class carries one.
+    """
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (4,):
+        raise ValueError("reduced state must have four amplitudes")
+    empty = [size == 0 for size in class_sizes(spec)]
+    if np.any(np.abs(state[empty]) > 1e-12):
+        raise ValueError("nonzero amplitude on an empty vertex class")
+    return state
 
 
 def _crossing(n1: int, n2: int, ratio: float) -> float:

@@ -365,6 +365,8 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
                         ("--jz-ratio times --gamma", jz)):
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value!r}")
+    if gamma == 0:  # no hopping, no walk: every candidate would match
+        raise UsageError(f"--gamma must be nonzero, got {gamma!r}")
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=jz)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
     # the walk W_r = A - r D with r = jz / jx, if it is one of the three

@@ -174,7 +174,8 @@ class SearchQuotient(NamedTuple):
     writes it down for a complete bipartite layout; nothing in it grows
     with the vertex count.
     :meth:`masses` evolves the state, and :meth:`levels` reads the
-    overlap table, probed by the state on the cells of groups 0 and 1.
+    overlap table, probed by the state. Both read one spectrum, solved in
+    runs of rates, and sum a group's mass over its cells through ``shares``.
     """
 
     walk: np.ndarray
@@ -206,11 +207,17 @@ class SearchQuotient(NamedTuple):
             raise ValueError("gammas must be a 1-D sequence of rates")
         return self._swept(rates, _split_times(times))
 
+    def _solved(self, rates: np.ndarray) -> Iterator[tuple[np.ndarray, EigenDecomposition]]:
+        """Runs of ``rates`` of at most ``STACK_ENTRIES`` entries, each with its solved stack."""
+        step = max(1, STACK_ENTRIES // max(len(self.walk), 1) ** 2)
+        for start in range(0, rates.size, step):
+            run = rates[start : start + step]
+            yield run, eig_hermitian(self.hamiltonian(run))
+
     def _swept(self, rates: np.ndarray, split: _TimeSplit) -> Iterator[np.ndarray]:
         touched = np.flatnonzero(self.shares.any(axis=1))
         shares = self.shares[touched]
-        for run in _rate_runs(rates, len(self.walk)):
-            stack = eig_hermitian(self.hamiltonian(run))
+        for run, stack in self._solved(rates):
             for k in range(run.size):
                 decomp = EigenDecomposition(stack.eigenvalues[k], stack.eigenvectors[k])
                 yield np.abs(_propagated(decomp, self.state, split, touched)) ** 2 @ shares
@@ -230,52 +237,40 @@ class SearchQuotient(NamedTuple):
     def levels(self, gammas: Sequence[float] | np.ndarray) -> list[OverlapRow]:
         """Eigenvector overlap table across jumping rates.
 
-        The rates are diagonalised in runs (see ``STACK_ENTRIES``), one
-        :func:`eig_hermitian` call on each run's stack of
-        :meth:`hamiltonian`, and the rows report the lowest
-        ``OVERLAP_EIGENVECTORS`` levels ``psi_n`` of each rate:
-        ``|<state|psi_n>|^2``, the mass of ``psi_n`` on the cells of group 0
-        and on those of group 1, and the eigenvalue. The ``overlaps``
-        command reads it on a bipartite layout, whose groups 0 and 1 are
-        the marked classes a and b: the class model on the nonempty
-        classes, 4x4 at most. Exactly tied levels keep
-        ``np.linalg.eigh``'s order. Levels that split by less than
+        The rates are diagonalised in runs as :meth:`sweep` solves them, and
+        the rows report the lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n``
+        of each rate: ``|<state|psi_n>|^2``, the mass of ``psi_n`` on group 0
+        and on group 1, summed through ``shares`` as :meth:`masses` sums a
+        group, and the eigenvalue. The ``overlaps`` command reads it on a
+        bipartite layout, whose groups 0 and 1 are the marked classes a and b:
+        the class model on the nonempty classes, 4x4 at most. Exactly tied
+        levels keep ``np.linalg.eigh``'s order. Levels that split by less than
         ``eigh``'s accuracy (about machine epsilon times the Hamiltonian's
-        scale; on a bipartite layout, a with b and c with d as gamma -> 0)
-        are a near-degenerate pair: ``eigh`` may return any basis of their
-        span, so the rows of each level depend on the basis (on the cell
-        order, for one) and only their sums over the pair are determined.
-        Rows are ordered by the given gamma sequence and then by ``n``.
+        scale; on a bipartite layout, a with b and c with d as gamma -> 0) are
+        a near-degenerate pair: ``eigh`` may return any basis of their span,
+        so the rows of each level depend on the basis (on the cell order, for
+        one) and only their sums over the pair are determined. Rows are
+        ordered by the given gamma sequence and then by ``n``.
         """
         rates = np.fromiter(gammas, dtype=float)
         if not rates.size:
             raise ValueError("gamma list must be nonempty")
         if abs(np.linalg.norm(self.state) - 1.0) > 1e-8:
             raise ValueError("probe state must be normalized")
-        left, right = (np.flatnonzero(self.shares[:, g]) for g in (0, 1))
+        if self.shares.shape[1] < 2:
+            raise ValueError("levels needs groups 0 and 1")
         rows: list[OverlapRow] = []
-        for run in _rate_runs(rates, self.state.size):
-            stack = eig_hermitian(self.hamiltonian(run))
+        for run, stack in self._solved(rates):
             count = min(OVERLAP_EIGENVECTORS, stack.dim)
             vectors = stack.eigenvectors[..., :count]
-            # one level per row, its cells contiguous: each side's mass is
-            # summed in the order np.sum takes over that level's own entries
-            weights = np.ascontiguousarray(np.swapaxes(np.abs(vectors) ** 2, -1, -2))
-            left_mass, right_mass = (weights[..., side].sum(axis=-1).tolist()
-                                     for side in (left, right))
+            # each level's mass on the cells of groups 0 and 1
+            sides = (np.swapaxes(np.abs(vectors) ** 2, -1, -2) @ self.shares[:, :2]).tolist()
             values = stack.eigenvalues[:, :count].tolist()
             for g, gamma in enumerate(run.tolist()):
                 for n in range(count):
                     s_overlap = float(np.abs(np.vdot(self.state, vectors[g, :, n])) ** 2)
-                    rows.append(OverlapRow(gamma, n, s_overlap, left_mass[g][n],
-                                           right_mass[g][n], values[g][n]))
+                    rows.append(OverlapRow(gamma, n, s_overlap, *sides[g][n], values[g][n]))
         return rows
-
-
-def _rate_runs(rates: np.ndarray, dim: int) -> list[np.ndarray]:
-    """``rates`` in runs whose ``dim x dim`` stacks hold at most ``STACK_ENTRIES`` entries."""
-    step = max(1, STACK_ENTRIES // max(dim, 1) ** 2)
-    return [rates[i : i + step] for i in range(0, rates.size, step)]
 
 
 def _group_vertices(group: Iterable[int], n: int, what: str = "row index") -> np.ndarray:

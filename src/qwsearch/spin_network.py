@@ -117,10 +117,13 @@ def certify_walk_equivalence(
     the smallest max entrywise deviation of the three. More than one kind
     matches when the candidates coincide, as they do when every degree is
     ``m / 2`` (the 4-cycle, K4, two disjoint edges, edgeless graphs).
-    Requires ``jx == jy``.
+    Requires ``jx == jy`` and ``jx != 0``: a block without hopping
+    realises no walk, though every candidate's ``-gamma`` terms vanish.
     """
     if j.jx != j.jy:
         raise ValueError("walk equivalence requires jx == jy")
+    if j.jx == 0:
+        raise ValueError("walk equivalence requires a nonzero jx")
     gamma = j.jx
     block = single_excitation_block(g, j)
     offsets = 0.5 * g.m - block.degrees

@@ -229,6 +229,23 @@ def test_reduced_to_full_rejects_amplitude_on_empty_class():
         reduced_to_full(spec, np.array([0.5, 0.5, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ([0.5] * 4, "nonzero amplitude on an empty vertex class"),
+        ([0.5] * 5, "reduced state must have four amplitudes"),
+        ([0.5] * 3, "reduced state must have four amplitudes"),
+    ],
+    ids=["on-empty-b", "five", "three"],
+)
+@pytest.mark.parametrize("quotient", [class_quotient, refined_class_quotient],
+                         ids=["written", "refined"])
+def test_class_quotients_refuse_a_state_that_reduced_to_full_refuses(quotient, state, message):
+    # class b of (4, 2, 1, 0) is empty
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quotient(BipartiteSpec(4, 2, 1, 0), WalkKind.LAPLACIAN, np.array(state))
+
+
 # ---------------------------------------------------------------------------
 # asymptotic eigensystem
 
@@ -246,6 +263,12 @@ def test_h0_degeneracies_at_critical_rates():
     mid = 0.5 * (1 / BENCH_SPEC.n1 + 1 / BENCH_SPEC.n2)
     values = sorted(e for _, e in asymptotic_eigensystem_h0(BENCH_SPEC, mid))
     assert np.min(np.diff(values)) > 1e-4
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.0, -0.1, math.inf, math.nan])
+def test_h0_refuses_a_rate_that_is_not_positive_and_finite(gamma):
+    with pytest.raises(ValueError, match="^gamma must be finite and positive$"):
+        asymptotic_eigensystem_h0(BENCH_SPEC, gamma)
 
 
 def test_degenerate_correction_fig_instance():

@@ -263,8 +263,13 @@ def test_verify_spin_exit_codes(capsys):
         # the ratio and the rate are finite, but jz = ratio * gamma is not
         (["--jz-ratio", "1e308", "--gamma", "10"],
          "--jz-ratio times --gamma must be finite, got inf"),
+        # a zero rate leaves no hopping, and every candidate walk would match
+        (["--jz-ratio", "1", "--gamma", "0"], "--gamma must be nonzero, got 0.0"),
+        (["--jz-ratio", "0.37", "--gamma", "0"], "--gamma must be nonzero, got 0.0"),
+        (["--jz-ratio", "-1", "--gamma", "-0.0"], "--gamma must be nonzero, got -0.0"),
     ],
-    ids=["gamma-inf", "gamma-minus-inf", "ratio-nan", "product-overflows"],
+    ids=["gamma-inf", "gamma-minus-inf", "ratio-nan", "product-overflows", "gamma-zero",
+         "gamma-zero-other-ratio", "gamma-minus-zero"],
 )
 def test_verify_spin_names_the_flag_whose_coupling_is_not_finite(capsys, argv, message):
     code, out, err = run_cli(capsys, ["verify-spin", *argv])
@@ -1361,9 +1366,20 @@ def test_runtimes_on_unequal_sides_that_round_to_one_float(capsys):
          "bad --marked list '1,x'"),
         (["sweep-gamma", *LAYOUT_48, "--tmax", "5"],
          "a gamma range (or a single --gamma) is required"),
+        (["simulate", *LAYOUT_48, "--tmax", "5"], "simulate needs a single --gamma"),
+        (["simulate", *LAYOUT_48, "--gamma", "0.1", "--tmax", "0"], "--tmax must be positive"),
+        (["simulate", *LAYOUT_48, "--gamma", "0.1", "--tmax", "-1"], "--tmax must be positive"),
+        (["simulate", *LAYOUT_48, "--gamma", "0.1", "--tmax", "5", "--samples", "1"],
+         "--samples must be at least 2"),
+        (["sweep-gamma", *LAYOUT_48, "--gamma-min", "0.01", "--gamma-max", "0.02",
+          "--gamma-count", "0", "--tmax", "5"], "--gamma-count must be at least 1"),
+        (["sweep-gamma", "--gamma", "0.1"], "sweep-gamma needs a bipartite layout or --graph"),
+        (["runtimes"], "runtimes needs a bipartite layout"),
+        (["verify-spin"], "verify-spin needs --jz-ratio"),
     ],
     ids=["probe-ml", "probe-mr", "gamma-max-alone", "sweep-min-alone", "bad-marked",
-         "no-gamma"],
+         "no-gamma", "simulate-no-gamma", "tmax-zero", "tmax-negative", "one-sample",
+         "gamma-count-zero", "sweep-no-instance", "runtimes-no-layout", "verify-spin-no-ratio"],
 )
 def test_usage_refusals_name_the_fault(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -305,6 +305,13 @@ def test_evolve_validates_input():
         propagate(h, np.array([1.0, 0.0]), [-0.5])
 
 
+def test_uniform_state_needs_a_vertex():
+    assert np.array_equal(uniform_state(4), np.full(4, 0.5, dtype=complex))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            uniform_state(n)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 64), st.integers(0, 2**31 - 1))
 def test_norm_conservation(n, seed):
@@ -905,6 +912,11 @@ def test_levels_require_gammas_and_normalized_probe():
         class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, probe).levels([])
     with pytest.raises(ValueError, match="^probe state must be normalized$"):
         class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, 2.0 * probe).levels([0.1])
+    # an edge-list search reports one group, its marked set
+    one_group = search_quotient(Graph(3, [(0, 1), (1, 2)]), WalkKind.LAPLACIAN, {0},
+                                uniform_state(3), [[0]])
+    with pytest.raises(ValueError, match="^levels needs groups 0 and 1$"):
+        one_group.levels([0.1])
 
 
 def test_search_quotient_refuses_vertex_ids_that_are_not_integers():

@@ -133,6 +133,13 @@ def test_certify_rejects_anisotropic_transverse():
         certify_walk_equivalence(demo_graph(), CouplingConstants(1.0, 0.9, 0.0))
 
 
+@pytest.mark.parametrize("jx, jz", [(0.0, 0.0), (-0.0, 0.0), (0.0, 0.37)])
+def test_certify_rejects_a_block_without_hopping(jx, jz):
+    # with jx = 0 every candidate's hopping and -gamma r terms vanish
+    with pytest.raises(ValueError, match="^walk equivalence requires a nonzero jx$"):
+        certify_walk_equivalence(demo_graph(), CouplingConstants(jx, jx, jz))
+
+
 def test_coupling_constants_must_be_finite():
     for name in ("jx", "jy", "jz"):
         for value in (np.inf, -np.inf, np.nan):
@@ -298,10 +305,21 @@ ratios_checked = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-3.
 def test_certificate_on_the_degrees_is_the_dense_certificate(g, gamma, ratio):
     """The same kinds and the same deviation, to the last bit, as the n x n matrices give."""
     j = CouplingConstants(gamma, gamma, ratio * gamma)
+    if gamma == 0:
+        _assert_refused_without_hopping(g, j)
+        return
     kinds, deviation = certify_walk_equivalence(g, j)
     want_kinds, want_deviation = dense_certificate(g, j)
     assert kinds == want_kinds
     assert repr(deviation) == repr(want_deviation)
+
+
+def _assert_refused_without_hopping(g, j):
+    # the zero matrices match every walk, yet realise none of them
+    every_walk = (WalkKind.ADJACENCY, WalkKind.LAPLACIAN, WalkKind.SIGNLESS_LAPLACIAN)
+    assert dense_certificate(g, j) == (every_walk, 0.0)
+    with pytest.raises(ValueError, match="^walk equivalence requires a nonzero jx$"):
+        certify_walk_equivalence(g, j)
 
 
 @pytest.mark.parametrize(
@@ -322,6 +340,9 @@ def test_certificate_matches_the_dense_certificate_at_the_edges(g):
     for gamma in (0.0, -0.45, 0.3, 7.0, 1e308, -1e308, 5e307, -5e307):
         for ratio in (0.0, 1.0, -1.0, 0.5, 0.37):
             j = CouplingConstants(gamma, gamma, ratio * gamma)
+            if gamma == 0:
+                _assert_refused_without_hopping(g, j)
+                continue
             with np.errstate(over="ignore", invalid="ignore"):
                 kinds, deviation = certify_walk_equivalence(g, j)
                 want_kinds, want_deviation = dense_certificate(g, j)
