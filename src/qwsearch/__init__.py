@@ -38,13 +38,11 @@ from .bipartite import (
     InitialStateKind,
     RegimeClassification,
     RuntimeTable,
-    asymptotic_eigensystem_h0,
     class_sizes,
     class_slices,
     closed_form_peaks,
     closed_form_probabilities,
     critical_gamma,
-    degenerate_correction,
     fastest_regime,
     initial_state,
     next_order_correction,

@@ -11,10 +11,11 @@ reduced operators on the nonempty classes. On top of it sit the three
 canonical initial states and the leading-order theory: each walk's
 critical rate for a targeted side and its runtime there, both from one
 level crossing of ``W_r = A - r D`` (:func:`critical_gamma`,
-:func:`runtime_table`). The signless walk also has asymptotic
-eigensystems, whose first-order gap is ``pi / t_qa`` (``pi / t_qb`` on
-the right), closed-form class probabilities and their next-order
-finite-size corrections there.
+:func:`runtime_table`). At the signless walk's critical rates sit the
+closed-form class probabilities, whose first-order gap is ``pi / t_qa``
+(``pi / t_qb`` on the right), and the next-order eigensystem with its
+finite-size corrections. The first-order eigensystem that the gap comes
+from is the tests' reference (``tests/first_order_reference.py``).
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ __all__ = [
     "initial_state",
     "reduced_to_full",
     "critical_gamma",
-    "asymptotic_eigensystem_h0",
-    "degenerate_correction",
     "closed_form_probabilities",
     "next_order_correction",
     "next_order_probabilities",
@@ -250,36 +249,15 @@ def critical_gamma(spec: BipartiteSpec, walk: WalkKind, side: CriticalSide) -> f
     return 1.0 / _crossing(n1, n2, walk.ratio)
 
 
-def asymptotic_eigensystem_h0(
-    spec: BipartiteSpec, gamma: float
-) -> list[tuple[np.ndarray, float]]:
-    """Leading-order eigenpairs of the reduced search Hamiltonian.
-
-    For large partite sets the dominant part of the Hamiltonian is diagonal
-    in the basis ``a``, ``b``, ``u = (sqrt(n2) c + sqrt(n1) d)/sqrt(n)``,
-    ``v = (sqrt(n1) c - sqrt(n2) d)/sqrt(n)`` with eigenvalues
-    ``-1 - gamma n2``, ``-1 - gamma n1``, ``-gamma n``, and ``0``.
-    Pairs are returned in that fixed labeled order.
-    """
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise ValueError("gamma must be finite and positive")
-    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
-    e_a = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    e_b = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    u = np.array([0.0, 0.0, math.sqrt(n2), math.sqrt(n1)], dtype=complex) / math.sqrt(n)
-    v = np.array([0.0, 0.0, math.sqrt(n1), -math.sqrt(n2)], dtype=complex) / math.sqrt(n)
-    return [(e_a, -1.0 - gamma * n2), (e_b, -1.0 - gamma * n1), (u, -gamma * n), (v, 0.0)]
-
-
 @dataclass(frozen=True)
 class DegenerateEigensystem(EigenDecomposition):
     """Perturbation-lifted eigensystem at a critical rate, plus the gap.
 
     The eigenvalues ascend, and the eigenvectors are the columns in the
     class basis (a, b, c, d). ``delta_e`` is the splitting of the lifted
-    doublet, which sets the runtime ``pi / delta_e``. Returned at first
-    order by :func:`degenerate_correction` and at next order by
-    :func:`next_order_correction`.
+    doublet, which sets the runtime ``pi / delta_e``. Returned by
+    :func:`next_order_correction`, and at first order by the tests'
+    reference ``degenerate_correction``.
     """
 
     delta_e: float
@@ -315,38 +293,6 @@ def _first_order_gap(spec: BipartiteSpec) -> float:
     return math.pi / _runtime(spec.n1, spec.n2, spec.k1, WalkKind.SIGNLESS_LAPLACIAN.ratio)
 
 
-def degenerate_correction(
-    spec: BipartiteSpec, side: CriticalSide
-) -> DegenerateEigensystem:
-    """Asymptotic eigensystem at a critical rate, degeneracy lifted.
-
-    At ``gamma = 1/n1`` the ``a`` and ``u`` leading-order eigenvectors are
-    degenerate; first-order perturbation by the subleading couplings lifts
-    them into ``(a +/- u)/sqrt(2)`` with eigenvalues
-    ``-1 - n2/n1 -/+ sqrt(k1 n2 / (n1 n))``, while ``b`` (eigenvalue -2)
-    and ``v`` (eigenvalue 0) are unchanged. The right-critical case is the
-    partite-swapped mirror image.
-    ``delta_e`` is ``pi / t_qa`` (``pi / t_qb`` on the right) of
-    :func:`runtime_table` (the exact 4x4 gap is 0.98569 of it on ``(512,
-    256, 3, 5)``). It refuses layouts without a marked vertex on the
-    target side, and equal sides.
-    """
-    if side is CriticalSide.RIGHT:
-        return _mirrored(degenerate_correction(spec.swapped(), CriticalSide.LEFT))
-    half_gap = 0.5 * _first_order_gap(spec)
-    n1, n2 = float(spec.n1), float(spec.n2)
-    base = -1.0 - n2 / n1
-    gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
-    e_a, e_b, u, v = (vec for vec, _ in asymptotic_eigensystem_h0(spec, gamma))
-    pairs = [
-        ((e_a + u) / math.sqrt(2.0), base - half_gap),
-        ((e_a - u) / math.sqrt(2.0), base + half_gap),
-        (e_b, -2.0),
-        (v, 0.0),
-    ]
-    return _sorted_system(pairs, 2.0 * half_gap)
-
-
 def closed_form_probabilities(
     spec: BipartiteSpec,
     start: InitialStateKind,
@@ -371,8 +317,8 @@ def closed_form_probabilities(
         p_a = sin^2(dE t / 2),  p_b = 0,
         p_c = (n2 / n) cos^2(dE t / 2),  p_d = (n1 / n) cos^2(dE t / 2)
 
-    with ``dE = pi / t_qa`` the critical-gap splitting of
-    :func:`degenerate_correction`. The right-critical case is the
+    with ``dE = pi / t_qa`` the first-order splitting of the critical
+    doublet (:func:`_first_order_gap`). The right-critical case is the
     partite-swapped mirror. The four probabilities sum to one for every t.
     Only the uniform and signless starts have closed forms here.
     """
@@ -440,8 +386,9 @@ def next_order_correction(
     Hamiltonian has the exact eigenvectors ``u' = x c + y d`` and
     ``v' = y c - x d``, with ``x, y = sqrt((r -/+ (n1 - n2)/2) / (2 r))``
     and ``r = sqrt((n1 - n2)^2 / 4 + (n1 - k1)(n2 - k2))``. They replace
-    the ``u`` and ``v`` of :func:`asymptotic_eigensystem_h0`, and ``u'``
-    lies ``gamma (k1 n2 + k2 n1 - k1 k2) / (n/2 + r)`` above ``a``. In the
+    the leading-order ``u = (sqrt(n2) c + sqrt(n1) d)/sqrt(n)`` and
+    ``v = (sqrt(n1) c - sqrt(n2) d)/sqrt(n)``, and ``u'`` lies
+    ``gamma (k1 n2 + k2 n1 - k1 k2) / (n/2 + r)`` above ``a``. In the
     frame ``(a, u' | b, v')`` the far levels ``b`` and ``v'`` are folded
     into the quasi-degenerate doublet ``(a, u')`` by Loewdin partitioning
     (the degenerate perturbation theory of Childs & Goldstone, PRA 70,
@@ -459,12 +406,13 @@ def next_order_correction(
     levels into the doublet states and the doublet into the far levels,
     which is the beat on the success envelope.
 
-    The eigenvalues ascend as in :func:`degenerate_correction` and
-    ``delta_e`` is the doublet splitting. Eigenvalues are off the exact
-    4x4 ones by O((k/n)^2) and eigenvectors by O(k/n). The right-critical
-    case is the partite-swapped mirror. The expansion needs a marked
-    vertex on the target side, and unequal sides: at ``n1 == n2`` the
-    ``b`` level meets the doublet.
+    The eigenvalues ascend, and ``delta_e`` is the doublet splitting,
+    ``pi / t_qa`` at first order, where the doublet is
+    ``(a +/- u)/sqrt(2)`` (``tests/first_order_reference.py``).
+    Eigenvalues are off the exact 4x4 ones by O((k/n)^2) and eigenvectors
+    by O(k/n). The right-critical case is the partite-swapped mirror. The
+    expansion needs a marked vertex on the target side, and unequal sides:
+    at ``n1 == n2`` the ``b`` level meets the doublet.
     """
     if side is CriticalSide.RIGHT:
         return _mirrored(next_order_correction(spec.swapped(), CriticalSide.LEFT))

@@ -357,7 +357,6 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
     if args.jz_ratio is None:
         raise UsageError("verify-spin needs --jz-ratio")
     gamma = args.gamma if args.gamma is not None else 1.0
-    graph = read_edge_list(args.graph) if args.graph else demo_graph()
     ratio = args.jz_ratio
     jz = ratio * gamma
     # named as the user gave them; CouplingConstants would name jx and jz
@@ -367,6 +366,7 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
             raise UsageError(f"{name} must be finite, got {value!r}")
     if gamma == 0:  # no hopping, no walk: every candidate would match
         raise UsageError(f"--gamma must be nonzero, got {gamma!r}")
+    graph = read_edge_list(args.graph) if args.graph else demo_graph()
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=jz)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
     # the walk W_r = A - r D with r = jz / jx, if it is one of the three
@@ -421,8 +421,8 @@ _FLAGS = (
     ("--n2", _LAYOUTS, dict(type=int)),
     ("--k1", _LAYOUTS, dict(type=int)),
     ("--k2", _LAYOUTS, dict(type=int)),
-    ("--graph", _LAYOUTS, dict(help="edge-list file: 'n m' header then 'i j' lines")),
-    ("--marked", _LAYOUTS, dict(help="comma-separated marked vertices (edge-list runs)")),
+    ("--graph", _CURVES, dict(help="edge-list file: 'n m' header then 'i j' lines")),
+    ("--marked", _CURVES, dict(help="comma-separated marked vertices (edge-list runs)")),
     ("--walk", _SEARCHES, dict(choices=sorted(kind.value for kind in WalkKind), default="signless")),
     ("--config", tuple(_COMMANDS), dict(help="flat key=value file; flags override it")),
     ("--graph", ("verify-spin",), dict(help="edge-list file (default: builtin demo graph)")),

@@ -458,12 +458,16 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def _refine_crest(t: np.ndarray, v: np.ndarray, i: int) -> tuple[float, float]:
-    """Quadratic interpolation through the three samples bracketing crest i."""
+    """Quadratic interpolation through the three samples bracketing crest i.
+
+    A crest has ``v0 <= v1 > v2``, and rounding is monotone, so ``denom``
+    is negative. Only where ``2 v1`` overflows (``v1 < -max/2``) is it
+    ``+inf``; ``shift`` is then zero, and on finite times from 0 up the
+    crest comes back as ``(t1, v1)``.
+    """
     # Python floats round as NumPy's float64 scalars do, at a fraction of the cost
     (t0, t1, t2), (v0, v1, v2) = t[i - 1 : i + 2].tolist(), v[i - 1 : i + 2].tolist()
     denom = v0 - 2.0 * v1 + v2
-    if denom >= 0.0:
-        return t1, v1
     shift = min(max(0.5 * (v0 - v2) / denom, -1.0), 1.0)
     step = 0.5 * (t2 - t0)
     return t1 + shift * step, v1 - 0.25 * (v0 - v2) * shift

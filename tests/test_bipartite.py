@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import assert_is_the_class_walk, bipartite_specs, uncollapsed_propagate
 from dense_reference import SearchInstance, dense_walk_matrix, search_hamiltonian
+from first_order_reference import asymptotic_eigensystem_h0, degenerate_correction
 from qwsearch.bipartite import (
     ClosedFormPeak,
     CriticalSide,
     FastestWalk,
     InitialStateKind,
     RuntimeTable,
-    asymptotic_eigensystem_h0,
     class_partition,
     class_quotient,
     class_sizes,
@@ -22,7 +22,6 @@ from qwsearch.bipartite import (
     closed_form_peaks,
     closed_form_probabilities,
     critical_gamma,
-    degenerate_correction,
     fastest_regime,
     initial_state,
     next_order_correction,

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -273,6 +274,21 @@ def test_verify_spin_exit_codes(capsys):
 )
 def test_verify_spin_names_the_flag_whose_coupling_is_not_finite(capsys, argv, message):
     code, out, err = run_cli(capsys, ["verify-spin", *argv])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--jz-ratio", "1", "--gamma", "0"], "--gamma must be nonzero, got 0.0"),
+        (["--jz-ratio", "nan"], "--jz-ratio must be finite, got nan"),
+    ],
+    ids=["gamma-zero", "ratio-nan"],
+)
+def test_verify_spin_checks_its_flags_before_it_reads_the_graph(capsys, tmp_path, argv, message):
+    # as every search command does: a bad flag is named even if the file is missing
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, ["verify-spin", "--graph", str(missing), *argv])
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
@@ -1247,6 +1263,33 @@ def test_a_config_file_does_not_leak_into_the_next_call(capsys, tmp_path):
     assert out == fresh.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["runtimes", "--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5"], 0,
+         "sweep_key,t_La,t_Lb,t_A,t_Qa,t_Qb,fastest,near_regular_flag\n", ""),
+        (["runtimes"], 1, "", "usage error: runtimes needs a bipartite layout\n"),
+    ],
+    ids=["layout", "usage-fault"],
+)
+def test_python_dash_m_qwsearch_exits_with_the_status_of_main(argv, code, out, err):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-m", "qwsearch", *argv], capture_output=True, text=True, env=env
+    )
+    assert (run.returncode, run.stdout.splitlines(keepends=True)[:1], run.stderr) == (
+        code, [out] if out else [], err)
+
+
+def test_the_module_entry_point_exits_with_the_status_of_main(monkeypatch, capsys):
+    # in process, so that a line trace of the suite reaches cli.entry and __main__
+    monkeypatch.setattr(sys, "argv", ["qwsearch", "runtimes"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("qwsearch", run_name="__main__")
+    assert exit_.value.code == 1
+    assert capsys.readouterr() == ("", "usage error: runtimes needs a bipartite layout\n")
+
+
 LAYOUT_48 = ["--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5"]
 
 
@@ -1375,11 +1418,13 @@ def test_runtimes_on_unequal_sides_that_round_to_one_float(capsys):
           "--gamma-count", "0", "--tmax", "5"], "--gamma-count must be at least 1"),
         (["sweep-gamma", "--gamma", "0.1"], "sweep-gamma needs a bipartite layout or --graph"),
         (["runtimes"], "runtimes needs a bipartite layout"),
+        (["overlaps", "--gamma", "0.1"], "overlaps needs a bipartite layout"),
         (["verify-spin"], "verify-spin needs --jz-ratio"),
     ],
     ids=["probe-ml", "probe-mr", "gamma-max-alone", "sweep-min-alone", "bad-marked",
          "no-gamma", "simulate-no-gamma", "tmax-zero", "tmax-negative", "one-sample",
-         "gamma-count-zero", "sweep-no-instance", "runtimes-no-layout", "verify-spin-no-ratio"],
+         "gamma-count-zero", "sweep-no-instance", "runtimes-no-layout", "overlaps-no-layout",
+         "verify-spin-no-ratio"],
 )
 def test_usage_refusals_name_the_fault(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -1433,6 +1478,25 @@ def test_runtimes_takes_no_walk(capsys, tmp_path):
     assert from_file[0] == 0
 
 
+@pytest.mark.parametrize(
+    "command, rest",
+    [("overlaps", ["--gamma", "0.02"]), ("runtimes", [])],
+)
+@pytest.mark.parametrize("flag, value", [("--graph", "g.txt"), ("--marked", "1")])
+def test_overlaps_and_runtimes_take_no_edge_list_flags(capsys, tmp_path, command, rest,
+                                                       flag, value):
+    # both run on a layout only, so the flag is refused by the parser; its
+    # key in a config file is another subcommand's and is ignored
+    argv = [command, *LAYOUT_48, *rest]
+    code, out, err = run_cli(capsys, [*argv, flag, value])
+    assert (code, out, err) == (1, "", f"usage error: unrecognized arguments: {flag} {value}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text([*LAYOUT_48, *rest, flag, value]))
+    from_file = run_cli(capsys, [command, "--config", str(cfg)])
+    assert from_file == run_cli(capsys, argv)
+    assert from_file[0] == 0
+
+
 # Each flag: a value it accepts, that value as parsed, and the subcommands
 # that take it. Written out rather than read from the parser, so that a
 # flag given to the wrong subcommand fails here.
@@ -1441,8 +1505,8 @@ FLAG_MATRIX = {
     "--n2": ("4", 4, "simulate sweep-gamma overlaps runtimes"),
     "--k1": ("1", 1, "simulate sweep-gamma overlaps runtimes"),
     "--k2": ("2", 2, "simulate sweep-gamma overlaps runtimes"),
-    "--graph": ("g.txt", "g.txt", "simulate sweep-gamma overlaps runtimes verify-spin"),
-    "--marked": ("0,2", "0,2", "simulate sweep-gamma overlaps runtimes"),
+    "--graph": ("g.txt", "g.txt", "simulate sweep-gamma verify-spin"),
+    "--marked": ("0,2", "0,2", "simulate sweep-gamma"),
     "--walk": ("laplacian", "laplacian", "simulate sweep-gamma overlaps"),
     "--config": ("c.cfg", "c.cfg", "simulate sweep-gamma overlaps runtimes verify-spin"),
     "--out": ("o.csv", "o.csv", "simulate sweep-gamma overlaps runtimes"),

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs, uncollapsed_propagate
@@ -14,6 +14,7 @@ from dense_reference import (
     search_hamiltonian,
     success_probability,
 )
+from first_order_reference import degenerate_correction
 from qwsearch import evolve
 from qwsearch.bipartite import (
     CriticalSide,
@@ -21,7 +22,6 @@ from qwsearch.bipartite import (
     class_quotient,
     class_sizes,
     class_slices,
-    degenerate_correction,
     initial_state,
     reduced_to_full,
 )
@@ -892,6 +892,39 @@ def test_first_peak_on_bench_curves_is_the_loop():
     for masses in quotient.sweep(gammas, times):
         success = masses[:, 0] + masses[:, 1]
         assert first_peak(times, success) == _first_peak_loop(times, success)
+
+
+def _refine_crest_with_guard(t, v, i):
+    """``evolve._refine_crest`` as it was with its ``denom >= 0`` return."""
+    (t0, t1, t2), (v0, v1, v2) = t[i - 1 : i + 2].tolist(), v[i - 1 : i + 2].tolist()
+    denom = v0 - 2.0 * v1 + v2
+    if denom >= 0.0:
+        return t1, v1
+    shift = min(max(0.5 * (v0 - v2) / denom, -1.0), 1.0)
+    step = 0.5 * (t2 - t0)
+    return t1 + shift * step, v1 - 0.25 * (v0 - v2) * shift
+
+
+_MAX = np.finfo(float).max
+# heights of any size, also around -max/2, where 2 v1 overflows
+_HEIGHTS = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(-_MAX, -_MAX / 4),
+    st.sampled_from([-_MAX, -_MAX / 2, np.nextafter(-_MAX / 2, 0.0),
+                     np.nextafter(-_MAX / 2, -np.inf), -1.0, 0.0, 1.0, _MAX]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(0.0, 1.0, 2.0, -1.7e308, -1e308, -1.5e308)
+@given(st.floats(0.0, _MAX / 2), st.floats(0.0, _MAX / 2), st.floats(0.0, _MAX / 2),
+       _HEIGHTS, _HEIGHTS, _HEIGHTS)
+def test_refine_crest_never_needed_its_nonnegative_denominator_return(t0, t1, t2, v0, v1, v2):
+    # a crest: v0 <= v1 > v2, on finite times from 0 up
+    assume(v0 <= v1 and v2 < v1)
+    t, v = np.array(sorted([t0, t1, t2])), np.array([v0, v1, v2])
+    got = evolve._refine_crest(t, v, 1)
+    assert np.array(got).tobytes() == np.array(_refine_crest_with_guard(t, v, 1)).tobytes()
 
 
 def test_first_peak_validates():

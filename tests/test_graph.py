@@ -56,6 +56,10 @@ def test_graph_equality_and_hash_follow_the_edge_array():
     assert len({a, b}) == 1
     assert a != Graph(5, [(0, 3), (1, 2)])
     assert a != Graph(4, [(0, 3)])
+    # another type is not equal, from either side
+    assert (a == object()) is False
+    assert (a != object()) is True
+    assert a.__eq__(object()) is NotImplemented
 
 
 def test_edgeless_graph():
