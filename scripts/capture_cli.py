@@ -24,7 +24,8 @@ The table covers the README examples; reduced, full and edge-list
 ``simulate`` and ``sweep-gamma`` over the three walks (and, on layouts, the
 three start states; the edge lists include graphs whose search quotient is
 smaller than the graph but which are not bipartite layouts, and one list of
-over 16 KiB in shuffled order with reversed pairs and a repeated line);
+17 KiB, long enough that NumPy reads it from its path, in shuffled order
+with reversed pairs and a repeated line);
 reduced and full ``overlaps`` over the three walks and four probes; full
 mode on the (512, 256, 3, 5) benchmark layout (``simulate``, ``sweep-gamma``
 and ``overlaps``) and on K_{6,6} with two marked vertices per side, whose
@@ -82,8 +83,8 @@ SMALL_GRID = ["--gamma-min", "0.01", "--gamma-max", "0.06", "--gamma-count", "8"
 # is the whole graph), and, marked at vertex 0, the cycle C_30 (16 cells),
 # the hypercube Q_6 (7 cells, one per Hamming weight) and the hypercube Q_9
 # (10 cells) listed in a seeded shuffle, about half the pairs reversed and
-# one line twice: over 16 KiB, so NumPy's bulk reader takes it, and the
-# only list that the graph has to sort (the others are canonical); for
+# one line twice: 17 KiB, so NumPy reads it from its path, and the only
+# list that the graph has to sort (the others are canonical); for
 # verify-spin, the path on 2001 vertices and three edges on 2^31 vertices.
 PERMUTED = "{permuted_k48_24}"
 IRREGULAR = "{irregular10}"

@@ -57,7 +57,8 @@ def run() -> None:
     for name, argv in RUNS:
         out = OUT_DIR / name
         code = main([*argv, "--out", str(out)])
-        assert code == 0, f"{' '.join(argv)} exited {code}"
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
         print(f"wrote {out}")
 
 

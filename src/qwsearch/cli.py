@@ -334,7 +334,12 @@ def cmd_runtimes(args: argparse.Namespace) -> int:
         cap = spec.n1 if args.sweep == "k1" else spec.n2
         if lo < 0 or hi < lo or hi > cap:
             raise UsageError(f"sweep range must satisfy 0 <= min <= max <= {cap}")
-        values = list(range(lo, hi + 1))
+        # the output holds a line per row, and a list holds at most sys.maxsize
+        if hi - lo >= sys.maxsize:
+            raise UsageError(
+                f"sweep of {hi - lo + 1} rows is more than a list holds ({sys.maxsize})"
+            )
+        values = range(lo, hi + 1)
     lines = ["sweep_key,t_La,t_Lb,t_A,t_Qa,t_Qb,fastest,near_regular_flag"]
     for value in values:
         # without --sweep, value is k1

@@ -8,7 +8,6 @@ pairs.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,6 +235,8 @@ def read_edge_list(path: str | Path) -> Graph:
 
     Format: a header line ``n m`` followed by ``m`` lines ``i j`` with
     0-based endpoints. Blank lines and trailing whitespace are ignored.
+    NumPy parses a plain file in one pass; any other file, or one NumPy
+    refuses, is read line by line, and a refusal names its line.
     """
     rows = _plain_rows(path)
     if rows is not None:
@@ -263,30 +264,32 @@ def read_edge_list(path: str | Path) -> Graph:
 # so NumPy's reader sees the lines read_edge_list sees: it reads text with
 # universal newlines, where "\r\n" and "\r" end a line as "\n" does.
 _PLAIN_BYTES = b"0123456789 \t\r\n"
-# Below this many bytes, NumPy's opening of a path costs more than the line
-# list it saves (about 2,000 edges).
-_BULK_CHARS = 1 << 14
+# From this many bytes NumPy reads the file from its path, in chunks; below
+# it, NumPy reads the list of its lines, which is faster there. The two
+# cross at about 900 lines: 6-9 KiB by line length (NumPy 2.4, Xeon).
+_BULK_CHARS = 1 << 13
 
 
 def _plain_rows(path: str | Path) -> np.ndarray | None:
     """Header and edge rows of the edge list at ``path``, or ``None``.
 
-    A long file of plain bytes is read by NumPy in chunks, which skips
-    blank lines; the file's bytes are dropped before that. Its rows are
-    taken only when every line holds two integers and their count matches
-    the header's ``m``. Anything else returns ``None``, and the line-by-line
-    reader gives its own result or message.
+    A file of plain bytes that is not blank is parsed by NumPy in one call,
+    which skips blank lines: from ``path`` when it holds at least
+    ``_BULK_CHARS`` bytes (its bytes are dropped first), else from its
+    lines. Its rows are taken only when every line holds two integers and
+    their count matches the header's ``m``. Anything else returns ``None``,
+    and the line-by-line reader gives its own result or message.
     """
-    if os.stat(path).st_size < _BULK_CHARS:
+    # open, not a Path, which interns its parts: a long run of reads grew by 1 MiB
+    with open(path, "rb") as f:
+        data = f.read()
+    # a blank file would make NumPy warn that it holds no data
+    if not data or data.isspace() or data.translate(None, _PLAIN_BYTES):
         return None
-    data = Path(path).read_bytes()
-    if data.translate(None, _PLAIN_BYTES):
-        return None
-    if data.isspace():  # NumPy would warn that the file holds no data
-        return None
+    source = path if len(data) >= _BULK_CHARS else data.decode().splitlines()
     del data
     try:
-        rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+        rows = np.loadtxt(source, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
     if rows.shape[1] != 2 or rows.shape[0] - 1 != rows[0, 1]:
@@ -295,17 +298,11 @@ def _plain_rows(path: str | Path) -> np.ndarray | None:
 
 
 def _parse_edges(path: str | Path, body: list[str], n: int):
-    """Endpoint pairs of the edge lines; a bad line raises naming the line."""
-    if body:
-        try:
-            pairs = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            pairs = None
-        if pairs is not None and pairs.shape[1] == 2:
-            return pairs
-    # NumPy's parser refused a line or found the wrong width. This pass
-    # names the bad line, and accepts whatever int() accepts, which is more
-    # than NumPy's parser does (for example "1_0").
+    """Endpoint pairs of the stripped edge lines; a bad line raises naming the line.
+
+    It takes whatever ``int()`` accepts, which is more than NumPy's parser
+    does (for example ``1_0``).
+    """
     edges = []
     for line in body:
         parts = line.split()

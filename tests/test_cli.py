@@ -1420,11 +1420,14 @@ def test_runtimes_on_unequal_sides_that_round_to_one_float(capsys):
         (["runtimes"], "runtimes needs a bipartite layout"),
         (["overlaps", "--gamma", "0.1"], "overlaps needs a bipartite layout"),
         (["verify-spin"], "verify-spin needs --jz-ratio"),
+        (["runtimes", "--n1", str(10**20), "--n2", "1", "--k1", "1", "--k2", "0",
+          "--sweep", "k1", "--sweep-min", "0", "--sweep-max", str(10**20)],
+         f"sweep of {10**20 + 1} rows is more than a list holds ({sys.maxsize})"),
     ],
     ids=["probe-ml", "probe-mr", "gamma-max-alone", "sweep-min-alone", "bad-marked",
          "no-gamma", "simulate-no-gamma", "tmax-zero", "tmax-negative", "one-sample",
          "gamma-count-zero", "sweep-no-instance", "runtimes-no-layout", "overlaps-no-layout",
-         "verify-spin-no-ratio"],
+         "verify-spin-no-ratio", "sweep-past-maxsize"],
 )
 def test_usage_refusals_name_the_fault(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

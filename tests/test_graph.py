@@ -1,9 +1,10 @@
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_is_the_class_walk, bipartite_specs, graphs, load_script
@@ -464,7 +465,7 @@ def _permuted_complete_bipartite_text(n1, n2):
     return f"{n1 + n2} {n1 * n2}\n" + "".join(lines)
 
 
-# (text, whether the bulk reader takes it once the file is long enough)
+# (text, whether NumPy's reader takes it, from the file's path or its lines)
 PARSE_CASES = {
     "leading-blank-lines": ("\n\n5 2\n0 1\n2 3\n", True),
     "whitespace-only-lines": ("5 2\n0 1\n \t \n2 3\n  \n", True),
@@ -486,7 +487,8 @@ PARSE_CASES = {
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bulk_chars", [None, 0], ids=["long-files-bulk", "all-files-bulk"])
+@pytest.mark.parametrize("bulk_chars", [None, 0, 10**9],
+                         ids=["long-files-bulk", "all-files-bulk", "all-files-from-lines"])
 @pytest.mark.parametrize("text, plain", PARSE_CASES.values(), ids=PARSE_CASES.keys())
 def test_edge_list_parse_matches_a_line_by_line_reader(tmp_path, monkeypatch, text, plain,
                                                         bulk_chars):
@@ -505,8 +507,54 @@ def test_edge_list_parse_matches_a_line_by_line_reader(tmp_path, monkeypatch, te
     expected = _read_line_by_line(path, text)
     assert type(got) is type(expected)
     assert got == expected
-    # each case runs through the bulk reader or the line-by-line one, as stated
-    assert (taken[0] is not None) == (plain and len(text) >= graph_module._BULK_CHARS)
+    # NumPy takes exactly the plain cases, from either source; the rest run line by line
+    assert (taken[0] is not None) == plain
+
+
+_SPACES = st.sampled_from([" ", "\t", "  ", " \t", "\t\t "])
+_TRAILING = st.sampled_from(["", "", " ", "\t", " \t "])
+
+
+@st.composite
+def _plain_edge_lists(draw):
+    """Edge-list texts of plain bytes, mostly valid, with every layout both readers skip."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    # now and then a self-loop, an endpoint at n or one past int64
+    fault = draw(st.sampled_from([None] * 7 + [(0, 0), (0, n), (2**64, 0)]))
+    if fault:
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    m = max(0, len(edges) + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    lines = [f"{n}{draw(_SPACES)}{m}{draw(_TRAILING)}"]
+    lines += [f"{u}{draw(_SPACES)}{v}{draw(_TRAILING)}" for u, v in edges]
+    if draw(st.integers(0, 9)) == 0:  # now and then a file of blank lines alone
+        lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_plain_edge_lists())
+def test_plain_edge_lists_read_alike_from_path_and_lines(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "plain.txt"
+    path.write_bytes(text.encode())
+    expected = _read_line_by_line(path, text)
+    for bulk_chars in (0, 10**9):  # NumPy reads the file from its path, then from its lines
+        # warnings are errors around the read alone, so that Hypothesis can
+        # still report a failing case
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(graph_module, "_BULK_CHARS", bulk_chars)
+            try:
+                got = read_edge_list(path)
+            except ValueError as exc:
+                got = str(exc)
+        assert type(got) is type(expected)
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------

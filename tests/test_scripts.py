@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import load_script
 from qwsearch import graph
 from qwsearch.cli import UsageError, build_parser
 
-RUNS = load_script("run_datasets").RUNS
+DATASETS = load_script("run_datasets")
+RUNS = DATASETS.RUNS
 CAPTURE = load_script("capture_cli")
 
 
@@ -23,14 +25,36 @@ def test_dataset_argv_parses(name, argv):
     assert args.command == argv[0]
 
 
+def test_dataset_script_writes_every_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(DATASETS, "OUT_DIR", tmp_path)
+    DATASETS.run()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for name, _ in RUNS)
+    assert capsys.readouterr().out.count("wrote ") == 25
+    rows = [line.split(",") for line in
+            (tmp_path / "runtime_regimes.csv").read_text().splitlines()[1:]]
+    switches = [int(row[0]) for prev, row in zip(rows, rows[1:]) if row[6] != prev[6]]
+    # signless-right to adjacency at k1 = 12, adjacency to Laplacian-left at 34
+    assert switches == [12, 34]
+
+
+def test_dataset_script_stops_at_a_failing_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(DATASETS, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(DATASETS, "main", lambda argv: 1)
+    name, argv = RUNS[0]
+    with pytest.raises(SystemExit, match=f"^{re.escape(' '.join(argv))} exited 1$"):
+        DATASETS.run()
+    assert capsys.readouterr().out == ""
+
+
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
     assert len(names) == len(set(names)) == 162
 
 
 def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
-    # the only capture input that NumPy's bulk reader takes and the graph
-    # has to sort: the rows as read are out of order, reversed and repeated
+    # the only capture input that the graph has to sort, long enough that
+    # NumPy reads it from its path: the rows as read are out of order,
+    # reversed and repeated
     text = CAPTURE._input_files()[CAPTURE.SHUFFLED_CUBE]
     path = tmp_path / "cube.txt"
     path.write_text(text)
