@@ -24,6 +24,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .evolve import (
     EigenDecomposition,
     SearchQuotient,
     WalkKind,
+    _finite_state,
     propagate,
     search_quotient,
     walk_matrix,
@@ -81,6 +83,8 @@ class CriticalSide(enum.Enum):
 
 
 class FastestWalk(enum.Enum):
+    """The five deterministic searches, in the tie-break order of :class:`RuntimeTable`."""
+
     LAPLACIAN_LEFT = "laplacian_left"
     LAPLACIAN_RIGHT = "laplacian_right"
     ADJACENCY = "adjacency"
@@ -200,9 +204,9 @@ def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
 def _class_state(spec: BipartiteSpec, state: np.ndarray) -> np.ndarray:
     """``state`` as four complex class amplitudes, none of them on an empty class.
 
-    ``ValueError`` unless there are four, or if an empty class carries one.
+    ``ValueError`` unless there are four finite ones, or if an empty class carries one.
     """
-    state = np.asarray(state, dtype=complex)
+    state = _finite_state(state)
     if state.shape != (4,):
         raise ValueError("reduced state must have four amplitudes")
     empty = [size == 0 for size in class_sizes(spec)]
@@ -470,14 +474,11 @@ def next_order_probabilities(
     :func:`next_order_correction`, so the curves carry the finite-size
     beat and the renormalized gap that :func:`closed_form_probabilities`
     drops. Any start state is accepted; ``t`` must be nonnegative. The
-    four probabilities sum to one, and the right-critical case is the
-    exact partite-swapped mirror.
+    four probabilities sum to one, and the right side's eigensystem is
+    the exact partite-swapped mirror of the left's.
     """
-    if side is CriticalSide.RIGHT:
-        pa, pb, pc, pd = next_order_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)
-        return pb, pa, pd, pc
-    system = next_order_correction(spec, CriticalSide.LEFT)
     t = np.asarray(t, dtype=float)
+    system = next_order_correction(spec, side)
     states = propagate(system, initial_state(spec, start), t.reshape(-1))
     probs = np.moveaxis((np.abs(states) ** 2).reshape(t.shape + (4,)), -1, 0)
     return tuple(map(float, probs)) if t.ndim == 0 else tuple(probs)
@@ -523,7 +524,7 @@ def closed_form_peaks(spec: BipartiteSpec) -> list[ClosedFormPeak]:
         FastestWalk.SIGNLESS_RIGHT: (signless, right, signless_peaks),
     }
     rows: list[ClosedFormPeak] = []
-    for label, runtime in runtime_table(spec).as_ordered():
+    for label, runtime in zip(FastestWalk, runtime_table(spec)):
         if runtime is not None:
             walk, side, peaks = setups[label]
             rate = critical_gamma(spec, walk, side or left)  # adjacency: the same on both
@@ -532,25 +533,14 @@ def closed_form_peaks(spec: BipartiteSpec) -> list[ClosedFormPeak]:
     return rows
 
 
-@dataclass(frozen=True)
-class RuntimeTable:
-    """The five deterministic-search runtimes; ``None`` when undefined."""
+class RuntimeTable(NamedTuple):
+    """The five search runtimes in :class:`FastestWalk` order, ``None`` when undefined."""
 
     t_la: float | None
     t_lb: float | None
     t_a: float | None
     t_qa: float | None
     t_qb: float | None
-
-    def as_ordered(self) -> list[tuple[FastestWalk, float | None]]:
-        """Entries in the fixed tie-break order."""
-        return [
-            (FastestWalk.LAPLACIAN_LEFT, self.t_la),
-            (FastestWalk.LAPLACIAN_RIGHT, self.t_lb),
-            (FastestWalk.ADJACENCY, self.t_a),
-            (FastestWalk.SIGNLESS_LEFT, self.t_qa),
-            (FastestWalk.SIGNLESS_RIGHT, self.t_qb),
-        ]
 
 
 def runtime_table(spec: BipartiteSpec) -> RuntimeTable:
@@ -609,9 +599,9 @@ def fastest_regime(spec: BipartiteSpec) -> RegimeClassification:
     apart in floating point still resolve by the fixed order.
     """
     table = runtime_table(spec)
-    defined = [(label, value) for label, value in table.as_ordered() if value is not None]
-    best = min(value for _, value in defined)
-    fastest = next(label for label, value in defined if value <= best * (1.0 + RUNTIME_TIE_RTOL))
+    tied = (1.0 + RUNTIME_TIE_RTOL) * min(value for value in table if value is not None)
+    fastest = next(label for label, value in zip(FastestWalk, table)
+                   if value is not None and value <= tied)
     # thresholds on the larger side's marked count, from the layout with
     # that side on the left
     axis, thresholds = None, None

@@ -182,8 +182,7 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
     if tmax is None:
         if args.spec is None:
             raise UsageError("--tmax is required for edge-list instances")
-        table = runtime_table(args.spec).as_ordered()
-        tmax = 2.0 * max(t for _, t in table if t is not None)
+        tmax = 2.0 * max(t for t in runtime_table(args.spec) if t is not None)
     if not np.isfinite(tmax):
         raise UsageError(f"--tmax must be finite, got {tmax!r}")
     if tmax <= 0:
@@ -349,7 +348,7 @@ def cmd_runtimes(args: argparse.Namespace) -> int:
             continue
         regime = fastest_regime(BipartiteSpec(spec.n1, spec.n2, k1, k2))
         # the runtimes are Python floats, so repr is their shortest form
-        runtimes = ["" if t is None else repr(t) for _, t in regime.runtimes.as_ordered()]
+        runtimes = ["" if t is None else repr(t) for t in regime.runtimes]
         lines.append(
             f"{value},{','.join(runtimes)},{regime.fastest.value},"
             f"{1 if regime.near_regular else 0}"

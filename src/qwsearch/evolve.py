@@ -65,6 +65,14 @@ class WalkKind(enum.Enum):
         return member
 
 
+def _finite_state(state: np.ndarray | Sequence[complex]) -> np.ndarray:
+    """``state`` as complex amplitudes; ``ValueError`` if one is not finite."""
+    state = np.asarray(state, dtype=complex)
+    if not np.isfinite(state).all():
+        raise ValueError("state amplitudes must be finite")
+    return state
+
+
 def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
     """``gamma``, one rate or a 1-D sequence, as floats.
 
@@ -250,12 +258,17 @@ class SearchQuotient(NamedTuple):
         a near-degenerate pair: ``eigh`` may return any basis of their span,
         so the rows of each level depend on the basis (on the cell order, for
         one) and only their sums over the pair are determined. Rows are
-        ordered by the given gamma sequence and then by ``n``.
+        ordered by the given gamma sequence and then by ``n``. ``gammas``
+        is checked as :meth:`sweep` checks it, and must not be empty; the
+        probe must have norm 1 (a NaN norm is refused too).
         """
-        rates = np.fromiter(gammas, dtype=float)
+        rates = _checked_gamma(gammas)
+        if rates.ndim != 1:
+            raise ValueError("gammas must be a 1-D sequence of rates")
         if not rates.size:
             raise ValueError("gamma list must be nonempty")
-        if abs(np.linalg.norm(self.state) - 1.0) > 1e-8:
+        # written as not <=, since a NaN norm is not > 1e-8 either
+        if not abs(np.linalg.norm(self.state) - 1.0) <= 1e-8:
             raise ValueError("probe state must be normalized")
         if self.shares.shape[1] < 2:
             raise ValueError("levels needs groups 0 and 1")
@@ -324,7 +337,7 @@ def search_quotient(
     as the ``rows`` of :func:`propagate`.
     """
     marked = _marked_vertices(marked, graph.n)
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = _finite_state(psi0)
     if psi0.shape != (graph.n,):
         raise ValueError("state dimension does not match the graph")
     members = np.zeros((graph.n, len(groups)), dtype=bool)
@@ -368,7 +381,7 @@ def propagate(
     ``len(rows)`` rather than ``dim`` columns per time step.
     """
     decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
-    return _propagated(decomp, psi0, _split_times(times), rows)
+    return _propagated(decomp, _finite_state(psi0), _split_times(times), rows)
 
 
 class _TimeSplit(NamedTuple):

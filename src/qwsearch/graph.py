@@ -8,6 +8,7 @@ pairs.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,8 +119,8 @@ def _refuse_past_int64(rows, n: int) -> None:
     """Name the first edge with an integer endpoint past int64, if all endpoints are integers.
 
     NumPy holds such endpoints as uint64, float64 or objects. They are past
-    every vertex count, so the edge is refused by name, as
-    :func:`read_edge_list` names its line.
+    every vertex count, so the edge is refused by name; this is also the
+    refusal of such an edge in :func:`read_edge_list`.
     """
     edges = [tuple(row) for row in rows]
     if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -128,6 +129,22 @@ def _refuse_past_int64(rows, n: int) -> None:
             edge = (int(edge[0]), int(edge[1]))
             if not _INT64.min <= min(edge) <= max(edge) <= _INT64.max:
                 raise ValueError(f"edge {edge!r} out of range for n={n}")
+
+
+def _store_counts(owner: object, *names: str) -> None:
+    """Store each named count of the frozen ``owner`` as a Python int.
+
+    A NumPy integer becomes a Python one, whose products cannot wrap; a
+    float or any other non-integer is refused by the field's name.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if type(value) is int:  # most counts: no call, so a layout stays cheap to build
+            continue
+        try:
+            object.__setattr__(owner, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +164,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
+        _store_counts(self, "n")
         if self.n < 1:
             raise ValueError("vertex count must be positive")
         if self.n > _MAX_VERTICES:
@@ -183,6 +201,7 @@ class BipartiteSpec:
     k2: int
 
     def __post_init__(self) -> None:
+        _store_counts(self, "n1", "n2", "k1", "k2")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("partite sets must be nonempty")
         if self.n1 * self.n2 > sys.float_info.max:
@@ -236,28 +255,31 @@ def read_edge_list(path: str | Path) -> Graph:
     Format: a header line ``n m`` followed by ``m`` lines ``i j`` with
     0-based endpoints. Blank lines and trailing whitespace are ignored.
     NumPy parses a plain file in one pass; any other file, or one NumPy
-    refuses, is read line by line, and a refusal names its line.
+    refuses, is read line by line, and a refusal names its line. Every
+    ``ValueError`` begins with ``path``, also the :class:`Graph`'s own
+    (a vertex count, a self-loop or an endpoint out of range).
     """
-    rows = _plain_rows(path)
-    if rows is not None:
-        return Graph(int(rows[0, 0]), rows[1:])
-    with open(path) as f:
-        text = f.read()
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
-    if not lines:
-        raise ValueError(f"{path}: empty edge-list file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must be 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        rows = _plain_rows(path)
+        if rows is not None:
+            return Graph(int(rows[0, 0]), rows[1:])
+        with open(path) as f:
+            text = f.read()
+        lines = [line for line in map(str.strip, text.splitlines()) if line]
+        if not lines:
+            raise ValueError("empty edge-list file")
+        header = lines[0].split()
+        if len(header) != 2:
+            raise ValueError("header must be 'n m'")
+        try:
+            n, m = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise ValueError("non-integer header") from exc
+        if len(lines) - 1 != m:
+            raise ValueError(f"header declares {m} edges but file has {len(lines) - 1}")
+        return Graph(n, _parse_edges(lines[1:]))
     except ValueError as exc:
-        raise ValueError(f"{path}: non-integer header") from exc
-    if len(lines) - 1 != m:
-        raise ValueError(
-            f"{path}: header declares {m} edges but file has {len(lines) - 1}"
-        )
-    return Graph(n, _parse_edges(path, lines[1:], n))
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # Files of only these bytes split into the lines that str.splitlines gives,
@@ -297,25 +319,21 @@ def _plain_rows(path: str | Path) -> np.ndarray | None:
     return rows
 
 
-def _parse_edges(path: str | Path, body: list[str], n: int):
+def _parse_edges(body: list[str]) -> list[tuple[int, int]]:
     """Endpoint pairs of the stripped edge lines; a bad line raises naming the line.
 
     It takes whatever ``int()`` accepts, which is more than NumPy's parser
-    does (for example ``1_0``).
+    does (for example ``1_0``). The pairs' range is :class:`Graph`'s to check.
     """
     edges = []
     for line in body:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}: malformed edge line {line!r}")
+            raise ValueError(f"malformed edge line {line!r}")
         try:
-            edge = (int(parts[0]), int(parts[1]))
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
-            raise ValueError(f"{path}: non-integer edge {line!r}") from exc
-        if not _INT64.min <= min(edge) <= max(edge) <= _INT64.max:
-            # past int64, so past every vertex count, and no edge array holds it
-            raise ValueError(f"{path}: edge {edge!r} out of range for n={n}")
-        edges.append(edge)
+            raise ValueError(f"non-integer edge {line!r}") from exc
     return edges
 
 

@@ -628,6 +628,15 @@ def test_two_level_runtimes_approach_the_exact_min_gap_time(walk, side):
     assert errors[-1] < 1e-3, errors
 
 
+def test_numpy_integer_layouts_give_the_python_int_closed_forms():
+    # n1 n2 = 2^64 + 2^33 wraps in int64, which would put t_la at about pi
+    counts = (2**32, 2**32 + 2, 1, 1)
+    wide, exact = BipartiteSpec(*map(np.int64, counts)), BipartiteSpec(*counts)
+    assert runtime_table(wide) == runtime_table(exact)
+    for walk, side in itertools.product(WalkKind, CriticalSide):
+        assert critical_gamma(wide, walk, side) == critical_gamma(exact, walk, side)
+
+
 def test_runtime_absent_entries_are_none():
     table = runtime_table(BipartiteSpec(16, 8, 0, 2))
     assert table.t_la is None and table.t_qa is None

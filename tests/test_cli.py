@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from conftest import bipartite_specs
 from dense_reference import SearchInstance, search_hamiltonian
 from qwsearch import cli, spin_network
-from qwsearch.bipartite import class_quotient, class_sizes
+from qwsearch.bipartite import (
+    FastestWalk,
+    RuntimeTable,
+    class_quotient,
+    class_sizes,
+    runtime_table,
+)
 from qwsearch.cli import SEARCH_CELL_BYTES, UsageError, build_parser, main
 from qwsearch.evolve import (
     WalkKind,
@@ -26,7 +32,7 @@ from qwsearch.evolve import (
     search_quotient,
     uniform_state,
 )
-from qwsearch.graph import read_edge_list
+from qwsearch.graph import BipartiteSpec, read_edge_list
 from spin_reference import heisenberg_hamiltonian
 
 FIG_FLAGS = ["--n1", "512", "--n2", "256", "--k1", "3", "--k2", "5"]
@@ -975,6 +981,22 @@ def test_runtimes_single_row_and_header(capsys):
     assert rows[0][0] == "8"
     assert rows[0][6] == "signless_right"
     assert rows[0][7] == "0"
+
+
+def test_runtimes_columns_table_fields_and_searches_share_one_order(capsys):
+    order = [
+        (FastestWalk.LAPLACIAN_LEFT, "t_la", "t_La"),
+        (FastestWalk.LAPLACIAN_RIGHT, "t_lb", "t_Lb"),
+        (FastestWalk.ADJACENCY, "t_a", "t_A"),
+        (FastestWalk.SIGNLESS_LEFT, "t_qa", "t_Qa"),
+        (FastestWalk.SIGNLESS_RIGHT, "t_qb", "t_Qb"),
+    ]
+    assert list(FastestWalk) == [walk for walk, _, _ in order]
+    assert RuntimeTable._fields == tuple(field for _, field, _ in order)
+    _, out, _ = run_cli(capsys, ["runtimes", *FIG_FLAGS])
+    header, (row,) = parse_csv(out)
+    assert header[1:6] == [column for _, _, column in order]
+    assert row[1:6] == [repr(t) for t in runtime_table(BipartiteSpec(512, 256, 3, 5))]
 
 
 def test_runtimes_sweep_reproduces_transitions(capsys):

@@ -952,6 +952,36 @@ def test_levels_require_gammas_and_normalized_probe():
         one_group.levels([0.1])
 
 
+def test_levels_read_their_rates_as_sweep_does_and_refuse_a_nan_probe():
+    spec = BipartiteSpec(8, 4, 1, 1)
+    quotient = class_quotient(spec, WalkKind.LAPLACIAN,
+                              initial_state(spec, InitialStateKind.UNIFORM))
+    for read in (quotient.levels, functools.partial(quotient.sweep, times=[0.0])):
+        with pytest.raises(ValueError, match="^gammas must be a 1-D sequence of rates$"):
+            read(0.1)
+    # a NaN norm is no distance from 1 that a bound can refuse
+    with pytest.raises(ValueError, match="^probe state must be normalized$"):
+        quotient._replace(state=np.array([np.nan, 0, 0, 0])).levels([0.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_a_state_that_is_not_finite_is_refused_where_it_enters(bad):
+    spec = BipartiteSpec(8, 4, 1, 1)
+    path = Graph(3, [(0, 1), (1, 2)])
+    entries = [
+        functools.partial(class_quotient, spec, WalkKind.LAPLACIAN, [bad, 0, 0, 0]),
+        functools.partial(reduced_to_full, spec, [0, 0, bad, 0]),
+        functools.partial(search_quotient, path, WalkKind.LAPLACIAN, [0], [bad, 0, 0], [[0]]),
+        functools.partial(propagate, eig_hermitian(np.diag([1.0, -1.0])), [0, bad], [0.0, 1.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in entries:
+            with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+                entry()
+
+
 def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
     # neither a float nor a string names a vertex, not even 1.5 or "1";
     # an int past int64 is out of range, as any other vertex past n is

@@ -144,6 +144,18 @@ def test_spec_rejects_bad_input(n1, n2, k1, k2):
         BipartiteSpec(n1, n2, k1, k2)
 
 
+def test_counts_are_python_ints_and_non_integers_are_refused_by_name():
+    spec = BipartiteSpec(np.int64(8), np.int32(4), np.uint8(1), np.int64(0))
+    assert [type(x) for x in (spec.n1, spec.n2, spec.k1, spec.k2)] == [int] * 4
+    assert type(Graph(np.int64(3), [(0, 1)]).n) is int
+    for counts, name in (((4.5, 2, 1, 1), "n1"), ((4, 2.0, 1, 1), "n2"),
+                         ((4, 2, np.float64(1), 0), "k1"), ((4, 2, 1, "1"), "k2")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            BipartiteSpec(*counts)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 4\.5$"):
+        Graph(4.5, [(0, 1)])
+
+
 def test_complete_bipartite_layout():
     g, marked = complete_bipartite(BipartiteSpec(9, 5, 4, 2))
     assert g.n == 14
@@ -383,28 +395,41 @@ def test_edge_list_accepts_what_int_accepts(tmp_path):
     assert read_edge_list(path) == Graph(12, [(0, 11), (3, 4)])
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("", "empty edge-list file"),
-        ("5\n", "header must be 'n m'"),
-        ("5 x\n", "non-integer header"),
-        ("5 2\n0 1\n", "header declares 2 edges but file has 1"),
-        ("5 2\n0 1\n0 1 2\n", "malformed edge line '0 1 2'"),
-        ("5 2\n0 1 2\n3 4 0\n", "malformed edge line '0 1 2'"),
-        ("5 1\n3\n", "malformed edge line '3'"),
-        ("5 2\n0 1\na b\n", "non-integer edge 'a b'"),
-        ("5 1\n1.0 2\n", "non-integer edge '1.0 2'"),
-        ("2 1\n0 2\n", r"edge \(0, 2\) out of range for n=2"),
-        ("3 1\n1 1\n", "self-loop at vertex 1"),
-        ("5 1\n99999999999999999999 1\n", r"edge \(99999999999999999999, 1\) out of range for n=5"),
-    ],
-)
+# every refusal of read_edge_list, each message after the file's path
+EDGE_LIST_REFUSALS = [
+    ("", "empty edge-list file"),
+    ("5\n", "header must be 'n m'"),
+    ("5 x\n", "non-integer header"),
+    ("5 2\n0 1\n", "header declares 2 edges but file has 1"),
+    ("5 2\n0 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+    ("5 2\n0 1 2\n3 4 0\n", "malformed edge line '0 1 2'"),
+    ("5 1\n3\n", "malformed edge line '3'"),
+    ("5 2\n0 1\na b\n", "non-integer edge 'a b'"),
+    ("5 1\n1.0 2\n", "non-integer edge '1.0 2'"),
+    ("2 1\n0 2\n", r"edge \(0, 2\) out of range for n=2"),
+    ("3 1\n1 1\n", "self-loop at vertex 1"),
+    ("5 1\n99999999999999999999 1\n", r"edge \(99999999999999999999, 1\) out of range for n=5"),
+    ("0 0\n", "vertex count must be positive"),
+    ("2147483649 0\n", "vertex count 2147483649 exceeds 2147483648"),
+]
+
+
+@pytest.mark.parametrize("text,message", EDGE_LIST_REFUSALS)
 def test_edge_list_refusal_messages(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_edge_list(path)
+
+
+@pytest.mark.parametrize("text,message", EDGE_LIST_REFUSALS)
+def test_edge_list_refusals_start_with_the_path(tmp_path, text, message):
+    # the graph's own refusals too: one fault reads one way, whoever finds it
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refusal:
+        read_edge_list(path)
+    assert str(refusal.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize(
@@ -454,7 +479,7 @@ def _read_line_by_line(path, text):
     try:
         return Graph(n, edges)
     except ValueError as exc:
-        return str(exc)
+        return f"{path}: {exc}"
 
 
 def _permuted_complete_bipartite_text(n1, n2):
