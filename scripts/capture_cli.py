@@ -46,15 +46,17 @@ files, are written to the temporary directory and named by placeholder. The
 front end's checks have rows too: each usage refusal (a probe side without
 marked vertices, a lone ``--gamma-min``, ``--sweep`` without its bounds, a
 bad ``--marked`` list, no gamma at all, ``--init sq`` and ``--mode reduced``
-on an edge list, the full-mode cap on K_{2000,200}, and a run with two
-faults, of which the layout is named first); ``runtimes`` without
-``--sweep`` (also on (10, 7, 3, 7), (40, 300, 7, 2), (6, 6, 2, 2) and
-(10^9, 1000, 3, 5)) and with ``--sweep k2`` (in range, out of range, and
-with a skipped row), and with ``--walk``, which it does not take; and flags
-that another flag excludes: ``--marked`` with a layout (also from a config
+on an edge list, the full-mode cap on K_{2000,200}, a run with two
+faults, of which the layout is named first, and ``simulate`` and
+``sweep-gamma`` at a rate whose phase angles pass the float range);
+``runtimes`` without ``--sweep`` (also on (10, 7, 3, 7), (40, 300, 7, 2),
+(6, 6, 2, 2) and (10^9, 1000, 3, 5)) and with ``--sweep k2`` (in range, out
+of range, and with a skipped row), with a ``--sweep k1`` of 10^15 + 1 rows,
+past the output's byte cap, and with ``--walk``, which it does not take;
+and flags that another flag excludes: ``--marked`` with a layout (also from a config
 file), ``--gamma`` with a gamma range, sweep bounds without ``--sweep``, and
 ``--gamma-count`` beside ``--gamma`` (on ``sweep-gamma`` and ``overlaps``)
-or alone. The table has 162 commands.
+or alone. The table has 165 commands.
 """
 
 from __future__ import annotations
@@ -280,6 +282,10 @@ def _commands() -> list[tuple[str, list[str]]]:
         # two faults: the half layout is named before the missing --gamma
         ("refuse-two-faults", ["simulate", "--n1", "48", "--tmax", "5"]),
     ]
+    # a finite Hamiltonian whose levels times the last time pass the float range
+    overflow = [*BENCH, "--gamma", "1e300", "--tmax", "1e10", "--samples", "3"]
+    rows += [("refuse-phase-overflow-simulate", ["simulate", *overflow]),
+             ("refuse-phase-overflow-sweep", ["sweep-gamma", *overflow])]
     # runtimes on one row, and swept over k2: in range, past n2, and from
     # k2 = 0 on a layout with k1 = 0, whose first row is skipped; single rows
     # on odd and reversed sides, equal sides, and sides whose products pass 2^53
@@ -296,6 +302,10 @@ def _commands() -> list[tuple[str, list[str]]]:
                                             "--sweep-min", "0", "--sweep-max", "25"]),
         ("runtimes-sweep-k2-skip", ["runtimes", *empty_a, "--sweep", "k2",
                                     "--sweep-min", "0", "--sweep-max", "7"]),
+        # 10^15 + 1 rows, past the output's byte cap: refused before any row
+        ("refuse-runtimes-sweep-byte-cap",
+         ["runtimes", "--n1", "1000000000000000", "--n2", "1", "--k1", "1", "--k2", "0",
+          "--sweep", "k1", "--sweep-min", "0", "--sweep-max", "1000000000000000"]),
     ]
     # flags that another flag excludes: a layout fixes its marked vertices,
     # --gamma and a gamma range are two grids, and sweep bounds need --sweep

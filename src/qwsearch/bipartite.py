@@ -6,16 +6,17 @@ left unmarked (c), right unmarked (d). This module writes these classes
 down as an equitable partition in closed form (:func:`class_quotient`);
 its search runs through the same engine as the one on the partition that
 colour refinement finds in the built graph (:func:`refined_class_quotient`),
-the model's cross-check; its ``walk`` and ``hamiltonian(gamma)`` are the
-reduced operators on the nonempty classes. On top of it sit the three
-canonical initial states and the leading-order theory: each walk's
-critical rate for a targeted side and its runtime there, both from one
-level crossing of ``W_r = A - r D`` (:func:`critical_gamma`,
-:func:`runtime_table`). At the signless walk's critical rates sit the
-closed-form class probabilities, whose first-order gap is ``pi / t_qa``
-(``pi / t_qb`` on the right), and the next-order eigensystem with its
-finite-size corrections. The first-order eigensystem that the gap comes
-from is the tests' reference (``tests/first_order_reference.py``).
+the model's cross-check; its ``adjacency`` and ``hamiltonian(walk, gamma)``
+are the reduced operators on the nonempty classes, one quotient for every
+walk. On top of it sit the three canonical initial states and the
+leading-order theory: each walk's critical rate for a targeted side and
+its runtime there, both from one level crossing of ``W_r = A - r D``
+(:func:`critical_gamma`, :func:`runtime_table`). At the signless walk's
+critical rates sit the closed-form class probabilities, whose first-order
+gap is ``pi / t_qa`` (``pi / t_qb`` on the right), and the next-order
+eigensystem with its finite-size corrections. The first-order eigensystem
+that the gap comes from is the tests' reference
+(``tests/first_order_reference.py``).
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .evolve import (
     SearchQuotient,
     WalkKind,
     _finite_state,
+    _quotient_adjacency,
     propagate,
     search_quotient,
-    walk_matrix,
 )
 from .graph import BipartiteSpec, EquitablePartition, complete_bipartite
 
@@ -122,7 +123,7 @@ def class_partition(spec: BipartiteSpec) -> EquitablePartition:
     return EquitablePartition(None, sizes[active], arcs)
 
 
-def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> SearchQuotient:
+def class_quotient(spec: BipartiteSpec, state: np.ndarray) -> SearchQuotient:
     """The search from the class-basis ``state`` on :func:`class_partition`.
 
     Its groups are the four classes (a, b, c, d); an empty class is a
@@ -131,13 +132,11 @@ def class_quotient(spec: BipartiteSpec, walk: WalkKind, state: np.ndarray) -> Se
     class.
     """
     active = np.flatnonzero(class_sizes(spec))
-    return SearchQuotient(walk_matrix(class_partition(spec), walk), np.flatnonzero(active < 2),
+    return SearchQuotient(*_quotient_adjacency(class_partition(spec)), np.flatnonzero(active < 2),
                           _class_state(spec, state)[active], np.eye(4)[active])
 
 
-def refined_class_quotient(
-    spec: BipartiteSpec, walk: WalkKind, state: np.ndarray
-) -> SearchQuotient:
+def refined_class_quotient(spec: BipartiteSpec, state: np.ndarray) -> SearchQuotient:
     """The search of :func:`class_quotient`, its partition refined in the built graph.
 
     The cross-check of the class model: colour refinement of K_{n1,n2}, the
@@ -147,7 +146,7 @@ def refined_class_quotient(
     themselves, and its first round splits nothing.
     """
     graph, marked = complete_bipartite(spec)
-    return search_quotient(graph, walk, marked, reduced_to_full(spec, state), class_slices(spec))
+    return search_quotient(graph, marked, reduced_to_full(spec, state), class_slices(spec))
 
 
 def initial_state(spec: BipartiteSpec, kind: InitialStateKind) -> np.ndarray:
@@ -437,7 +436,7 @@ def next_order_correction(
     gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     # the Hamiltonian does not read the state
     h_class = _embedded(
-        spec, class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(gamma)
+        spec, class_quotient(spec, np.zeros(4)).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, gamma)
     )
     h = frame.T @ h_class @ frame
     eye, zero = np.eye(2), np.zeros((2, 2))

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bipartite import (
+    FastestWalk,
     InitialStateKind,
     class_quotient,
     initial_state,
@@ -42,13 +43,13 @@ __all__ = ["main", "entry"]
 
 FULL_MODE_CAP = 2000
 # Bytes per vertex pair of the dense n x n arrays a command holds at its
-# peak. A search holds the walk matrix, the Hamiltonian and its real
+# peak. A search holds the quotient adjacency, the Hamiltonian and its real
 # eigenvectors (8 each), all of them for the c x c quotient of the
 # search's equitable partition only: a few hundred bytes on a bipartite
 # layout, and bytes per vertex pair only on a graph without symmetry
 # (c = n), which sweeps and simulate accept. There a one-gamma edge-list
 # sweep of G(2000, 0.05) with the default 2000 samples peaks at 34.5
-# bytes per pair under tracemalloc: the walk matrix and eigenvectors (16)
+# bytes per pair under tracemalloc: the adjacency and eigenvectors (16)
 # and, while propagate builds it, the samples x c complex phase table (16
 # per entry). A sweep diagonalises its rates in stacks of at most
 # evolve.STACK_ENTRIES entries, one rate at a time from c = 256 up, so a
@@ -62,6 +63,12 @@ FULL_MODE_CAP = 2000
 SEARCH_CELL_BYTES = 56
 DEFAULT_SAMPLES = 2000
 DEFAULT_GAMMA_COUNT = 200
+# runtimes holds its output until it writes it, so a --sweep whose rows may
+# pass the cap is refused up front. A row is at most its key, five runtimes
+# (a positive float's repr has at most 23 characters: 1.2345678901234567e+300),
+# the longest fastest-walk label, the flag, seven commas and a newline.
+RUNTIMES_CAP_BYTES = 2**26
+RUNTIMES_ROW_BYTES = 5 * 23 + max(len(walk.value) for walk in FastestWalk) + 1 + 7 + 1
 
 _PROBES = ("s", "sq", "ml", "mr")
 # The walk W_r = A - r D of each ratio r; -0.0 finds the adjacency walk,
@@ -219,7 +226,7 @@ def _gamma_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _search(args: argparse.Namespace, state: np.ndarray | None = None) -> SearchQuotient:
-    """The quotient a command evolves, built once per command.
+    """The quotient a command evolves, built once per command and free of the walk.
 
     On a layout its groups are the classes (a, b, c, d) and it starts from
     the class-basis ``state`` (default: the ``--init`` state). ``--mode``
@@ -232,14 +239,14 @@ def _search(args: argparse.Namespace, state: np.ndarray | None = None) -> Search
     set. Either graph is refused past the cap before any per-vertex-pair
     array is built.
     """
-    spec, walk = args.spec, WalkKind(args.walk)
+    spec = args.spec
     if spec is not None:
         if state is None:
             state = initial_state(spec, InitialStateKind(args.init))
         if args.mode == "reduced":
-            return class_quotient(spec, walk, state)
+            return class_quotient(spec, state)
         _check_full_cap(spec.n)
-        return refined_class_quotient(spec, walk, state)
+        return refined_class_quotient(spec, state)
     if InitialStateKind(args.init) is not InitialStateKind.UNIFORM:
         raise UsageError("edge-list instances support only --init s")
     if args.mode != "full":
@@ -247,7 +254,7 @@ def _search(args: argparse.Namespace, state: np.ndarray | None = None) -> Search
     graph = read_edge_list(args.graph)
     _check_full_cap(graph.n)
     marked = args.marked if args.marked is not None else frozenset({0})
-    return search_quotient(graph, walk, marked, uniform_state(graph.n), [sorted(marked)])
+    return search_quotient(graph, marked, uniform_state(graph.n), [sorted(marked)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.spec is None and args.graph is None:
         raise UsageError("simulate needs a bipartite layout or --graph")
     times = _time_grid(args)
-    masses = _search(args).masses(args.gamma, times)
+    masses = _search(args).masses(WalkKind(args.walk), args.gamma, times)
     # Python floats: repr gives their shortest round-trip form, and a + b
     # rounds as NumPy's sum
     if args.spec is None:
@@ -285,7 +292,7 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     # one group holds the success: classes a and b of a layout, or an edge
     # list's marked set, so only the marked cells are propagated
     search = search._replace(shares=search.shares[:, :2].sum(axis=1, keepdims=True))
-    for gamma, masses in zip(gammas.tolist(), search.sweep(gammas, times)):
+    for gamma, masses in zip(gammas.tolist(), search.sweep(WalkKind(args.walk), gammas, times)):
         t_peak, p_peak = first_peak(times, masses[:, 0])
         lines.append(f"{gamma!r},{t_peak!r},{p_peak!r}")
     _emit(lines, args.out)
@@ -314,7 +321,7 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
     if args.spec is None:
         raise UsageError("overlaps needs a bipartite layout")
     gammas = _gamma_grid(args)
-    rows = _search(args, _probe_state(args)).levels(gammas)
+    rows = _search(args, _probe_state(args)).levels(WalkKind(args.walk), gammas)
     # the rows hold Python floats, whose repr is their shortest round-trip form
     lines = ["gamma,n,S_n,L_n,R_n"]
     lines += [f"{g!r},{n},{s!r},{left!r},{right!r}" for g, n, s, left, right, _ in rows]
@@ -333,10 +340,12 @@ def cmd_runtimes(args: argparse.Namespace) -> int:
         cap = spec.n1 if args.sweep == "k1" else spec.n2
         if lo < 0 or hi < lo or hi > cap:
             raise UsageError(f"sweep range must satisfy 0 <= min <= max <= {cap}")
-        # the output holds a line per row, and a list holds at most sys.maxsize
-        if hi - lo >= sys.maxsize:
+        rows = hi - lo + 1
+        need = rows * (len(str(hi)) + RUNTIMES_ROW_BYTES)
+        if need > RUNTIMES_CAP_BYTES:
             raise UsageError(
-                f"sweep of {hi - lo + 1} rows is more than a list holds ({sys.maxsize})"
+                f"runtimes output caps at {RUNTIMES_CAP_BYTES} bytes, got a sweep of {rows} "
+                f"rows: its lines need up to {need} bytes ({need / 2**20:.0f} MiB)"
             )
         values = range(lo, hi + 1)
     lines = ["sweep_key,t_La,t_Lb,t_A,t_Qa,t_Qb,fastest,near_regular_flag"]

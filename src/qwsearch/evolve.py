@@ -2,11 +2,11 @@
 
 A search on a graph is run on the normalised cell states of the coarsest
 equitable partition that its marked set, start and groups respect
-(:func:`search_quotient`): a ``c x c`` walk matrix and Hamiltonian, where
-``c`` is the cell count, four on a complete bipartite layout and ``n``
-only on a graph without symmetry. The quotient evolves its start with
-the spectral propagator (:meth:`SearchQuotient.masses`) and reads its own
-eigenvector overlap table (:meth:`SearchQuotient.levels`), both on the
+(:func:`search_quotient`): a ``c x c`` adjacency and cell degrees for every
+walk, where ``c`` is the cell count, four on a complete bipartite layout and
+``n`` only on a graph without symmetry. The quotient evolves its start under a
+walk with the spectral propagator (:meth:`SearchQuotient.masses`) and reads its
+own eigenvector overlap table (:meth:`SearchQuotient.levels`), both on the
 checked Hermitian eigendecomposition; peak finding reads the curves.
 """
 
@@ -24,7 +24,6 @@ from .graph import EquitablePartition, Graph, equitable_partition
 __all__ = [
     "WalkKind",
     "EigenDecomposition",
-    "walk_matrix",
     "eig_hermitian",
     "SearchQuotient",
     "search_quotient",
@@ -45,6 +44,8 @@ FLAT_TOL = 1e-10
 # eigh call, and a quotient of 256 cells or more (c = n on a graph without
 # symmetry) is solved one rate at a time, holding what one solve holds.
 STACK_ENTRIES = 2**16
+# rates and times: a sequence of floats or an array of them
+_Floats = Sequence[float] | np.ndarray
 
 
 class WalkKind(enum.Enum):
@@ -73,7 +74,7 @@ def _finite_state(state: np.ndarray | Sequence[complex]) -> np.ndarray:
     return state
 
 
-def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
+def _checked_gamma(gamma: float | _Floats) -> np.ndarray:
     """``gamma``, one rate or a 1-D sequence, as floats.
 
     ``ValueError`` unless every rate is finite and nonnegative.
@@ -84,39 +85,17 @@ def _checked_gamma(gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
     return gamma
 
 
-def walk_matrix(part: EquitablePartition, kind: WalkKind) -> np.ndarray:
-    """The ``c x c`` generator ``W_r = A - r D`` of ``kind`` on the cells of ``part``.
+def _quotient_adjacency(part: EquitablePartition) -> tuple[np.ndarray, np.ndarray]:
+    """The ``c x c`` adjacency on the normalised cell states of ``part``, and the cell degrees.
 
-    It acts on the normalised cell states: entries ``arcs[i, j] /
-    sqrt(sizes[i] sizes[j])``, less ``r`` (:attr:`WalkKind.ratio`) times
-    the cell degree on the diagonal. Multiplying by 1, 0 or -1 is exact,
-    so the diagonal is what adding or subtracting the degree gives, bit
-    for bit. On the discrete partition every size is 1, so it is the
-    graph's own ``n x n`` matrix, bit for bit.
+    Entries ``arcs[i, j] / sqrt(sizes[i] sizes[j])``: the graph's own, on the discrete partition.
     """
     # filled only where cells touch: a discrete partition has about 2m of n^2
     rows, cols = np.nonzero(part.arcs)
     out = np.zeros(part.arcs.shape)
     pairs = (part.sizes[rows] * part.sizes[cols]).astype(float)
     out[rows, cols] = part.arcs[rows, cols] / np.sqrt(pairs)
-    degrees = (part.arcs.sum(axis=1) // part.sizes).astype(float)
-    out[np.diag_indices_from(out)] -= kind.ratio * degrees
-    return out
-
-
-def _oracle_shifted(
-    gamma: float | np.ndarray, w: np.ndarray, marked: np.ndarray | list[int]
-) -> np.ndarray:
-    """``-gamma * w`` with 1 subtracted at each ``marked`` diagonal entry.
-
-    A 1-D array of rates gives the stack of their matrices, shape
-    ``(len(gamma), *w.shape)``. A product past the float range is
-    infinite, which :func:`eig_hermitian` refuses.
-    """
-    with np.errstate(over="ignore"):
-        h = -np.asarray(gamma)[..., None, None] * w
-    h[..., marked, marked] -= 1.0
-    return h
+    return out, (part.arcs.sum(axis=1) // part.sizes).astype(float)
 
 
 @dataclass(frozen=True)
@@ -174,34 +153,40 @@ def eig_hermitian(h: np.ndarray) -> EigenDecomposition:
 class SearchQuotient(NamedTuple):
     """A search on the normalised cell states of an equitable partition.
 
-    ``walk`` is the partition's ``c x c`` quotient walk matrix, ``marked``
-    the cells of the marked vertices, ``state`` the start (or probe) on the
-    cell states and ``shares[i, g]`` 1 if cell ``i`` is part of group ``g``
-    and 0 if not: each group is a union of cells. :func:`search_quotient`
-    finds it by refining a graph, :func:`~qwsearch.bipartite.class_quotient`
-    writes it down for a complete bipartite layout; nothing in it grows
-    with the vertex count.
+    ``adjacency`` is the partition's ``c x c`` quotient adjacency, ``degrees``
+    the cell degrees, ``marked`` the cells of the marked vertices, ``state``
+    the start (or probe) on the cell states and ``shares[i, g]`` 1 if cell
+    ``i`` is part of group ``g`` and 0 if not: each group is a union of
+    cells. No field depends on the walk, which the methods take. It is found
+    by refining a graph (:func:`search_quotient`) or written down for a layout
+    (:func:`~qwsearch.bipartite.class_quotient`), where nothing grows with n.
     :meth:`masses` evolves the state, and :meth:`levels` reads the
     overlap table, probed by the state. Both read one spectrum, solved in
     runs of rates, and sum a group's mass over its cells through ``shares``.
     """
 
-    walk: np.ndarray
+    adjacency: np.ndarray
+    degrees: np.ndarray
     marked: np.ndarray
     state: np.ndarray
     shares: np.ndarray
 
-    def hamiltonian(self, gamma: float | Sequence[float] | np.ndarray) -> np.ndarray:
-        """The quotient search Hamiltonian ``-gamma W_q - M_q``.
+    def hamiltonian(self, walk: WalkKind, gamma: float | _Floats) -> np.ndarray:
+        """The search Hamiltonian ``-gamma W_r - M_q`` of ``walk``; a stack for a 1-D gamma.
 
-        A 1-D sequence of rates gives the stack of their Hamiltonians.
+        Of ``W_r = adjacency - r diag(degrees)`` (``r d`` exact for r = 1, 0, -1) only the
+        diagonal is formed, over ``-gamma adjacency``. An entry past the float range is infinite.
         """
-        return _oracle_shifted(_checked_gamma(gamma), self.walk, self.marked)
+        gamma, cells = -_checked_gamma(gamma), np.arange(self.degrees.size)
+        diagonal = self.adjacency.diagonal() - walk.ratio * self.degrees
+        with np.errstate(over="ignore"):
+            h = gamma[..., None, None] * self.adjacency
+            h[..., cells, cells] = gamma[..., None] * diagonal
+        h[..., self.marked, self.marked] -= 1.0
+        return h
 
-    def sweep(
-        self, gammas: Sequence[float] | np.ndarray, times: Sequence[float] | np.ndarray
-    ) -> Iterator[np.ndarray]:
-        """:meth:`masses` at each rate of ``gammas`` in turn.
+    def sweep(self, walk: WalkKind, gammas: _Floats, times: _Floats) -> Iterator[np.ndarray]:
+        """:meth:`masses` of ``walk`` at each rate of ``gammas`` in turn.
 
         ``gammas`` is a 1-D sequence of rates and ``times`` the samples of
         :func:`propagate`, both checked here. The times are split into
@@ -213,37 +198,39 @@ class SearchQuotient(NamedTuple):
         rates = _checked_gamma(gammas)
         if rates.ndim != 1:
             raise ValueError("gammas must be a 1-D sequence of rates")
-        return self._swept(rates, _split_times(times))
+        return self._swept(self._solved(walk, rates), _split_times(times))
 
-    def _solved(self, rates: np.ndarray) -> Iterator[tuple[np.ndarray, EigenDecomposition]]:
+    def _solved(self, walk: WalkKind,
+                rates: np.ndarray) -> Iterator[tuple[np.ndarray, EigenDecomposition]]:
         """Runs of ``rates`` of at most ``STACK_ENTRIES`` entries, each with its solved stack."""
-        step = max(1, STACK_ENTRIES // max(len(self.walk), 1) ** 2)
+        step = max(1, STACK_ENTRIES // max(self.degrees.size, 1) ** 2)
         for start in range(0, rates.size, step):
             run = rates[start : start + step]
-            yield run, eig_hermitian(self.hamiltonian(run))
+            yield run, eig_hermitian(self.hamiltonian(walk, run))
 
-    def _swept(self, rates: np.ndarray, split: _TimeSplit) -> Iterator[np.ndarray]:
+    def _swept(self, solved: Iterator[tuple[np.ndarray, EigenDecomposition]],
+               split: _TimeSplit) -> Iterator[np.ndarray]:
         touched = np.flatnonzero(self.shares.any(axis=1))
         shares = self.shares[touched]
-        for run, stack in self._solved(rates):
+        for run, stack in solved:
             for k in range(run.size):
                 decomp = EigenDecomposition(stack.eigenvalues[k], stack.eigenvectors[k])
                 yield np.abs(_propagated(decomp, self.state, split, touched)) ** 2 @ shares
             # let this run's eigenvectors go before the next run is solved
             del stack, decomp
 
-    def masses(self, gamma: float, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Mass of each group at each time, shape ``(len(times), groups)``.
+    def masses(self, walk: WalkKind, gamma: float, times: _Floats) -> np.ndarray:
+        """Mass of each group at each time under ``walk``, shape ``(len(times), groups)``.
 
         Group ``g`` holds ``sum_i |q_i(t)|^2 shares[i, g]``, the mass of
         its cells. Only the cells of some group are propagated. This is
         :meth:`sweep` of the one rate.
         """
-        (masses,) = self.sweep([gamma], times)
+        (masses,) = self.sweep(walk, [gamma], times)
         return masses
 
-    def levels(self, gammas: Sequence[float] | np.ndarray) -> list[OverlapRow]:
-        """Eigenvector overlap table across jumping rates.
+    def levels(self, walk: WalkKind, gammas: _Floats) -> list[OverlapRow]:
+        """Eigenvector overlap table of ``walk`` across jumping rates.
 
         The rates are diagonalised in runs as :meth:`sweep` solves them, and
         the rows report the lowest ``OVERLAP_EIGENVECTORS`` levels ``psi_n``
@@ -273,7 +260,7 @@ class SearchQuotient(NamedTuple):
         if self.shares.shape[1] < 2:
             raise ValueError("levels needs groups 0 and 1")
         rows: list[OverlapRow] = []
-        for run, stack in self._solved(rates):
+        for run, stack in self._solved(walk, rates):
             count = min(OVERLAP_EIGENVECTORS, stack.dim)
             vectors = stack.eigenvectors[..., :count]
             # each level's mass on the cells of groups 0 and 1
@@ -316,7 +303,6 @@ def _marked_vertices(marked: Iterable[int], n: int) -> list[int]:
 
 def search_quotient(
     graph: Graph,
-    walk: WalkKind,
     marked: Iterable[int],
     psi0: np.ndarray,
     groups: Sequence[Iterable[int]],
@@ -346,14 +332,14 @@ def search_quotient(
     is_marked = np.isin(np.arange(graph.n), marked)
     part = equitable_partition(graph, np.column_stack([members, is_marked, psi0.real, psi0.imag]))
     _, first = np.unique(part.cells, return_index=True)
-    return SearchQuotient(walk_matrix(part, walk), np.unique(part.cells[marked]),
+    return SearchQuotient(*_quotient_adjacency(part), np.unique(part.cells[marked]),
                           np.sqrt(part.sizes) * psi0[first], members[first].astype(float))
 
 
 def propagate(
     h: np.ndarray | EigenDecomposition,
     psi0: np.ndarray,
-    times: Sequence[float] | np.ndarray,
+    times: _Floats,
     rows: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
     """Amplitudes at each time in ``times``; shape ``(len(times), len(rows))``.
@@ -364,7 +350,8 @@ def propagate(
     so the phase table is ``len(times) x c``. Pass an
     :class:`EigenDecomposition` to skip the eigensolve when ``h`` is reused.
 
-    ``times`` must be finite and nonnegative, in any order. Each is split
+    ``times`` must be finite and nonnegative, in any order, and the largest
+    eigenvalue magnitude times the last of them finite. Each is split
     exactly as ``t = a + d`` (:class:`_TimeSplit`), and its phase is the
     one complex product ``exp(-i L a) exp(-i L d)``: ``cos`` and ``sin``
     run only on the ``ceil(sqrt(len(times)))`` anchors ``a`` and on the
@@ -394,13 +381,15 @@ class _TimeSplit(NamedTuple):
     offset ``t - a`` is a float and the subtraction is exact, for any
     finite nonnegative times in any order. On a uniform grid the anchor is
     the block's first time, except where a block crosses a power of two.
-    ``offsets`` holds the distinct offsets, ascending.
+    ``offsets`` holds the distinct offsets, ascending, and ``last`` the
+    largest time (0 for no time), which no anchor or offset exceeds.
     """
 
     block: int
     anchors: np.ndarray
     offsets: np.ndarray
     inverse: np.ndarray
+    last: float
 
     def phases(self, eigenvalues: np.ndarray) -> np.ndarray:
         """``exp(-i t L)``, one row per time and one column per eigenvalue."""
@@ -414,7 +403,7 @@ class _TimeSplit(NamedTuple):
         return table
 
 
-def _split_times(times: Sequence[float] | np.ndarray) -> _TimeSplit:
+def _split_times(times: _Floats) -> _TimeSplit:
     """The :class:`_TimeSplit` of ``times``, read flat.
 
     ``ValueError`` unless every time is finite and nonnegative.
@@ -431,7 +420,7 @@ def _split_times(times: Sequence[float] | np.ndarray) -> _TimeSplit:
     anchors = lowest - np.fmod(lowest, spacing)
     offsets, inverse = np.unique(times - np.repeat(anchors, block)[: times.size],
                                  return_inverse=True)
-    return _TimeSplit(block, anchors, offsets, inverse)
+    return _TimeSplit(block, anchors, offsets, inverse, float(times.max(initial=0.0)))
 
 
 def _phases(times: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -459,6 +448,11 @@ def _propagated(
         if rows.size and (rows.min() < 0 or rows.max() >= decomp.dim):
             raise ValueError("row index out of range")
         basis = basis[rows]
+    # each angle is an eigenvalue times an anchor or an offset, neither past the last time
+    scale = float(np.abs(decomp.eigenvalues).max(initial=0.0))
+    if not math.isfinite(scale * split.last):
+        raise ValueError(f"phase angles pass the float range: eigenvalues up to {scale:g} "
+                         f"at times up to {split.last:g}")
     coeffs = decomp.eigenvectors.conj().T @ psi0
     return split.phases(decomp.eigenvalues) @ (basis * coeffs).T
 
@@ -486,9 +480,7 @@ def _refine_crest(t: np.ndarray, v: np.ndarray, i: int) -> tuple[float, float]:
     return t1 + shift * step, v1 - 0.25 * (v0 - v2) * shift
 
 
-def first_peak(
-    times: Sequence[float] | np.ndarray, values: Sequence[float] | np.ndarray
-) -> tuple[float, float]:
+def first_peak(times: _Floats, values: _Floats) -> tuple[float, float]:
     """Locate the first full-height maximum of a sampled curve.
 
     Finite-size evolution curves carry fast, low beats on top of the slow

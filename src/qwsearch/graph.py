@@ -2,8 +2,8 @@
 
 A graph is a sorted ``(m, 2)`` array of its edges, stored column by
 column. Walks on it are generated on the cells of an equitable partition
-(:func:`~qwsearch.evolve.walk_matrix`), never as a matrix over all vertex
-pairs.
+(:meth:`~qwsearch.evolve.SearchQuotient.hamiltonian`), never as a matrix
+over all vertex pairs.
 """
 
 from __future__ import annotations

@@ -79,8 +79,8 @@ def refined_cells(g: Graph, colours) -> list[int]:
 def dense_walk_matrix(g: Graph, kind: WalkKind) -> np.ndarray:
     """The graph's generator matrix for ``kind``: A, A - D, or A + D.
 
-    ``qwsearch.evolve.walk_matrix`` of the discrete partition, built over
-    all vertex pairs.
+    The ``W_r`` that a quotient of the discrete partition forms in
+    ``SearchQuotient.hamiltonian``, built over all vertex pairs.
     """
     if kind is WalkKind.ADJACENCY:
         return adjacency_matrix(g)

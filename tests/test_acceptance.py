@@ -42,6 +42,7 @@ from qwsearch.evolve import (
 )
 from qwsearch.graph import BipartiteSpec
 from qwsearch.spin_network import CouplingConstants, demo_graph
+from conftest import quotient_walk
 from dense_reference import (
     adjacency_matrix,
     laplacian,
@@ -65,7 +66,7 @@ def _peak_grid(t_star):
 def _reduced_peak(spec, start, gamma, t_star):
     times = _peak_grid(t_star)
     state = initial_state(spec, start)
-    probs = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, state).masses(gamma, times)
+    probs = class_quotient(spec, state).masses(WalkKind.SIGNLESS_LAPLACIAN, gamma, times)
     return first_peak(times, probs[:, 0] + probs[:, 1])
 
 
@@ -141,12 +142,12 @@ def test_criterion_3_deterministic_search_from_signless_eigenvector():
         gamma = critical_gamma(SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
         times = np.linspace(0.0, 2.0 * t_star, 2000)
         state = initial_state(SMALL_SPEC, InitialStateKind.SIGNLESS_EIGENVECTOR)
-        reduced = class_quotient(
-            SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, state
-        ).masses(gamma, times)
-        full = refined_class_quotient(
-            SMALL_SPEC, WalkKind.SIGNLESS_LAPLACIAN, state
-        ).masses(gamma, times)
+        reduced = class_quotient(SMALL_SPEC, state).masses(
+            WalkKind.SIGNLESS_LAPLACIAN, gamma, times
+        )
+        full = refined_class_quotient(SMALL_SPEC, state).masses(
+            WalkKind.SIGNLESS_LAPLACIAN, gamma, times
+        )
         _, p_reduced = first_peak(times, reduced[:, 0] + reduced[:, 1])
         _, p_full = first_peak(times, full[:, 0] + full[:, 1])
         oracle_gap = max(oracle_gap, abs(p_reduced - p_full))
@@ -214,8 +215,8 @@ def test_criterion_5_full_vs_reduced_oracle_equivalence():
     state = initial_state(SMALL_SPEC, InitialStateKind.UNIFORM)
     for walk in WalkKind:
         for gamma in (1 / 9, 1 / 5, 0.07):
-            reduced = class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
-            full = refined_class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
+            reduced = class_quotient(SMALL_SPEC, state).masses(walk, gamma, times)
+            full = refined_class_quotient(SMALL_SPEC, state).masses(walk, gamma, times)
             worst = max(worst, float(np.max(np.abs(reduced - full))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -235,9 +236,9 @@ def test_criterion_6_closed_form_vs_numeric():
     gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     deviations, leading = {}, {}
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
-        numeric = class_quotient(
-            BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, initial_state(BENCH_SPEC, start)
-        ).masses(gamma, times)[:, 0]
+        numeric = class_quotient(BENCH_SPEC, initial_state(BENCH_SPEC, start)).masses(
+            WalkKind.SIGNLESS_LAPLACIAN, gamma, times
+        )[:, 0]
         closed = next_order_probabilities(BENCH_SPEC, start, CriticalSide.LEFT, times)[0]
         asymptotic = closed_form_probabilities(BENCH_SPEC, start, CriticalSide.LEFT, times)[0]
         deviations[start.value] = float(np.max(np.abs(numeric - closed)))
@@ -302,14 +303,17 @@ def test_criterion_8_initial_state_eigenvector_identities():
         s_a = initial_state(spec, InitialStateKind.ADJACENCY_EIGENVECTOR)
         s_q = initial_state(spec, InitialStateKind.SIGNLESS_EIGENVECTOR)
         # each start on the nonempty classes, where the class quotient acts
-        lap = class_quotient(spec, WalkKind.LAPLACIAN, s)
-        adj = class_quotient(spec, WalkKind.ADJACENCY, s_a)
-        sig = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, s_q)
+        lap = class_quotient(spec, s)
+        adj = class_quotient(spec, s_a)
+        sig = class_quotient(spec, s_q)
+        w_lap = quotient_walk(lap, WalkKind.LAPLACIAN)
+        w_adj = quotient_walk(adj, WalkKind.ADJACENCY)
+        w_sig = quotient_walk(sig, WalkKind.SIGNLESS_LAPLACIAN)
         worst = max(
             worst,
-            float(np.max(np.abs(lap.walk @ lap.state))),
-            float(np.max(np.abs(adj.walk @ adj.state - math.sqrt(n1 * n2) * adj.state))),
-            float(np.max(np.abs(sig.walk @ sig.state - spec.n * sig.state))),
+            float(np.max(np.abs(w_lap @ lap.state))),
+            float(np.max(np.abs(w_adj @ adj.state - math.sqrt(n1 * n2) * adj.state))),
+            float(np.max(np.abs(w_sig @ sig.state - spec.n * sig.state))),
         )
     ok = worst <= 1e-10
     _report(
@@ -344,7 +348,7 @@ def test_criterion_9_property_suite(tmp_path):
     )
     # gamma=0 probability invariance at 1e-10
     psi = initial_state(BENCH_SPEC, InitialStateKind.UNIFORM)
-    h0 = class_quotient(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, psi).hamiltonian(0.0)
+    h0 = class_quotient(BENCH_SPEC, psi).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, 0.0)
     p0 = np.abs(psi) ** 2
     gamma0_dev = 0.0
     for t in (0.5, 5.0, 50.0):

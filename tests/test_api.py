@@ -45,7 +45,7 @@ def test_package_import_leaves_the_cli_unimported():
     "name",
     ["simulate_full", "simulate_reduced", "energy_gap",
      "closed_form_runtime", "reduced_walk_matrix", "reduced_hamiltonian", "CLASS_NAMES",
-     "asymptotic_eigensystem_h0", "degenerate_correction"],
+     "asymptotic_eigensystem_h0", "degenerate_correction", "walk_matrix"],
 )
 def test_removed_wrappers_are_gone(name):
     assert not hasattr(qwsearch, name)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_is_the_class_walk, bipartite_specs, uncollapsed_propagate
+from conftest import (
+    assert_is_the_class_walk,
+    bipartite_specs,
+    quotient_walk,
+    uncollapsed_propagate,
+)
 from dense_reference import SearchInstance, dense_walk_matrix, search_hamiltonian
 from first_order_reference import asymptotic_eigensystem_h0, degenerate_correction
 from qwsearch.bipartite import (
@@ -66,7 +71,7 @@ def test_reduced_hamiltonian_matches_conjugated_full(walk, gamma):
     iso = _brute_isometry(SMALL_SPEC)
     conjugated = iso.T @ h_full @ iso
     # every class of SMALL_SPEC is nonempty: the quotient is the full 4x4
-    reduced = class_quotient(SMALL_SPEC, walk, np.zeros(4)).hamiltonian(gamma)
+    reduced = class_quotient(SMALL_SPEC, np.zeros(4)).hamiltonian(walk, gamma)
     assert np.max(np.abs(conjugated - reduced)) <= 1e-12
 
 
@@ -76,7 +81,7 @@ def test_reduced_walk_matrix_matches_conjugated_full(spec, walk):
     graph, _ = complete_bipartite(spec)
     iso = _brute_isometry(spec)
     conjugated = iso.T @ dense_walk_matrix(graph, walk) @ iso
-    expected = class_quotient(spec, walk, np.zeros(4)).walk
+    expected = quotient_walk(class_quotient(spec, np.zeros(4)), walk)
     # the conjugation zeroes empty-class coordinates; the quotient has none
     active = np.flatnonzero(class_sizes(spec))
     assert np.max(np.abs(conjugated[np.ix_(active, active)] - expected)) <= 1e-9
@@ -84,7 +89,7 @@ def test_reduced_walk_matrix_matches_conjugated_full(spec, walk):
 
 def test_all_marked_layout_collapses_to_marked_block():
     spec = BipartiteSpec(3, 4, 3, 4)
-    h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(0.2)
+    h = class_quotient(spec, np.zeros(4)).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, 0.2)
     # the unmarked classes c and d are empty: only a and b have a level
     assert h.shape == (2, 2)
     assert h[0, 1] == pytest.approx(-0.2 * math.sqrt(12))
@@ -152,14 +157,14 @@ def test_class_partition_counts_past_int64():
     part = class_partition(spec)
     assert part.cells is None
     assert part.arcs.sum() == 2 * spec.n1 * spec.n2
-    w = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).walk
+    w = quotient_walk(class_quotient(spec, np.zeros(4)), WalkKind.SIGNLESS_LAPLACIAN)
     assert np.diag(w).tolist() == [spec.n2, spec.n1, spec.n2, spec.n1]
     assert w[2, 3] == pytest.approx(math.sqrt(spec.unmarked1 * spec.unmarked2), rel=1e-15)
 
 
 def test_reduced_hamiltonian_rejects_bad_gamma():
     with pytest.raises(ValueError):
-        class_quotient(BENCH_SPEC, WalkKind.ADJACENCY, np.zeros(4)).hamiltonian(-0.1)
+        class_quotient(BENCH_SPEC, np.zeros(4)).hamiltonian(WalkKind.ADJACENCY, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +186,15 @@ def test_initial_states_are_walk_eigenvectors(spec):
     for state in (s, s_a, s_q):
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
     # each start on the nonempty classes, where the class quotient acts
-    lap = class_quotient(spec, WalkKind.LAPLACIAN, s)
-    adj = class_quotient(spec, WalkKind.ADJACENCY, s_a)
-    sig = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, s_q)
-    assert np.max(np.abs(lap.walk @ lap.state)) <= 1e-10
-    assert np.max(np.abs(adj.walk @ adj.state - math.sqrt(spec.n1 * spec.n2) * adj.state)) <= 1e-10
-    assert np.max(np.abs(sig.walk @ sig.state - spec.n * sig.state)) <= 1e-10
+    lap = class_quotient(spec, s)
+    adj = class_quotient(spec, s_a)
+    sig = class_quotient(spec, s_q)
+    w_lap = quotient_walk(lap, WalkKind.LAPLACIAN)
+    w_adj = quotient_walk(adj, WalkKind.ADJACENCY)
+    w_sig = quotient_walk(sig, WalkKind.SIGNLESS_LAPLACIAN)
+    assert np.max(np.abs(w_lap @ lap.state)) <= 1e-10
+    assert np.max(np.abs(w_adj @ adj.state - math.sqrt(spec.n1 * spec.n2) * adj.state)) <= 1e-10
+    assert np.max(np.abs(w_sig @ sig.state - spec.n * sig.state)) <= 1e-10
 
 
 def test_equal_sides_make_all_starts_coincide():
@@ -242,7 +250,7 @@ def test_reduced_to_full_rejects_amplitude_on_empty_class():
 def test_class_quotients_refuse_a_state_that_reduced_to_full_refuses(quotient, state, message):
     # class b of (4, 2, 1, 0) is empty
     with pytest.raises(ValueError, match=f"^{message}$"):
-        quotient(BipartiteSpec(4, 2, 1, 0), WalkKind.LAPLACIAN, np.array(state))
+        quotient(BipartiteSpec(4, 2, 1, 0), np.array(state))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +297,8 @@ def test_numeric_eigensystem_converges_to_correction():
     errors = []
     for p in range(9, 15):
         spec = BipartiteSpec(2**p, 2 ** (p - 1), 3, 5)
-        quotient = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4))
-        numeric = eig_hermitian(quotient.hamiltonian(1.0 / spec.n1))
+        quotient = class_quotient(spec, np.zeros(4))
+        numeric = eig_hermitian(quotient.hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, 1.0 / spec.n1))
         exact = degenerate_correction(spec, CriticalSide.LEFT)
         value_err = np.max(np.abs(numeric.eigenvalues - exact.eigenvalues))
         overlap_err = max(
@@ -317,7 +325,7 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
     for p in range(9, 16):
         spec = BipartiteSpec(2**p, 2 ** (p - 1), 3, 5)
         gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, side)
-        h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(gamma)
+        h = class_quotient(spec, np.zeros(4)).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, gamma)
         exact_gap = _doublet_gap(side, eig_hermitian(h).eigenvalues)
         gap_errors.append(
             tuple(
@@ -332,9 +340,9 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
             (InitialStateKind.UNIFORM, s_errors),
             (InitialStateKind.SIGNLESS_EIGENVECTOR, sq_errors),
         ):
-            numeric = class_quotient(
-                spec, WalkKind.SIGNLESS_LAPLACIAN, initial_state(spec, start)
-            ).masses(gamma, times)
+            numeric = class_quotient(spec, initial_state(spec, start)).masses(
+                WalkKind.SIGNLESS_LAPLACIAN, gamma, times
+            )
             errors.append(
                 tuple(
                     np.max(np.abs(np.stack(form(spec, start, side, times), axis=1) - numeric))
@@ -351,8 +359,8 @@ def test_next_order_is_closer_to_exact_and_both_converge(side):
 def test_next_order_eigensystem_matches_exact_at_bench_layout():
     for side in CriticalSide:
         gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, side)
-        quotient = class_quotient(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4))
-        exact = eig_hermitian(quotient.hamiltonian(gamma))
+        quotient = class_quotient(BENCH_SPEC, np.zeros(4))
+        exact = eig_hermitian(quotient.hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, gamma))
         system = next_order_correction(BENCH_SPEC, side)
         vectors = system.eigenvectors
         assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) < 1e-14
@@ -588,13 +596,13 @@ def _min_gap_runtime(spec, walk, side, steps=60):
     golden-section search finds its minimum within 25 % of that rate.
     """
     rate = critical_gamma(spec, walk, side)
-    quotient = class_quotient(spec, walk, np.zeros(4))
-    values, vectors = np.linalg.eigh(quotient.hamiltonian(rate))
+    quotient = class_quotient(spec, np.zeros(4))
+    values, vectors = np.linalg.eigh(quotient.hamiltonian(walk, rate))
     weight = np.abs(vectors[0 if side is CriticalSide.LEFT else 1]) ** 2
     level = int(np.argmax(weight[:-1] + weight[1:]))
 
     def gap(gamma):
-        return np.diff(np.linalg.eigvalsh(quotient.hamiltonian(gamma)))[level]
+        return np.diff(np.linalg.eigvalsh(quotient.hamiltonian(walk, gamma)))[level]
 
     lo, hi = 0.75 * rate, 1.25 * rate
     shrink = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -791,8 +799,8 @@ def test_full_and_reduced_class_probabilities_agree():
     state = initial_state(SMALL_SPEC, InitialStateKind.UNIFORM)
     for walk in WalkKind:
         for gamma in (1 / 9, 1 / 5, 0.07):
-            reduced = class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
-            full = refined_class_quotient(SMALL_SPEC, walk, state).masses(gamma, times)
+            reduced = class_quotient(SMALL_SPEC, state).masses(walk, gamma, times)
+            full = refined_class_quotient(SMALL_SPEC, state).masses(walk, gamma, times)
             assert np.max(np.abs(reduced - full)) <= 1e-9
 
 
@@ -807,14 +815,14 @@ def test_refined_class_quotient_finds_the_class_quotient(walk):
         InitialStateKind,
     ):
         state = initial_state(spec, start)
-        written = class_quotient(spec, walk, state)
-        refined = refined_class_quotient(spec, walk, state)
-        assert_is_the_class_walk(spec, refined, walk)
+        written = class_quotient(spec, state)
+        refined = refined_class_quotient(spec, state)
+        assert_is_the_class_walk(spec, refined)
         for gamma in gammas:
-            got, want = refined.masses(gamma, times), written.masses(gamma, times)
+            got, want = refined.masses(walk, gamma, times), written.masses(walk, gamma, times)
             assert np.max(np.abs(got - want)) <= 1e-12
-        got = refined.levels(gammas)
-        want = written.levels(gammas)
+        got = refined.levels(walk, gammas)
+        want = written.levels(walk, gammas)
         assert [(row.gamma, row.n) for row in got] == [(row.gamma, row.n) for row in want]
         for mine, theirs in zip(got, want):
             assert abs(mine.left_overlap - theirs.left_overlap) <= 1e-12
@@ -844,7 +852,7 @@ def test_simulate_full_matches_the_uncollapsed_class_curves(spec):
                     spec, uncollapsed_propagate(decomp, psi0, times)
                 )
                 state = initial_state(spec, start)
-                got = refined_class_quotient(spec, walk, state).masses(gamma, times)
+                got = refined_class_quotient(spec, state).masses(walk, gamma, times)
                 assert got.shape == (times.size, 4)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -864,9 +872,9 @@ def test_numeric_agreement_with_closed_form_at_scale():
     times = np.linspace(0.0, t_star, 2000)
     gamma = critical_gamma(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
-        numeric = class_quotient(
-            BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, initial_state(BENCH_SPEC, start)
-        ).masses(gamma, times)
+        numeric = class_quotient(BENCH_SPEC, initial_state(BENCH_SPEC, start)).masses(
+            WalkKind.SIGNLESS_LAPLACIAN, gamma, times
+        )
         closed = closed_form_probabilities(BENCH_SPEC, start, CriticalSide.LEFT, times)[0]
         assert np.max(np.abs(numeric[:, 0] - closed)) <= 0.10
 
@@ -879,5 +887,5 @@ def test_success_is_suppressed_between_critical_rates():
     t_hi = 3.0 * runtime_table(BENCH_SPEC).t_qa
     times = np.linspace(0.0, t_hi, 2000)
     state = initial_state(BENCH_SPEC, InitialStateKind.UNIFORM)
-    probs = class_quotient(BENCH_SPEC, WalkKind.SIGNLESS_LAPLACIAN, state).masses(gamma, times)
+    probs = class_quotient(BENCH_SPEC, state).masses(WalkKind.SIGNLESS_LAPLACIAN, gamma, times)
     assert np.max(probs[:, 0] + probs[:, 1]) < 0.5

@@ -440,9 +440,8 @@ def test_sweep_phase_table_holds_at_most_20_bytes_per_sample_and_level(capsys, t
     edges = np.column_stack([left[keep], right[keep]])
     path = tmp_path / "gnp.txt"
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges.tolist()))
-    quotient = search_quotient(read_edge_list(str(path)), WalkKind.SIGNLESS_LAPLACIAN, {0},
-                               uniform_state(n), [[0]])
-    levels = len(quotient.walk)
+    quotient = search_quotient(read_edge_list(str(path)), {0}, uniform_state(n), [[0]])
+    levels = len(quotient.adjacency)
     assert levels == n
     argv = ["sweep-gamma", "--graph", str(path), "--marked", "0", "--walk", "signless",
             "--gamma", "0.05", "--tmax", "80"]
@@ -666,29 +665,29 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_full_runs_build_graph_and_walk_matrix_once_per_command(
+def test_full_runs_build_graph_and_quotient_once_per_command(
     capsys, monkeypatch, tmp_path
 ):
     builds = _count_calls(monkeypatch, "graph", "complete_bipartite")
     reads = _count_calls(monkeypatch, "graph", "read_edge_list")
-    walks = _count_calls(monkeypatch, "evolve", "walk_matrix")
+    refinements = _count_calls(monkeypatch, "graph", "equitable_partition")
     layout = _layout_flags(SWEEP_LAYOUT)
     gammas = SWEEP_GRID[2:]
 
     rows = _sweep(capsys, [*layout, *SWEEP_GRID, "--mode", "full"])
     assert len(rows) == 5
-    assert (len(builds), len(reads), len(walks)) == (1, 0, 1)
+    assert (len(builds), len(reads), len(refinements)) == (1, 0, 1)
 
     code, _, _ = run_cli(
         capsys, ["overlaps", *layout, *gammas, "--mode", "full"]
     )
     assert code == 0
-    assert (len(builds), len(reads), len(walks)) == (2, 0, 2)
+    assert (len(builds), len(reads), len(refinements)) == (2, 0, 2)
 
     path, marked = _permuted_edge_list(tmp_path, SWEEP_LAYOUT, seed=4)
     rows = _sweep(capsys, ["--graph", str(path), "--marked", marked, *SWEEP_GRID])
     assert len(rows) == 5
-    assert (len(builds), len(reads), len(walks)) == (2, 1, 3)
+    assert (len(builds), len(reads), len(refinements)) == (2, 1, 3)
 
 
 def test_full_sweeps_and_overlaps_diagonalise_only_the_quotient(
@@ -713,12 +712,12 @@ def test_full_sweeps_and_overlaps_diagonalise_only_the_quotient(
     sweeps_and_simulate = len(solves)
 
     # full overlaps forms no dense walk matrix either: the package has no
-    # builder of one, and each walk matrix is the quotient's
+    # builder of one, and each Hamiltonian is formed on the quotient's adjacency
     for module in ("graph", "evolve", "bipartite", "spin_network", "cli"):
         for name in ("adjacency_matrix", "degree_matrix", "laplacian", "signless_laplacian",
-                     "search_hamiltonian"):
+                     "search_hamiltonian", "walk_matrix"):
             assert not hasattr(importlib.import_module(f"qwsearch.{module}"), name)
-    walks = _count_calls(monkeypatch, "evolve", "walk_matrix")
+    walks = _count_calls(monkeypatch, "evolve", "_quotient_adjacency")
     for walk in ("adjacency", "laplacian", "signless"):
         argv = ["overlaps", *layout, *SWEEP_GRID[2:], "--mode", "full", "--walk", walk]
         code, out, err = run_cli(capsys, argv)
@@ -925,9 +924,9 @@ def test_overlaps_full_mode_matches_reduced_row_by_row(spec, walk, probe, gamma)
     reduced = _main_output([*argv, "--mode", "reduced"])
     full = _main_output([*argv, "--mode", "full"])
     assert reduced.shape == full.shape == (sum(size > 0 for size in class_sizes(spec)), 5)
-    quotient = class_quotient(spec, WalkKind(walk), np.zeros(4))
-    scale = max(1.0, float(np.max(np.abs(quotient.hamiltonian(gamma)))))
-    levels = np.linalg.eigvalsh(quotient.hamiltonian(gamma))
+    h = class_quotient(spec, np.zeros(4)).hamiltonian(WalkKind(walk), gamma)
+    scale = max(1.0, float(np.max(np.abs(h))))
+    levels = np.linalg.eigvalsh(h)
     runs = np.split(np.arange(levels.size), np.flatnonzero(np.diff(levels) > 1e-3 * scale) + 1)
     for run in runs:
         assert np.max(np.abs(full[run].sum(axis=0) - reduced[run].sum(axis=0))) <= 1e-12
@@ -1358,6 +1357,55 @@ def test_a_rate_whose_hamiltonian_overflows_is_refused(capsys, command):
     assert (code, out, err) == (1, "", "error: matrix has a non-finite entry (inf)\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+def test_a_phase_angle_that_overflows_is_refused(capsys, command):
+    # -gamma W is finite at gamma = 1e300 on (512, 256, 3, 5), but its
+    # levels times the last time, 1e10, pass the float range
+    argv = [command, *FIG_FLAGS, "--gamma", "1e300", "--tmax", "1e10", "--samples", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy RuntimeWarning on the way out
+        code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: phase angles pass the float range: eigenvalues up to 7.68e+302 "
+                   "at times up to 1e+10\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10**150), st.integers(1, 10**150), st.data())
+def test_runtimes_rows_fit_the_byte_cap_row_bound(n1, n2, data):
+    # the cap charges each row its sweep key's digits plus RUNTIMES_ROW_BYTES
+    # on any layout, also where the runtimes print with an exponent
+    side = data.draw(st.sampled_from(["k1", "k2"]))
+    top = n1 if side == "k1" else n2
+    hi = data.draw(st.integers(0, top))
+    lo = data.draw(st.integers(max(0, hi - 4), hi))
+    fixed = data.draw(st.integers(0, min(n2 if side == "k1" else n1, 50)))
+    k1, k2 = (lo, fixed) if side == "k1" else (fixed, lo)
+    argv = ["runtimes", *_layout_flags((n1, n2, max(k1, 1), k2)), "--sweep", side,
+            "--sweep-min", str(lo), "--sweep-max", str(hi)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    for row in out.getvalue().splitlines(keepends=True)[1:]:
+        assert len(row.encode()) <= len(str(hi)) + cli.RUNTIMES_ROW_BYTES
+
+
+def test_runtimes_byte_cap_is_checked_before_any_row(capsys, monkeypatch):
+    # 40 rows whose keys have at most two digits: the bound is 40 (2 + 139) bytes
+    argv = ["runtimes", "--n1", "1024", "--n2", "256", "--k1", "1", "--k2", "5",
+            "--sweep", "k1", "--sweep-min", "1", "--sweep-max", "40"]
+    assert cli.RUNTIMES_ROW_BYTES == 139
+    monkeypatch.setattr(cli, "RUNTIMES_CAP_BYTES", 40 * 141)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err, len(out.splitlines())) == (0, "", 41)
+    monkeypatch.setattr(cli, "RUNTIMES_CAP_BYTES", 40 * 141 - 1)
+    monkeypatch.setattr(cli, "fastest_regime", None)  # no row may be formed
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: runtimes output caps at {40 * 141 - 1} bytes, got a sweep "
+                   f"of 40 rows: its lines need up to {40 * 141} bytes (0 MiB)\n")
+
+
 @pytest.mark.parametrize("sides", [(10**400, 256), (10**200, 3 * 10**200)],
                          ids=["400-digit-n1", "1e200-by-3e200"])
 @pytest.mark.parametrize("command", ["runtimes", "simulate", "sweep-gamma", "overlaps"])
@@ -1442,14 +1490,21 @@ def test_runtimes_on_unequal_sides_that_round_to_one_float(capsys):
         (["runtimes"], "runtimes needs a bipartite layout"),
         (["overlaps", "--gamma", "0.1"], "overlaps needs a bipartite layout"),
         (["verify-spin"], "verify-spin needs --jz-ratio"),
+        # 10^20 + 1 rows of at most 21 + 139 bytes each
         (["runtimes", "--n1", str(10**20), "--n2", "1", "--k1", "1", "--k2", "0",
           "--sweep", "k1", "--sweep-min", "0", "--sweep-max", str(10**20)],
-         f"sweep of {10**20 + 1} rows is more than a list holds ({sys.maxsize})"),
+         f"runtimes output caps at {2**26} bytes, got a sweep of {10**20 + 1} rows: its lines "
+         f"need up to {(10**20 + 1) * 160} bytes ({(10**20 + 1) * 160 / 2**20:.0f} MiB)"),
+        # a sweep that once ran on until memory ran out: 10^15 + 1 rows of 16 + 139 bytes
+        (["runtimes", "--n1", str(10**15), "--n2", "1", "--k1", "1", "--k2", "0",
+          "--sweep", "k1", "--sweep-min", "0", "--sweep-max", str(10**15)],
+         f"runtimes output caps at {2**26} bytes, got a sweep of {10**15 + 1} rows: its lines "
+         f"need up to {(10**15 + 1) * 155} bytes ({(10**15 + 1) * 155 / 2**20:.0f} MiB)"),
     ],
     ids=["probe-ml", "probe-mr", "gamma-max-alone", "sweep-min-alone", "bad-marked",
          "no-gamma", "simulate-no-gamma", "tmax-zero", "tmax-negative", "one-sample",
          "gamma-count-zero", "sweep-no-instance", "runtimes-no-layout", "overlaps-no-layout",
-         "verify-spin-no-ratio", "sweep-past-maxsize"],
+         "verify-spin-no-ratio", "sweep-past-maxsize", "sweep-past-the-byte-cap"],
 )
 def test_usage_refusals_name_the_fault(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bipartite_specs, graphs, uncollapsed_propagate
+from conftest import bipartite_specs, graphs, quotient_walk, uncollapsed_propagate
 from dense_reference import (
     SearchInstance,
     dense_walk_matrix,
@@ -34,7 +34,6 @@ from qwsearch.evolve import (
     propagate,
     search_quotient,
     uniform_state,
-    walk_matrix,
 )
 from qwsearch.graph import BipartiteSpec, Graph, complete_bipartite, equitable_partition
 
@@ -174,22 +173,24 @@ def _bench_quotients():
     for layout in ((512, 256, 3, 5), (48, 24, 3, 5)):
         spec = BipartiteSpec(*layout)
         graph, marked = complete_bipartite(spec)
-        for walk in WalkKind:
-            for start in InitialStateKind:
-                state = initial_state(spec, start)
-                yield spec, class_quotient(spec, walk, state)
-                yield spec, search_quotient(graph, walk, marked, reduced_to_full(spec, state),
-                                            class_slices(spec))
+        for start in InitialStateKind:
+            state = initial_state(spec, start)
+            written = class_quotient(spec, state)
+            refined = search_quotient(graph, marked, reduced_to_full(spec, state),
+                                      class_slices(spec))
+            for walk in WalkKind:
+                yield spec, walk, written
+                yield spec, walk, refined
 
 
 def test_stacked_eig_is_each_matrix_eigh_bit_for_bit():
-    for spec, quotient in _bench_quotients():
+    for spec, walk, quotient in _bench_quotients():
         gammas = np.geomspace(0.512 / spec.n1, 1.408 / spec.n2, 200)
-        stack = quotient.hamiltonian(gammas)
+        stack = quotient.hamiltonian(walk, gammas)
         got = eig_hermitian(stack)
         assert got.eigenvalues.shape == (200, stack.shape[-1])
         for k, gamma in enumerate(gammas):
-            h = quotient.hamiltonian(gamma)
+            h = quotient.hamiltonian(walk, gamma)
             assert stack[k].tobytes() == h.tobytes()
             values, vectors = np.linalg.eigh(h)
             assert got.eigenvalues[k].tobytes() == values.tobytes()
@@ -198,16 +199,16 @@ def test_stacked_eig_is_each_matrix_eigh_bit_for_bit():
 
 def test_sweep_is_masses_at_each_rate_bit_for_bit():
     times = np.linspace(0.0, 80.0, 300)
-    for spec, quotient in _bench_quotients():
+    for spec, walk, quotient in _bench_quotients():
         gammas = [1.0 / spec.n1, 1.0 / spec.n2, 0.05]
-        swept = list(quotient.sweep(gammas, times))
+        swept = list(quotient.sweep(walk, gammas, times))
         assert len(swept) == len(gammas)
         for gamma, masses in zip(gammas, swept):
-            assert masses.tobytes() == quotient.masses(gamma, times).tobytes()
+            assert masses.tobytes() == quotient.masses(walk, gamma, times).tobytes()
         # the rates are checked before any is diagonalised
         for gammas in (0.1, [[0.1]], [0.1, -1.0]):
             with pytest.raises(ValueError):
-                quotient.sweep(gammas, times)
+                quotient.sweep(walk, gammas, times)
 
 
 @pytest.mark.parametrize("dim", [1, 4, 64, 255, 256, 300])
@@ -221,12 +222,14 @@ def test_rates_are_diagonalised_in_stacks_bounded_by_their_entries(monkeypatch, 
 
     monkeypatch.setattr(evolve, "eig_hermitian", recording)
     quotient = search_quotient(
-        Graph(dim, [(i, i + 1) for i in range(dim - 1)]), WalkKind.LAPLACIAN, {0},
-        uniform_state(dim), [[0], [dim - 1]]
+        Graph(dim, [(i, i + 1) for i in range(dim - 1)]), {0}, uniform_state(dim),
+        [[0], [dim - 1]]
     )
-    assert len(quotient.walk) == dim
+    assert len(quotient.adjacency) == dim
     gammas = np.geomspace(0.01, 1.0, 50)
-    for run in (lambda: list(quotient.sweep(gammas, [0.0, 1.0])), lambda: quotient.levels(gammas)):
+    walk = WalkKind.LAPLACIAN
+    for run in (lambda: list(quotient.sweep(walk, gammas, [0.0, 1.0])),
+                lambda: quotient.levels(walk, gammas)):
         solved.clear()
         assert len(run()) in (50, 50 * min(dim, 4))
         assert [shape[1:] for shape in solved] == [(dim, dim)] * len(solved)
@@ -279,7 +282,7 @@ def test_eig_matches_asymptotic_doublet_at_large_size():
     # oracle: the perturbation-theory eigenvalues at the left critical rate,
     # which the numeric 4x4 approaches as the layout grows
     spec = BipartiteSpec(2**14, 2**13, 3, 5)
-    h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, np.zeros(4)).hamiltonian(1.0 / spec.n1)
+    h = class_quotient(spec, np.zeros(4)).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, 1.0 / spec.n1)
     numeric = eig_hermitian(h).eigenvalues
     exact = degenerate_correction(spec, CriticalSide.LEFT).eigenvalues
     rel = np.abs(numeric - exact) / np.maximum(np.abs(exact), 1.0)
@@ -355,7 +358,7 @@ def test_evolve_reaches_predicted_success_at_runtime():
     # predicted runtime the success probability sits at the predicted peak
     spec = BipartiteSpec(512, 256, 3, 5)
     psi0 = initial_state(spec, InitialStateKind.UNIFORM)
-    h = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, psi0).hamiltonian(0.002)
+    h = class_quotient(spec, psi0).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, 0.002)
     psi = propagate(h, psi0, [35.54])[0]
     p = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
     assert p == pytest.approx(0.889, abs=0.02)
@@ -443,14 +446,18 @@ def test_collapse_matches_uncollapsed_on_random_graphs(graph, walk, gamma, data)
 # quotient of the equitable partition
 
 
+def _partition_quotient(part, cells=()):
+    """The walk-free quotient of ``part`` with ``cells`` marked, and no state or groups."""
+    return evolve.SearchQuotient(*evolve._quotient_adjacency(part), np.array(cells, dtype=int),
+                                 None, None)
+
+
 def _quotient(graph, walk, marked, psi0, gamma):
     """The search's equitable partition and its quotient search Hamiltonian."""
     is_marked = np.isin(np.arange(graph.n), sorted(marked)).astype(float)
     part = equitable_partition(graph, np.stack([is_marked, psi0.real, psi0.imag], axis=1))
-    h = -gamma * walk_matrix(part, walk)
     cells = sorted({int(c) for c in part.cells[sorted(marked)]})
-    h[cells, cells] -= 1.0
-    return part, h
+    return part, _partition_quotient(part, cells).hamiltonian(walk, gamma)
 
 
 @settings(max_examples=200, deadline=None)
@@ -467,9 +474,9 @@ def test_quotient_propagation_matches_the_dense_eigensolve(graph, walk, gamma, d
     part, h = _quotient(graph, walk, marked, psi0, gamma)
     groups = [np.flatnonzero(part.cells == c) for c in np.unique(part.cells)] + [sorted(marked)]
     times = np.linspace(0.0, 50.0, 201)
-    search = search_quotient(graph, walk, marked, psi0, groups)
-    assert search.walk.shape == (len(groups) - 1,) * 2
-    got = search.masses(gamma, times)
+    search = search_quotient(graph, marked, psi0, groups)
+    assert search.adjacency.shape == (len(groups) - 1,) * 2
+    got = search.masses(walk, gamma, times)
     dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma)))
     probs = np.abs(uncollapsed_propagate(dense, psi0, times)) ** 2
     want = np.column_stack([probs[:, group].sum(axis=1) for group in groups])
@@ -489,7 +496,41 @@ def _irregular10():
 @given(graphs(), st.sampled_from(list(WalkKind)))
 def test_discrete_quotient_walk_matrix_is_the_walk_matrix(graph, walk):
     part = equitable_partition(graph, np.arange(graph.n))
-    assert np.array_equal(walk_matrix(part, walk), dense_walk_matrix(graph, walk))
+    got = quotient_walk(_partition_quotient(part), walk)
+    assert np.array_equal(got, dense_walk_matrix(graph, walk))
+
+
+def test_one_quotient_serves_every_walk(monkeypatch):
+    # the path P_9 marked at its centre: its ends have degree 1 and the rest
+    # 2, so the three walks differ, and the mirror folds it to 5 cells. The
+    # partition does not depend on the walk: one refinement serves all three
+    refinements = []
+
+    def counting(*args):
+        refinements.append(args)
+        return equitable_partition(*args)
+
+    monkeypatch.setattr(evolve, "equitable_partition", counting)
+    graph, marked = Graph(9, [(i, i + 1) for i in range(8)]), frozenset({4})
+    psi0 = uniform_state(graph.n)
+    groups = [[4], [0, 8], [1, 2, 6, 7]]
+    search = search_quotient(graph, marked, psi0, groups)
+    assert len(search.adjacency) == 5
+    times = np.linspace(0.0, 40.0, 161)
+    curves = []
+    for walk in WalkKind:
+        for gamma in (0.3, 1.1):
+            dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma)))
+            probs = np.abs(uncollapsed_propagate(dense, psi0, times)) ** 2
+            want = np.column_stack([probs[:, group].sum(axis=1) for group in groups])
+            got = search.masses(walk, gamma, times)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            curves.append(got)
+    assert len(refinements) == 1
+    # the walks are told apart: no two give the same curves at a rate
+    for i in range(len(curves)):
+        for j in range(i + 2, len(curves), 2):
+            assert np.max(np.abs(curves[i] - curves[j])) > 1e-3
 
 
 @pytest.mark.parametrize("walk", list(WalkKind))
@@ -499,18 +540,18 @@ def test_discrete_quotient_search_is_the_dense_search_bit_for_bit(walk):
     is_marked = np.isin(np.arange(graph.n), sorted(marked))
     assert equitable_partition(graph, is_marked).sizes.tolist() == [1] * 10
     singles = [[v] for v in range(graph.n)]
-    each = search_quotient(graph, walk, marked, psi0, [*singles, sorted(marked)]).masses
-    together = search_quotient(graph, walk, marked, psi0, [sorted(marked)]).masses
+    each = search_quotient(graph, marked, psi0, [*singles, sorted(marked)])
+    together = search_quotient(graph, marked, psi0, [sorted(marked)])
     w = dense_walk_matrix(graph, walk)
     times = np.linspace(0.0, 60.0, 400)
     for gamma in (0.0, 0.05, 0.3, 1.7):
         dense = eig_hermitian(search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w))
         probs = np.abs(propagate(dense, psi0, times, rows=np.arange(graph.n))) ** 2
-        got = each(gamma, times)
+        got = each.masses(walk, gamma, times)
         assert np.array_equal(got[:, :-1], probs)
         assert np.array_equal(got[:, -1], probs[:, 0] + probs[:, 6])
         probs = np.abs(propagate(dense, psi0, times, rows=sorted(marked))) ** 2
-        assert np.array_equal(together(gamma, times)[:, 0], probs.sum(axis=1))
+        assert np.array_equal(together.masses(walk, gamma, times)[:, 0], probs.sum(axis=1))
 
 
 def _layout_quotient_checks(spec, walk, start, gamma):
@@ -520,7 +561,7 @@ def _layout_quotient_checks(spec, walk, start, gamma):
     values = np.linalg.eigvalsh(h)
     active = [i for i, size in enumerate(class_sizes(spec)) if size]
     # the class quotient is on the nonempty classes
-    reduced = np.linalg.eigvalsh(class_quotient(spec, walk, np.zeros(4)).hamiltonian(gamma))
+    reduced = np.linalg.eigvalsh(class_quotient(spec, np.zeros(4)).hamiltonian(walk, gamma))
     if (spec.n1, spec.k1) == (spec.n2, spec.k2):
         # swapping the sides fixes the search: a with b, c with d share a cell,
         # and the quotient keeps the swap-symmetric half of the spectrum
@@ -561,14 +602,14 @@ def test_permuted_layout_quotient_has_four_cells():
     psi0 = uniform_state(72)
     part, h = _quotient(permuted, WalkKind.LAPLACIAN, images, psi0, 0.03)
     assert part.sizes.size == 4
-    quotient = class_quotient(spec, WalkKind.LAPLACIAN, np.zeros(4))
-    reduced = np.linalg.eigvalsh(quotient.hamiltonian(0.03))
+    quotient = class_quotient(spec, np.zeros(4))
+    reduced = np.linalg.eigvalsh(quotient.hamiltonian(WalkKind.LAPLACIAN, 0.03))
     assert np.max(np.abs(np.linalg.eigvalsh(h) - reduced)) <= 1e-12
     groups = [relabel[list(vertices)] for vertices in class_slices(spec)]
     times = np.linspace(0.0, 60.0, 241)
-    got = search_quotient(permuted, WalkKind.LAPLACIAN, images, psi0, groups).masses(0.03, times)
+    got = search_quotient(permuted, images, psi0, groups).masses(WalkKind.LAPLACIAN, 0.03, times)
     state = initial_state(spec, InitialStateKind.UNIFORM)
-    want = class_quotient(spec, WalkKind.LAPLACIAN, state).masses(0.03, times)
+    want = class_quotient(spec, state).masses(WalkKind.LAPLACIAN, 0.03, times)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -576,19 +617,19 @@ def test_quotient_search_refuses_as_the_search_instance_does():
     graph = _irregular10()
     psi0 = uniform_state(10)
     with pytest.raises(ValueError, match="marked set must be nonempty"):
-        search_quotient(graph, WalkKind.LAPLACIAN, frozenset(), psi0, [[1]])
+        search_quotient(graph, frozenset(), psi0, [[1]])
     with pytest.raises(ValueError, match="marked vertex out of range"):
-        search_quotient(graph, WalkKind.LAPLACIAN, frozenset({10}), psi0, [[1]])
+        search_quotient(graph, frozenset({10}), psi0, [[1]])
     with pytest.raises(ValueError, match="state dimension"):
-        search_quotient(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0[:9], [[1]])
+        search_quotient(graph, frozenset({1}), psi0[:9], [[1]])
     # a group vertex is checked as a row of propagate is, with its message
     for group in ([10], [0, -1]):
         with pytest.raises(ValueError, match="^row index out of range$"):
-            search_quotient(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1], group])
-    masses = search_quotient(graph, WalkKind.LAPLACIAN, frozenset({1}), psi0, [[1]]).masses
+            search_quotient(graph, frozenset({1}), psi0, [[1], group])
+    masses = search_quotient(graph, frozenset({1}), psi0, [[1]]).masses
     for gamma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
-            masses(gamma, [0.0, 1.0])
+            masses(WalkKind.LAPLACIAN, gamma, [0.0, 1.0])
 
 
 def test_near_degenerate_pair_stays_split_and_beats():
@@ -626,10 +667,10 @@ def test_propagate_with_no_times():
 # the anchor-and-offset split of propagate's times
 
 
-def _bench_class_quotient(walk):
+def _bench_class_quotient():
     """The reduced-mode quotient of the (512, 256, 3, 5) benchmark layout from s."""
     spec = BipartiteSpec(512, 256, 3, 5)
-    return class_quotient(spec, walk, initial_state(spec, InitialStateKind.UNIFORM))
+    return class_quotient(spec, initial_state(spec, InitialStateKind.UNIFORM))
 
 
 @pytest.mark.parametrize("times", [[0.5, np.nan], [np.inf], [1.0, -np.inf], [-0.5], [3.0, -0.5]],
@@ -640,14 +681,37 @@ def test_propagate_refuses_times_that_are_not_finite_and_nonnegative(monkeypatch
 
     monkeypatch.setattr(evolve, "_phases", refused)
     decomp = eig_hermitian(np.diag([1.0, -1.0]))
-    quotient = _bench_class_quotient(WalkKind.SIGNLESS_LAPLACIAN)
+    quotient = _bench_class_quotient()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="evolution times must be finite and nonnegative"):
             propagate(decomp, np.array([1.0, 0.0]), times)
         # a sweep refuses its grid before any rate is propagated
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            quotient.sweep([0.002, 0.004], times)
+            quotient.sweep(WalkKind.SIGNLESS_LAPLACIAN, [0.002, 0.004], times)
+
+
+def test_propagate_refuses_phase_angles_past_the_float_range(monkeypatch):
+    # 1e300 * 1e10 overflows; 1e300 * 1e8 does not, and its phases stay finite
+    decomp = eig_hermitian(np.diag([1e300, -2.0]))
+    psi0 = np.array([0.6, 0.8])
+    got = propagate(decomp, psi0, [0.0, 0.5e8, 1e8])
+    assert np.isfinite(got).all()
+
+    def refused(*args):
+        raise AssertionError("a phase table was built")
+
+    monkeypatch.setattr(evolve, "_phases", refused)
+    quotient = _bench_class_quotient()
+    message = (r"^phase angles pass the float range: eigenvalues up to 1e\+300 "
+               r"at times up to 1e\+10$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            propagate(decomp, psi0, [0.0, 1e10, 3.0])
+        # a sweep refuses the first rate whose levels overflow, before its table
+        with pytest.raises(ValueError, match="^phase angles pass the float range"):
+            list(quotient.sweep(WalkKind.SIGNLESS_LAPLACIAN, [1e300], [0.0, 1e10]))
 
 
 def _split_sum(times):
@@ -719,13 +783,14 @@ def test_sweep_splits_its_times_once_for_all_rates(monkeypatch):
     split_times = evolve._split_times
     monkeypatch.setattr(evolve, "_split_times", counting)
     times = np.linspace(0.0, 80.0, 500)
-    path = search_quotient(Graph(300, [(i, i + 1) for i in range(299)]), WalkKind.LAPLACIAN,
-                           {0}, uniform_state(300), [[0]])
-    for quotient, gammas in ((_bench_class_quotient(WalkKind.SIGNLESS_LAPLACIAN),
-                              np.linspace(0.001, 0.0055, 50)),
-                             (path, [0.1, 0.5, 1.0])):  # one eigh call per rate
+    path = search_quotient(Graph(300, [(i, i + 1) for i in range(299)]), {0},
+                           uniform_state(300), [[0]])
+    for quotient, walk, gammas in ((_bench_class_quotient(), WalkKind.SIGNLESS_LAPLACIAN,
+                                    np.linspace(0.001, 0.0055, 50)),
+                                   # one eigh call per rate
+                                   (path, WalkKind.LAPLACIAN, [0.1, 0.5, 1.0])):
         splits.clear()
-        assert len(list(quotient.sweep(gammas, times))) == len(gammas)
+        assert len(list(quotient.sweep(walk, gammas, times))) == len(gammas)
         assert splits == [500]
 
 
@@ -738,10 +803,10 @@ def test_split_phases_are_as_accurate_as_cos_of_the_rounded_angle():
     irregular = rng.uniform(0.0, 120.0, 2000)
     grids = [np.linspace(0.0, 80.0, 2000), np.linspace(0.0, 120.0, 2000), np.sort(irregular),
              irregular]
+    quotient = _bench_class_quotient()
     for walk in WalkKind:
-        quotient = _bench_class_quotient(walk)
         for gamma in (1 / 512, 1 / 256, 0.001, 0.0033, 0.0055):
-            values = eig_hermitian(quotient.hamiltonian(gamma)).eigenvalues
+            values = eig_hermitian(quotient.hamiltonian(walk, gamma)).eigenvalues
             ident = EigenDecomposition(values, np.eye(values.size))
             for times in grids:
                 table = propagate(ident, np.ones(values.size), times)
@@ -885,11 +950,9 @@ def test_first_peak_is_the_loop_over_every_sample(values, start, spacing):
 
 def test_first_peak_on_bench_curves_is_the_loop():
     times = np.linspace(0.0, 120.0, 2000)
-    quotient = class_quotient(BipartiteSpec(512, 256, 3, 5), WalkKind.SIGNLESS_LAPLACIAN,
-                              initial_state(BipartiteSpec(512, 256, 3, 5),
-                                            InitialStateKind.UNIFORM))
+    quotient = _bench_class_quotient()
     gammas = np.geomspace(0.001, 0.0055, 40)
-    for masses in quotient.sweep(gammas, times):
+    for masses in quotient.sweep(WalkKind.SIGNLESS_LAPLACIAN, gammas, times):
         success = masses[:, 0] + masses[:, 1]
         assert first_peak(times, success) == _first_peak_loop(times, success)
 
@@ -942,26 +1005,26 @@ def test_levels_require_gammas_and_normalized_probe():
     spec = BipartiteSpec(8, 4, 1, 1)
     probe = initial_state(spec, InitialStateKind.UNIFORM)
     with pytest.raises(ValueError, match="^gamma list must be nonempty$"):
-        class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, probe).levels([])
+        class_quotient(spec, probe).levels(WalkKind.SIGNLESS_LAPLACIAN, [])
     with pytest.raises(ValueError, match="^probe state must be normalized$"):
-        class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, 2.0 * probe).levels([0.1])
+        class_quotient(spec, 2.0 * probe).levels(WalkKind.SIGNLESS_LAPLACIAN, [0.1])
     # an edge-list search reports one group, its marked set
-    one_group = search_quotient(Graph(3, [(0, 1), (1, 2)]), WalkKind.LAPLACIAN, {0},
-                                uniform_state(3), [[0]])
+    one_group = search_quotient(Graph(3, [(0, 1), (1, 2)]), {0}, uniform_state(3), [[0]])
     with pytest.raises(ValueError, match="^levels needs groups 0 and 1$"):
-        one_group.levels([0.1])
+        one_group.levels(WalkKind.LAPLACIAN, [0.1])
 
 
 def test_levels_read_their_rates_as_sweep_does_and_refuse_a_nan_probe():
     spec = BipartiteSpec(8, 4, 1, 1)
-    quotient = class_quotient(spec, WalkKind.LAPLACIAN,
-                              initial_state(spec, InitialStateKind.UNIFORM))
-    for read in (quotient.levels, functools.partial(quotient.sweep, times=[0.0])):
+    quotient = class_quotient(spec, initial_state(spec, InitialStateKind.UNIFORM))
+    walk = WalkKind.LAPLACIAN
+    for read in (functools.partial(quotient.levels, walk),
+                 functools.partial(quotient.sweep, walk, times=[0.0])):
         with pytest.raises(ValueError, match="^gammas must be a 1-D sequence of rates$"):
             read(0.1)
     # a NaN norm is no distance from 1 that a bound can refuse
     with pytest.raises(ValueError, match="^probe state must be normalized$"):
-        quotient._replace(state=np.array([np.nan, 0, 0, 0])).levels([0.1])
+        quotient._replace(state=np.array([np.nan, 0, 0, 0])).levels(walk, [0.1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
@@ -970,9 +1033,9 @@ def test_a_state_that_is_not_finite_is_refused_where_it_enters(bad):
     spec = BipartiteSpec(8, 4, 1, 1)
     path = Graph(3, [(0, 1), (1, 2)])
     entries = [
-        functools.partial(class_quotient, spec, WalkKind.LAPLACIAN, [bad, 0, 0, 0]),
+        functools.partial(class_quotient, spec, [bad, 0, 0, 0]),
         functools.partial(reduced_to_full, spec, [0, 0, bad, 0]),
-        functools.partial(search_quotient, path, WalkKind.LAPLACIAN, [0], [bad, 0, 0], [[0]]),
+        functools.partial(search_quotient, path, [0], [bad, 0, 0], [[0]]),
         functools.partial(propagate, eig_hermitian(np.diag([1.0, -1.0])), [0, bad], [0.0, 1.0]),
     ]
     with warnings.catch_warnings():
@@ -986,7 +1049,7 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
     # neither a float nor a string names a vertex, not even 1.5 or "1";
     # an int past int64 is out of range, as any other vertex past n is
     path = Graph(3, [(0, 1), (1, 2)])
-    search = functools.partial(search_quotient, path, WalkKind.LAPLACIAN)
+    search = functools.partial(search_quotient, path)
     psi0 = uniform_state(3)
     for group, message in (([1.5], "vertex 1.5 is not an integer"),
                            (["1"], "vertex '1' is not an integer"),
@@ -1000,15 +1063,17 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
     with pytest.raises(ValueError, match="vertex '2' is not an integer"):
         search(["2"], psi0, [[0]])
     # integer vertices of any integer type still pass
-    want = search([2], psi0, [[0, 2]]).masses(0.3, [1.0])
-    assert np.array_equal(search([np.int32(2)], psi0, [np.array([2, 0])]).masses(0.3, [1.0]),
-                          want)
+    walk = WalkKind.LAPLACIAN
+    want = search([2], psi0, [[0, 2]]).masses(walk, 0.3, [1.0])
+    assert np.array_equal(
+        search([np.int32(2)], psi0, [np.array([2, 0])]).masses(walk, 0.3, [1.0]), want
+    )
 
 
 def test_overlap_completeness():
     spec = BipartiteSpec(512, 256, 3, 5)
     probe = initial_state(spec, InitialStateKind.UNIFORM)
-    rows = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, probe).levels([0.001, 0.002, 0.004])
+    rows = class_quotient(spec, probe).levels(WalkKind.SIGNLESS_LAPLACIAN, [0.001, 0.002, 0.004])
     for gamma in (0.001, 0.002, 0.004):
         total = sum(r.s_overlap for r in rows if r.gamma == gamma)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -1019,11 +1084,10 @@ def test_overlap_crossings_near_critical_rates():
     rates: near 0.002 the first/second excited overlaps cross, near 0.004
     the ground/first excited overlaps cross."""
     spec = BipartiteSpec(512, 256, 3, 5)
-    search = class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN,
-                            initial_state(spec, InitialStateKind.UNIFORM))
+    search = class_quotient(spec, initial_state(spec, InitialStateKind.UNIFORM))
 
     def s_at(gamma):
-        rows = search.levels([gamma])
+        rows = search.levels(WalkKind.SIGNLESS_LAPLACIAN, [gamma])
         return [r.s_overlap for r in rows]
 
     low = np.linspace(0.0015, 0.0025, 41)
@@ -1047,7 +1111,7 @@ def test_overlap_crossings_near_critical_rates():
 
 def _side_levels(graph, walk, marked, probe, left, right, gammas):
     """The ``overlaps`` rows: the levels of the search whose groups are its two sides."""
-    return search_quotient(graph, walk, marked, probe, [left, right]).levels(gammas)
+    return search_quotient(graph, marked, probe, [left, right]).levels(walk, gammas)
 
 
 def _layout_probes(spec):
@@ -1078,9 +1142,7 @@ def _overlaps_and_dense(graph, walk, marked, probe, left, right, gammas):
 
     def explicit(gamma):
         h = search_hamiltonian(SearchInstance(walk, graph, marked, gamma), w)
-        hq = -gamma * walk_matrix(part, walk)
-        hq[marked_cells, marked_cells] -= 1.0
-        quotient = eig_hermitian(hq)
+        quotient = eig_hermitian(_partition_quotient(part, marked_cells).hamiltonian(walk, gamma))
         return h, list(zip(quotient.eigenvalues, (lift @ quotient.eigenvectors).T))
 
     def observables(vec):
@@ -1166,7 +1228,7 @@ def test_quotient_overlaps_order_exact_ties():
     gammas = [0.0, 0.01, 0.05, 0.15, 0.3]
     for walk in WalkKind:
         rows, _, _ = _layout_overlaps(spec, walk, uniform, gammas)
-        reduced = class_quotient(spec, walk, uniform).levels(gammas)
+        reduced = class_quotient(spec, uniform).levels(walk, gammas)
         assert len(rows) == len(reduced) == 4 * len(gammas)
         for gamma in gammas:
             got = [row for row in rows if row.gamma == gamma]

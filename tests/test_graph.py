@@ -22,7 +22,7 @@ from qwsearch.bipartite import (
     reduced_to_full,
     refined_class_quotient,
 )
-from qwsearch.evolve import WalkKind, search_quotient
+from qwsearch.evolve import search_quotient
 from qwsearch.graph import (
     BipartiteSpec,
     Graph,
@@ -784,17 +784,16 @@ def test_layout_refinement_is_one_exact_round_that_its_check_reads(monkeypatch, 
     state = initial_state(spec, start)
     seen = _spy_on_refinement(monkeypatch)
     if groups == "sweep":
-        quotient = refined_class_quotient(spec, WalkKind.SIGNLESS_LAPLACIAN, state)
+        quotient = refined_class_quotient(spec, state)
     else:
         graph, marked = complete_bipartite(spec)
-        quotient = search_quotient(graph, WalkKind.SIGNLESS_LAPLACIAN, marked,
-                                   reduced_to_full(spec, state),
+        quotient = search_quotient(graph, marked, reduced_to_full(spec, state),
                                    [range(spec.n1), range(spec.n1, spec.n)])
     if layout == (2, 2, 1, 1):
         assert seen == {"tables": 0, "hashed": 0, "recounts": 1}
     else:
         assert seen == {"tables": 1, "hashed": 0, "recounts": 0}
-    assert_is_the_class_walk(spec, quotient, WalkKind.SIGNLESS_LAPLACIAN)
+    assert_is_the_class_walk(spec, quotient)
 
 
 def test_a_refinement_that_splits_after_its_exact_round_recounts(monkeypatch):
