@@ -93,6 +93,10 @@ class FastestWalk(enum.Enum):
     SIGNLESS_RIGHT = "signless_right"
 
 
+# the side of each class (a, b, c, d): 0 left, 1 right
+_CLASS_SIDE = (0, 1, 0, 1)
+
+
 def class_sizes(spec: BipartiteSpec) -> tuple[int, int, int, int]:
     """Vertex counts of the classes (a, b, c, d)."""
     return (spec.k1, spec.k2, spec.unmarked1, spec.unmarked2)
@@ -117,7 +121,7 @@ def class_partition(spec: BipartiteSpec) -> EquitablePartition:
     are Python integers, exact also where ``n1 n2`` passes 2^63.
     """
     sizes = np.array(class_sizes(spec), dtype=object)
-    across = np.add.outer(range(4), range(4)) % 2  # a, c left; b, d right
+    across = np.not_equal.outer(_CLASS_SIDE, _CLASS_SIDE)
     active = np.flatnonzero(sizes)
     arcs = (np.outer(sizes, sizes) * across)[np.ix_(active, active)]
     return EquitablePartition(None, sizes[active], arcs)
@@ -160,32 +164,16 @@ def initial_state(spec: BipartiteSpec, kind: InitialStateKind) -> np.ndarray:
       right vertices ``sqrt(n1/(n2 n))``; eigenvector of Q with
       eigenvalue ``n``.
     """
-    k1, k2 = float(spec.k1), float(spec.k2)
-    u1, u2 = float(spec.unmarked1), float(spec.unmarked2)
-    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
+    n, sides = float(spec.n), (float(spec.n1), float(spec.n2))
+    # each class's size and side: sides[side] is its own side's size
+    classes = zip(class_sizes(spec), _CLASS_SIDE)
     if kind is InitialStateKind.UNIFORM:
-        amps = np.array(
-            [math.sqrt(k1), math.sqrt(k2), math.sqrt(u1), math.sqrt(u2)]
-        ) / math.sqrt(n)
+        amps = [math.sqrt(k) / math.sqrt(n) for k, _ in classes]
     elif kind is InitialStateKind.ADJACENCY_EIGENVECTOR:
-        amps = np.array(
-            [
-                math.sqrt(k1 / (2.0 * n1)),
-                math.sqrt(k2 / (2.0 * n2)),
-                math.sqrt(u1 / (2.0 * n1)),
-                math.sqrt(u2 / (2.0 * n2)),
-            ]
-        )
+        amps = [math.sqrt(k / (2.0 * sides[side])) for k, side in classes]
     else:
-        amps = np.array(
-            [
-                math.sqrt(k1 * n2 / (n1 * n)),
-                math.sqrt(k2 * n1 / (n2 * n)),
-                math.sqrt(u1 * n2 / (n1 * n)),
-                math.sqrt(u2 * n1 / (n2 * n)),
-            ]
-        )
-    return amps.astype(complex)
+        amps = [math.sqrt(k * sides[1 - side] / (sides[side] * n)) for k, side in classes]
+    return np.array(amps, dtype=complex)
 
 
 def reduced_to_full(spec: BipartiteSpec, reduced: np.ndarray) -> np.ndarray:
@@ -366,12 +354,6 @@ def _symmetric_2x2(
     return [(np.array([-sin, cos]), mean - radius), (np.array([cos, sin]), mean + radius)]
 
 
-def _inverse_sqrt_2x2(m: np.ndarray) -> np.ndarray:
-    """``m^(-1/2)`` of a symmetric positive-definite 2x2 matrix."""
-    pairs = _symmetric_2x2(m[0, 0], m[0, 1], m[1, 1])
-    return sum(np.outer(vec, vec) / math.sqrt(value) for vec, value in pairs)
-
-
 def _embedded(spec: BipartiteSpec, matrix: np.ndarray) -> np.ndarray:
     """A class-quotient matrix in the fixed (a, b, c, d) 4x4, zero on the empty classes."""
     active = np.flatnonzero(class_sizes(spec))
@@ -385,24 +367,22 @@ def next_order_correction(
 ) -> DegenerateEigensystem:
     """Critical-rate eigensystem carried one order past the degenerate one.
 
-    At ``gamma = 1/n1`` the unmarked (c, d) block of the reduced
-    Hamiltonian has the exact eigenvectors ``u' = x c + y d`` and
-    ``v' = y c - x d``, with ``x, y = sqrt((r -/+ (n1 - n2)/2) / (2 r))``
-    and ``r = sqrt((n1 - n2)^2 / 4 + (n1 - k1)(n2 - k2))``. They replace
-    the leading-order ``u = (sqrt(n2) c + sqrt(n1) d)/sqrt(n)`` and
-    ``v = (sqrt(n1) c - sqrt(n2) d)/sqrt(n)``, and ``u'`` lies
-    ``gamma (k1 n2 + k2 n1 - k1 k2) / (n/2 + r)`` above ``a``. In the
-    frame ``(a, u' | b, v')`` the far levels ``b`` and ``v'`` are folded
-    into the quasi-degenerate doublet ``(a, u')`` by Loewdin partitioning
-    (the degenerate perturbation theory of Childs & Goldstone, PRA 70,
-    022314, 2004), with the far resolvent taken at the doublet centre
-    ``e0``::
+    At ``gamma = 1/n1`` the frame's ``u'`` and ``v'`` are the lower and
+    upper eigenvectors of the unmarked (c, d) block of the class
+    Hamiltonian, solved by :func:`_symmetric_2x2`. They replace the
+    leading-order ``u = (sqrt(n2) c + sqrt(n1) d)/sqrt(n)`` and
+    ``v = (sqrt(n1) c - sqrt(n2) d)/sqrt(n)``. In the frame
+    ``(a, u' | b, v')`` the far levels ``b`` and ``v'`` are folded into
+    the quasi-degenerate doublet ``(a, u')`` by Loewdin partitioning (the
+    degenerate perturbation theory of Childs & Goldstone, PRA 70, 022314,
+    2004), with the far resolvent taken at the doublet centre ``e0``::
 
-        S = (e0 - h_QQ)^-1 h_QP
-        T = [[1, -S^T], [S, 1]] diag((1 + S^T S)^-1/2, (1 + S S^T)^-1/2)
+        S = (e0 - h_QQ)^-1 h_QP,    M = [[1, -S^T], [S, 1]]
+        T = M (M^T M)^-1/2
 
-    ``T`` is exactly orthogonal, and the doublet block of ``T^T h T`` is
-    ``(1 + N)^-1/2 (h_PP + h_PQ S + e0 N) (1 + N)^-1/2`` with
+    ``T`` is ``M``'s orthogonal polar factor, taken from its SVD. As
+    ``M^T M = diag(1 + S^T S, 1 + S S^T)``, the doublet block of ``T^T h T``
+    is ``(1 + N)^-1/2 (h_PP + h_PQ S + e0 N) (1 + N)^-1/2`` with
     ``N = S^T S``: second-order partitioning plus its leading energy
     dependence. Both 2x2 blocks are solved in closed form, and the
     O(k/n) coupling left between them is dropped. ``S`` admixes the far
@@ -414,44 +394,31 @@ def next_order_correction(
     ``(a +/- u)/sqrt(2)`` (``tests/first_order_reference.py``).
     Eigenvalues are off the exact 4x4 ones by O((k/n)^2) and eigenvectors
     by O(k/n). The right-critical case is the partite-swapped mirror. The
-    expansion needs a marked vertex on the target side, and unequal sides:
-    at ``n1 == n2`` the ``b`` level meets the doublet.
+    expansion needs a marked vertex on the target side, unequal sides (at
+    ``n1 == n2`` the ``b`` level meets the doublet) and, for the frame, an
+    unmarked vertex on each side. Other layouts are refused by name.
     """
     if side is CriticalSide.RIGHT:
         return _mirrored(next_order_correction(spec.swapped(), CriticalSide.LEFT))
     _check_left_doublet(spec)
-    n1, n2 = float(spec.n1), float(spec.n2)
-    r = math.sqrt(0.25 * (n1 - n2) ** 2 + float(spec.unmarked1 * spec.unmarked2))
-    x = math.sqrt((r - 0.5 * (n1 - n2)) / (2.0 * r))
-    y = math.sqrt((r + 0.5 * (n1 - n2)) / (2.0 * r))
-    # columns a, u', b, v' in the (a, b, c, d) class basis
-    frame = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, x, 0.0, y],
-            [0.0, y, 0.0, -x],
-        ]
-    )
+    if spec.unmarked1 < 1 or spec.unmarked2 < 1:
+        raise ValueError("the next-order frame needs an unmarked vertex on each side")
     gamma = critical_gamma(spec, WalkKind.SIGNLESS_LAPLACIAN, CriticalSide.LEFT)
     # the Hamiltonian does not read the state
     h_class = _embedded(
         spec, class_quotient(spec, np.zeros(4)).hamiltonian(WalkKind.SIGNLESS_LAPLACIAN, gamma)
     )
+    (u, _), (v, _) = _symmetric_2x2(h_class[2, 2], h_class[2, 3], h_class[3, 3])
+    # columns a, u', b, v' in the (a, b, c, d) class basis
+    frame = np.eye(4)[:, [0, 2, 1, 3]]
+    frame[2:, 1], frame[2:, 3] = u, v
     h = frame.T @ h_class @ frame
-    eye, zero = np.eye(2), np.zeros((2, 2))
     centre = 0.5 * (h[0, 0] + h[1, 1])
-    s = np.linalg.solve(centre * eye - h[2:, 2:], h[2:, :2])
-    basis = (
-        frame
-        @ np.block([[eye, -s.T], [s, eye]])
-        @ np.block(
-            [
-                [_inverse_sqrt_2x2(eye + s.T @ s), zero],
-                [zero, _inverse_sqrt_2x2(eye + s @ s.T)],
-            ]
-        )
-    )
+    s = np.linalg.solve(centre * np.eye(2) - h[2:, 2:], h[2:, :2])
+    m = np.block([[np.eye(2), -s.T], [s, np.eye(2)]])
+    # T, the orthogonal polar factor of m
+    left, _, right = np.linalg.svd(m)
+    basis = frame @ left @ right
     h = basis.T @ h_class @ basis
     doublet = _symmetric_2x2(h[0, 0], h[0, 1], h[1, 1])
     far = _symmetric_2x2(h[2, 2], h[2, 3], h[3, 3])

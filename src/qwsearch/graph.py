@@ -116,19 +116,23 @@ def _refuse_bad_endpoints(u: np.ndarray, v: np.ndarray, n: int) -> None:
 
 
 def _refuse_past_int64(rows, n: int) -> None:
-    """Name the first edge with an integer endpoint past int64, if all endpoints are integers.
+    """Name the first bad edge if every endpoint is an integer and one is past int64.
 
-    NumPy holds such endpoints as uint64, float64 or objects. They are past
-    every vertex count, so the edge is refused by name; this is also the
-    refusal of such an edge in :func:`read_edge_list`.
+    NumPy holds such endpoints as uint64, float64 or objects. One past
+    int64 is past every vertex count, so the first self-loop or
+    out-of-range edge, in input order, is refused by the rule of
+    :func:`_refuse_bad_endpoints`; this is also the refusal of such an edge
+    in :func:`read_edge_list`.
     """
     edges = [tuple(row) for row in rows]
-    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-           for edge in edges for x in edge):
-        for edge in edges:
-            edge = (int(edge[0]), int(edge[1]))
-            if not _INT64.min <= min(edge) <= max(edge) <= _INT64.max:
-                raise ValueError(f"edge {edge!r} out of range for n={n}")
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+               for edge in edges for x in edge):
+        return
+    edges = [(int(u), int(v)) for u, v in edges]
+    if any(not _INT64.min <= x <= _INT64.max for edge in edges for x in edge):
+        u, v = next(e for e in edges if e[0] == e[1] or not 0 <= min(e) <= max(e) < n)
+        raise ValueError(f"self-loop at vertex {u}" if u == v
+                         else f"edge {(u, v)!r} out of range for n={n}")
 
 
 def _store_counts(owner: object, *names: str) -> None:

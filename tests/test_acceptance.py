@@ -17,7 +17,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qwsearch.bipartite import (
     CriticalSide,
@@ -28,7 +27,6 @@ from qwsearch.bipartite import (
     fastest_regime,
     initial_state,
     next_order_probabilities,
-    reduced_to_full,
     refined_class_quotient,
     runtime_table,
 )
@@ -38,7 +36,6 @@ from qwsearch.evolve import (
     eig_hermitian,
     first_peak,
     propagate,
-    uniform_state,
 )
 from qwsearch.graph import BipartiteSpec
 from qwsearch.spin_network import CouplingConstants, demo_graph

@@ -1,5 +1,6 @@
 """The public names: the package exports each module's ``__all__``."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -50,3 +51,36 @@ def test_package_import_leaves_the_cli_unimported():
 def test_removed_wrappers_are_gone(name):
     assert not hasattr(qwsearch, name)
     assert not hasattr(qwsearch.bipartite, name)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports and never reads: neither a name in its
+    code nor in its ``__all__``. ``__future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in read]
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "scripts"])
+def test_no_module_imports_a_name_it_does_not_use(tree):
+    # a package's __init__ imports to re-export
+    paths = [p for p in sorted((ROOT / tree).rglob("*.py")) if p.name != "__init__.py"]
+    assert paths
+    assert [line for path in paths for line in _unused_imports(path)] == []

@@ -15,7 +15,6 @@ from conftest import (
 from dense_reference import SearchInstance, dense_walk_matrix, search_hamiltonian
 from first_order_reference import asymptotic_eigensystem_h0, degenerate_correction
 from qwsearch.bipartite import (
-    ClosedFormPeak,
     CriticalSide,
     FastestWalk,
     InitialStateKind,
@@ -195,6 +194,33 @@ def test_initial_states_are_walk_eigenvectors(spec):
     assert np.max(np.abs(w_lap @ lap.state)) <= 1e-10
     assert np.max(np.abs(w_adj @ adj.state - math.sqrt(spec.n1 * spec.n2) * adj.state)) <= 1e-10
     assert np.max(np.abs(w_sig @ sig.state - spec.n * sig.state)) <= 1e-10
+
+
+def _hand_written_starts(spec, kind):
+    """The three starts with each class amplitude written out on its own."""
+    k1, k2 = float(spec.k1), float(spec.k2)
+    u1, u2 = float(spec.unmarked1), float(spec.unmarked2)
+    n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
+    if kind is InitialStateKind.UNIFORM:
+        amps = np.array([math.sqrt(k1), math.sqrt(k2), math.sqrt(u1), math.sqrt(u2)]) / math.sqrt(n)
+    elif kind is InitialStateKind.ADJACENCY_EIGENVECTOR:
+        amps = np.array([math.sqrt(k1 / (2.0 * n1)), math.sqrt(k2 / (2.0 * n2)),
+                         math.sqrt(u1 / (2.0 * n1)), math.sqrt(u2 / (2.0 * n2))])
+    else:
+        amps = np.array([math.sqrt(k1 * n2 / (n1 * n)), math.sqrt(k2 * n1 / (n2 * n)),
+                         math.sqrt(u1 * n2 / (n1 * n)), math.sqrt(u2 * n1 / (n2 * n))])
+    return amps.astype(complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bipartite_specs(), bipartite_specs(max_side=2**60),
+                 bipartite_specs(max_side=10**150)), st.sampled_from(list(InitialStateKind)))
+@example(BENCH_SPEC, InitialStateKind.SIGNLESS_EIGENVECTOR)
+@example(BipartiteSpec(10**150, 1, 10**150, 0), InitialStateKind.SIGNLESS_EIGENVECTOR)
+def test_initial_state_is_the_hand_written_amplitudes_bit_for_bit(spec, kind):
+    got = initial_state(spec, kind)
+    assert got.dtype == complex
+    assert got.tobytes() == _hand_written_starts(spec, kind).tobytes()
 
 
 def test_equal_sides_make_all_starts_coincide():
@@ -395,15 +421,22 @@ def test_next_order_right_is_swapped_left():
 
 def test_next_order_refuses_unmarked_target_and_equal_sides():
     cases = [
-        (BipartiteSpec(16, 8, 0, 3), CriticalSide.LEFT),
-        (BipartiteSpec(16, 8, 3, 0), CriticalSide.RIGHT),
-        (BipartiteSpec(8, 8, 2, 3), CriticalSide.LEFT),
-        (BipartiteSpec(8, 8, 2, 3), CriticalSide.RIGHT),
+        (BipartiteSpec(16, 8, 0, 3), CriticalSide.LEFT, None),
+        (BipartiteSpec(16, 8, 3, 0), CriticalSide.RIGHT, None),
+        (BipartiteSpec(8, 8, 2, 3), CriticalSide.LEFT, None),
+        (BipartiteSpec(8, 8, 2, 3), CriticalSide.RIGHT, None),
     ]
-    for spec, side in cases:
-        with pytest.raises(ValueError):
+    # an empty unmarked class leaves the frame's (c, d) block without a
+    # vertex on one side; each layout also mirrored to the right side
+    no_frame = "^the next-order frame needs an unmarked vertex on each side$"
+    for spec in (BipartiteSpec(40, 100, 40, 2), BipartiteSpec(2000, 600, 5, 600),
+                 BipartiteSpec(1, 3, 1, 1)):
+        cases += [(spec, CriticalSide.LEFT, no_frame),
+                  (spec.swapped(), CriticalSide.RIGHT, no_frame)]
+    for spec, side, message in cases:
+        with pytest.raises(ValueError, match=message):
             next_order_correction(spec, side)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             next_order_probabilities(spec, InitialStateKind.UNIFORM, side, 1.0)
 
 

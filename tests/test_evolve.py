@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite_specs, graphs, quotient_walk, uncollapsed_propagate
@@ -969,23 +969,37 @@ def _refine_crest_with_guard(t, v, i):
 
 
 _MAX = np.finfo(float).max
-# heights of any size, also around -max/2, where 2 v1 overflows
-_HEIGHTS = st.one_of(
-    st.floats(allow_nan=False),
-    st.floats(-_MAX, -_MAX / 4),
-    st.sampled_from([-_MAX, -_MAX / 2, np.nextafter(-_MAX / 2, 0.0),
-                     np.nextafter(-_MAX / 2, -np.inf), -1.0, 0.0, 1.0, _MAX]),
-)
+# heights around -max/2, where 2 v1 overflows, and small ones
+_EDGE_HEIGHTS = [-_MAX, -_MAX / 2, np.nextafter(-_MAX / 2, 0.0),
+                 np.nextafter(-_MAX / 2, -np.inf), -1.0, 0.0, 1.0, _MAX]
+
+
+def _heights_up_to(top, strict):
+    """Heights of any size up to ``top``, below it if ``strict``: also from
+    -max up, and the edge heights."""
+    spans = [st.floats(max_value=top, exclude_max=strict, allow_nan=False)]
+    if top > -_MAX:
+        spans.append(st.floats(-_MAX, top, exclude_max=strict))
+    edges = [h for h in _EDGE_HEIGHTS if h < top or (h == top and not strict)]
+    if edges:
+        spans.append(st.sampled_from(edges))
+    return st.one_of(*spans)
+
+
+@st.composite
+def _crests(draw):
+    """Heights ``v0 <= v1 > v2`` of any size: the crest first, then each side below it."""
+    v1 = draw(st.one_of(st.floats(min_value=-_MAX, allow_nan=False),
+                        st.floats(-_MAX, -_MAX / 4), st.sampled_from(_EDGE_HEIGHTS)))
+    return draw(_heights_up_to(v1, False)), v1, draw(_heights_up_to(v1, True))
 
 
 @settings(max_examples=300, deadline=None)
-@example(0.0, 1.0, 2.0, -1.7e308, -1e308, -1.5e308)
-@given(st.floats(0.0, _MAX / 2), st.floats(0.0, _MAX / 2), st.floats(0.0, _MAX / 2),
-       _HEIGHTS, _HEIGHTS, _HEIGHTS)
-def test_refine_crest_never_needed_its_nonnegative_denominator_return(t0, t1, t2, v0, v1, v2):
+@example(0.0, 1.0, 2.0, (-1.7e308, -1e308, -1.5e308))
+@given(st.floats(0.0, _MAX / 2), st.floats(0.0, _MAX / 2), st.floats(0.0, _MAX / 2), _crests())
+def test_refine_crest_never_needed_its_nonnegative_denominator_return(t0, t1, t2, crest):
     # a crest: v0 <= v1 > v2, on finite times from 0 up
-    assume(v0 <= v1 and v2 < v1)
-    t, v = np.array(sorted([t0, t1, t2])), np.array([v0, v1, v2])
+    t, v = np.array(sorted([t0, t1, t2])), np.array(crest)
     got = evolve._refine_crest(t, v, 1)
     assert np.array(got).tobytes() == np.array(_refine_crest_with_guard(t, v, 1)).tobytes()
 

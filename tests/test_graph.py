@@ -91,8 +91,7 @@ def test_graph_rejection_messages(edges, message):
     "edges,message",
     [
         ([(10**20, 1)], r"^edge \(100000000000000000000, 1\) out of range for n=5$"),
-        ([(0, 1), (2, 2), (1, -(10**20))],
-         r"^edge \(1, -100000000000000000000\) out of range for n=5$"),
+        ([(0, 1), (1, -(10**20))], r"^edge \(1, -100000000000000000000\) out of range for n=5$"),
         ([(np.int64(1), 2**63)], r"^edge \(1, 9223372036854775808\) out of range for n=5$"),
         ([(0, 1), (2**63, 2**64 - 1)],
          r"^edge \(9223372036854775808, 18446744073709551615\) out of range for n=5$"),
@@ -101,11 +100,14 @@ def test_graph_rejection_messages(edges, message):
         ([(10**20, 0.5)], "^edge endpoints must be integers$"),
         ([(True, 10**20)], "^edge endpoints must be integers$"),
         ([(True, False)], "^edge endpoints must be integers$"),
+        # the first bad edge, also before the one past int64
+        ([(0, 1), (2, 2), (1, -(10**20))], "^self-loop at vertex 2$"),
+        ([(0, 0), (1, 2**70)], "^self-loop at vertex 0$"),
     ],
 )
 def test_graph_names_an_endpoint_past_int64_as_read_edge_list_does(edges, message):
-    # NumPy holds such an int as an object; the first edge holding one is
-    # named, as the edge-list reader names its line
+    # NumPy holds such an int as an object; the first bad edge is named, as
+    # the edge-list reader names it
     with pytest.raises(ValueError, match=message):
         Graph(5, edges)
 
@@ -409,6 +411,8 @@ EDGE_LIST_REFUSALS = [
     ("2 1\n0 2\n", r"edge \(0, 2\) out of range for n=2"),
     ("3 1\n1 1\n", "self-loop at vertex 1"),
     ("5 1\n99999999999999999999 1\n", r"edge \(99999999999999999999, 1\) out of range for n=5"),
+    # an edge past int64 makes the first bad edge named, as in any other list
+    ("3 2\n0 0\n1 99999999999999999999999\n", "self-loop at vertex 0"),
     ("0 0\n", "vertex count must be positive"),
     ("2147483649 0\n", "vertex count 2147483649 exceeds 2147483648"),
 ]
@@ -470,12 +474,16 @@ def _read_line_by_line(path, text):
         if len(parts) != 2:
             return f"{path}: malformed edge line {line!r}"
         try:
-            edge = (int(parts[0]), int(parts[1]))
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             return f"{path}: non-integer edge {line!r}"
-        if not all(-(2**63) <= x < 2**63 for x in edge):
-            return f"{path}: edge {edge!r} out of range for n={n}"
-        edges.append(edge)
+    if not all(-(2**63) <= x < 2**63 for edge in edges for x in edge):
+        # past int64: the first self-loop or out-of-range edge is named
+        for u, v in edges:
+            if u == v:
+                return f"{path}: self-loop at vertex {u}"
+            if not (0 <= u < n and 0 <= v < n):
+                return f"{path}: edge {(u, v)!r} out of range for n={n}"
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -505,6 +513,7 @@ PARSE_CASES = {
     "three-columns": ("5 2\n0 1 2\n3 4\n", False),
     "count-mismatch": ("5 3\n0 1\n2 3\n", False),
     "overflow": ("5 1\n99999999999999999999 1\n", False),
+    "self-loop-before-overflow": ("3 2\n0 0\n1 99999999999999999999999\n", False),
     "self-loop": ("3 1\n1 1\n", True),
     "permuted-k64-64": (_permuted_complete_bipartite_text(64, 64), True),
     "long-and-blank": ("\n \t\n" * 5000, False),
