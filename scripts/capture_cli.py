@@ -56,7 +56,10 @@ past the output's byte cap, and with ``--walk``, which it does not take;
 and flags that another flag excludes: ``--marked`` with a layout (also from a config
 file), ``--gamma`` with a gamma range, sweep bounds without ``--sweep``, and
 ``--gamma-count`` beside ``--gamma`` (on ``sweep-gamma`` and ``overlaps``)
-or alone. The table has 165 commands.
+or alone. Command lines that argparse itself refuses have rows too: none at
+all, an unknown subcommand, a prefix of one (``verify``), an option ahead of
+the subcommand, ``verify-spin`` with ``--n1``, which only the layout
+commands take, and ``verify-spin -- x``. The table has 171 commands.
 """
 
 from __future__ import annotations
@@ -330,6 +333,17 @@ def _commands() -> list[tuple[str, list[str]]]:
     ]
     # runtimes reads no walk, so argparse refuses the flag
     rows.append(("refuse-runtimes-walk", ["runtimes", *SMALL, "--walk", "laplacian"]))
+    # command lines that argparse itself refuses: no subcommand, an unknown
+    # one, a prefix of one, an option ahead of it, a flag that only other
+    # subcommands take, and an argument after "--"
+    rows += [
+        ("refuse-no-command", []),
+        ("refuse-unknown-command", ["bogus"]),
+        ("refuse-command-prefix", ["verify"]),
+        ("refuse-option-before-command", ["--gamma", "1", "verify-spin"]),
+        ("refuse-verify-spin-n1", ["verify-spin", "--n1", "3"]),
+        ("refuse-verify-spin-dashes", ["verify-spin", "--", "x"]),
+    ]
     return rows
 
 

@@ -311,7 +311,10 @@ def closed_form_probabilities(
     with ``dE = pi / t_qa`` the first-order splitting of the critical
     doublet (:func:`_first_order_gap`). The right-critical case is the
     partite-swapped mirror. The four probabilities sum to one for every t.
-    Only the uniform and signless starts have closed forms here.
+    Only the uniform and signless starts have closed forms here. The forms
+    hold weight on both unmarked classes, so a layout without an unmarked
+    vertex on each side is refused by name, as :func:`next_order_correction`
+    refuses it.
     """
     if start is InitialStateKind.ADJACENCY_EIGENVECTOR:
         raise ValueError("no closed form for the adjacency eigenvector start")
@@ -319,6 +322,8 @@ def closed_form_probabilities(
         pa, pb, pc, pd = closed_form_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)
         return pb, pa, pd, pc
     gap = _first_order_gap(spec)
+    if spec.unmarked1 < 1 or spec.unmarked2 < 1:
+        raise ValueError("the closed forms need an unmarked vertex on each side")
     n1, n2, n = float(spec.n1), float(spec.n2), float(spec.n)
     t = np.asarray(t, dtype=float)
     half = 0.5 * gap * t

@@ -101,18 +101,34 @@ def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
     return values
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+def _parse_once(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` once: a subcommand's own parser takes the flags after it.
+
+    This is the hand-off that the top-level parser's subcommand action makes
+    after it has classified every token; handing over directly skips that
+    first pass. Any other command line (none, ``-h``, an unknown name, an
+    option ahead of the name) goes to the top-level parser, which refuses or
+    answers it as it always did.
+    """
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def _parse_args(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
     """Parse ``argv``, with the values of its ``--config`` file ahead of its flags.
 
-    The file may set any flag of any subcommand but ``--config``, keyed as
-    the rows of ``_FLAGS`` name it: the flag without its dashes, ``_`` for
-    ``-``. The chosen subcommand's keys go to argparse as ``--flag=value``
-    right after the subcommand, so each value is converted and checked as
-    its flag would be, and a flag on the command line, coming later,
-    overrides it; keys of other subcommands are ignored.
+    Each parse hands the flags straight to the subcommand's parser
+    (:func:`_parse_once`). The file may set any flag of any subcommand but
+    ``--config``, keyed as the rows of ``_FLAGS`` name it: the flag without
+    its dashes, ``_`` for ``-``. The chosen subcommand's keys go to argparse
+    as ``--flag=value`` right after the subcommand, so each value is
+    converted and checked as its flag would be, and a flag on the command
+    line, coming later, overrides it; keys of other subcommands are ignored.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse_once(parser, argv)
     if not args.config:
         return args
     keys = {flag: flag[2:].replace("-", "_") for flag, _, _ in _FLAGS}
@@ -120,7 +136,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     own = {keys[flag]: flag for flag, commands, _ in _FLAGS if args.command in commands}
     at = argv.index(args.command) + 1
     ahead = [f"{own[key]}={value}" for key, value in values.items() if key in own]
-    return parser.parse_args([*argv[:at], *ahead, *argv[at:]])
+    return _parse_once(parser, [*argv[:at], *ahead, *argv[at:]])
 
 
 def _checked(args: argparse.Namespace) -> None:
@@ -155,7 +171,7 @@ def _checked(args: argparse.Namespace) -> None:
         raise UsageError("--gamma-min and --gamma-max go together")
 
     if opt("mode") is None:
-        args.mode = "full" if opt("graph") else "reduced"
+        args.mode = "full" if opt("graph") is not None else "reduced"
 
     bounds = opt("sweep_min"), opt("sweep_max")
     if opt("sweep") is not None and None in bounds:
@@ -379,7 +395,7 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
             raise UsageError(f"{name} must be finite, got {value!r}")
     if gamma == 0:  # no hopping, no walk: every candidate would match
         raise UsageError(f"--gamma must be nonzero, got {gamma!r}")
-    graph = read_edge_list(args.graph) if args.graph else demo_graph()
+    graph = read_edge_list(args.graph) if args.graph is not None else demo_graph()
     couplings = CouplingConstants(jx=gamma, jy=gamma, jz=jz)
     kinds, deviation = certify_walk_equivalence(graph, couplings)
     # the walk W_r = A - r D with r = jz / jx, if it is one of the three
@@ -403,6 +419,8 @@ def cmd_verify_spin(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        # each subcommand's parser by name; build_parser fills the top level's
+        self.subcommands: dict[str, _Parser] = {}
         # argparse takes a value after a flag for a flag unless it is a plain
         # decimal; widen that to every negative float literal (-1e-3, -inf),
         # so such values reach the range and finiteness checks
@@ -456,7 +474,7 @@ _FLAGS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="qwsearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, summary in _COMMANDS.items():
@@ -464,15 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, commands, kwargs in _FLAGS:
             if command in commands:
                 p.add_argument(flag, **kwargs)
+    parser.subcommands = sub.choices
     return parser
 
 
 @cache
-def _shared_parser() -> argparse.ArgumentParser:
+def _shared_parser() -> _Parser:
     """The parser of :func:`main`, built on its first call.
 
     Building it costs more than most commands; parsing leaves it as it
-    is, so no call sees another's config file.
+    is, so no call sees another's config file. :func:`_parse_args` hands a
+    command's flags straight to the subcommand's parser that it holds, so
+    the top-level parser reads only command lines that name no subcommand.
     """
     return build_parser()
 

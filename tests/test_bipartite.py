@@ -469,6 +469,22 @@ def test_closed_form_needs_marked_target_side():
         closed_form_probabilities(spec, InitialStateKind.UNIFORM, CriticalSide.LEFT, 1.0)
 
 
+@pytest.mark.parametrize("layout", [(40, 100, 40, 2), (2000, 600, 5, 600)])
+@pytest.mark.parametrize("side", list(CriticalSide))
+def test_closed_form_refuses_an_empty_unmarked_class(layout, side):
+    # (40, 100, 40, 2) has no vertex in class c, (2000, 600, 5, 600) none in
+    # class d, yet the forms put weight on both; on the right the layout is
+    # mirrored, so the same class is empty after the swap
+    spec = BipartiteSpec(*layout)
+    if side is CriticalSide.RIGHT:
+        spec = spec.swapped()
+    for start in (InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR):
+        with pytest.raises(
+            ValueError, match="^the closed forms need an unmarked vertex on each side$"
+        ):
+            closed_form_probabilities(spec, start, side, 0.0)
+
+
 @given(
     bipartite_specs(),
     st.sampled_from([InitialStateKind.UNIFORM, InitialStateKind.SIGNLESS_EIGENVECTOR]),
@@ -478,7 +494,7 @@ def test_closed_form_needs_marked_target_side():
 @settings(max_examples=80, deadline=None)
 def test_closed_form_probabilities_sum_to_one(spec, start, side, t):
     needed = spec.k1 if side is CriticalSide.LEFT else spec.k2
-    if needed < 1 or spec.n1 == spec.n2:
+    if needed < 1 or spec.n1 == spec.n2 or 0 in (spec.unmarked1, spec.unmarked2):
         return
     pa, pb, pc, pd = closed_form_probabilities(spec, start, side, t)
     assert pa + pb + pc + pd == pytest.approx(1.0, abs=1e-12)
@@ -522,7 +538,7 @@ def test_closed_form_peak_values():
 )
 @settings(max_examples=60, deadline=None)
 def test_partite_swap_symmetry_is_exact(spec, start, t):
-    if spec.k2 < 1 or spec.n1 == spec.n2:
+    if spec.k2 < 1 or spec.n1 == spec.n2 or 0 in (spec.unmarked1, spec.unmarked2):
         return
     right = closed_form_probabilities(spec, start, CriticalSide.RIGHT, t)
     swapped = closed_form_probabilities(spec.swapped(), start, CriticalSide.LEFT, t)

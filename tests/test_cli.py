@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bipartite_specs
+from conftest import bipartite_specs, load_script
 from dense_reference import SearchInstance, search_hamiltonian
 from qwsearch import cli, spin_network
 from qwsearch.bipartite import (
@@ -36,6 +36,7 @@ from qwsearch.graph import BipartiteSpec, read_edge_list
 from spin_reference import heisenberg_hamiltonian
 
 FIG_FLAGS = ["--n1", "512", "--n2", "256", "--k1", "3", "--k2", "5"]
+CAPTURE = load_script("capture_cli")
 
 
 def run_cli(capsys, argv):
@@ -296,6 +297,25 @@ def test_verify_spin_checks_its_flags_before_it_reads_the_graph(capsys, tmp_path
     missing = tmp_path / "missing.txt"
     code, out, err = run_cli(capsys, ["verify-spin", "--graph", str(missing), *argv])
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-spin", "--jz-ratio", "-1"], ["simulate", "--gamma", "0.1", "--tmax", "5"]],
+    ids=["verify-spin", "simulate"],
+)
+def test_an_empty_graph_path_names_the_missing_file(capsys, tmp_path, argv):
+    # an empty --graph names a file, as any other path does: verify-spin must
+    # not fall back to its demo graph, nor simulate to reduced mode
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, [*argv, "--graph", str(missing)])
+    assert (code, out) == (1, "")
+    assert str(missing) in err
+    expected = (1, "", err.replace(str(missing), ""))
+    assert run_cli(capsys, [*argv, "--graph", ""]) == expected
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text([*argv[1:], "--graph", ""]))
+    assert run_cli(capsys, [argv[0], "--config", str(cfg)]) == expected
 
 
 def test_verify_spin_has_no_out_flag(capsys, tmp_path):
@@ -1619,6 +1639,42 @@ def test_each_subcommand_takes_its_flags_and_refuses_the_rest(command, flag):
         with pytest.raises(UsageError) as refusal:
             build_parser().parse_args(argv)
         assert str(refusal.value) == f"unrecognized arguments: {flag}={text}"
+
+
+# Command lines at the edges of argparse's grammar, beside the capture
+# table's parse-level refusals: "--" ahead of the subcommand, a stray
+# argument, an abbreviated flag, negative and missing values, an ambiguous
+# prefix, a repeated flag and help.
+PARSE_EDGES = [
+    ["--", "verify-spin"], ["verify-spin", "x"], ["verify-spin", "--gam", "1"],
+    ["verify-spin", "--jz-ratio", "-1e-3"], ["verify-spin", "--jz-ratio=-inf"],
+    ["verify-spin", "--jz-ratio"], ["overlaps", "--gamma-", "1"],
+    ["sweep-gamma", "--gamma", "1", "--gamma", "2"], ["-h"], ["verify-spin", "--he"],
+]
+# every capture-table command line that reads no file
+PARSE_ARGVS = [argv for _, argv in CAPTURE.COMMANDS if not any("{" in arg for arg in argv)]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """What parsing ``argv`` gives: the namespace, the refusal or the exit, and the output."""
+    try:
+        outcome = "namespace", vars(parse(argv))
+    except UsageError as exc:
+        outcome = "usage error", str(exc)
+    except SystemExit as exc:
+        outcome = "exit", exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", PARSE_EDGES + PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments"
+)
+def test_handing_the_flags_to_the_subcommand_parses_as_the_top_level_parser(capsys, argv):
+    # _parse_args hands a subcommand's flags straight to its parser; the
+    # namespace (command included), the refusal and the help must be what
+    # the whole tree's own parse gives
+    handed = _parse_outcome(capsys, lambda a: cli._parse_args(cli._shared_parser(), a), argv)
+    assert handed == _parse_outcome(capsys, build_parser().parse_args, argv)
 
 
 def test_top_level_help_is_plain_user_text(capsys):

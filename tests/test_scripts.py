@@ -48,7 +48,7 @@ def test_dataset_script_stops_at_a_failing_command(tmp_path, monkeypatch, capsys
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 165
+    assert len(names) == len(set(names)) == 171
 
 
 def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
@@ -67,8 +67,18 @@ def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
     assert len(rows) == cube.m + 1
 
 
-# the rows that the parser itself must refuse: a flag the subcommand lacks
-PARSER_REFUSALS = {"refuse-runtimes-walk": "unrecognized arguments: --walk laplacian"}
+# the rows that the parser itself must refuse: a flag the subcommand lacks,
+# and command lines without a subcommand in front
+CHOICES = "(choose from 'simulate', 'sweep-gamma', 'overlaps', 'runtimes', 'verify-spin')"
+PARSER_REFUSALS = {
+    "refuse-runtimes-walk": "unrecognized arguments: --walk laplacian",
+    "refuse-no-command": "the following arguments are required: command",
+    "refuse-unknown-command": f"argument command: invalid choice: 'bogus' {CHOICES}",
+    "refuse-command-prefix": f"argument command: invalid choice: 'verify' {CHOICES}",
+    "refuse-option-before-command": f"argument command: invalid choice: '1' {CHOICES}",
+    "refuse-verify-spin-n1": "unrecognized arguments: --n1 3",
+    "refuse-verify-spin-dashes": "unrecognized arguments: -- x",
+}
 
 
 @pytest.mark.parametrize(
@@ -76,7 +86,7 @@ PARSER_REFUSALS = {"refuse-runtimes-walk": "unrecognized arguments: --walk lapla
 )
 def test_capture_argv_parses(name, argv):
     if name in PARSER_REFUSALS:
-        with pytest.raises(UsageError, match=f"^{PARSER_REFUSALS[name]}$"):
+        with pytest.raises(UsageError, match=f"^{re.escape(PARSER_REFUSALS[name])}$"):
             build_parser().parse_args(argv)
         return
     args = build_parser().parse_args(argv)
