@@ -59,7 +59,21 @@ file), ``--gamma`` with a gamma range, sweep bounds without ``--sweep``, and
 or alone. Command lines that argparse itself refuses have rows too: none at
 all, an unknown subcommand, a prefix of one (``verify``), an option ahead of
 the subcommand, ``verify-spin`` with ``--n1``, which only the layout
-commands take, and ``verify-spin -- x``. The table has 171 commands.
+commands take, and ``verify-spin -- x``. Each command's own refusals have
+rows as well: a config file's malformed line and unknown key, a layout with
+``--graph``, an edge list without ``--tmax``, ``--tmax`` of ``inf`` and 0,
+``--samples 1``, a non-finite gamma bound, ``--gamma-count 0``, a
+``--gamma-min`` above ``--gamma-max``, ``simulate`` without ``--gamma``,
+each search and ``runtimes`` without what it runs on, ``verify-spin``
+without ``--jz-ratio``, with a non-finite coupling or product and with
+``--gamma 0``, and the layouts that ``BipartiteSpec`` refuses (an empty
+side, ``--k1`` past ``--n1``, nothing marked). Eight bad edge lists (empty,
+a header of one field or not of integers, too few edges, a line of three
+fields, a non-integer endpoint, a self-loop, an endpoint past n) are each
+read by ``simulate`` and ``verify-spin``, and a path whose last endpoint is
+written ``1_0`` is searched. ``--out`` names a file in a missing directory,
+and the empty path. A message that names a file under the temporary
+directory is recorded with ``{tmp}`` in its place. The table has 213 commands.
 """
 
 from __future__ import annotations
@@ -115,6 +129,28 @@ BOGUS_WALK_CONFIG = "{bogus_walk_config}"
 LAYOUT_MARKED_CONFIG = "{layout_marked_config}"
 SWEEP_FLAGS = [*SMALL, "--walk", "laplacian", "--init", "sq", "--mode", "reduced",
                *SMALL_GRID, "--tmax", "60", "--samples", "300"]
+# Config files that load_config refuses: a line without "=" and a key that
+# names no flag.
+MALFORMED_CONFIG = "{malformed_config}"
+UNKNOWN_KEY_CONFIG = "{unknown_key_config}"
+# Edge lists that read_edge_list refuses, by placeholder and text, each read
+# by simulate and verify-spin: all but the self-loop and the out-of-range
+# endpoint fail NumPy's one-pass parse and reach the line-by-line reader.
+BAD_EDGE_LISTS = {
+    "{empty_edges}": "",
+    "{bad_header}": "3\n0 1\n",
+    "{non_integer_header}": "3 x\n0 1\n",
+    "{count_mismatch}": "3 2\n0 1\n",
+    "{malformed_edge}": "3 2\n0 1\n1 2 0\n",
+    "{non_integer_edge}": "3 1\n0 x\n",
+    "{self_loop}": "3 1\n1 1\n",
+    "{out_of_range}": "3 1\n0 3\n",
+}
+# A path on 11 vertices whose last endpoint is written 1_0: int() reads it
+# and NumPy does not, so the line-by-line reader builds the graph.
+UNDERSCORE_PATH = "{underscore_path11}"
+# An --out path in a directory that does not exist, under the temporary one.
+MISSING_DIR_OUT = "{missing_dir}/out.csv"
 
 
 def _config_text(flags: list[str]) -> str:
@@ -138,7 +174,7 @@ def _shuffled(edges: list[tuple[int, int]], seed: int) -> list[tuple[int, int]]:
 
 
 def _input_files() -> dict[str, str]:
-    """Text of each placeholder file: the edge lists, then the config files."""
+    """Text of each placeholder file: the edge lists and config files, read or refused."""
     left, right = range(48), range(48, 72)
     permuted = sorted(tuple(sorted((5 * i % 72, 5 * j % 72))) for i in left for j in right)
     cycle = [(i, (i + 1) % 30) for i in range(30)]
@@ -155,6 +191,10 @@ def _input_files() -> dict[str, str]:
         SWEEP_CONFIG: "# every flag of the run\n" + _config_text(SWEEP_FLAGS),
         BOGUS_WALK_CONFIG: _config_text([*SMALL, "--walk", "bogus"]),
         LAYOUT_MARKED_CONFIG: _config_text([*SMALL, "--marked", "7", *SMALL_GRID]),
+        MALFORMED_CONFIG: _config_text(SMALL) + "walk laplacian\n",
+        UNKNOWN_KEY_CONFIG: _config_text(SMALL) + "bogus=1\n",
+        **BAD_EDGE_LISTS,
+        UNDERSCORE_PATH: "11 10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)) + "9 1_0\n",
     }
 
 
@@ -344,6 +384,55 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("refuse-verify-spin-n1", ["verify-spin", "--n1", "3"]),
         ("refuse-verify-spin-dashes", ["verify-spin", "--", "x"]),
     ]
+    # the refusals of each command's own checks, and of the config file
+    simulate = ["simulate", *SMALL, "--gamma", "0.02"]
+    rows += [
+        ("refuse-config-malformed-line", ["sweep-gamma", "--config", MALFORMED_CONFIG]),
+        ("refuse-config-unknown-key", ["sweep-gamma", "--config", UNKNOWN_KEY_CONFIG]),
+        ("refuse-layout-and-graph", [*simulate, "--graph", IRREGULAR, "--tmax", "60"]),
+        ("refuse-edges-without-tmax", ["simulate", "--graph", IRREGULAR, "--gamma", "0.05"]),
+        ("refuse-tmax-inf", [*simulate, "--tmax", "inf"]),
+        ("refuse-tmax-0", [*simulate, "--tmax", "0"]),
+        ("refuse-samples-1", [*simulate, "--tmax", "60", "--samples", "1"]),
+        ("refuse-gamma-bound-inf", ["sweep-gamma", *SMALL, "--gamma-min", "0.01",
+                                    "--gamma-max", "inf"]),
+        ("refuse-gamma-count-0", ["sweep-gamma", *SMALL, "--gamma-min", "0.01",
+                                  "--gamma-max", "0.06", "--gamma-count", "0"]),
+        ("refuse-gamma-min-above-max", ["overlaps", *SMALL, "--gamma-min", "0.06",
+                                        "--gamma-max", "0.01"]),
+        ("refuse-simulate-without-gamma", ["simulate", *SMALL, "--tmax", "60"]),
+        ("refuse-simulate-without-graph", ["simulate", "--gamma", "0.05", "--tmax", "60"]),
+        ("refuse-sweep-without-graph", ["sweep-gamma", "--gamma", "0.05", "--tmax", "60"]),
+        ("refuse-overlaps-without-layout", ["overlaps", "--gamma", "0.05"]),
+        ("refuse-runtimes-without-layout", ["runtimes"]),
+        ("refuse-verify-spin-without-ratio", ["verify-spin", "--gamma", "0.3"]),
+        ("refuse-verify-spin-gamma-nan", ["verify-spin", "--jz-ratio", "1", "--gamma", "nan"]),
+        ("refuse-verify-spin-ratio-inf", ["verify-spin", "--jz-ratio", "inf"]),
+        ("refuse-verify-spin-product-overflow",
+         ["verify-spin", "--jz-ratio", "1e200", "--gamma", "1e200"]),
+        ("refuse-verify-spin-gamma-0", ["verify-spin", "--jz-ratio", "1", "--gamma", "0"]),
+        ("refuse-layout-n1-0", ["runtimes", "--n1", "0", "--n2", "24", "--k1", "0",
+                                "--k2", "5"]),
+        ("refuse-layout-k1-past-n1", ["runtimes", "--n1", "48", "--n2", "24", "--k1", "49",
+                                      "--k2", "5"]),
+        ("refuse-layout-none-marked", ["runtimes", "--n1", "48", "--n2", "24", "--k1", "0",
+                                       "--k2", "0"]),
+    ]
+    for path in BAD_EDGE_LISTS:
+        tag = path.strip("{}").replace("_", "-")
+        rows += [(f"refuse-edges-{tag}-simulate",
+                  ["simulate", "--graph", path, "--gamma", "0.05", "--tmax", "60"]),
+                 (f"refuse-edges-{tag}-verify-spin",
+                  ["verify-spin", "--graph", path, "--jz-ratio", "-1"])]
+    rows += [
+        ("simulate-edges-underscore-path11",
+         ["simulate", "--graph", UNDERSCORE_PATH, "--gamma", "0.3", "--tmax", "10",
+          "--samples", "50"]),
+        # an --out path names a file: the write fails where the directory is
+        # missing, and an empty path names no file at all
+        ("refuse-out-missing-dir", ["runtimes", *SMALL, "--out", MISSING_DIR_OUT]),
+        ("refuse-out-empty", ["runtimes", *SMALL, "--out", ""]),
+    ]
     return rows
 
 
@@ -360,12 +449,15 @@ def capture(out: Path) -> None:
             path = Path(tmp) / f"{placeholder.strip('{}')}.txt"
             path.write_text(text)
             paths[placeholder] = str(path)
+        paths[MISSING_DIR_OUT] = str(Path(tmp) / "missing" / "out.csv")
         for name, argv in COMMANDS:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main([paths.get(arg, arg) for arg in argv])
+            # a message that names an input file names it under {tmp}, the same in every capture
             records.append({"name": name, "argv": argv, "exit": code,
-                            "stdout": stdout.getvalue(), "stderr": stderr.getvalue()})
+                            "stdout": stdout.getvalue().replace(tmp, "{tmp}"),
+                            "stderr": stderr.getvalue().replace(tmp, "{tmp}")})
     out.write_text(json.dumps({"commands": records}, indent=1) + "\n")
     print(f"captured {len(records)} commands into {out}")
 

@@ -194,10 +194,11 @@ def _checked(args: argparse.Namespace) -> None:
 
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        with open(out, "w") as f:
+            f.write(text)
 
 
 def _time_grid(args: argparse.Namespace) -> np.ndarray:

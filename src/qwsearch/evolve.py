@@ -189,35 +189,32 @@ class SearchQuotient(NamedTuple):
         """:meth:`masses` of ``walk`` at each rate of ``gammas`` in turn.
 
         ``gammas`` is a 1-D sequence of rates and ``times`` the samples of
-        :func:`propagate`, both checked here. The times are split into
-        anchors and offsets once for all rates. The rates are diagonalised
-        in runs (see ``STACK_ENTRIES``), one :func:`eig_hermitian` call on
-        each run's stack, then each is propagated on its own, so only one
-        ``len(times) x c`` phase table is held at a time.
+        :func:`propagate`, both checked at the call. The times are split once
+        for all rates. The rates are diagonalised in runs (see ``STACK_ENTRIES``),
+        one :func:`eig_hermitian` call on each run's stack, then each is propagated
+        on its own, so only one ``len(times) x c`` phase table is held at a time.
         """
+        return self._swept(self._solved(walk, gammas), _split_times(times))
+
+    def _solved(self, walk: WalkKind,
+                gammas: _Floats) -> Iterator[tuple[np.ndarray, EigenDecomposition]]:
+        """The rates, checked now, in solved runs of at most ``STACK_ENTRIES`` entries."""
         rates = _checked_gamma(gammas)
         if rates.ndim != 1:
             raise ValueError("gammas must be a 1-D sequence of rates")
-        return self._swept(self._solved(walk, rates), _split_times(times))
-
-    def _solved(self, walk: WalkKind,
-                rates: np.ndarray) -> Iterator[tuple[np.ndarray, EigenDecomposition]]:
-        """Runs of ``rates`` of at most ``STACK_ENTRIES`` entries, each with its solved stack."""
         step = max(1, STACK_ENTRIES // max(self.degrees.size, 1) ** 2)
-        for start in range(0, rates.size, step):
-            run = rates[start : start + step]
-            yield run, eig_hermitian(self.hamiltonian(walk, run))
+        runs = (rates[start : start + step] for start in range(0, rates.size, step))
+        return ((run, eig_hermitian(self.hamiltonian(walk, run))) for run in runs)
 
     def _swept(self, solved: Iterator[tuple[np.ndarray, EigenDecomposition]],
                split: _TimeSplit) -> Iterator[np.ndarray]:
         touched = np.flatnonzero(self.shares.any(axis=1))
-        shares = self.shares[touched]
-        for run, stack in solved:
-            for k in range(run.size):
-                decomp = EigenDecomposition(stack.eigenvalues[k], stack.eigenvectors[k])
-                yield np.abs(_propagated(decomp, self.state, split, touched)) ** 2 @ shares
+        shares, state = self.shares[touched], np.asarray(self.state, dtype=complex)
+        for _, stack in solved:
+            for values, vectors in zip(stack.eigenvalues, stack.eigenvectors):
+                yield np.abs(_propagated(values, vectors, state, split, touched)) ** 2 @ shares
             # let this run's eigenvectors go before the next run is solved
-            del stack, decomp
+            del stack, values, vectors
 
     def masses(self, walk: WalkKind, gamma: float, times: _Floats) -> np.ndarray:
         """Mass of each group at each time under ``walk``, shape ``(len(times), groups)``.
@@ -249,10 +246,8 @@ class SearchQuotient(NamedTuple):
         is checked as :meth:`sweep` checks it, and must not be empty; the
         probe must have norm 1 (a NaN norm is refused too).
         """
-        rates = _checked_gamma(gammas)
-        if rates.ndim != 1:
-            raise ValueError("gammas must be a 1-D sequence of rates")
-        if not rates.size:
+        solved = self._solved(walk, gammas)
+        if not np.size(gammas):
             raise ValueError("gamma list must be nonempty")
         # written as not <=, since a NaN norm is not > 1e-8 either
         if not abs(np.linalg.norm(self.state) - 1.0) <= 1e-8:
@@ -260,7 +255,7 @@ class SearchQuotient(NamedTuple):
         if self.shares.shape[1] < 2:
             raise ValueError("levels needs groups 0 and 1")
         rows: list[OverlapRow] = []
-        for run, stack in self._solved(walk, rates):
+        for run, stack in solved:
             count = min(OVERLAP_EIGENVECTORS, stack.dim)
             vectors = stack.eigenvectors[..., :count]
             # each level's mass on the cells of groups 0 and 1
@@ -273,32 +268,25 @@ class SearchQuotient(NamedTuple):
         return rows
 
 
-def _group_vertices(group: Iterable[int], n: int, what: str = "row index") -> np.ndarray:
-    """Sorted distinct vertices of ``group``, checked as the ``rows`` of :func:`propagate`.
+def _vertex_indices(vertices: Iterable[int], n: int, what: str = "row index") -> np.ndarray:
+    """``vertices`` as indices of ``[0, n)``, in the given order, duplicates kept.
 
-    ``ValueError`` for a vertex that is not an integer (a float, a string),
-    and ``"{what} out of range"`` for one outside ``[0, n)``, past int64 too.
+    The rule of marked sets, groups and ``rows``: ``ValueError`` for a vertex
+    that is not an integer (a float, a string, a boolean: no mask), and
+    ``"{what} out of range"`` for one outside ``[0, n)``, past int64 too.
     """
-    vertices = group if isinstance(group, np.ndarray) else list(group)
+    vertices = vertices if isinstance(vertices, np.ndarray) else list(vertices)
     array = np.asarray(vertices)
-    if array.dtype.kind not in "biu" or array.ndim != 1:
-        # no integer vector to NumPy: a float or string vertex (named here),
-        # no vertex at all, or an int past int64 (held as an object)
+    if array.dtype.kind not in "iu" or array.ndim != 1:
+        # no integer vector to NumPy: a float, string or boolean vertex
+        # (named here), no vertex at all, or an int past int64 (held as an object)
         for v in vertices:
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"vertex {v!r} is not an integer")
         array = np.array(vertices, dtype=object)
     if array.size and (array.min() < 0 or array.max() >= n):
         raise ValueError(f"{what} out of range")
-    return np.unique(array.astype(np.intp))
-
-
-def _marked_vertices(marked: Iterable[int], n: int) -> list[int]:
-    """:func:`_group_vertices` of ``marked``, as a list; ``ValueError`` if empty."""
-    vertices = _group_vertices(marked, n, "marked vertex").tolist()
-    if not vertices:
-        raise ValueError("marked set must be nonempty")
-    return vertices
+    return array.astype(np.intp)
 
 
 def search_quotient(
@@ -318,17 +306,19 @@ def search_quotient(
     discrete partition, whose quotient is the search Hamiltonian itself.
     The start on the cells is ``q0[i] = sqrt(|cell i|) psi0[v_i]`` and
     ``shares[i, g]`` is 1 if ``v_i`` is in group ``g`` and 0 if not
-    (``v_i`` the first vertex of cell ``i``). The marked set must be a
-    nonempty set of vertices, and the vertices of ``groups`` are checked
-    as the ``rows`` of :func:`propagate`.
+    (``v_i`` the first vertex of cell ``i``). Each input is checked here, where
+    it enters: the marked set (nonempty) and ``groups`` by the vertex rule of
+    :func:`propagate`'s ``rows``, and ``psi0`` as finite, one amplitude per vertex.
     """
-    marked = _marked_vertices(marked, graph.n)
+    marked = _vertex_indices(marked, graph.n, "marked vertex")
+    if not marked.size:
+        raise ValueError("marked set must be nonempty")
     psi0 = _finite_state(psi0)
     if psi0.shape != (graph.n,):
         raise ValueError("state dimension does not match the graph")
     members = np.zeros((graph.n, len(groups)), dtype=bool)
     for g, group in enumerate(groups):
-        members[_group_vertices(group, graph.n), g] = True
+        members[_vertex_indices(group, graph.n), g] = True
     is_marked = np.isin(np.arange(graph.n), marked)
     part = equitable_partition(graph, np.column_stack([members, is_marked, psi0.real, psi0.imag]))
     _, first = np.unique(part.cells, return_index=True)
@@ -368,7 +358,11 @@ def propagate(
     ``len(rows)`` rather than ``dim`` columns per time step.
     """
     decomp = h if isinstance(h, EigenDecomposition) else eig_hermitian(h)
-    return _propagated(decomp, _finite_state(psi0), _split_times(times), rows)
+    psi0, split = _finite_state(psi0), _split_times(times)
+    if psi0.shape != (decomp.dim,):
+        raise ValueError("state dimension does not match operator")
+    rows = slice(None) if rows is None else _vertex_indices(rows, decomp.dim)
+    return _propagated(decomp.eigenvalues, decomp.eigenvectors, psi0, split, rows)
 
 
 class _TimeSplit(NamedTuple):
@@ -432,29 +426,20 @@ def _phases(times: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _propagated(
-    decomp: EigenDecomposition,
-    psi0: np.ndarray,
-    split: _TimeSplit,
-    rows: Sequence[int] | np.ndarray | None,
-) -> np.ndarray:
-    """:func:`propagate` on times already split, so a sweep splits its grid once."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (decomp.dim,):
-        raise ValueError("state dimension does not match operator")
-    basis = decomp.eigenvectors
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and (rows.min() < 0 or rows.max() >= decomp.dim):
-            raise ValueError("row index out of range")
-        basis = basis[rows]
+def _propagated(eigenvalues: np.ndarray, eigenvectors: np.ndarray, psi0: np.ndarray,
+                split: _TimeSplit, rows: np.ndarray | slice) -> np.ndarray:
+    """:func:`propagate` on one spectrum and times already split, so a sweep splits its grid once.
+
+    Its callers check the state and ``rows`` where they enter; only the phase
+    range, which reads each rate's eigenvalues, is refused here.
+    """
     # each angle is an eigenvalue times an anchor or an offset, neither past the last time
-    scale = float(np.abs(decomp.eigenvalues).max(initial=0.0))
+    scale = float(np.abs(eigenvalues).max(initial=0.0))
     if not math.isfinite(scale * split.last):
         raise ValueError(f"phase angles pass the float range: eigenvalues up to {scale:g} "
                          f"at times up to {split.last:g}")
-    coeffs = decomp.eigenvectors.conj().T @ psi0
-    return split.phases(decomp.eigenvalues) @ (basis * coeffs).T
+    coeffs = eigenvectors.conj().T @ psi0
+    return split.phases(eigenvalues) @ (eigenvectors[rows] * coeffs).T
 
 
 def uniform_state(n: int) -> np.ndarray:

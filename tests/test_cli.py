@@ -318,6 +318,21 @@ def test_an_empty_graph_path_names_the_missing_file(capsys, tmp_path, argv):
     assert run_cli(capsys, [argv[0], "--config", str(cfg)]) == expected
 
 
+def test_an_empty_out_path_names_the_missing_file(capsys, tmp_path):
+    # an empty --out names a file, as any other path does: the table must not
+    # fall back to stdout
+    missing = tmp_path / "missing" / "x.csv"
+    argv = ["runtimes", "--n1", "48", "--n2", "24", "--k1", "3", "--k2", "5"]
+    code, out, err = run_cli(capsys, [*argv, "--out", str(missing)])
+    assert (code, out) == (1, "")
+    assert str(missing) in err
+    expected = (1, "", err.replace(str(missing), ""))
+    assert run_cli(capsys, [*argv, "--out", ""]) == expected
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text([*argv[1:], "--out", ""]))
+    assert run_cli(capsys, [argv[0], "--config", str(cfg)]) == expected
+
+
 def test_verify_spin_has_no_out_flag(capsys, tmp_path):
     # it prints key=value lines to stdout, not a CSV
     out = tmp_path / "x.txt"
@@ -1658,7 +1673,8 @@ PARSE_ARGVS = [argv for _, argv in CAPTURE.COMMANDS if not any("{" in arg for ar
 def _parse_outcome(capsys, parse, argv):
     """What parsing ``argv`` gives: the namespace, the refusal or the exit, and the output."""
     try:
-        outcome = "namespace", vars(parse(argv))
+        # by repr, in which a NaN value (--gamma nan) equals itself
+        outcome = "namespace", repr(sorted(vars(parse(argv)).items()))
     except UsageError as exc:
         outcome = "usage error", str(exc)
     except SystemExit as exc:

@@ -1065,6 +1065,8 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
     path = Graph(3, [(0, 1), (1, 2)])
     search = functools.partial(search_quotient, path)
     psi0 = uniform_state(3)
+    decomp = eig_hermitian(np.diag([1.0, 0.0, -1.0]))
+    amplitudes = functools.partial(propagate, decomp, psi0, [0.0])
     for group, message in (([1.5], "vertex 1.5 is not an integer"),
                            (["1"], "vertex '1' is not an integer"),
                            ([2**70], "^row index out of range$")):
@@ -1072,10 +1074,23 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
             search([0], psi0, [group])
         with pytest.raises(ValueError, match=message):
             search([0], psi0, [[0], group])
+        # propagate's rows follow the one rule, with the message a group gets
+        with pytest.raises(ValueError, match=message):
+            amplitudes(rows=group)
     with pytest.raises(ValueError, match="vertex 1.5 is not an integer"):
         search([1.5], psi0, [[0]])
     with pytest.raises(ValueError, match="vertex '2' is not an integer"):
         search(["2"], psi0, [[0]])
+    # a boolean mask is no vertex list: the mask of vertex 3 would read as {0, 1}
+    mask = np.arange(4) == 3
+    on_path4 = functools.partial(search_quotient, Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    for entry in (functools.partial(on_path4, mask, uniform_state(4), [[0]]),
+                  functools.partial(on_path4, [3], uniform_state(4), [mask]),
+                  functools.partial(propagate, eig_hermitian(np.eye(4)), uniform_state(4),
+                                    [0.0], rows=mask),
+                  functools.partial(on_path4, mask.tolist(), uniform_state(4), [[0]])):
+        with pytest.raises(ValueError, match="^vertex .*False.* is not an integer$"):
+            entry()
     # integer vertices of any integer type still pass
     walk = WalkKind.LAPLACIAN
     want = search([2], psi0, [[0, 2]]).masses(walk, 0.3, [1.0])

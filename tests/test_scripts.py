@@ -48,7 +48,7 @@ def test_dataset_script_stops_at_a_failing_command(tmp_path, monkeypatch, capsys
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 171
+    assert len(names) == len(set(names)) == 213
 
 
 def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
