@@ -14,9 +14,10 @@ temporary directory; their ``argv`` names them by placeholder.
 by field (comma-separated, with ``key=value`` fields split at ``=``). A
 numeric field is compared by its deviation ``|a - b| / max(1, |a|, |b|)``,
 which is absolute for probabilities and relative for times and rates; any
-other field must be identical. It prints the worst deviation and where it
-is, and exits 1 when a non-numeric field, an exit status or a line count
-differs, or when the worst deviation exceeds ``--tol``. A run whose exit
+other field must be identical. It prints one line per changed command,
+naming the command, its worst deviation and where it is, then the worst
+deviation of all, and exits 1 when a non-numeric field, an exit status or
+a line count differs, or when the worst deviation exceeds ``--tol``. A run whose exit
 status or stderr differs is shown with both exit statuses and the first
 stderr line that differs.
 
@@ -39,9 +40,11 @@ whose curves are flat up to rounding; reduced ``sweep-gamma`` at 20,000 and
 short last block; reduced ``simulate`` and ``overlaps`` on (10^9, 1000, 3,
 5), where an array per vertex would not fit in memory; and ``verify-spin``,
 also on a 2001-vertex path and on three edges under a header of 2^31
-vertices, past the search cap; and ``--config``: a reduced ``sweep-gamma``
-with every flag in the file, the same run with one flag given on the command
-line as well, and a file naming an unknown walk. Config files, like graph
+vertices, past the search cap, and on the shuffled 17 KiB list, whose
+pairs the graph must sort before the degrees are counted; and
+``--config``: a reduced ``sweep-gamma`` with every flag in the file, the
+same run with one flag given on the command line as well, and a file
+naming an unknown walk. Config files, like graph
 files, are written to the temporary directory and named by placeholder. The
 front end's checks have rows too: each usage refusal (a probe side without
 marked vertices, a lone ``--gamma-min``, ``--sweep`` without its bounds, a
@@ -73,7 +76,7 @@ fields, a non-integer endpoint, a self-loop, an endpoint past n) are each
 read by ``simulate`` and ``verify-spin``, and a path whose last endpoint is
 written ``1_0`` is searched. ``--out`` names a file in a missing directory,
 and the empty path. A message that names a file under the temporary
-directory is recorded with ``{tmp}`` in its place. The table has 213 commands.
+directory is recorded with ``{tmp}`` in its place. The table has 215 commands.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ SMALL_GRID = ["--gamma-min", "0.01", "--gamma-max", "0.06", "--gamma-count", "8"
 # (10 cells) listed in a seeded shuffle, about half the pairs reversed and
 # one line twice: 17 KiB, so NumPy reads it from its path, and the only
 # list that the graph has to sort (the others are canonical); for
-# verify-spin, the path on 2001 vertices and three edges on 2^31 vertices.
+# verify-spin, the path on 2001 vertices and three edges on 2^31 vertices,
+# and the shuffled Q_9 list.
 PERMUTED = "{permuted_k48_24}"
 IRREGULAR = "{irregular10}"
 CYCLE = "{cycle30}"
@@ -295,8 +299,10 @@ def _commands() -> list[tuple[str, list[str]]]:
         for ratio in ("0", "1", "-1", "0.5"):
             rows.append((f"verify-spin-{tag}-{ratio}",
                          ["verify-spin", *graph, "--jz-ratio", ratio, "--gamma", "0.3"]))
-    # past the search cap: the certificate holds nothing that grows with n
-    for path, tag in ((PATH2001, "path2001"), (HUGE_HEADER, "huge-header")):
+    # past the search cap: the certificate holds nothing that grows with n;
+    # and a list with reversed pairs and a repeated line, which the graph sorts
+    for path, tag in ((PATH2001, "path2001"), (HUGE_HEADER, "huge-header"),
+                      (SHUFFLED_CUBE, "shuffled-hypercube9")):
         for ratio in ("-1", "0.5"):
             rows.append((f"verify-spin-{tag}-{ratio}",
                          ["verify-spin", "--graph", path, "--jz-ratio", ratio, "--gamma", "0.3"]))
@@ -516,7 +522,7 @@ def compare(before: Path, after: Path, tol: float) -> int:
     runs_b = {r["name"]: r for r in json.loads(after.read_text())["commands"]}
     problems = [f"only in {before}: {name}" for name in runs_a.keys() - runs_b.keys()]
     problems += [f"only in {after}: {name}" for name in runs_b.keys() - runs_a.keys()]
-    worst, where, identical, changed = 0.0, "", 0, 0
+    worst, where, identical, changed = 0.0, "", 0, []
     for name in [name for name in runs_a if name in runs_b]:
         a, b = runs_a[name], runs_b[name]
         difference = _run_difference(a, b)
@@ -526,19 +532,25 @@ def compare(before: Path, after: Path, tol: float) -> int:
         if a["stdout"] == b["stdout"]:
             identical += 1
             continue
-        changed += 1
+        command_worst, command_where = 0.0, ""
         try:
             for line, field, x, y in _field_pairs(a["stdout"], b["stdout"]):
                 deviation = _deviation(x, y)
                 if deviation is None and x != y:
                     problems.append(f"{name} line {line} field {field}: {x!r} against {y!r}")
-                elif deviation is not None and deviation > worst:
-                    worst = deviation
-                    where = f"{name} line {line} field {field}: {x} against {y}"
+                elif deviation is not None and deviation > command_worst:
+                    command_worst = deviation
+                    command_where = f"line {line} field {field}: {x} against {y}"
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
+        changed.append(f"changed: {name}: worst deviation {command_worst:.3g}"
+                       + (f" ({command_where})" if command_where else ""))
+        if command_worst > worst:
+            worst, where = command_worst, f"{name} {command_where}"
     print(f"commands: {len(runs_a.keys() & runs_b.keys())}, identical: {identical}, "
-          f"changed: {changed}")
+          f"changed: {len(changed)}")
+    for line in changed:
+        print(line)
     print(f"worst deviation: {worst:.3g}" + (f" ({where})" if where else ""))
     for problem in problems:
         print(f"mismatch: {problem}")

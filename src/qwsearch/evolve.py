@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import EquitablePartition, Graph, equitable_partition
+from .graph import EquitablePartition, Graph, _holds_bool, equitable_partition
 
 __all__ = [
     "WalkKind",
@@ -261,10 +261,11 @@ class SearchQuotient(NamedTuple):
             # each level's mass on the cells of groups 0 and 1
             sides = (np.swapaxes(np.abs(vectors) ** 2, -1, -2) @ self.shares[:, :2]).tolist()
             values = stack.eigenvalues[:, :count].tolist()
+            # |<state|psi_n>|^2 of each rate and level, one product over the run
+            overlaps = (np.abs(self.state.conj() @ vectors) ** 2).tolist()
             for g, gamma in enumerate(run.tolist()):
                 for n in range(count):
-                    s_overlap = float(np.abs(np.vdot(self.state, vectors[g, :, n])) ** 2)
-                    rows.append(OverlapRow(gamma, n, s_overlap, *sides[g][n], values[g][n]))
+                    rows.append(OverlapRow(gamma, n, overlaps[g][n], *sides[g][n], values[g][n]))
         return rows
 
 
@@ -275,11 +276,13 @@ def _vertex_indices(vertices: Iterable[int], n: int, what: str = "row index") ->
     that is not an integer (a float, a string, a boolean: no mask), and
     ``"{what} out of range"`` for one outside ``[0, n)``, past int64 too.
     """
-    vertices = vertices if isinstance(vertices, np.ndarray) else list(vertices)
+    listed = not isinstance(vertices, np.ndarray)
+    vertices = list(vertices) if listed else vertices
     array = np.asarray(vertices)
-    if array.dtype.kind not in "iu" or array.ndim != 1:
+    if array.dtype.kind not in "iu" or array.ndim != 1 or (listed and _holds_bool(vertices)):
         # no integer vector to NumPy: a float, string or boolean vertex
-        # (named here), no vertex at all, or an int past int64 (held as an object)
+        # (named here), no vertex at all, or an int past int64 (held as an object);
+        # or a list whose booleans NumPy read as 0 and 1 among its integers
         for v in vertices:
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"vertex {v!r} is not an integer")

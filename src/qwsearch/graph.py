@@ -8,10 +8,12 @@ over all vertex pairs.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +34,18 @@ _INT64 = np.iinfo(np.int64)
 _INT32_MAX = np.iinfo(np.int32).max
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _holds_bool(items: Iterable) -> bool:
+    """Whether a ``bool`` or ``np.bool_`` is among ``items``.
+
+    NumPy reads a boolean in a list of integers as 0 or 1, so list input
+    is scanned for one before it is read as vertices.
+    """
+    return not _BOOLS.isdisjoint(map(type, items))
+
+
 class _EdgeArray(np.ndarray):
     """Read-only edge array that hashes by content, so a ``Graph`` can be a key."""
 
@@ -44,30 +58,34 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
 
     The pairs are copied once into the two columns of the result, each
     one contiguous block, and every check reads those columns. ``u < v``
-    is tested once; when every row passes, two reductions (``u.min() >=
-    0`` and ``v.max() < n``) validate the range, and only input that fails
-    them is searched for its first bad row, to name it. Input that is
-    already canonical (every ``u < v``, rows strictly increasing) is kept
-    as copied. Anything else is sorted as one array of the keys ``u * n +
-    v`` (smaller end first), int32 whenever ``n * n`` fits it, a key equal
-    to the one before it is dropped, and the keys are written back into
-    the columns as ``u = key // n`` and ``v = key - u * n``.
+    is tested once; when every row passes, one reduction (the largest
+    endpoint read as a uint64 is below ``n``) validates the range, and
+    only input that fails it is searched for its first bad row, to name
+    it. Input that is already canonical (every ``u < v``, rows strictly
+    increasing) is kept as copied. Anything else is sorted as one array
+    of the keys ``u * n + v`` (smaller end first), int32 whenever ``n *
+    n`` fits it, a key equal to the one before it is dropped, and the keys
+    are written back into the columns as ``u = key // n`` and ``v = key -
+    u * n``.
     """
-    listed = edges if isinstance(edges, np.ndarray) else list(edges)
-    pairs = np.asarray(listed)
+    listed = not isinstance(edges, np.ndarray)
+    edges = list(edges) if listed else edges
+    pairs = np.asarray(edges)
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be vertex pairs")
-    if pairs.dtype.kind not in "iu" or (pairs.dtype.kind == "u" and pairs.max() > _INT64.max):
-        _refuse_past_int64(listed.tolist() if isinstance(listed, np.ndarray) else listed, n)
+    if (pairs.dtype.kind not in "iu" or (pairs.dtype.kind == "u" and pairs.max() > _INT64.max)
+            or (listed and _holds_bool(itertools.chain.from_iterable(edges)))):
+        _refuse_past_int64(edges if listed else edges.tolist(), n)
         raise ValueError("edge endpoints must be integers")
     columns = np.empty((2, len(pairs)), dtype=np.int64)
     columns.T[...] = pairs
-    u, v = columns
-    ordered = bool(np.all(u < v))
-    # with every u < v, u >= 0 and v < n hold each endpoint in range
-    if not (ordered and (u.size == 0 or (u.min() >= 0 and v.max() < n))):
+    u, v = columns[0], columns[1]
+    ordered = bool((u < v).all())
+    # with every u < v, the endpoints are in range when the largest, read as
+    # a uint64 (where a negative one is past every vertex count), is below n
+    if not (ordered and columns.view(np.uint64).max(initial=0) < n):
         _refuse_bad_endpoints(u, v, n)
     if not (ordered and _rows_increase(u, v)):
         # min(u, v) * n + max(u, v), with max = u + v - min: no temporary
@@ -93,12 +111,11 @@ def _canonical_edges(edges, n: int) -> _EdgeArray:
 
 def _rows_increase(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether the rows ``(u, v)`` strictly increase in lexicographic order."""
-    if not np.all(u[1:] >= u[:-1]):
-        return False
-    # u never falls, so a row rises where u rises or else v does
-    rising = u[1:] > u[:-1]
-    rising |= v[1:] > v[:-1]
-    return bool(rising.all())
+    # a row fails to rise where u stays and v does not rise, or where u falls
+    falls = u[1:] == u[:-1]
+    falls &= v[1:] <= v[:-1]
+    falls |= u[1:] < u[:-1]
+    return not falls.any()
 
 
 def _refuse_bad_endpoints(u: np.ndarray, v: np.ndarray, n: int) -> None:
@@ -160,7 +177,8 @@ class Graph:
     rows are sorted lexicographically and duplicates (``(0, 1)`` and
     ``(1, 0)`` alike) are kept once. The array is column-major: ``edges.T``
     is a C-contiguous ``(2, m)`` array, so each column is one block.
-    Self-loops and out-of-range endpoints are rejected. Graphs compare and
+    Self-loops, out-of-range endpoints and endpoints that are not integers
+    (a boolean too, also among integers) are rejected. Graphs compare and
     hash by ``n`` and the edge array's values, whatever the input's layout.
     """
 
@@ -281,7 +299,8 @@ def read_edge_list(path: str | Path) -> Graph:
             raise ValueError("non-integer header") from exc
         if len(lines) - 1 != m:
             raise ValueError(f"header declares {m} edges but file has {len(lines) - 1}")
-        return Graph(n, _parse_edges(lines[1:]))
+        # as an array: int() returns no boolean for the graph to look for
+        return Graph(n, np.array(_parse_edges(lines[1:])))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

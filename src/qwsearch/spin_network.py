@@ -79,15 +79,28 @@ def single_excitation_block(g: Graph, j: CouplingConstants) -> ExcitationBlock:
     excitation and ``-1`` on the ``deg k`` edges at it, so the diagonal is
     ``-(jz / 2) (m - 2 deg k)``, one rounding of an integer count, and
     depends on ``k`` only through its degree. The degrees are counted over
-    the edge array in ``O(m log m)``, with degree 0 added when an edge
+    the edge array in ``O(m log m)``: one sort of the ``2m`` endpoints,
+    whose runs are the touched vertices and whose run lengths are their
+    degrees, then one sort of the lengths, with degree 0 added when an edge
     misses some vertex. The block equals the rows and columns of ``H`` at
     the one-excitation states; the sector is invariant, and the block is
     the whole dynamics in it, only when ``jx == jy``.
     """
-    touched, counts = np.unique(g.edges.ravel(), return_counts=True)
-    degrees = np.unique(counts)
-    if touched.size < g.n:
-        degrees = np.concatenate([[0], degrees])
+    ends = np.sort(g.edges, axis=None)
+    # a run of equal endpoints starts at each bound but the last, which closes them
+    bound = np.empty(ends.size + 1, dtype=bool)
+    bound[0] = bound[-1] = True
+    np.not_equal(ends[1:], ends[:-1], out=bound[1:-1])
+    bounds = bound.nonzero()[0]
+    # lengths[0] is degree 0, the smallest, kept only if a vertex is in no run
+    lengths = np.empty(bounds.size, dtype=np.intp)
+    lengths[0] = 0
+    np.subtract(bounds[1:], bounds[:-1], out=lengths[1:])
+    lengths[1:].sort()
+    distinct = np.empty(lengths.size, dtype=bool)
+    distinct[0] = lengths.size - 1 < g.n
+    np.not_equal(lengths[1:], lengths[:-1], out=distinct[1:])
+    degrees = lengths[distinct]
     return ExcitationBlock(-0.5 * (j.jx + j.jy), degrees, -0.5 * j.jz * (g.m - 2 * degrees))
 
 
@@ -134,7 +147,7 @@ def certify_walk_equivalence(
     # each candidate's diagonal entry at degree d is r (m / 2 - d) times -gamma
     np.abs(_RATIOS * offsets * -gamma - block.energies, out=gaps[:, hops:])
     deviations = sorted(  # stable: ties keep the order above
-        zip(np.max(gaps, axis=1).tolist(), _CANDIDATES), key=lambda pair: pair[0]
+        zip(gaps.max(axis=1).tolist(), _CANDIDATES), key=lambda pair: pair[0]
     )
     kinds = tuple(kind for dev, kind in deviations if dev <= EQUIVALENCE_TOL)
     return kinds, deviations[0][0]

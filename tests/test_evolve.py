@@ -1099,6 +1099,23 @@ def test_search_quotient_refuses_vertex_ids_that_are_not_integers():
     )
 
 
+def test_a_boolean_among_integer_vertices_is_refused():
+    # NumPy reads [3, True] as [3, 1]: it would mark vertices 1 and 3, and
+    # rows=[3, False] would return rows 3 and 0
+    on_path4 = functools.partial(search_quotient, Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    psi0 = uniform_state(4)
+    amplitudes = functools.partial(propagate, np.diag(np.arange(4.0)), psi0, [0.0])
+    for entry, flag in ((lambda: on_path4([3, True], psi0, [[0]]), "True"),
+                        (lambda: on_path4((3, np.True_), psi0, [[0]]), "True"),
+                        (lambda: on_path4([3], psi0, [[0], [2, np.False_]]), "False"),
+                        (lambda: amplitudes(rows=[3, False]), "False"),
+                        (lambda: amplitudes(rows=iter([np.True_, 2])), "True")):
+        with pytest.raises(ValueError, match=f"^vertex (np\\.)?{flag}_? is not an integer$"):
+            entry()
+    # an integer array or list is read as it is
+    assert amplitudes(rows=np.array([3, 0])).shape == amplitudes(rows=[3, 0]).shape == (1, 2)
+
+
 def test_overlap_completeness():
     spec = BipartiteSpec(512, 256, 3, 5)
     probe = initial_state(spec, InitialStateKind.UNIFORM)

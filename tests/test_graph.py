@@ -112,6 +112,19 @@ def test_graph_names_an_endpoint_past_int64_as_read_edge_list_does(edges, messag
         Graph(5, edges)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[(True, 2)], [(0, 1), (np.True_, 2)], [[1, 2], [0, False]], ((2, 0), [np.False_, 1])],
+    ids=["bool", "numpy-bool", "lists", "tuple-of-rows"],
+)
+def test_graph_refuses_a_boolean_among_integer_endpoints(edges):
+    # NumPy reads the list as integers, (True, 2) as the edge (1, 2)
+    with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+        Graph(3, edges)
+    # an integer array holds no boolean, and is read as it is
+    assert Graph(3, np.array([(1, 2), (0, 1)])).edges.tolist() == [[0, 1], [1, 2]]
+
+
 def test_graph_refuses_in_range_integers_that_numpy_does_not_hold_as_integers():
     # objects, and int64 mixed with uint64 (which NumPy makes float64)
     for edges in (np.array([(1, 0), (2, 3)], dtype=object),

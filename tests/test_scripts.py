@@ -48,7 +48,7 @@ def test_dataset_script_stops_at_a_failing_command(tmp_path, monkeypatch, capsys
 
 def test_capture_command_names_are_distinct():
     names = [name for name, _ in CAPTURE.COMMANDS]
-    assert len(names) == len(set(names)) == 213
+    assert len(names) == len(set(names)) == 215
 
 
 def test_capture_reads_one_long_shuffled_edge_list(tmp_path):
@@ -110,8 +110,27 @@ def test_capture_compare_reports_deviation_and_mismatch(tmp_path, capsys):
         tmp_path / "b.json", {"curve": "t,p\n10.000000000001,0.5\n", "spin": "result=PASS\n"}
     )
     assert CAPTURE.compare(before, shifted, tol=1e-9) == 0
-    assert "worst deviation: 1e-13" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "worst deviation: 1e-13" in out
+    # each changed command on a line of its own, by name; an identical one not
+    assert "changed: curve: worst deviation 1e-13 (line 2 field 1: 10.0 against " \
+           "10.000000000001)\n" in out
+    assert "changed: spin" not in out
     assert CAPTURE.compare(before, shifted, tol=1e-14) == 1
+    capsys.readouterr()
+    both = _capture_file(
+        tmp_path / "f.json", {"curve": "t,p\n10.0,0.5000001\n", "spin": "deviation=1e-12\n"}
+    )
+    spin = _capture_file(
+        tmp_path / "g.json", {"curve": "t,p\n10.0,0.5\n", "spin": "deviation=0.0\n"}
+    )
+    assert CAPTURE.compare(spin, both, tol=1e-6) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "commands: 2, identical: 0, changed: 2",
+        "changed: curve: worst deviation 1e-07 (line 2 field 2: 0.5 against 0.5000001)",
+        "changed: spin: worst deviation 1e-12 (line 1 field 1: 0.0 against 1e-12)",
+    ]
     flipped = _capture_file(
         tmp_path / "c.json", {"curve": "t,p\n10.0,0.5\n", "spin": "result=FAIL\n"}
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,3 +364,46 @@ def test_single_excitation_block_lists_each_distinct_degree_once():
     # nothing in it grows with n: three edges on 2^31 vertices
     huge = single_excitation_block(Graph(2**31, [(0, 1), (1, 2), (2**31 - 2, 2**31 - 1)]), j)
     assert huge.degrees.tolist() == [0, 1, 2]
+
+
+@st.composite
+def edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count and a list of its pairs in any order, reversed and repeated, maybe empty."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=30))
+    # some listed twice, in either order
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    rows = pairs + [draw(st.sampled_from([(a, b), (b, a)])) for a, b in repeats]
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_single_excitation_block_degrees_are_the_per_vertex_counts(case):
+    n, rows = case
+    edges = {(min(a, b), max(a, b)) for a, b in rows}
+    degree = [0] * n
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    block = single_excitation_block(Graph(n, rows), CouplingConstants(0.4, 0.4, -0.4))
+    assert block.degrees.tolist() == sorted(set(degree))
+    assert block.energies.tolist() == [0.2 * (len(edges) - 2 * d) for d in sorted(set(degree))]
+
+
+def test_certificate_on_two_to_the_31_vertices_holds_a_few_kib():
+    # nothing held grows with n: about 3.4 KiB, where one array of n bytes is 2 GiB
+    g = Graph(2**31, [(0, 1), (1, 2), (2**31 - 2, 2**31 - 1)])
+    for ratio in (-1.0, 0.5):
+        j = CouplingConstants(0.3, 0.3, 0.3 * ratio)
+        certify_walk_equivalence(g, j)
+        tracemalloc.start()
+        try:
+            certify_walk_equivalence(g, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 1024, ratio
